@@ -3,14 +3,13 @@
 Each record becomes a small point cloud (the record plus its
 coordinate-zeroing projections), clouds become dimension-0 persistence
 diagrams, diagrams are compared with the p-Wasserstein distance, and a
-k-nearest-neighbor vote classifies. See README.md for the CLI and config
-formats.
+k-nearest-neighbor vote classifies.
 """
 
 __version__ = "0.1.0"
 
 from .classify import knn_predict
-from .cloud import PointCloud, build_point_cloud, pairwise_distances, project
+from .cloud import build_point_cloud, project
 from .errors import (
     ContractError,
     EvaluationError,
@@ -32,13 +31,8 @@ from .evaluate import (
     select_k_kfold,
 )
 from .ingest import ParseReport, RawDataset, binarize_target, parse_dataset
-from .metric import bottleneck, distance_matrix, wasserstein
-from .persistence import (
-    PersistenceDiagram,
-    choose_maxscale,
-    diagrams_for_rows,
-    rips_dim0_diagram,
-)
+from .metric import distance_matrix, wasserstein
+from .persistence import PersistenceDiagram, dim0_diagrams
 from .pipeline import (
     ExperimentConfig,
     load_experiment_config,

@@ -111,8 +111,7 @@ def _cmd_inspect(config, row: int) -> int:
     features = diagram_set.prepared.features
     print(f"row {row}: label {int(diagram_set.labels[row])}")
     print("point cloud (row vector, then one projection per coordinate):")
-    cloud = build_point_cloud(features.values[row], source_row=row)
-    for point in cloud.points:
+    for point in build_point_cloud(features.values[row]):
         print("  " + " ".join(f"{v:.6g}" for v in point))
     print("diagram (birth, death):")
     for birth, death in diagram_set.diagrams[row].pairs:

@@ -1,31 +1,18 @@
 """Per-record point clouds built from coordinate-zeroing projections.
 
 A single feature row x in R^m becomes the m+1 point multiset
-{x, p_1(x), ..., p_m(x)} where p_i zeroes the i-th coordinate. The
-pairwise Euclidean distances of that cloud encode the coordinate
-magnitudes of x, which is what the downstream filtration consumes.
+{x, p_1(x), ..., p_m(x)} where p_i zeroes the i-th coordinate. Its
+pairwise distances have closed forms, d(x, p_i(x)) = |x_i| and
+d(p_i(x), p_j(x)) = sqrt(x_i^2 + x_j^2), so the persistence stage works
+from those magnitudes directly (see persistence.py). The explicit cloud is
+built only for display.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .errors import ContractError
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """m+1 points in R^m, ordered [x, p_1(x), ..., p_m(x)]."""
-
-    points: np.ndarray
-    source_row: int
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.points.shape[1]
 
 
 def project(x: np.ndarray, coord: int) -> np.ndarray:
@@ -41,8 +28,8 @@ def project(x: np.ndarray, coord: int) -> np.ndarray:
     return out
 
 
-def build_point_cloud(x: np.ndarray, source_row: int = 0) -> PointCloud:
-    """Assemble the m+1 point cloud of a feature row."""
+def build_point_cloud(x: np.ndarray) -> np.ndarray:
+    """The (m+1, m) array of points [x, p_1(x), ..., p_m(x)] of a feature row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] < 1:
         raise ContractError("point cloud input must be a non-empty 1-d vector")
@@ -51,25 +38,4 @@ def build_point_cloud(x: np.ndarray, source_row: int = 0) -> PointCloud:
     m = x.shape[0]
     points = np.tile(x, (m + 1, 1))
     points[np.arange(1, m + 1), np.arange(m)] = 0.0
-    return PointCloud(points=points, source_row=source_row)
-
-
-def pairwise_distances(cloud: PointCloud) -> np.ndarray:
-    """Euclidean distance matrix of the cloud: symmetric, zero diagonal.
-
-    Computed with the generic formula rather than the coordinate closed
-    forms so the construction may change without touching this code; the
-    closed forms serve as a test oracle.
-    """
-    pts = cloud.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, 0.0)
-    return dist
-
-
-def dump_point_cloud(cloud: PointCloud, path: str | Path, delimiter: str = ",") -> None:
-    """Write one point per line as delimited text (for external plotting)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for point in cloud.points:
-            fh.write(delimiter.join(repr(float(v)) for v in point) + "\n")
+    return points

@@ -6,10 +6,7 @@ point may match a real point (L-infinity ground cost) or its nearest
 diagonal projection (cost = half its persistence), and diagonal slots
 match each other for free. The p-Wasserstein distance is then the p-th
 root of the minimal total cost^p over perfect matchings of the augmented
-problem, solved exactly with scipy's assignment solver; the bottleneck
-distance minimizes the maximal per-pair cost instead and is found by
-binary search over candidate costs with a bipartite-matching feasibility
-test.
+problem, solved exactly with scipy's assignment solver.
 
 Two determinism guarantees beyond exactness:
   * arguments are canonically ordered before solving, and the selected
@@ -87,50 +84,6 @@ def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p: float = 1.0) 
     rows, cols = linear_sum_assignment(cost)
     total = math.fsum(cost[rows, cols].tolist())
     return total ** (1.0 / p)
-
-
-def _has_perfect_matching(allowed: np.ndarray) -> bool:
-    """Kuhn's augmenting-path test on a square boolean adjacency matrix."""
-    n = allowed.shape[0]
-    match_of_col = [-1] * n
-    adjacency = [np.flatnonzero(allowed[i]).tolist() for i in range(n)]
-
-    def try_assign(row: int, seen: list[bool]) -> bool:
-        for col in adjacency[row]:
-            if not seen[col]:
-                seen[col] = True
-                if match_of_col[col] == -1 or try_assign(match_of_col[col], seen):
-                    match_of_col[col] = row
-                    return True
-        return False
-
-    for row in range(n):
-        if not try_assign(row, [False] * n):
-            return False
-    return True
-
-
-def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
-    """Exact bottleneck distance: minimal achievable max per-pair cost.
-
-    The optimum is always one of the augmented cost entries, so a binary
-    search over the sorted unique entries with a perfect-matching
-    feasibility test finds it exactly.
-    """
-    _check_comparable(d1, d2)
-    a, b = _canonical_order(d1, d2)
-    if len(a) + len(b) == 0:
-        return 0.0
-    cost = _augmented_costs(a, b)
-    candidates = np.unique(cost)
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _has_perfect_matching(cost <= candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(candidates[lo])
 
 
 def _check_family(diagrams: Sequence[PersistenceDiagram]) -> None:

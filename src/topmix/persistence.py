@@ -1,23 +1,24 @@
-"""Dimension-0 persistence of the Rips filtration of a finite point set.
+"""Dimension-0 persistence of the projection clouds, in closed form.
 
-As the scale sweeps upward, connected components of the distance graph
-merge; each merge kills a component born at scale 0. For a Rips
-filtration these merge scales are exactly the minimum-spanning-tree edge
-weights, so the diagram is computed with Kruskal's algorithm over a
-union-find structure instead of any boundary-matrix machinery. The one
-component surviving to the end is recorded with death equal to the
-filtration cap, so diagrams sharing a cap stay mutually comparable.
+The cloud of a row x is {x, p_1(x), ..., p_m(x)} (see cloud.py), where
+d(x, p_i) = |x_i| <= sqrt(x_i^2 + x_j^2) = d(p_i, p_j). By the cycle
+property the star centred at x is therefore a minimum spanning tree. The
+dimension-0 Rips diagram records exactly the minimum-spanning-tree edge
+weights as deaths of components born at scale 0 (Edelsbrunner & Harer,
+*Computational Topology*), so the diagram of x is the sorted |x_i| plus one
+component that never dies. That essential component is recorded with
+death equal to a filtration cap shared by all rows, so diagrams stay
+mutually comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .cloud import PointCloud, build_point_cloud, pairwise_distances
 from .errors import ContractError
 
 
@@ -52,114 +53,51 @@ class PersistenceDiagram:
         return self.pairs[:, 1]
 
 
-class _UnionFind:
-    """Union by size with path compression; tracks component count."""
+def dim0_diagrams(
+    values: np.ndarray, maxscale: float | None = None, safety: float = 1.1
+) -> tuple[list[PersistenceDiagram], float]:
+    """Diagram of every row's projection cloud, and the shared cap.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.count -= 1
-        return True
-
-
-def rips_dim0_diagram(distances: np.ndarray, maxscale: float) -> PersistenceDiagram:
-    """Dimension-0 diagram of the Rips filtration over a distance matrix.
-
-    Equivalent to sweeping a threshold upward through the sorted pairwise
-    distances and emitting a (0, threshold) pair every time two connected
-    components of the threshold graph merge, plus (0, maxscale) for the
-    component that survives. Implemented as Kruskal's MST with equal-weight
-    edges processed in (i, j) order; an n-point input yields exactly n pairs.
+    Without an explicit ``maxscale`` the cap is ``safety`` times the largest
+    distance in any cloud. That distance is sqrt(a1^2 + a2^2) for the two
+    largest magnitudes a1 >= a2 of a row, or a1 when rows have a single
+    coordinate. If every row is zero the cap is ``safety`` itself.
 
     Raises:
-        ContractError: non-square/asymmetric/negative input, nonzero
-            diagonal, non-positive maxscale, or a merge distance exceeding
-            maxscale (a cap that would truncate finite features is an error,
-            never a silent clamp).
+        ContractError: an empty or non-finite matrix, safety below 1, a
+            non-positive maxscale, or an explicit maxscale below some |x_i|
+            (a cap that would truncate finite features is an error, never a
+            silent clamp).
     """
-    dist = np.asarray(distances, dtype=np.float64)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise ContractError("distance matrix must be square")
-    n = dist.shape[0]
-    if n == 0:
-        raise ContractError("distance matrix must be non-empty")
-    if not np.array_equal(dist, dist.T):
-        raise ContractError("distance matrix must be symmetric")
-    if (dist < 0).any():
-        raise ContractError("distance matrix must be nonnegative")
-    if np.diag(dist).any():
-        raise ContractError("distance matrix must have a zero diagonal")
-    if maxscale <= 0:
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 2 or x.size == 0:
+        raise ContractError("diagram input must be a non-empty 2-d matrix")
+    if not np.isfinite(x).all():
+        raise ContractError("diagram input must be finite")
+    mags = np.sort(np.abs(x), axis=1)
+    if maxscale is None:
+        if safety < 1:
+            raise ContractError("safety factor must be >= 1")
+        if x.shape[1] == 1:
+            top = float(mags[:, -1].max())
+        else:
+            top = float(np.sqrt(mags[:, -1] ** 2 + mags[:, -2] ** 2).max())
+        # all-zero rows still need a positive cap
+        maxscale = float(safety * top) if top > 0 else float(safety)
+    elif maxscale <= 0:
         raise ContractError("maxscale must be positive")
-
-    iu, ju = np.triu_indices(n, k=1)
-    weights = dist[iu, ju]
-    # ascending weight, ties in lexicographic (i, j) order
-    order = np.lexsort((ju, iu, weights))
-
-    uf = _UnionFind(n)
-    deaths = []
-    for e in order:
-        if uf.count == 1:
-            break
-        if uf.union(int(iu[e]), int(ju[e])):
-            w = float(weights[e])
-            if w > maxscale:
-                raise ContractError(
-                    f"maxscale too small: components merge at distance {w!r} "
-                    f"> maxscale {maxscale!r}"
-                )
-            deaths.append(w)
-    deaths.append(float(maxscale))  # essential component, capped
-
-    pairs = np.zeros((n, 2), dtype=np.float64)
-    pairs[:, 1] = deaths
-    return PersistenceDiagram(pairs=pairs, maxscale=float(maxscale), dimension=0)
-
-
-def choose_maxscale(clouds: Sequence[PointCloud], safety: float = 1.1) -> float:
-    """One shared filtration cap: safety x the largest distance in any cloud.
-
-    Every diagram in an experiment must use the same cap so that their
-    capped essential pairs match each other at zero cost under diagram
-    distances.
-    """
-    if safety < 1:
-        raise ContractError("safety factor must be >= 1")
-    if not clouds:
-        raise ContractError("choose_maxscale needs at least one cloud")
-    top = max(float(pairwise_distances(c).max()) for c in clouds)
-    if top <= 0:
-        # all-coincident clouds still need a positive cap
-        return float(safety)
-    return float(safety * top)
-
-
-def diagrams_for_rows(matrix_rows: np.ndarray, maxscale: float) -> list[PersistenceDiagram]:
-    """Build each row's projection cloud and compute its diagram."""
-    out = []
-    for i, row in enumerate(matrix_rows):
-        cloud = build_point_cloud(row, source_row=i)
-        out.append(rips_dim0_diagram(pairwise_distances(cloud), maxscale))
-    return out
+    else:
+        maxscale = float(maxscale)
+        largest = float(mags[:, -1].max())
+        if largest > maxscale:
+            raise ContractError(
+                f"maxscale too small: components merge at distance {largest!r} "
+                f"> maxscale {maxscale!r}"
+            )
+    pairs = np.zeros((x.shape[0], x.shape[1] + 1, 2), dtype=np.float64)
+    pairs[:, :-1, 1] = mags
+    pairs[:, -1, 1] = maxscale
+    return [PersistenceDiagram(p, maxscale=maxscale) for p in pairs], maxscale
 
 
 def save_diagrams(diagrams: Iterable[PersistenceDiagram], path: str | Path) -> None:
@@ -168,31 +106,3 @@ def save_diagrams(diagrams: Iterable[PersistenceDiagram], path: str | Path) -> N
         for row, diagram in enumerate(diagrams):
             for birth, death in diagram.pairs:
                 fh.write(f"{row},{diagram.dimension},{float(birth)!r},{float(death)!r}\n")
-
-
-def load_diagrams(path: str | Path, maxscale: float) -> list[PersistenceDiagram]:
-    """Inverse of save_diagrams; the cap comes from the cache manifest."""
-    by_row: dict[int, list[tuple[float, float]]] = {}
-    dims: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row_s, dim_s, birth_s, death_s = line.split(",")
-            row = int(row_s)
-            by_row.setdefault(row, []).append((float(birth_s), float(death_s)))
-            dims[row] = int(dim_s)
-    if not by_row:
-        return []
-    n_rows = max(by_row) + 1
-    if sorted(by_row) != list(range(n_rows)):
-        raise ContractError(f"diagram cache {path} has missing row indices")
-    return [
-        PersistenceDiagram(
-            pairs=np.asarray(by_row[row], dtype=np.float64),
-            maxscale=maxscale,
-            dimension=dims[row],
-        )
-        for row in range(n_rows)
-    ]

@@ -1,29 +1,31 @@
 """End-to-end experiment orchestration with caching and a run manifest.
 
 Stage order: ingest -> one-hot encode -> standardize -> symmetry break ->
-point clouds -> diagrams -> distance matrix -> k-NN evaluation. Diagram
-and distance caches carry a manifest with a fingerprint of everything
-upstream of them; a mismatch means the cache is stale and it is recomputed
-(and logged), never silently reused. All artifacts are plain text with
-deterministic float formatting, so identical configs produce byte-identical
-outputs.
+diagrams -> distance matrix -> k-NN evaluation. Diagrams come in closed
+form from the symmetry-broken matrix on every run; ``diagrams.csv`` in the
+cache directory is an export, written when its manifest is missing or
+stale, and never read back. The distance matrix is cached: its manifest
+carries a fingerprint of everything upstream, and a stale, missing or
+unreadable cache is recomputed (and logged), never silently reused. All
+artifacts are plain text with deterministic float formatting, so identical
+configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import json
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .cloud import build_point_cloud, pairwise_distances
 from .errors import ContractError, TopmixError
 from .evaluate import (
     EvaluationReport,
@@ -39,13 +41,7 @@ from .evaluate import (
 )
 from .ingest import ParseReport, RawDataset, parse_dataset
 from .metric import distance_matrix, load_distance_matrix, save_distance_matrix
-from .persistence import (
-    PersistenceDiagram,
-    choose_maxscale,
-    load_diagrams,
-    rips_dim0_diagram,
-    save_diagrams,
-)
+from .persistence import PersistenceDiagram, dim0_diagrams, save_diagrams
 from .preprocess import (
     FeatureMatrix,
     default_symmetry_vector,
@@ -103,11 +99,36 @@ class ExperimentConfig:
             raise ContractError("threads must be >= 1")
 
 
+CONFIG_KEYS = (
+    "data", "schema", "delimiter", "has_header", "symmetry_vector",
+    "standardize_scope", "maxscale", "maxscale_safety", "wasserstein_p",
+    "split", "k", "k_grid", "cache_dir", "out_dir", "threads",
+)
+SPLIT_KEYS = tuple(f.name for f in fields(SplitSpec))
+
+
+def _reject_unknown_keys(doc: Any, valid: tuple[str, ...], where: str) -> None:
+    """A misspelled key would otherwise silently leave its default in force."""
+    if not isinstance(doc, dict):
+        raise ContractError(f"{where} must be a JSON object")
+    for key in doc:
+        if key not in valid:
+            close = difflib.get_close_matches(key, valid, n=1)
+            hint = f"did you mean {close[0]!r}?" if close else f"valid keys: {', '.join(valid)}"
+            raise ContractError(f"unknown {where} key {key!r}; {hint}")
+
+
 def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
-    """Read a JSON experiment config; relative paths resolve against it."""
+    """Read a JSON experiment config; relative paths resolve against it.
+
+    Raises:
+        ContractError: an unknown top-level or ``split`` key, named with the
+            nearest valid key; missing data or schema paths; invalid values.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    _reject_unknown_keys(doc, CONFIG_KEYS, "config")
     if overrides:
         for key, value in overrides.items():
             if value is not None:
@@ -125,6 +146,7 @@ def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = 
         return p if p.is_absolute() else base / p
 
     split_doc = doc.get("split", {})
+    _reject_unknown_keys(split_doc, SPLIT_KEYS, "split")
     split = SplitSpec(
         mode=split_doc.get("mode", "holdout"),
         seed=int(split_doc.get("seed", 0)),
@@ -280,51 +302,57 @@ class DiagramSet:
 
 
 def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
-    """Clouds and dimension-0 diagrams for every row, cache-aware."""
-    fingerprint = features_fingerprint(config)
-    cache_dir = config.cache_dir
-    if cache_dir is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_file = cache_dir / "diagrams.csv"
-        manifest_file = cache_dir / "diagrams.manifest.json"
-        manifest = _read_manifest(manifest_file)
-        if manifest is not None and manifest.get("fingerprint") == fingerprint:
-            prepared = prepare_features(config)
-            with _stage("diagrams"):
-                diagrams = load_diagrams(cache_file, maxscale=manifest["maxscale"])
-                logger.info("diagram cache hit: %s", cache_file)
-            return DiagramSet(diagrams, manifest["maxscale"], prepared.features.labels, prepared)
-        if manifest is not None:
-            logger.info("diagram cache stale (fingerprint mismatch), recomputing")
+    """Dimension-0 diagrams for every row, exported to the cache directory.
 
+    The closed form is cheaper than reading any file, so diagrams are
+    always recomputed. ``diagrams.csv`` and its manifest are rewritten only
+    when the manifest is missing or stale or the csv is absent.
+    """
     prepared = prepare_features(config)
-    with _stage("clouds"):
-        clouds = [
-            build_point_cloud(row, source_row=i)
-            for i, row in enumerate(prepared.features.values)
-        ]
     with _stage("diagrams"):
-        if config.maxscale is not None:
-            maxscale = float(config.maxscale)
-        else:
-            maxscale = choose_maxscale(clouds, safety=config.maxscale_safety)
-        diagrams = [rips_dim0_diagram(pairwise_distances(c), maxscale) for c in clouds]
-        if cache_dir is not None:
-            save_diagrams(diagrams, cache_file)
-            _write_manifest(
-                manifest_file,
-                {
-                    "fingerprint": fingerprint,
-                    "maxscale": maxscale,
-                    "safety": config.maxscale_safety,
-                    "version": __version__,
-                },
-            )
+        diagrams, maxscale = dim0_diagrams(
+            prepared.features.values, config.maxscale, config.maxscale_safety
+        )
+        if config.cache_dir is not None:
+            _export_diagrams(config, diagrams, maxscale)
     return DiagramSet(diagrams, maxscale, prepared.features.labels, prepared)
 
 
+def _export_diagrams(
+    config: ExperimentConfig, diagrams: list[PersistenceDiagram], maxscale: float
+) -> None:
+    fingerprint = features_fingerprint(config)
+    cache_dir = config.cache_dir
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    cache_file = cache_dir / "diagrams.csv"
+    manifest_file = cache_dir / "diagrams.manifest.json"
+    manifest = _read_manifest(manifest_file)
+    if manifest is not None and manifest.get("fingerprint") == fingerprint:
+        if cache_file.exists():
+            logger.info("diagram export up to date: %s", cache_file)
+            return
+        logger.info("diagram export missing, rewriting")
+    elif manifest is not None:
+        logger.info("diagram export stale (fingerprint mismatch), rewriting")
+    save_diagrams(diagrams, cache_file)
+    _write_manifest(
+        manifest_file,
+        {
+            "fingerprint": fingerprint,
+            "maxscale": maxscale,
+            "safety": config.maxscale_safety,
+            "version": __version__,
+        },
+    )
+
+
 def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.ndarray:
-    """Pairwise Wasserstein matrix over all rows, cache-aware."""
+    """Pairwise Wasserstein matrix over all rows, cache-aware.
+
+    A cache whose manifest matches but whose matrix file is missing,
+    unparsable or of the wrong shape counts as a miss: the reason is logged
+    and the matrix is recomputed and rewritten.
+    """
     fingerprint = features_fingerprint(config) + f":p={config.wasserstein_p!r}"
     cache_dir = config.cache_dir
     if cache_dir is not None:
@@ -333,11 +361,15 @@ def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.n
         manifest = _read_manifest(manifest_file)
         if manifest is not None and manifest.get("fingerprint") == fingerprint:
             with _stage("distances"):
-                matrix = load_distance_matrix(cache_file)
-                logger.info("distance cache hit: %s", cache_file)
-            if matrix.shape[0] == len(diagram_set.diagrams):
-                return matrix
-            logger.info("distance cache has wrong shape, recomputing")
+                try:
+                    matrix = load_distance_matrix(cache_file)
+                except (OSError, ValueError, ContractError) as exc:
+                    logger.info("distance cache unreadable (%s), recomputing", exc)
+                else:
+                    if matrix.shape[0] == len(diagram_set.diagrams):
+                        logger.info("distance cache hit: %s", cache_file)
+                        return matrix
+                    logger.info("distance cache has wrong shape, recomputing")
         elif manifest is not None:
             logger.info("distance cache stale (fingerprint mismatch), recomputing")
 

@@ -10,7 +10,6 @@ the fit rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
@@ -173,11 +172,3 @@ def symmetry_break(
         stage="symmetry-broken",
     )
 
-
-def export_matrix(matrix: FeatureMatrix, path: str | Path, delimiter: str = ",") -> None:
-    """Dump the matrix as delimited text with a header row (debug aid)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(matrix.column_names) + delimiter + "label\n")
-        for row, label in zip(matrix.values, matrix.labels):
-            fh.write(delimiter.join(repr(float(v)) for v in row))
-            fh.write(f"{delimiter}{int(label)}\n")

@@ -1,9 +1,10 @@
 """Independent reference implementations used only to check the library.
 
-These deliberately avoid the algorithms used by the package: components
-are recounted from scratch by graph traversal at every threshold instead
-of union-find, and diagram distances enumerate every augmented bijection
-instead of solving an assignment problem.
+These deliberately avoid the algorithms used by the package: dimension-0
+pairs come from recounting components by graph traversal at every
+threshold of a generic distance matrix instead of the closed form, and
+diagram distances enumerate every augmented bijection instead of solving
+an assignment problem.
 """
 
 from __future__ import annotations

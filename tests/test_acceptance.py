@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from topmix.classify import knn_predict
-from topmix.cloud import build_point_cloud, pairwise_distances, project
+from topmix.cloud import build_point_cloud, project
 from topmix.errors import FitError
 from topmix.evaluate import SplitSpec, evaluate_kfold, evaluate_split, holdout_indices
 from topmix.ingest import RawDataset, parse_dataset
 from topmix.metric import distance_matrix, wasserstein
-from topmix.persistence import PersistenceDiagram, choose_maxscale, rips_dim0_diagram
+from topmix.persistence import PersistenceDiagram, dim0_diagrams
 from topmix.pipeline import load_experiment_config, run_pipeline
 from topmix.preprocess import (
     FeatureMatrix,
@@ -71,15 +71,17 @@ def _diagram_with(rng, n: int, cap: float) -> PersistenceDiagram:
 
 
 def test_c1a_two_point_diagram_exact():
-    dist = _euclidean(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    diagram = rips_dim0_diagram(dist, maxscale=5.0)
+    (diagram,), _ = dim0_diagrams(np.array([[1.0]]), maxscale=5.0)
     assert diagram.pairs.tolist() == [[0.0, 1.0], [0.0, 5.0]]
-    _ok("1a", "two-point cloud at cap 5 gives pairs (0,1),(0,5) exactly")
+    (diagram,), cap = dim0_diagrams(np.array([[6.0, 8.0]]), safety=1.1)
+    assert cap == 1.1 * 10.0
+    assert diagram.pairs.tolist() == [[0.0, 6.0], [0.0, 8.0], [0.0, cap]]
+    _ok("1a", "cloud of x=(1) at cap 5 gives (0,1),(0,5); x=(6,8) gives deaths [6, 8, 1.1*10] exactly")
 
 
 def test_c1b_mirrored_rows_distance_multisets():
     def multiset(x):
-        dist = pairwise_distances(build_point_cloud(np.asarray(x, dtype=float)))
+        dist = _euclidean(build_point_cloud(np.asarray(x, dtype=float)))
         return sorted(dist[np.triu_indices(len(x) + 1, k=1)].tolist())
 
     before_x, before_y = multiset([1, 2]), multiset([2, 1])
@@ -103,7 +105,7 @@ def test_c1c_cleveland_encoding_width(tmp_path):
     encoded = one_hot_encode(raw)
     assert encoded.m == 25
     cloud = build_point_cloud(encoded.values[0])
-    assert cloud.points.shape == (26, 25)
+    assert cloud.shape == (26, 25)
     _ok("1c", "13 attributes encode to 25 columns; clouds are 26 points in R^25")
 
 
@@ -121,16 +123,18 @@ def test_c1d_holdout_sizes_at_297():
 def test_c2a_dim0_matches_sweep_oracle_500_clouds():
     rng = np.random.default_rng(101)
     for case in range(500):
-        n = int(rng.integers(1, 11))
-        dim = int(rng.integers(1, 5))
-        points = rng.uniform(-10, 10, size=(n, dim))
-        if rng.random() < 0.15 and n >= 2:
-            points[1] = points[0]  # force coincident points / zero edges
-        dist = _euclidean(points)
+        m = int(rng.integers(1, 10))
+        x = rng.uniform(-10, 10, size=m)
+        if rng.random() < 0.15:
+            x[rng.integers(0, m)] = 0.0  # a coordinate whose projection is x itself
+        if rng.random() < 0.15 and m >= 2:
+            x[1] = -x[0]  # tied magnitudes
+        dist = _euclidean(build_point_cloud(x))
         cap = float(dist.max()) * 1.1 + 0.25
-        got = [tuple(p) for p in rips_dim0_diagram(dist, cap).pairs]
+        (diagram,), _ = dim0_diagrams(x[None, :], maxscale=cap)
+        got = [tuple(p) for p in diagram.pairs]
         assert got == sweep_dim0_pairs(dist, cap), f"case {case}"
-    _ok("2a", "500 random clouds of <=10 points: Kruskal pairs == threshold-sweep oracle")
+    _ok("2a", "500 random projection clouds of <=10 points: closed form == threshold-sweep oracle")
 
 
 def test_c2b_wasserstein_matches_brute_force_500_pairs():
@@ -220,24 +224,20 @@ def test_c3_projection_idempotence_1000():
 
 
 def test_c3_diagram_permutation_isometry_invariance_1000():
+    # permuting coordinates or flipping their signs moves the projection
+    # cloud rigidly, so the diagram must not change in any bit
     rng = np.random.default_rng(106)
     for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        dim = int(rng.integers(2, 6))
-        points = rng.normal(size=(n, dim))
-        dist = _euclidean(points)
-        cap = float(dist.max()) * 2.0 + 1.0
-        base = rips_dim0_diagram(dist, cap)
-
-        perm = rng.permutation(n)
-        permuted = rips_dim0_diagram(dist[np.ix_(perm, perm)], cap)
-        assert np.array_equal(base.pairs, permuted.pairs)
-
-        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        moved = points @ q.T + rng.normal(size=dim)
-        iso = rips_dim0_diagram(_euclidean(moved), cap)
-        assert np.abs(base.pairs - iso.pairs).max() <= 1e-9
-    _ok("3.invariance", "1000 clouds: permutation exact, rigid motions within 1e-9")
+        m = int(rng.integers(1, 8))
+        x = rng.normal(size=m)
+        moved = x[rng.permutation(m)] * rng.choice([-1.0, 1.0], size=m)
+        (base, iso), cap = dim0_diagrams(np.vstack([x, moved]), safety=2.0)
+        assert np.array_equal(base.pairs, iso.pairs)
+        assert cap == 2.0 * _euclidean(build_point_cloud(x)).max()
+        assert [tuple(p) for p in base.pairs] == sweep_dim0_pairs(
+            _euclidean(build_point_cloud(moved)), cap
+        )
+    _ok("3.invariance", "1000 rows: coordinate permutations and sign flips leave the diagram bit-identical")
 
 
 def test_c3_wasserstein_symmetry_and_triangle_1000():
@@ -308,9 +308,7 @@ def cleveland_distances():
         standardize(encoded, fit_standardizer(encoded)),
         default_symmetry_vector(encoded.m),
     )
-    clouds = [build_point_cloud(row, i) for i, row in enumerate(broken.values)]
-    cap = choose_maxscale(clouds, safety=1.1)
-    diagrams = [rips_dim0_diagram(pairwise_distances(c), cap) for c in clouds]
+    diagrams, _ = dim0_diagrams(broken.values, safety=1.1)
     distances = distance_matrix(diagrams, p=1.0, threads=4)
     return distances, broken.labels
 

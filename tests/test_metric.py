@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from topmix.cloud import build_point_cloud, pairwise_distances
 from topmix.errors import ContractError
 from topmix.metric import (
-    bottleneck,
     distance_matrix,
     load_distance_matrix,
     save_distance_matrix,
     wasserstein,
 )
-from topmix.persistence import PersistenceDiagram, rips_dim0_diagram
+from topmix.persistence import PersistenceDiagram, dim0_diagrams
 
 from oracles import brute_bottleneck, brute_wasserstein
 
@@ -34,7 +32,6 @@ class TestWorkedExamples:
     def test_identity_is_zero(self):
         d = _diag([[0.0, 1.0], [0.5, 3.0]])
         assert wasserstein(d, d, 1.0) == 0.0
-        assert bottleneck(d, d) == 0.0
 
     def test_single_pair_shift(self):
         # direct match costs 2; both-to-diagonal costs 0.5 + 1.5 = 2
@@ -43,19 +40,13 @@ class TestWorkedExamples:
     def test_single_pair_versus_empty(self):
         assert wasserstein(_diag([[0.0, 2.0]]), _diag(np.zeros((0, 2))), 1.0) == 1.0
 
-    def test_bottleneck_prefers_diagonal_route(self):
-        # direct match max-cost 2 vs diagonal route max(0.5, 1.5) = 1.5
-        assert bottleneck(_diag([[0.0, 1.0]]), _diag([[0.0, 3.0]])) == 1.5
-
     def test_empty_vs_empty(self):
         e = _diag(np.zeros((0, 2)))
         assert wasserstein(e, e, 1.0) == 0.0
-        assert bottleneck(e, e) == 0.0
 
     def test_worked_clouds_are_separated(self):
-        cap = 1.1 * 10.0
-        dx = rips_dim0_diagram(pairwise_distances(build_point_cloud(np.array([6.0, 8.0]))), cap)
-        dy = rips_dim0_diagram(pairwise_distances(build_point_cloud(np.array([7.0, 7.0]))), cap)
+        (dx, dy), cap = dim0_diagrams(np.array([[6.0, 8.0], [7.0, 7.0]]), safety=1.1)
+        assert cap == 1.1 * 10.0
         # finite deaths {6, 8} vs {7, 7}: optimal matching pays |6-7| + |8-7|
         w = wasserstein(dx, dy, 1.0)
         assert w == 2.0
@@ -67,8 +58,6 @@ class TestContracts:
     def test_mismatched_caps(self):
         with pytest.raises(ContractError, match="caps differ"):
             wasserstein(_diag([[0.0, 1.0]], cap=5.0), _diag([[0.0, 1.0]], cap=6.0), 1.0)
-        with pytest.raises(ContractError, match="caps differ"):
-            bottleneck(_diag([[0.0, 1.0]], cap=5.0), _diag([[0.0, 1.0]], cap=6.0))
 
     def test_mismatched_dimension(self):
         d1 = PersistenceDiagram(np.array([[0.0, 1.0]]), maxscale=CAP, dimension=0)
@@ -98,14 +87,6 @@ class TestAgainstBruteForce:
             want = brute_wasserstein(d1.pairs, d2.pairs, p)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
-    def test_bottleneck_many_random_pairs(self):
-        rng = np.random.default_rng(11)
-        for _ in range(150):
-            d1, d2 = _random_diagram(rng, 3), _random_diagram(rng, 3)
-            assert bottleneck(d1, d2) == pytest.approx(
-                brute_bottleneck(d1.pairs, d2.pairs), rel=1e-12, abs=1e-300
-            )
-
     def test_large_p_approaches_bottleneck(self):
         # with at most 2 points per diagram the augmented matching has at most
         # 4 nonzero terms, so W_32 / W_inf <= 4**(1/32) < 1.05 unconditionally
@@ -115,7 +96,7 @@ class TestAgainstBruteForce:
             if len(d1) + len(d2) == 0:
                 continue
             w32 = wasserstein(d1, d2, 32.0)
-            binf = bottleneck(d1, d2)
+            binf = brute_bottleneck(d1.pairs, d2.pairs)
             if binf == 0.0:
                 assert w32 <= 1e-12
             else:
@@ -128,7 +109,6 @@ class TestMetricProperties:
         for _ in range(200):
             d1, d2 = _random_diagram(rng), _random_diagram(rng)
             assert wasserstein(d1, d2, 1.0) == wasserstein(d2, d1, 1.0)
-            assert bottleneck(d1, d2) == bottleneck(d2, d1)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(14)

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from topmix.cloud import PointCloud, build_point_cloud, pairwise_distances
+from topmix.cloud import build_point_cloud
 from topmix.errors import ContractError
-from topmix.persistence import (
-    PersistenceDiagram,
-    choose_maxscale,
-    diagrams_for_rows,
-    load_diagrams,
-    rips_dim0_diagram,
-    save_diagrams,
-)
+from topmix.persistence import PersistenceDiagram, dim0_diagrams, save_diagrams
 
 from oracles import sweep_dim0_pairs
 
@@ -27,47 +20,29 @@ def _pairs(diagram):
     return [tuple(p) for p in diagram.pairs]
 
 
+def _diagram(row, maxscale=None, safety=1.1):
+    diagrams, _ = dim0_diagrams(np.asarray([row], dtype=np.float64), maxscale, safety)
+    return diagrams[0]
+
+
 class TestWorkedExamples:
     def test_two_point_cloud_cap_five(self):
-        diagram = rips_dim0_diagram(_dist([[0.0, 0.0], [1.0, 0.0]]), maxscale=5.0)
+        # the cloud of x = (1) is the two points {1, 0}
+        diagram = _diagram([1.0], maxscale=5.0)
         assert _pairs(diagram) == [(0.0, 1.0), (0.0, 5.0)]
-
-    def test_single_point(self):
-        diagram = rips_dim0_diagram(np.zeros((1, 1)), maxscale=1.0)
-        assert _pairs(diagram) == [(0.0, 1.0)]
-
-    def test_two_separated_pairs(self):
-        points = [[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]]
-        diagram = rips_dim0_diagram(_dist(points), maxscale=20.0)
-        assert _pairs(diagram) == [(0.0, 1.0), (0.0, 1.0), (0.0, 10.0), (0.0, 20.0)]
 
 
 class TestContracts:
     def test_maxscale_too_small(self):
         with pytest.raises(ContractError, match="maxscale too small"):
-            rips_dim0_diagram(_dist([[0.0, 0.0], [9.0, 0.0]]), maxscale=5.0)
-
-    def test_asymmetric_input(self):
-        bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ContractError, match="symmetric"):
-            rips_dim0_diagram(bad, maxscale=5.0)
-
-    def test_negative_input(self):
-        bad = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(ContractError, match="nonnegative"):
-            rips_dim0_diagram(bad, maxscale=5.0)
-
-    def test_nonzero_diagonal(self):
-        bad = np.array([[0.5, 1.0], [1.0, 0.0]])
-        with pytest.raises(ContractError, match="diagonal"):
-            rips_dim0_diagram(bad, maxscale=5.0)
+            _diagram([9.0, 0.0], maxscale=5.0)
 
     def test_non_positive_maxscale(self):
         with pytest.raises(ContractError):
-            rips_dim0_diagram(np.zeros((1, 1)), maxscale=0.0)
+            _diagram([0.0], maxscale=0.0)
 
     def test_zero_length_edges_are_legal(self):
-        diagram = rips_dim0_diagram(np.zeros((3, 3)), maxscale=2.0)
+        diagram = _diagram([0.0, 0.0], maxscale=2.0)
         assert _pairs(diagram) == [(0.0, 0.0), (0.0, 0.0), (0.0, 2.0)]
 
     def test_diagram_pair_ordering_is_invalid(self):
@@ -81,45 +56,40 @@ class TestStructure:
     def test_cardinality_and_cap(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            n = int(rng.integers(1, 11))
-            points = rng.normal(size=(n, 3))
-            dist = _dist(points)
-            cap = float(dist.max()) * 1.5 + 1.0
-            diagram = rips_dim0_diagram(dist, cap)
-            assert len(diagram) == n
-            assert (diagram.pairs[:, 0] == 0).all()
-            assert (diagram.deaths == cap).sum() == 1
+            m = int(rng.integers(1, 11))
+            rows = rng.normal(size=(3, m))
+            diagrams, cap = dim0_diagrams(rows, safety=1.5)
+            for diagram in diagrams:
+                assert len(diagram) == m + 1
+                assert (diagram.pairs[:, 0] == 0).all()
+                assert (diagram.deaths == cap).sum() == 1
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(1)
-        points = rng.normal(size=(8, 4))
-        dist = _dist(points)
-        cap = float(dist.max()) + 1.0
-        base = rips_dim0_diagram(dist, cap)
+        row = rng.normal(size=8)
+        cap = float(np.abs(row).max()) + 1.0
+        base = _diagram(row, cap)
         for _ in range(20):
-            perm = rng.permutation(8)
-            shuffled = rips_dim0_diagram(dist[np.ix_(perm, perm)], cap)
+            shuffled = _diagram(row[rng.permutation(8)], cap)
             assert np.array_equal(base.pairs, shuffled.pairs)
 
     def test_isometry_invariance(self):
+        # flipping coordinate signs moves the cloud rigidly
         rng = np.random.default_rng(2)
-        points = rng.normal(size=(7, 5))
+        row = rng.normal(size=5)
         cap = 50.0
-        base = rips_dim0_diagram(_dist(points), cap)
+        base = _diagram(row, cap)
         for _ in range(20):
-            q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-            moved = points @ q.T + rng.normal(size=5)
-            rotated = rips_dim0_diagram(_dist(moved), cap)
-            assert np.abs(base.pairs - rotated.pairs).max() <= 1e-9
+            flipped = _diagram(row * rng.choice([-1.0, 1.0], size=5), cap)
+            assert np.array_equal(base.pairs, flipped.pairs)
 
     def test_monotone_scaling(self):
         rng = np.random.default_rng(3)
-        points = rng.normal(size=(6, 2))
-        dist = _dist(points)
-        cap = float(dist.max()) + 1.0
+        row = rng.normal(size=6)
+        cap = float(np.abs(row).max()) + 1.0
         lam = 3.25
-        base = rips_dim0_diagram(dist, cap)
-        scaled = rips_dim0_diagram(_dist(points * lam), cap * lam)
+        base = _diagram(row, cap)
+        scaled = _diagram(row * lam, cap * lam)
         finite_base = base.deaths[base.deaths < cap]
         finite_scaled = scaled.deaths[scaled.deaths < cap * lam]
         assert finite_scaled == pytest.approx(finite_base * lam, rel=1e-12)
@@ -127,51 +97,85 @@ class TestStructure:
     def test_matches_sweep_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(60):
-            n = int(rng.integers(1, 11))
-            points = rng.uniform(-5, 5, size=(n, int(rng.integers(1, 4))))
-            dist = _dist(points)
-            cap = float(dist.max()) * 1.1 + 0.5
-            diagram = rips_dim0_diagram(dist, cap)
-            assert _pairs(diagram) == sweep_dim0_pairs(dist, cap)
+            rows = rng.uniform(-5, 5, size=(int(rng.integers(1, 4)), int(rng.integers(1, 11))))
+            diagrams, cap = dim0_diagrams(rows)
+            for row, diagram in zip(rows, diagrams):
+                assert _pairs(diagram) == sweep_dim0_pairs(_dist(build_point_cloud(row)), cap)
 
 
 class TestChooseMaxscale:
+    """The shared cap picked when the config sets no explicit maxscale."""
+
     def test_single_cloud_with_safety(self):
-        cloud = PointCloud(np.array([[0.0, 0.0], [10.0, 0.0]]), source_row=0)
-        assert choose_maxscale([cloud], safety=1.1) == pytest.approx(11.0, rel=1e-12)
+        _, cap = dim0_diagrams(np.array([[6.0, 8.0]]), safety=1.1)
+        assert cap == pytest.approx(11.0, rel=1e-12)
 
     def test_max_over_clouds(self):
-        c1 = PointCloud(np.array([[0.0], [3.0]]), source_row=0)
-        c2 = PointCloud(np.array([[0.0], [7.0]]), source_row=1)
-        assert choose_maxscale([c1, c2], safety=1.0) == 7.0
+        _, cap = dim0_diagrams(np.array([[3.0], [-7.0]]), safety=1.0)
+        assert cap == 7.0
 
     def test_empty_and_bad_safety(self):
         with pytest.raises(ContractError):
-            choose_maxscale([])
-        cloud = PointCloud(np.array([[0.0], [1.0]]), source_row=0)
+            dim0_diagrams(np.zeros((0, 3)))
         with pytest.raises(ContractError):
-            choose_maxscale([cloud], safety=0.5)
+            dim0_diagrams(np.array([[1.0]]), safety=0.5)
 
     def test_degenerate_clouds_get_positive_cap(self):
-        cloud = PointCloud(np.zeros((3, 2)), source_row=0)
-        assert choose_maxscale([cloud], safety=1.25) == 1.25
+        _, cap = dim0_diagrams(np.zeros((3, 2)), safety=1.25)
+        assert cap == 1.25
 
     def test_guarantees_diagram_precondition(self):
         rng = np.random.default_rng(5)
-        clouds = [build_point_cloud(rng.normal(size=6), i) for i in range(10)]
-        cap = choose_maxscale(clouds, safety=1.1)
-        for cloud in clouds:
-            rips_dim0_diagram(pairwise_distances(cloud), cap)  # must not raise
+        rows = rng.normal(size=(10, 6))
+        _, cap = dim0_diagrams(rows, safety=1.1)
+        assert cap == pytest.approx(1.1 * max(_dist(build_point_cloud(r)).max() for r in rows), rel=1e-15)
+        dim0_diagrams(rows, maxscale=cap)  # must not raise
+
+
+def test_cap_rules_exact():
+    # m = 1: the cloud {x, 0} has the single distance |x_1|
+    _, cap = dim0_diagrams(np.array([[-2.0], [0.5]]), safety=1.5)
+    assert cap == 1.5 * 2.0
+    # all-zero rows: every cloud collapses, the cap is the safety factor
+    diagrams, cap = dim0_diagrams(np.zeros((2, 3)), safety=1.3)
+    assert cap == 1.3
+    assert all(_pairs(d) == [(0.0, 0.0)] * 3 + [(0.0, 1.3)] for d in diagrams)
+    # m >= 2: safety * sqrt(a1^2 + a2^2) over the two largest magnitudes
+    _, cap = dim0_diagrams(np.array([[1.0, -8.0, 6.0], [7.0, 7.0, 0.0]]), safety=1.1)
+    assert cap == 1.1 * 10.0
+    # an explicit cap is used as given once it covers every |x_i|
+    diagrams, cap = dim0_diagrams(np.array([[1.0, -8.0]]), maxscale=8.0)
+    assert cap == 8.0
+    assert _pairs(diagrams[0]) == [(0.0, 1.0), (0.0, 8.0), (0.0, 8.0)]
+    with pytest.raises(ContractError, match="maxscale too small"):
+        dim0_diagrams(np.array([[1.0, -8.0]]), maxscale=np.nextafter(8.0, 0.0))
+
+
+def test_non_finite_input_rejected():
+    with pytest.raises(ContractError, match="finite"):
+        dim0_diagrams(np.array([[1.0, np.nan]]))
+
+
+def test_sqrt_of_square_is_abs_bit_for_bit():
+    # the premise that makes the closed form equal to a generic distance
+    # computation: d(x, p_i(x)) = sqrt(x_i * x_i) rounds to exactly |x_i|
+    rng = np.random.default_rng(20)
+    x = rng.choice([-1.0, 1.0], size=10**6) * 10.0 ** rng.uniform(-100, 100, size=10**6)
+    x[:1000] = 0.0
+    x[1000:2000] = -0.0
+    assert np.array_equal(
+        np.sqrt(x * x).view(np.uint64), np.abs(x).view(np.uint64)
+    )
 
 
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     rows = rng.normal(size=(5, 4))
-    diagrams = diagrams_for_rows(rows, maxscale=40.0)
+    diagrams, _ = dim0_diagrams(rows, maxscale=40.0)
     path = tmp_path / "diagrams.csv"
     save_diagrams(diagrams, path)
-    loaded = load_diagrams(path, maxscale=40.0)
-    assert len(loaded) == 5
-    for a, b in zip(diagrams, loaded):
-        assert np.array_equal(a.pairs, b.pairs)
-        assert a.maxscale == b.maxscale
+    records = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [int(r[0]) for r in records] == [row for row in range(5) for _ in range(5)]
+    assert all(r[1] == "0" for r in records)
+    loaded = np.array([[float(r[2]), float(r[3])] for r in records])
+    assert np.array_equal(loaded, np.vstack([d.pairs for d in diagrams]))

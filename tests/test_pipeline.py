@@ -1,4 +1,6 @@
 import json
+import logging
+import os
 import sys
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 from topmix.cli import main as cli_main
 from topmix.errors import ContractError
 from topmix.pipeline import (
+    CONFIG_KEYS,
+    SPLIT_KEYS,
     compute_diagrams,
     compute_distances,
     features_fingerprint,
@@ -15,7 +19,7 @@ from topmix.pipeline import (
     run_pipeline,
 )
 
-from conftest import CLEVELAND_SCHEMA, synthetic_cleveland_rows, write_config
+from conftest import CLEVELAND_SCHEMA, REPO_ROOT, synthetic_cleveland_rows, write_config
 
 
 @pytest.fixture
@@ -75,6 +79,33 @@ class TestConfig:
         cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, symmetry_vector="nope")
         with pytest.raises(ContractError):
             load_experiment_config(cfg)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"wasserstien_p": 2.0}, "unknown config key 'wasserstien_p'; did you mean 'wasserstein_p'"),
+            ({"split": {"mode": "holdout", "sede": 3}}, "unknown split key 'sede'; did you mean 'seed'"),
+        ],
+        ids=["top-level", "split"],
+    )
+    def test_misspelled_key_rejected(
+        self, tmp_path, small_mixed_file, small_mixed_schema_file, fields, message
+    ):
+        cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, **fields)
+        with pytest.raises(ContractError, match=message):
+            load_experiment_config(cfg)
+
+    def test_shipped_and_default_configs_load(self, tmp_path, small_mixed_file, small_mixed_schema_file):
+        config = load_experiment_config(REPO_ROOT / "configs" / "example.json")
+        assert config.k_grid == (1, 2, 3, 4, 5)
+        config = load_experiment_config(_config_for(tmp_path, small_mixed_file, small_mixed_schema_file))
+        assert config.threads == 1
+        # the real-data configs name a file that may be absent; check their keys
+        for path in sorted((REPO_ROOT / "configs").glob("*.json")):
+            if not path.name.endswith(".schema.json"):
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                assert set(doc) <= set(CONFIG_KEYS), path.name
+                assert set(doc["split"]) <= set(SPLIT_KEYS), path.name
 
     def test_explicit_vector_wrong_length(self, tmp_path, small_mixed_file, small_mixed_schema_file):
         cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, symmetry_vector=[1.0, 2.0])
@@ -171,6 +202,44 @@ class TestRunPipeline:
         manifest = json.loads((tmp_path / "cache" / "diagrams.manifest.json").read_text())
         assert manifest["fingerprint"] == features_fingerprint(config2)
         assert len(diagram_set.diagrams) == 60
+
+    def test_diagram_export_rewritten_only_when_missing(self, tmp_path):
+        data, schema = _synth_files(tmp_path, n=20)
+        config = load_experiment_config(_config_for(tmp_path, data, schema))
+        compute_diagrams(config)
+        export = tmp_path / "cache" / "diagrams.csv"
+        first = export.read_bytes()
+        os.utime(export, ns=(0, 0))
+        compute_diagrams(config)  # warm: the export is up to date and left alone
+        assert export.stat().st_mtime_ns == 0
+        export.unlink()
+        compute_diagrams(config)
+        assert export.read_bytes() == first
+
+    @pytest.mark.parametrize("damage", ["missing", "cut_mid_row", "garbage", "missing_last_row"])
+    def test_damaged_distance_cache_recomputed(self, tmp_path, caplog, damage):
+        data, schema = _synth_files(tmp_path, n=20)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        first = run_pipeline(load_experiment_config(cfg))
+        cache_file = tmp_path / "cache" / "distances.csv"
+        good = cache_file.read_bytes()
+        lines = good.splitlines(keepends=True)
+        if damage == "missing":
+            cache_file.unlink()
+        elif damage == "cut_mid_row":
+            cache_file.write_bytes(b"".join(lines[:10]) + lines[10][: len(lines[10]) // 2])
+        elif damage == "garbage":
+            cache_file.write_bytes(b"not,a\ndistance matrix\n")
+        else:
+            cache_file.write_bytes(b"".join(lines[:-1]))
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            second = run_pipeline(load_experiment_config(cfg))
+            assert "distance cache unreadable" in caplog.text
+            assert "distance cache hit" not in caplog.text
+            assert np.array_equal(first.distances, second.distances)
+            assert cache_file.read_bytes() == good
+            run_pipeline(load_experiment_config(cfg))  # the rewritten cache is served warm
+            assert "distance cache hit" in caplog.text
 
     def test_train_scope_changes_diagrams(self, tmp_path):
         data, schema = _synth_files(tmp_path)
