@@ -14,6 +14,15 @@ from itertools import combinations, permutations
 import numpy as np
 
 
+def euclidean_distances(points) -> np.ndarray:
+    """Generic distance matrix of a point set, blind to any closed form."""
+    points = np.asarray(points, dtype=np.float64)
+    diff = points[:, None, :] - points[None, :, :]
+    out = np.sqrt((diff**2).sum(-1))
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 def sweep_dim0_pairs(dist: np.ndarray, maxscale: float) -> list[tuple[float, float]]:
     """Dimension-0 pairs by sweeping thresholds and recounting components."""
     n = dist.shape[0]

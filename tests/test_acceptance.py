@@ -42,18 +42,11 @@ from conftest import (
     synthetic_cleveland_rows,
     write_config,
 )
-from oracles import brute_wasserstein, sweep_dim0_pairs
+from oracles import brute_wasserstein, euclidean_distances, sweep_dim0_pairs
 
 
 def _ok(criterion: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion} PASS: {detail}")
-
-
-def _euclidean(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    out = np.sqrt((diff**2).sum(-1))
-    np.fill_diagonal(out, 0.0)
-    return out
 
 
 def _random_diagram(rng, max_points: int, cap: float) -> PersistenceDiagram:
@@ -81,7 +74,7 @@ def test_c1a_two_point_diagram_exact():
 
 def test_c1b_mirrored_rows_distance_multisets():
     def multiset(x):
-        dist = _euclidean(build_point_cloud(np.asarray(x, dtype=float)))
+        dist = euclidean_distances(build_point_cloud(np.asarray(x, dtype=float)))
         return sorted(dist[np.triu_indices(len(x) + 1, k=1)].tolist())
 
     before_x, before_y = multiset([1, 2]), multiset([2, 1])
@@ -129,7 +122,7 @@ def test_c2a_dim0_matches_sweep_oracle_500_clouds():
             x[rng.integers(0, m)] = 0.0  # a coordinate whose projection is x itself
         if rng.random() < 0.15 and m >= 2:
             x[1] = -x[0]  # tied magnitudes
-        dist = _euclidean(build_point_cloud(x))
+        dist = euclidean_distances(build_point_cloud(x))
         cap = float(dist.max()) * 1.1 + 0.25
         (diagram,), _ = dim0_diagrams(x[None, :], maxscale=cap)
         got = [tuple(p) for p in diagram.pairs]
@@ -233,9 +226,9 @@ def test_c3_diagram_permutation_isometry_invariance_1000():
         moved = x[rng.permutation(m)] * rng.choice([-1.0, 1.0], size=m)
         (base, iso), cap = dim0_diagrams(np.vstack([x, moved]), safety=2.0)
         assert np.array_equal(base.pairs, iso.pairs)
-        assert cap == 2.0 * _euclidean(build_point_cloud(x)).max()
+        assert cap == 2.0 * euclidean_distances(build_point_cloud(x)).max()
         assert [tuple(p) for p in base.pairs] == sweep_dim0_pairs(
-            _euclidean(build_point_cloud(moved)), cap
+            euclidean_distances(build_point_cloud(moved)), cap
         )
     _ok("3.invariance", "1000 rows: coordinate permutations and sign flips leave the diagram bit-identical")
 

@@ -7,16 +7,10 @@ from hypothesis import given, strategies as st
 from topmix.cloud import build_point_cloud, project
 from topmix.errors import ContractError
 
-from oracles import closed_form_cloud_distances
+from oracles import closed_form_cloud_distances, euclidean_distances
 
 SQRT5 = math.sqrt(5.0)
 SQRT2 = math.sqrt(2.0)
-
-
-def _distances(points):
-    """Generic Euclidean distance matrix, independent of the closed forms."""
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def _sorted_upper(dist):
@@ -77,22 +71,22 @@ class TestPairwiseDistances:
     """The cloud's distances, which the closed-form diagram rests on."""
 
     def test_worked_example_six_eight(self):
-        dist = _distances(build_point_cloud(np.array([6.0, 8.0])))
+        dist = euclidean_distances(build_point_cloud(np.array([6.0, 8.0])))
         assert _sorted_upper(dist) == [6.0, 8.0, 10.0]
 
     def test_worked_example_seven_seven(self):
-        dist = _distances(build_point_cloud(np.array([7.0, 7.0])))
+        dist = euclidean_distances(build_point_cloud(np.array([7.0, 7.0])))
         assert _sorted_upper(dist) == pytest.approx([7.0, 7.0, 7 * SQRT2], rel=1e-12)
 
     def test_origin_cloud_all_zero(self):
-        dist = _distances(build_point_cloud(np.zeros(3)))
+        dist = euclidean_distances(build_point_cloud(np.zeros(3)))
         assert np.array_equal(dist, np.zeros((4, 4)))
 
     def test_matches_closed_forms(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             x = rng.uniform(-30, 30, size=rng.integers(1, 10))
-            generic = _sorted_upper(_distances(build_point_cloud(x)))
+            generic = _sorted_upper(euclidean_distances(build_point_cloud(x)))
             closed = closed_form_cloud_distances(x)
             assert generic == pytest.approx(closed, rel=1e-12)
 
@@ -100,14 +94,14 @@ class TestPairwiseDistances:
 def test_symmetry_breaking_discrimination():
     """The multiset coincidence for mirrored rows, and its removal by the offset."""
     x, y = np.array([1.0, 2.0]), np.array([2.0, 1.0])
-    before_x = _sorted_upper(_distances(build_point_cloud(x)))
-    before_y = _sorted_upper(_distances(build_point_cloud(y)))
+    before_x = _sorted_upper(euclidean_distances(build_point_cloud(x)))
+    before_y = _sorted_upper(euclidean_distances(build_point_cloud(y)))
     assert before_x == pytest.approx([1.0, 2.0, SQRT5], rel=1e-12)
     assert before_x == before_y
 
     v = np.array([5.0, 6.0])
-    after_x = _sorted_upper(_distances(build_point_cloud(x + v)))
-    after_y = _sorted_upper(_distances(build_point_cloud(y + v)))
+    after_x = _sorted_upper(euclidean_distances(build_point_cloud(x + v)))
+    after_y = _sorted_upper(euclidean_distances(build_point_cloud(y + v)))
     assert after_x == pytest.approx([6.0, 8.0, 10.0], rel=1e-12)
     assert after_y == pytest.approx([7.0, 7.0, 7 * SQRT2], rel=1e-12)
     assert after_x != after_y

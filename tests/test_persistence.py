@@ -5,15 +5,7 @@ from topmix.cloud import build_point_cloud
 from topmix.errors import ContractError
 from topmix.persistence import PersistenceDiagram, dim0_diagrams, save_diagrams
 
-from oracles import sweep_dim0_pairs
-
-
-def _dist(points):
-    points = np.asarray(points, dtype=np.float64)
-    diff = points[:, None, :] - points[None, :, :]
-    out = np.sqrt((diff**2).sum(-1))
-    np.fill_diagonal(out, 0.0)
-    return out
+from oracles import euclidean_distances, sweep_dim0_pairs
 
 
 def _pairs(diagram):
@@ -100,7 +92,7 @@ class TestStructure:
             rows = rng.uniform(-5, 5, size=(int(rng.integers(1, 4)), int(rng.integers(1, 11))))
             diagrams, cap = dim0_diagrams(rows)
             for row, diagram in zip(rows, diagrams):
-                assert _pairs(diagram) == sweep_dim0_pairs(_dist(build_point_cloud(row)), cap)
+                assert _pairs(diagram) == sweep_dim0_pairs(euclidean_distances(build_point_cloud(row)), cap)
 
 
 class TestChooseMaxscale:
@@ -128,7 +120,7 @@ class TestChooseMaxscale:
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(10, 6))
         _, cap = dim0_diagrams(rows, safety=1.1)
-        assert cap == pytest.approx(1.1 * max(_dist(build_point_cloud(r)).max() for r in rows), rel=1e-15)
+        assert cap == pytest.approx(1.1 * max(euclidean_distances(build_point_cloud(r)).max() for r in rows), rel=1e-15)
         dim0_diagrams(rows, maxscale=cap)  # must not raise
 
 
