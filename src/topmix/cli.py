@@ -37,7 +37,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--cache-dir", help="override cache directory")
     parser.add_argument("--out-dir", help="override output directory")
-    parser.add_argument("--threads", type=int, help="worker processes for distances")
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -51,7 +50,6 @@ def _overrides(args: argparse.Namespace) -> dict:
         "split_seed": args.seed,
         "wasserstein_p": args.p,
         "maxscale_safety": args.maxscale_safety,
-        "threads": args.threads,
         **paths,
     }
 

@@ -18,8 +18,6 @@ import numpy as np
 
 from .classify import knn_predict
 from .errors import ContractError, EvaluationError
-from .metric import distance_matrix
-from .persistence import PersistenceDiagram
 
 
 @dataclass(frozen=True)
@@ -196,6 +194,14 @@ def _predict_rows(
     )
 
 
+def _check_distances(distances: np.ndarray, labels: np.ndarray) -> None:
+    if np.shape(distances) != (labels.size, labels.size):
+        raise ContractError(
+            f"distance matrix has shape {np.shape(distances)}, "
+            f"expected {labels.size}x{labels.size} for {labels.size} labels"
+        )
+
+
 def _require_both_classes(labels: np.ndarray, where: str) -> None:
     present = set(np.asarray(labels).tolist())
     if not {0, 1} <= present:
@@ -224,24 +230,18 @@ class SplitResult:
 
 
 def evaluate_split(
-    diagrams: Sequence[PersistenceDiagram] | None,
+    distances: np.ndarray,
     labels: np.ndarray,
     split: SplitSpec,
     k_grid: Sequence[int],
-    p: float = 1.0,
-    distances: np.ndarray | None = None,
-    threads: int = 1,
 ) -> SplitResult:
     """Hold-out protocol: sweep k on validation, report the winner on test.
 
-    k is chosen to maximize validation accuracy, ties going to the smaller
-    k. Pass a precomputed ``distances`` matrix to skip recomputation.
+    ``distances`` is the n x n matrix over all rows. k is chosen to
+    maximize validation accuracy, ties going to the smaller k.
     """
     labels = np.asarray(labels)
-    if distances is None:
-        if diagrams is None:
-            raise ContractError("need diagrams or a precomputed distance matrix")
-        distances = distance_matrix(diagrams, p, threads=threads)
+    _check_distances(distances, labels)
     k_grid = list(k_grid)
     if not k_grid or min(k_grid) < 1:
         raise ContractError("k grid must be non-empty positive integers")
@@ -284,15 +284,12 @@ def evaluate_split(
 
 
 def evaluate_kfold(
-    diagrams: Sequence[PersistenceDiagram] | None,
+    distances: np.ndarray,
     labels: np.ndarray,
     folds: int,
     k: int,
-    p: float = 1.0,
     seed: int = 0,
     stratified: bool = False,
-    distances: np.ndarray | None = None,
-    threads: int = 1,
 ) -> EvaluationReport:
     """k-fold cross-validation with pooled confusion counts.
 
@@ -300,10 +297,7 @@ def evaluate_kfold(
     fold; per-fold accuracies are kept in the report for the breakdown.
     """
     labels = np.asarray(labels)
-    if distances is None:
-        if diagrams is None:
-            raise ContractError("need diagrams or a precomputed distance matrix")
-        distances = distance_matrix(diagrams, p, threads=threads)
+    _check_distances(distances, labels)
     _require_both_classes(labels, "dataset")
 
     spec = SplitSpec(mode="kfold", folds=folds, seed=seed, stratified=stratified)
@@ -335,26 +329,16 @@ def evaluate_kfold(
 
 
 def select_k_kfold(
-    diagrams: Sequence[PersistenceDiagram] | None,
+    distances: np.ndarray,
     labels: np.ndarray,
     folds: int,
     k_grid: Sequence[int],
-    p: float = 1.0,
     seed: int = 0,
     stratified: bool = False,
-    distances: np.ndarray | None = None,
-    threads: int = 1,
 ) -> tuple[int, list[EvaluationReport]]:
     """Choose k by pooled cross-validation accuracy (ties to the smaller k)."""
-    labels = np.asarray(labels)
-    if distances is None:
-        if diagrams is None:
-            raise ContractError("need diagrams or a precomputed distance matrix")
-        distances = distance_matrix(diagrams, p, threads=threads)
     reports = [
-        evaluate_kfold(
-            None, labels, folds, k, p, seed=seed, stratified=stratified, distances=distances
-        )
+        evaluate_kfold(distances, labels, folds, k, seed=seed, stratified=stratified)
         for k in sorted(set(int(k) for k in k_grid))
     ]
     best = max(reports, key=lambda r: (r.accuracy, -r.k))

@@ -13,6 +13,7 @@ mutually comparable.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -100,9 +101,20 @@ def dim0_diagrams(
     return [PersistenceDiagram(p, maxscale=maxscale) for p in pairs], maxscale
 
 
-def save_diagrams(diagrams: Iterable[PersistenceDiagram], path: str | Path) -> None:
-    """Write one ``row,dim,birth,death`` record per pair, row-major."""
-    with open(path, "w", encoding="utf-8") as fh:
+def save_diagrams(diagrams: Iterable[PersistenceDiagram], path: str | Path) -> tuple[int, str]:
+    """Write one ``row,dim,birth,death`` record per pair, row-major.
+
+    Returns the byte size and sha256 hex digest of what was written.
+    """
+    digest = hashlib.sha256()
+    size = 0
+    with open(path, "wb") as fh:
         for row, diagram in enumerate(diagrams):
-            for birth, death in diagram.pairs:
-                fh.write(f"{row},{diagram.dimension},{float(birth)!r},{float(death)!r}\n")
+            chunk = "".join(
+                f"{row},{diagram.dimension},{birth!r},{death!r}\n"
+                for birth, death in diagram.pairs.tolist()
+            ).encode("utf-8")
+            fh.write(chunk)
+            digest.update(chunk)
+            size += len(chunk)
+    return size, digest.hexdigest()

@@ -3,12 +3,15 @@
 Stage order: ingest -> one-hot encode -> standardize -> symmetry break ->
 diagrams -> distance matrix -> k-NN evaluation. Diagrams come in closed
 form from the symmetry-broken matrix on every run; ``diagrams.csv`` in the
-cache directory is an export, written when its manifest is missing or
-stale, and never read back. The distance matrix is cached: its manifest
-carries a fingerprint of everything upstream, and a stale, missing or
-unreadable cache is recomputed (and logged), never silently reused. All
-artifacts are plain text with deterministic float formatting, so identical
-configs produce byte-identical outputs.
+cache directory is an export, never read back. Its manifest records the
+csv's size and sha256, and the csv is rewritten when the manifest is
+missing or stale or the file is absent or differs from it. The distance
+matrix, computed in one process by the batched dynamic programme of
+``metric.distance_matrix``, is cached: its manifest carries a fingerprint
+of everything upstream, of the order p and of the algorithm, and a stale,
+missing or unreadable cache is recomputed (and logged), never silently
+reused. All artifacts are plain text with deterministic float formatting,
+so identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .evaluate import (
     select_k_kfold,
 )
 from .ingest import ParseReport, RawDataset, parse_dataset
-from .metric import distance_matrix, load_distance_matrix, save_distance_matrix
+from .metric import ALGORITHM, distance_matrix, load_distance_matrix, save_distance_matrix
 from .persistence import PersistenceDiagram, dim0_diagrams, save_diagrams
 from .preprocess import (
     FeatureMatrix,
@@ -57,7 +60,7 @@ logger = logging.getLogger("topmix")
 
 @dataclass
 class ExperimentConfig:
-    """Every knob of a run; anything the method leaves open surfaces here."""
+    """Every setting of a run; anything the method leaves open surfaces here."""
 
     data_path: Path
     schema_path: Path
@@ -73,7 +76,6 @@ class ExperimentConfig:
     k_grid: tuple[int, ...] = tuple(range(1, 11))
     cache_dir: Path | None = None
     out_dir: Path = Path("out")
-    threads: int = 1
 
     def __post_init__(self):
         if self.standardize_scope not in ("full", "train"):
@@ -95,14 +97,12 @@ class ExperimentConfig:
             raise ContractError("explicit maxscale must be positive")
         if self.maxscale_safety < 1:
             raise ContractError("maxscale safety factor must be >= 1")
-        if self.threads < 1:
-            raise ContractError("threads must be >= 1")
 
 
 CONFIG_KEYS = (
     "data", "schema", "delimiter", "has_header", "symmetry_vector",
     "standardize_scope", "maxscale", "maxscale_safety", "wasserstein_p",
-    "split", "k", "k_grid", "cache_dir", "out_dir", "threads",
+    "split", "k", "k_grid", "cache_dir", "out_dir",
 )
 SPLIT_KEYS = tuple(f.name for f in fields(SplitSpec))
 
@@ -118,16 +118,41 @@ def _reject_unknown_keys(doc: Any, valid: tuple[str, ...], where: str) -> None:
             raise ContractError(f"unknown {where} key {key!r}; {hint}")
 
 
+def _flag(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _nullable(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda value: None if value is None else convert(value)
+
+
+def _value(doc: dict, key: str, convert: Callable[[Any], Any], default: Any, where: str = "config") -> Any:
+    """``convert(doc[key])``, or ``default`` when the key is absent."""
+    if key not in doc:
+        return default
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"invalid {where} value for {key!r}: {doc[key]!r} ({exc})") from None
+
+
 def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
     """Read a JSON experiment config; relative paths resolve against it.
 
     Raises:
-        ContractError: an unknown top-level or ``split`` key, named with the
-            nearest valid key; missing data or schema paths; invalid values.
+        ContractError: an unreadable or malformed JSON file; an unknown
+            top-level or ``split`` key, named with the nearest valid key; a
+            value of the wrong type, named with its key; missing data or
+            schema paths; invalid values.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ContractError(f"cannot read config {path}: {exc}") from None
     _reject_unknown_keys(doc, CONFIG_KEYS, "config")
     if overrides:
         for key, value in overrides.items():
@@ -139,7 +164,7 @@ def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = 
     base = path.parent
 
     def respath(key: str, default: str | None = None) -> Path | None:
-        raw = doc.get(key, default)
+        raw = _value(doc, key, _nullable(Path), default)
         if raw is None:
             return None
         p = Path(raw)
@@ -149,12 +174,12 @@ def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = 
     _reject_unknown_keys(split_doc, SPLIT_KEYS, "split")
     split = SplitSpec(
         mode=split_doc.get("mode", "holdout"),
-        seed=int(split_doc.get("seed", 0)),
-        stratified=bool(split_doc.get("stratified", False)),
-        train_frac=float(split_doc.get("train_frac", 0.6)),
-        val_frac=float(split_doc.get("val_frac", 0.2)),
-        test_frac=float(split_doc.get("test_frac", 0.2)),
-        folds=int(split_doc.get("folds", 10)),
+        seed=_value(split_doc, "seed", int, 0, "split"),
+        stratified=_value(split_doc, "stratified", _flag, False, "split"),
+        train_frac=_value(split_doc, "train_frac", float, 0.6, "split"),
+        val_frac=_value(split_doc, "val_frac", float, 0.2, "split"),
+        test_frac=_value(split_doc, "test_frac", float, 0.2, "split"),
+        folds=_value(split_doc, "folds", int, 10, "split"),
     )
     data_path = respath("data")
     schema_path = respath("schema")
@@ -167,18 +192,20 @@ def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = 
         data_path=data_path,
         schema_path=schema_path,
         delimiter=doc.get("delimiter", ","),
-        has_header=bool(doc.get("has_header", False)),
-        symmetry_vector=doc.get("symmetry_vector", "default"),
+        has_header=_value(doc, "has_header", _flag, False),
+        symmetry_vector=_value(
+            doc, "symmetry_vector",
+            lambda v: v if isinstance(v, str) else tuple(float(x) for x in v), "default",
+        ),
         standardize_scope=doc.get("standardize_scope", "full"),
-        maxscale=(None if doc.get("maxscale") is None else float(doc["maxscale"])),
-        maxscale_safety=float(doc.get("maxscale_safety", 1.1)),
-        wasserstein_p=float(doc.get("wasserstein_p", 1.0)),
+        maxscale=_value(doc, "maxscale", _nullable(float), None),
+        maxscale_safety=_value(doc, "maxscale_safety", float, 1.1),
+        wasserstein_p=_value(doc, "wasserstein_p", float, 1.0),
         split=split,
-        k=(None if doc.get("k") is None else int(doc["k"])),
-        k_grid=tuple(int(k) for k in doc.get("k_grid", range(1, 11))),
+        k=_value(doc, "k", _nullable(int), None),
+        k_grid=_value(doc, "k_grid", lambda v: tuple(int(k) for k in v), tuple(range(1, 11))),
         cache_dir=respath("cache_dir"),
         out_dir=respath("out_dir", "out"),
-        threads=int(doc.get("threads", 1)),
     )
 
 
@@ -306,7 +333,8 @@ def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
 
     The closed form is cheaper than reading any file, so diagrams are
     always recomputed. ``diagrams.csv`` and its manifest are rewritten only
-    when the manifest is missing or stale or the csv is absent.
+    when the manifest is missing or stale, or the csv is absent or differs
+    from the size and sha256 its manifest records.
     """
     prepared = prepare_features(config)
     with _stage("diagrams"):
@@ -328,16 +356,24 @@ def _export_diagrams(
     manifest_file = cache_dir / "diagrams.manifest.json"
     manifest = _read_manifest(manifest_file)
     if manifest is not None and manifest.get("fingerprint") == fingerprint:
-        if cache_file.exists():
+        if not cache_file.exists():
+            logger.info("diagram export missing, rewriting")
+        elif (
+            cache_file.stat().st_size == manifest.get("csv_bytes")
+            and _sha256_file(cache_file) == manifest.get("csv_sha256")
+        ):
             logger.info("diagram export up to date: %s", cache_file)
             return
-        logger.info("diagram export missing, rewriting")
+        else:
+            logger.info("diagram export damaged, rewriting")
     elif manifest is not None:
         logger.info("diagram export stale (fingerprint mismatch), rewriting")
-    save_diagrams(diagrams, cache_file)
+    size, sha256 = save_diagrams(diagrams, cache_file)
     _write_manifest(
         manifest_file,
         {
+            "csv_bytes": size,
+            "csv_sha256": sha256,
             "fingerprint": fingerprint,
             "maxscale": maxscale,
             "safety": config.maxscale_safety,
@@ -353,7 +389,7 @@ def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.n
     unparsable or of the wrong shape counts as a miss: the reason is logged
     and the matrix is recomputed and rewritten.
     """
-    fingerprint = features_fingerprint(config) + f":p={config.wasserstein_p!r}"
+    fingerprint = f"{features_fingerprint(config)}:p={config.wasserstein_p!r}:{ALGORITHM}"
     cache_dir = config.cache_dir
     if cache_dir is not None:
         cache_file = cache_dir / "distances.csv"
@@ -374,15 +410,14 @@ def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.n
             logger.info("distance cache stale (fingerprint mismatch), recomputing")
 
     with _stage("distances"):
-        matrix = distance_matrix(
-            diagram_set.diagrams, config.wasserstein_p, threads=config.threads
-        )
+        matrix = distance_matrix(diagram_set.diagrams, config.wasserstein_p)
         if cache_dir is not None:
             cache_dir.mkdir(parents=True, exist_ok=True)
             save_distance_matrix(matrix, cache_file)
             _write_manifest(
                 manifest_file,
                 {
+                    "algorithm": ALGORITHM,
                     "fingerprint": fingerprint,
                     "maxscale": diagram_set.maxscale,
                     "p": config.wasserstein_p,
@@ -412,23 +447,18 @@ def run_pipeline(config: ExperimentConfig) -> RunResult:
     with _stage("classify"):
         if config.split.mode == "holdout":
             k_grid = [config.k] if config.k is not None else list(config.k_grid)
-            split_result = evaluate_split(
-                None, labels, config.split, k_grid,
-                p=config.wasserstein_p, distances=distances,
-            )
+            split_result = evaluate_split(distances, labels, config.split, k_grid)
             report = split_result.test_report
         else:
             if config.k is not None:
                 report = evaluate_kfold(
-                    None, labels, config.split.folds, config.k,
-                    p=config.wasserstein_p, seed=config.split.seed,
-                    stratified=config.split.stratified, distances=distances,
+                    distances, labels, config.split.folds, config.k,
+                    seed=config.split.seed, stratified=config.split.stratified,
                 )
             else:
                 chosen, reports = select_k_kfold(
-                    None, labels, config.split.folds, config.k_grid,
-                    p=config.wasserstein_p, seed=config.split.seed,
-                    stratified=config.split.stratified, distances=distances,
+                    distances, labels, config.split.folds, config.k_grid,
+                    seed=config.split.seed, stratified=config.split.stratified,
                 )
                 report = next(r for r in reports if r.k == chosen)
 

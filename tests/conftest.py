@@ -109,7 +109,6 @@ def write_config(path: Path, **fields) -> Path:
         "split": {"mode": "holdout", "seed": 0, "stratified": False},
         "k": None,
         "k_grid": list(range(1, 11)),
-        "threads": 1,
     }
     doc.update(fields)
     path.write_text(json.dumps(doc, indent=2), encoding="utf-8")

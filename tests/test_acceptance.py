@@ -302,7 +302,7 @@ def cleveland_distances():
         default_symmetry_vector(encoded.m),
     )
     diagrams, _ = dim0_diagrams(broken.values, safety=1.1)
-    distances = distance_matrix(diagrams, p=1.0, threads=4)
+    distances = distance_matrix(diagrams, p=1.0)
     return distances, broken.labels
 
 
@@ -312,7 +312,7 @@ def test_c4a_kfold_accuracy_window(cleveland_distances):
     in_window = 0
     accuracies = []
     for seed in range(10):
-        report = evaluate_kfold(None, labels, folds=10, k=16, seed=seed, distances=distances)
+        report = evaluate_kfold(distances, labels, folds=10, k=16, seed=seed)
         accuracies.append(report.accuracy)
         if 77.0 <= report.accuracy <= 88.0:
             in_window += 1
@@ -324,7 +324,7 @@ def test_c4a_kfold_accuracy_window(cleveland_distances):
 def cleveland_holdout_sweep(cleveland_distances):
     distances, labels = cleveland_distances
     results = [
-        evaluate_split(None, labels, SplitSpec(seed=seed), k_grid=range(1, 11), distances=distances)
+        evaluate_split(distances, labels, SplitSpec(seed=seed), k_grid=range(1, 11))
         for seed in range(20)
     ]
     return results
@@ -366,7 +366,6 @@ def test_c5_desk_scale_performance(tmp_path):
         schema=str(CLEVELAND_SCHEMA),
         cache_dir=str(tmp_path / "cache"),
         out_dir=str(tmp_path / "out"),
-        threads=4,
     )
     start = time.perf_counter()
     result = run_pipeline(load_experiment_config(cfg))

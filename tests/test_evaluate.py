@@ -14,7 +14,7 @@ from topmix.evaluate import (
     kfold_indices,
     select_k_kfold,
 )
-from topmix.metric import distance_matrix
+from topmix.metric import distance_matrix, wasserstein
 from topmix.persistence import PersistenceDiagram
 
 
@@ -139,25 +139,30 @@ def _duplicated_diagram_set():
     return diagrams, labels
 
 
+def _duplicated_distance_set():
+    diagrams, labels = _duplicated_diagram_set()
+    return distance_matrix(diagrams, 1.0), labels
+
+
 class TestEvaluateSplit:
     def test_duplicates_classify_perfectly_with_k1(self):
-        diagrams, labels = _duplicated_diagram_set()
+        distances, labels = _duplicated_distance_set()
         for seed in range(5):
-            result = evaluate_split(diagrams, labels, SplitSpec(seed=seed), k_grid=[1])
+            result = evaluate_split(distances, labels, SplitSpec(seed=seed), k_grid=[1])
             assert result.chosen_k == 1
             assert result.test_report.accuracy == 100.0
 
     def test_chooses_k_with_best_validation_accuracy(self):
-        diagrams, labels = _duplicated_diagram_set()
-        result = evaluate_split(diagrams, labels, SplitSpec(seed=0), k_grid=[1, 3, 5])
+        distances, labels = _duplicated_distance_set()
+        result = evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[1, 3, 5])
         accs = {row.k: row.accuracy for row in result.validation}
         best = max(accs.values())
         assert accs[result.chosen_k] == best
         assert result.chosen_k == min(k for k, acc in accs.items() if acc == best)
 
     def test_partition_recorded(self):
-        diagrams, labels = _duplicated_diagram_set()
-        result = evaluate_split(diagrams, labels, SplitSpec(seed=1), k_grid=[1])
+        distances, labels = _duplicated_distance_set()
+        result = evaluate_split(distances, labels, SplitSpec(seed=1), k_grid=[1])
         rows = sorted(result.train_rows + result.val_rows + result.test_rows)
         assert rows == list(range(10))
         assert len(result.test_report.predictions) == len(result.test_rows)
@@ -166,20 +171,22 @@ class TestEvaluateSplit:
         diagrams = [_diag([[0.0, float(i + 1)]]) for i in range(10)]
         labels = np.zeros(10, dtype=int)
         with pytest.raises(EvaluationError, match="degenerate"):
-            evaluate_split(diagrams, labels, SplitSpec(seed=0), k_grid=[1])
+            evaluate_split(distance_matrix(diagrams, 1.0), labels, SplitSpec(seed=0), k_grid=[1])
 
     def test_k_grid_validation(self):
-        diagrams, labels = _duplicated_diagram_set()
+        distances, labels = _duplicated_distance_set()
         with pytest.raises(ContractError):
-            evaluate_split(diagrams, labels, SplitSpec(seed=0), k_grid=[])
+            evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[])
         with pytest.raises(ContractError):
-            evaluate_split(diagrams, labels, SplitSpec(seed=0), k_grid=[99])
+            evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[99])
+        with pytest.raises(ContractError, match="shape"):
+            evaluate_split(distances[:9, :9], labels, SplitSpec(seed=0), k_grid=[1])
 
-    def test_precomputed_distances_short_circuit(self):
+    def test_result_depends_only_on_the_matrix(self):
         diagrams, labels = _duplicated_diagram_set()
-        distances = distance_matrix(diagrams, 1.0)
-        a = evaluate_split(None, labels, SplitSpec(seed=2), k_grid=[1, 3], distances=distances)
-        b = evaluate_split(diagrams, labels, SplitSpec(seed=2), k_grid=[1, 3])
+        pairwise = np.array([[wasserstein(a, b, 1.0) for b in diagrams] for a in diagrams])
+        a = evaluate_split(pairwise, labels, SplitSpec(seed=2), k_grid=[1, 3])
+        b = evaluate_split(distance_matrix(diagrams, 1.0), labels, SplitSpec(seed=2), k_grid=[1, 3])
         assert a == b
 
 
@@ -187,39 +194,39 @@ class TestEvaluateKfold:
     def test_identical_diagrams_opposite_labels_score_zero(self):
         d = _diag([[0.0, 3.0]])
         labels = np.array([0, 1])
-        report = evaluate_kfold([d, d], labels, folds=2, k=1)
+        report = evaluate_kfold(distance_matrix([d, d], 1.0), labels, folds=2, k=1)
         assert report.accuracy == 0.0
 
     def test_leave_one_out_pools_all_rows(self):
-        diagrams, labels = _duplicated_diagram_set()
-        report = evaluate_kfold(diagrams, labels, folds=10, k=1)
+        distances, labels = _duplicated_distance_set()
+        report = evaluate_kfold(distances, labels, folds=10, k=1)
         assert report.counts.total == 10
         assert len(report.predictions) == 10
         assert len(report.fold_accuracies) == 10
         assert report.accuracy == 100.0
 
     def test_every_row_predicted_once(self):
-        diagrams, labels = _duplicated_diagram_set()
-        report = evaluate_kfold(diagrams, labels, folds=3, k=2, seed=4)
+        distances, labels = _duplicated_distance_set()
+        report = evaluate_kfold(distances, labels, folds=3, k=2, seed=4)
         assert sorted(r for r, _, _ in report.predictions) == list(range(10))
 
     def test_k_exceeding_candidates_is_error(self):
         d = _diag([[0.0, 1.0]])
         labels = np.array([0, 1, 0, 1])
         with pytest.raises(EvaluationError, match="candidates"):
-            evaluate_kfold([d] * 4, labels, folds=2, k=3)
+            evaluate_kfold(distance_matrix([d] * 4, 1.0), labels, folds=2, k=3)
 
     def test_seed_determinism(self):
-        diagrams, labels = _duplicated_diagram_set()
-        a = evaluate_kfold(diagrams, labels, folds=5, k=3, seed=7)
-        b = evaluate_kfold(diagrams, labels, folds=5, k=3, seed=7)
+        distances, labels = _duplicated_distance_set()
+        a = evaluate_kfold(distances, labels, folds=5, k=3, seed=7)
+        b = evaluate_kfold(distances, labels, folds=5, k=3, seed=7)
         assert a == b
 
 
 class TestSelectKKfold:
     def test_returns_best_pooled_accuracy(self):
-        diagrams, labels = _duplicated_diagram_set()
-        chosen, reports = select_k_kfold(diagrams, labels, folds=5, k_grid=[1, 3, 5], seed=0)
+        distances, labels = _duplicated_distance_set()
+        chosen, reports = select_k_kfold(distances, labels, folds=5, k_grid=[1, 3, 5], seed=0)
         accs = {r.k: r.accuracy for r in reports}
         best = max(accs.values())
         assert accs[chosen] == best
@@ -227,11 +234,10 @@ class TestSelectKKfold:
 
 
 def test_monotone_distance_invariance_end_to_end():
-    diagrams, labels = _duplicated_diagram_set()
-    distances = distance_matrix(diagrams, 1.0)
+    distances, labels = _duplicated_distance_set()
     warped = np.sqrt(distances)
     for seed in range(3):
-        base = evaluate_split(None, labels, SplitSpec(seed=seed), k_grid=[1, 3, 5], distances=distances)
-        same = evaluate_split(None, labels, SplitSpec(seed=seed), k_grid=[1, 3, 5], distances=warped)
+        base = evaluate_split(distances, labels, SplitSpec(seed=seed), k_grid=[1, 3, 5])
+        same = evaluate_split(warped, labels, SplitSpec(seed=seed), k_grid=[1, 3, 5])
         assert base.chosen_k == same.chosen_k
         assert [p for p in base.test_report.predictions] == [p for p in same.test_report.predictions]

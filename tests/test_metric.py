@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from topmix.errors import ContractError
+from topmix.ingest import parse_dataset
 from topmix.metric import (
     distance_matrix,
     load_distance_matrix,
@@ -11,7 +12,16 @@ from topmix.metric import (
     wasserstein,
 )
 from topmix.persistence import PersistenceDiagram, dim0_diagrams
+from topmix.preprocess import (
+    default_symmetry_vector,
+    fit_standardizer,
+    one_hot_encode,
+    standardize,
+    symmetry_break,
+)
+from topmix.schema import cleveland_schema
 
+from conftest import synthetic_cleveland_rows
 from oracles import brute_bottleneck, brute_wasserstein
 
 CAP = 10.0
@@ -26,6 +36,16 @@ def _random_diagram(rng, max_points=4, cap=CAP):
     births = rng.uniform(0, cap / 2, size=n)
     deaths = births + rng.uniform(0, cap / 2, size=n)
     return _diag(np.column_stack([births, deaths]) if n else np.zeros((0, 2)), cap)
+
+
+def _zero_birth_diagram(rng, max_points=4, cap=CAP):
+    deaths = rng.uniform(0, cap, size=int(rng.integers(0, max_points + 1)))
+    return _diag(np.column_stack([np.zeros_like(deaths), deaths]), cap)
+
+
+def _close_to_wasserstein(got, want):
+    """The DP sums the assignment solver's terms in path order, not exactly."""
+    return abs(got - want) <= 1e-15 * max(1.0, want)
 
 
 class TestWorkedExamples:
@@ -149,27 +169,30 @@ class TestDistanceMatrix:
 
     def test_symmetric_zero_diagonal_and_spot_values(self):
         rng = np.random.default_rng(17)
-        diagrams = [_random_diagram(rng) for _ in range(8)]
+        diagrams = [_zero_birth_diagram(rng) for _ in range(8)]
         out = distance_matrix(diagrams, 1.0)
         assert np.array_equal(out, out.T)
         assert np.array_equal(np.diag(out), np.zeros(8))
         for i, j in [(0, 3), (2, 7), (4, 5)]:
-            assert out[i, j] == wasserstein(diagrams[i], diagrams[j], 1.0)
-
-    def test_parallel_equals_serial(self):
-        rng = np.random.default_rng(18)
-        diagrams = [_random_diagram(rng, 5) for _ in range(12)]
-        serial = distance_matrix(diagrams, 1.0, threads=1)
-        parallel = distance_matrix(diagrams, 1.0, threads=3)
-        assert np.array_equal(serial, parallel)
+            assert _close_to_wasserstein(out[i, j], wasserstein(diagrams[i], diagrams[j], 1.0))
 
     def test_mixed_caps_rejected(self):
         with pytest.raises(ContractError):
             distance_matrix([_diag([[0.0, 1.0]], cap=5.0), _diag([[0.0, 1.0]], cap=6.0)], 1.0)
 
+    def test_nonzero_births_rejected(self):
+        with pytest.raises(ContractError, match=r"wasserstein\(\)"):
+            distance_matrix([_diag([[0.0, 1.0]]), _diag([[0.5, 2.0]])], 1.0)
+
+    def test_bad_order_rejected(self):
+        d = _diag([[0.0, 1.0]])
+        for p in (0.5, 0.0, math.inf, math.nan):
+            with pytest.raises(ContractError):
+                distance_matrix([d, d], p)
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
-        diagrams = [_random_diagram(rng) for _ in range(5)]
+        diagrams = [_zero_birth_diagram(rng) for _ in range(5)]
         out = distance_matrix(diagrams, 1.0)
         path = tmp_path / "distances.csv"
         save_distance_matrix(out, path)
@@ -177,3 +200,47 @@ class TestDistanceMatrix:
         first = path.read_bytes()
         save_distance_matrix(out, path)
         assert path.read_bytes() == first
+
+
+class TestDistanceMatrixAgainstOracles:
+    def test_brute_force_500_pairs(self):
+        rng = np.random.default_rng(20)
+        seen = {"tied": 0, "zero": 0, "unequal": 0, "ratio > 3": 0}
+        for case in range(500):
+            sides = []
+            for _ in range(2):
+                deaths = CAP * rng.random(int(rng.integers(0, 7))) ** 3
+                if rng.random() < 0.3:
+                    deaths = np.round(deaths * 2) / 2  # ties, and zeros
+                sides.append(_diag(np.column_stack([np.zeros_like(deaths), deaths])))
+            d1, d2 = sides
+            p = float(rng.choice([1.0, 2.0, 3.5]))
+            got = distance_matrix([d1, d2], p)
+            want = brute_wasserstein(d1.pairs, d2.pairs, p)
+            assert got[0, 1] == got[1, 0]
+            assert math.isclose(got[0, 1], want, rel_tol=1e-12, abs_tol=1e-15), f"case {case}"
+            both = np.concatenate([d1.deaths, d2.deaths])
+            seen["tied"] += len(np.unique(both)) < len(both)
+            seen["zero"] += bool((both == 0).any())
+            seen["unequal"] += len(d1) != len(d2)
+            lo, hi = d1.deaths[d1.deaths > 0], d2.deaths[d2.deaths > 0]
+            if lo.size and hi.size:
+                ratios = hi[None, :] / lo[:, None]
+                seen["ratio > 3"] += bool(((ratios > 3) | (ratios < 1 / 3)).any())
+        assert min(seen.values()) >= 50, seen
+
+    def test_matches_assignment_solver_on_cleveland_shaped_table(self, tmp_path):
+        path = tmp_path / "synth.csv"
+        path.write_text("\n".join(synthetic_cleveland_rows()) + "\n", encoding="utf-8")
+        raw, _ = parse_dataset(path, cleveland_schema())
+        encoded = one_hot_encode(raw)
+        broken = symmetry_break(
+            standardize(encoded, fit_standardizer(encoded)), default_symmetry_vector(encoded.m)
+        )
+        diagrams, _ = dim0_diagrams(broken.values, safety=1.1)
+        assert len(diagrams) == 297
+        out = distance_matrix(diagrams, 1.0)
+        for i in range(len(diagrams)):
+            for j in range(i + 1, len(diagrams)):
+                want = wasserstein(diagrams[i], diagrams[j], 1.0)
+                assert _close_to_wasserstein(out[i, j], want), (i, j, out[i, j], want)

@@ -8,6 +8,7 @@ import pytest
 
 from topmix.cli import main as cli_main
 from topmix.errors import ContractError
+from topmix.metric import save_distance_matrix
 from topmix.pipeline import (
     CONFIG_KEYS,
     SPLIT_KEYS,
@@ -99,13 +100,47 @@ class TestConfig:
         config = load_experiment_config(REPO_ROOT / "configs" / "example.json")
         assert config.k_grid == (1, 2, 3, 4, 5)
         config = load_experiment_config(_config_for(tmp_path, small_mixed_file, small_mixed_schema_file))
-        assert config.threads == 1
+        assert config.k_grid == tuple(range(1, 11))
         # the real-data configs name a file that may be absent; check their keys
         for path in sorted((REPO_ROOT / "configs").glob("*.json")):
             if not path.name.endswith(".schema.json"):
                 doc = json.loads(path.read_text(encoding="utf-8"))
                 assert set(doc) <= set(CONFIG_KEYS), path.name
                 assert set(doc["split"]) <= set(SPLIT_KEYS), path.name
+
+    def test_removed_worker_count_key_rejected(self, tmp_path, small_mixed_file, small_mixed_schema_file):
+        cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, threads=4)
+        with pytest.raises(ContractError, match="unknown config key 'threads'"):
+            load_experiment_config(cfg)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("truncated", "cannot read config"),
+            ("missing", "cannot read config"),
+            ("k", "invalid config value for 'k': 'five'"),
+            ("wasserstein_p", "invalid config value for 'wasserstein_p': 'two'"),
+            ("stratified", "invalid split value for 'stratified': 'false'"),
+        ],
+    )
+    def test_malformed_config_exits_1(
+        self, tmp_path, small_mixed_file, small_mixed_schema_file, capsys, damage, message
+    ):
+        if damage == "missing":
+            cfg = tmp_path / "absent.json"
+        elif damage == "truncated":
+            cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file)
+            cfg.write_bytes(cfg.read_bytes()[:20])
+        elif damage == "stratified":  # bool("false") would be True
+            split = {"mode": "holdout", "stratified": "false"}
+            cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, split=split)
+        else:
+            value = {"k": "five", "wasserstein_p": "two"}[damage]
+            cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, **{damage: value})
+        with pytest.raises(ContractError, match=message):
+            load_experiment_config(cfg)
+        assert cli_main(["classify", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_explicit_vector_wrong_length(self, tmp_path, small_mixed_file, small_mixed_schema_file):
         cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, symmetry_vector=[1.0, 2.0])
@@ -215,6 +250,35 @@ class TestRunPipeline:
         export.unlink()
         compute_diagrams(config)
         assert export.read_bytes() == first
+
+    def test_damaged_diagram_export_rewritten(self, tmp_path, caplog):
+        data, schema = _synth_files(tmp_path, n=60)
+        config = load_experiment_config(_config_for(tmp_path, data, schema))
+        compute_diagrams(config)
+        export = tmp_path / "cache" / "diagrams.csv"
+        first = export.read_bytes()
+        assert len(first) > 1000
+        export.write_bytes(first[:1000])
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            compute_diagrams(config)
+        assert "diagram export damaged, rewriting" in caplog.text
+        assert export.read_bytes() == first
+
+    def test_distance_cache_of_another_algorithm_is_stale(self, tmp_path, caplog):
+        data, schema = _synth_files(tmp_path, n=20)
+        config = load_experiment_config(_config_for(tmp_path, data, schema, k_grid=[1, 3]))
+        first = run_pipeline(config)
+        manifest_file = tmp_path / "cache" / "distances.manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        # the tag-free fingerprint that assignment-solver caches were written with
+        manifest["fingerprint"] = f"{features_fingerprint(config)}:p={config.wasserstein_p!r}"
+        manifest_file.write_text(json.dumps(manifest))
+        # a well-formed matrix that must not be served
+        save_distance_matrix(2 * first.distances, tmp_path / "cache" / "distances.csv")
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            second = run_pipeline(config)
+        assert "distance cache stale" in caplog.text
+        assert np.array_equal(first.distances, second.distances)
 
     @pytest.mark.parametrize("damage", ["missing", "cut_mid_row", "garbage", "missing_last_row"])
     def test_damaged_distance_cache_recomputed(self, tmp_path, caplog, damage):
