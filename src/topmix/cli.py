@@ -2,8 +2,8 @@
 
 Subcommands run pipeline prefixes, honoring caches:
   classify   full experiment (splits, k selection, report artifacts)
-  diagrams   compute and store per-row persistence diagrams only
-  distances  compute and store the pairwise distance matrix only
+  diagrams   compute per-row persistence diagrams, exported to diagrams.csv
+  distances  compute the pairwise distance matrix, cached as distances.npy
   inspect    print one row's point cloud, diagram, and nearest neighbors
 """
 
@@ -95,7 +95,7 @@ def _cmd_distances(config) -> int:
     matrix = compute_distances(config, diagram_set)
     print(f"{matrix.shape[0]}x{matrix.shape[1]} distance matrix")
     if config.cache_dir is not None:
-        print(f"written to {config.cache_dir / 'distances.csv'}")
+        print(f"written to {config.cache_dir / 'distances.npy'}")
     return 0
 
 

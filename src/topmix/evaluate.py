@@ -337,9 +337,12 @@ def select_k_kfold(
     stratified: bool = False,
 ) -> tuple[int, list[EvaluationReport]]:
     """Choose k by pooled cross-validation accuracy (ties to the smaller k)."""
+    k_grid = sorted(set(int(k) for k in k_grid))
+    if not k_grid or k_grid[0] < 1:
+        raise ContractError("k grid must be non-empty positive integers")
     reports = [
         evaluate_kfold(distances, labels, folds, k, seed=seed, stratified=stratified)
-        for k in sorted(set(int(k) for k in k_grid))
+        for k in k_grid
     ]
     best = max(reports, key=lambda r: (r.accuracy, -r.k))
     return best.k, reports

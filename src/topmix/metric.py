@@ -39,6 +39,8 @@ unchanged (the new points match at zero cost).
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 from pathlib import Path
 from typing import Sequence
@@ -195,21 +197,17 @@ def distance_matrix(diagrams: Sequence[PersistenceDiagram], p: float = 1.0) -> n
     return out
 
 
-def save_distance_matrix(matrix: np.ndarray, path: str | Path, delimiter: str = ",") -> None:
-    """Row-major delimited text; floats written in shortest round-trip form."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(delimiter.join(repr(float(v)) for v in row) + "\n")
+def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> tuple[int, str]:
+    """Write ``matrix`` in ``.npy`` format: bit-exact and byte-deterministic.
+
+    Returns the byte size and sha256 hex digest of what was written.
+    """
+    buffer = io.BytesIO()
+    np.save(buffer, matrix, allow_pickle=False)
+    data = buffer.getvalue()
+    Path(path).write_bytes(data)
+    return len(data), hashlib.sha256(data).hexdigest()
 
 
-def load_distance_matrix(path: str | Path, delimiter: str = ",") -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(delimiter)])
-    matrix = np.asarray(rows, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ContractError(f"distance cache {path} is not a square matrix")
-    return matrix
+def load_distance_matrix(path: str | Path) -> np.ndarray:
+    return np.load(path, allow_pickle=False)

@@ -2,16 +2,15 @@
 
 Stage order: ingest -> one-hot encode -> standardize -> symmetry break ->
 diagrams -> distance matrix -> k-NN evaluation. Diagrams come in closed
-form from the symmetry-broken matrix on every run; ``diagrams.csv`` in the
-cache directory is an export, never read back. Its manifest records the
-csv's size and sha256, and the csv is rewritten when the manifest is
-missing or stale or the file is absent or differs from it. The distance
-matrix, computed in one process by the batched dynamic programme of
-``metric.distance_matrix``, is cached: its manifest carries a fingerprint
-of everything upstream, of the order p and of the algorithm, and a stale,
-missing or unreadable cache is recomputed (and logged), never silently
-reused. All artifacts are plain text with deterministic float formatting,
-so identical configs produce byte-identical outputs.
+form on every run; ``diagrams.csv`` in the cache directory is a text
+export, never read back. The distance matrix, computed by the batched
+dynamic programme of ``metric.distance_matrix``, is cached as
+``distances.npy``. Each file is written before its manifest, which records
+a fingerprint of everything the file depends on and the file's size and
+sha256. ``_cache_problem`` alone decides whether either file can be used;
+a missing, stale or damaged one is logged with that reason and rewritten,
+never silently reused. Every output is byte-deterministic, so identical
+configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -97,6 +96,10 @@ class ExperimentConfig:
             raise ContractError("explicit maxscale must be positive")
         if self.maxscale_safety < 1:
             raise ContractError("maxscale safety factor must be >= 1")
+        if self.k is not None and self.k < 1:
+            raise ContractError(f"k must be >= 1, got {self.k}")
+        if not self.k_grid or min(self.k_grid) < 1:
+            raise ContractError(f"k_grid must be non-empty with every k >= 1, got {self.k_grid}")
 
 
 CONFIG_KEYS = (
@@ -121,6 +124,15 @@ def _reject_unknown_keys(doc: Any, valid: tuple[str, ...], where: str) -> None:
 def _flag(value: Any) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _integer(value: Any) -> int:
+    """A JSON integer; a float only when it has no fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -174,12 +186,12 @@ def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = 
     _reject_unknown_keys(split_doc, SPLIT_KEYS, "split")
     split = SplitSpec(
         mode=split_doc.get("mode", "holdout"),
-        seed=_value(split_doc, "seed", int, 0, "split"),
+        seed=_value(split_doc, "seed", _integer, 0, "split"),
         stratified=_value(split_doc, "stratified", _flag, False, "split"),
         train_frac=_value(split_doc, "train_frac", float, 0.6, "split"),
         val_frac=_value(split_doc, "val_frac", float, 0.2, "split"),
         test_frac=_value(split_doc, "test_frac", float, 0.2, "split"),
-        folds=_value(split_doc, "folds", int, 10, "split"),
+        folds=_value(split_doc, "folds", _integer, 10, "split"),
     )
     data_path = respath("data")
     schema_path = respath("schema")
@@ -202,8 +214,8 @@ def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = 
         maxscale_safety=_value(doc, "maxscale_safety", float, 1.1),
         wasserstein_p=_value(doc, "wasserstein_p", float, 1.0),
         split=split,
-        k=_value(doc, "k", _nullable(int), None),
-        k_grid=_value(doc, "k_grid", lambda v: tuple(int(k) for k in v), tuple(range(1, 11))),
+        k=_value(doc, "k", _nullable(_integer), None),
+        k_grid=_value(doc, "k_grid", lambda v: tuple(_integer(k) for k in v), tuple(range(1, 11))),
         cache_dir=respath("cache_dir"),
         out_dir=respath("out_dir", "out"),
     )
@@ -211,12 +223,14 @@ def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = 
 
 @contextmanager
 def _stage(name: str):
-    """Log stage wall time; tag errors with the stage that raised them."""
+    """Log stage wall time; tag errors (an OSError as a TopmixError) with the stage."""
     start = time.perf_counter()
     try:
         yield
     except TopmixError as exc:
         raise type(exc)(f"[stage {name}] {exc}") from exc
+    except OSError as exc:
+        raise TopmixError(f"[stage {name}] {exc}") from exc
     logger.info("stage %-12s %8.3fs", name, time.perf_counter() - start)
 
 
@@ -305,19 +319,56 @@ def prepare_features(config: ExperimentConfig) -> PreparedData:
 
 
 def _read_manifest(path: Path) -> dict | None:
-    if not path.exists():
-        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
+            doc = json.load(fh)
+    except (OSError, ValueError):
         return None
+    return doc if isinstance(doc, dict) else None
 
 
 def _write_manifest(path: Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _cache_problem(data_file: Path, fingerprint: str, what: str) -> str | None:
+    """Log and return why ``data_file`` cannot be used, or None when it can.
+
+    The one validity rule for every cache file: its manifest must carry
+    ``fingerprint`` and the file's exact size and sha256. The reasons are
+    "missing" (no readable manifest or no file), "stale" (the fingerprint
+    differs) and "damaged" (the size or sha256 differs).
+    """
+    manifest = _read_manifest(data_file.with_suffix(".manifest.json"))
+    if manifest is None or not data_file.is_file():
+        reason = "missing"
+    elif manifest.get("fingerprint") != fingerprint:
+        reason = "stale"
+    elif data_file.stat().st_size != manifest.get("bytes") or (
+        _sha256_file(data_file) != manifest.get("sha256")
+    ):
+        reason = "damaged"
+    else:
+        logger.info("%s hit: %s", what, data_file)
+        return None
+    logger.info("%s %s, rewriting", what, reason)
+    return reason
+
+
+def _write_cache(
+    data_file: Path, fingerprint: str, save: Callable[[Path], tuple[int, str]], **fields: Any
+) -> None:
+    """Write ``data_file`` with ``save``, then the manifest that vouches for it.
+
+    ``save`` returns the size and sha256 of what it wrote. The manifest goes
+    last, so an interrupted write leaves a file ``_cache_problem`` rejects.
+    """
+    data_file.parent.mkdir(parents=True, exist_ok=True)
+    size, sha256 = save(data_file)
+    fields.update(bytes=size, fingerprint=fingerprint, sha256=sha256)
+    _write_manifest(data_file.with_suffix(".manifest.json"), fields)
 
 
 @dataclass
@@ -333,8 +384,7 @@ def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
 
     The closed form is cheaper than reading any file, so diagrams are
     always recomputed. ``diagrams.csv`` and its manifest are rewritten only
-    when the manifest is missing or stale, or the csv is absent or differs
-    from the size and sha256 its manifest records.
+    when ``_cache_problem`` finds the export missing, stale or damaged.
     """
     prepared = prepare_features(config)
     with _stage("diagrams"):
@@ -342,88 +392,35 @@ def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
             prepared.features.values, config.maxscale, config.maxscale_safety
         )
         if config.cache_dir is not None:
-            _export_diagrams(config, diagrams, maxscale)
+            fingerprint = features_fingerprint(config)
+            cache_file = config.cache_dir / "diagrams.csv"
+            if _cache_problem(cache_file, fingerprint, "diagram export") is not None:
+                _write_cache(
+                    cache_file, fingerprint, lambda path: save_diagrams(diagrams, path),
+                    maxscale=maxscale, safety=config.maxscale_safety, version=__version__,
+                )
     return DiagramSet(diagrams, maxscale, prepared.features.labels, prepared)
-
-
-def _export_diagrams(
-    config: ExperimentConfig, diagrams: list[PersistenceDiagram], maxscale: float
-) -> None:
-    fingerprint = features_fingerprint(config)
-    cache_dir = config.cache_dir
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    cache_file = cache_dir / "diagrams.csv"
-    manifest_file = cache_dir / "diagrams.manifest.json"
-    manifest = _read_manifest(manifest_file)
-    if manifest is not None and manifest.get("fingerprint") == fingerprint:
-        if not cache_file.exists():
-            logger.info("diagram export missing, rewriting")
-        elif (
-            cache_file.stat().st_size == manifest.get("csv_bytes")
-            and _sha256_file(cache_file) == manifest.get("csv_sha256")
-        ):
-            logger.info("diagram export up to date: %s", cache_file)
-            return
-        else:
-            logger.info("diagram export damaged, rewriting")
-    elif manifest is not None:
-        logger.info("diagram export stale (fingerprint mismatch), rewriting")
-    size, sha256 = save_diagrams(diagrams, cache_file)
-    _write_manifest(
-        manifest_file,
-        {
-            "csv_bytes": size,
-            "csv_sha256": sha256,
-            "fingerprint": fingerprint,
-            "maxscale": maxscale,
-            "safety": config.maxscale_safety,
-            "version": __version__,
-        },
-    )
 
 
 def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.ndarray:
     """Pairwise Wasserstein matrix over all rows, cache-aware.
 
-    A cache whose manifest matches but whose matrix file is missing,
-    unparsable or of the wrong shape counts as a miss: the reason is logged
-    and the matrix is recomputed and rewritten.
+    ``distances.npy`` is served only when ``_cache_problem`` finds nothing
+    wrong with it; otherwise the matrix is recomputed and rewritten.
     """
-    fingerprint = f"{features_fingerprint(config)}:p={config.wasserstein_p!r}:{ALGORITHM}"
-    cache_dir = config.cache_dir
-    if cache_dir is not None:
-        cache_file = cache_dir / "distances.csv"
-        manifest_file = cache_dir / "distances.manifest.json"
-        manifest = _read_manifest(manifest_file)
-        if manifest is not None and manifest.get("fingerprint") == fingerprint:
-            with _stage("distances"):
-                try:
-                    matrix = load_distance_matrix(cache_file)
-                except (OSError, ValueError, ContractError) as exc:
-                    logger.info("distance cache unreadable (%s), recomputing", exc)
-                else:
-                    if matrix.shape[0] == len(diagram_set.diagrams):
-                        logger.info("distance cache hit: %s", cache_file)
-                        return matrix
-                    logger.info("distance cache has wrong shape, recomputing")
-        elif manifest is not None:
-            logger.info("distance cache stale (fingerprint mismatch), recomputing")
-
     with _stage("distances"):
+        if config.cache_dir is None:
+            return distance_matrix(diagram_set.diagrams, config.wasserstein_p)
+        fingerprint = f"{features_fingerprint(config)}:p={config.wasserstein_p!r}:{ALGORITHM}"
+        cache_file = config.cache_dir / "distances.npy"
+        if _cache_problem(cache_file, fingerprint, "distance cache") is None:
+            return load_distance_matrix(cache_file)
         matrix = distance_matrix(diagram_set.diagrams, config.wasserstein_p)
-        if cache_dir is not None:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            save_distance_matrix(matrix, cache_file)
-            _write_manifest(
-                manifest_file,
-                {
-                    "algorithm": ALGORITHM,
-                    "fingerprint": fingerprint,
-                    "maxscale": diagram_set.maxscale,
-                    "p": config.wasserstein_p,
-                    "version": __version__,
-                },
-            )
+        _write_cache(
+            cache_file, fingerprint, lambda path: save_distance_matrix(matrix, path),
+            algorithm=ALGORITHM, maxscale=diagram_set.maxscale,
+            p=config.wasserstein_p, version=__version__,
+        )
     return matrix
 
 

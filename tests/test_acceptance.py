@@ -407,7 +407,7 @@ def test_c6_cold_runs_byte_identical(tmp_path):
         b = (tmp_path / "out_b" / name).read_bytes()
         assert a == b, f"{name} differs between cold runs"
         compared += 1
-    for name in ("diagrams.csv", "distances.csv", "diagrams.manifest.json", "distances.manifest.json"):
+    for name in ("diagrams.csv", "distances.npy", "diagrams.manifest.json", "distances.manifest.json"):
         a = (tmp_path / "cache_a" / name).read_bytes()
         b = (tmp_path / "cache_b" / name).read_bytes()
         assert a == b, f"{name} differs between cold runs"

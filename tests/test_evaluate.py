@@ -181,6 +181,9 @@ class TestEvaluateSplit:
             evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[99])
         with pytest.raises(ContractError, match="shape"):
             evaluate_split(distances[:9, :9], labels, SplitSpec(seed=0), k_grid=[1])
+        for k_grid in ([], [0, 1]):
+            with pytest.raises(ContractError, match="k grid"):
+                select_k_kfold(distances, labels, 2, k_grid)
 
     def test_result_depends_only_on_the_matrix(self):
         diagrams, labels = _duplicated_diagram_set()

@@ -194,7 +194,7 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(19)
         diagrams = [_zero_birth_diagram(rng) for _ in range(5)]
         out = distance_matrix(diagrams, 1.0)
-        path = tmp_path / "distances.csv"
+        path = tmp_path / "distances.npy"
         save_distance_matrix(out, path)
         assert np.array_equal(load_distance_matrix(path), out)
         first = path.read_bytes()

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import sys
 
 import numpy as np
@@ -142,6 +143,48 @@ class TestConfig:
         assert cli_main(["classify", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"k": 2.7}, "invalid config value for 'k': 2.7"),
+            ({"k_grid": [1, True]}, "invalid config value for 'k_grid': [1, True]"),
+            ({"split": {"mode": "holdout", "seed": 1.5}}, "invalid split value for 'seed': 1.5"),
+            ({"split": {"mode": "kfold", "folds": True}}, "invalid split value for 'folds': True"),
+        ],
+        ids=["k", "k_grid", "seed", "folds"],
+    )
+    def test_non_integral_value_rejected(
+        self, tmp_path, small_mixed_file, small_mixed_schema_file, fields, message
+    ):
+        cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, **fields)
+        with pytest.raises(ContractError, match=re.escape(message)):
+            load_experiment_config(cfg)
+
+    def test_integral_float_accepted(self, tmp_path, small_mixed_file, small_mixed_schema_file):
+        cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, k=3.0, k_grid=[1.0, 3])
+        config = load_experiment_config(cfg)
+        assert (config.k, config.k_grid) == (3, (1, 3))
+        assert type(config.k) is int
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"k": 0}, "k must be >= 1, got 0"),
+            ({"k_grid": []}, "k_grid must be non-empty with every k >= 1, got ()"),
+            ({"k_grid": [0, 3]}, "k_grid must be non-empty with every k >= 1, got (0, 3)"),
+        ],
+        ids=["k", "empty_grid", "grid_zero"],
+    )
+    def test_k_out_of_range_exits_1(
+        self, tmp_path, small_mixed_file, small_mixed_schema_file, capsys, fields, message
+    ):
+        split = {"mode": "kfold", "folds": 3, "seed": 0}
+        cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, split=split, **fields)
+        with pytest.raises(ContractError, match=re.escape(message)):
+            load_experiment_config(cfg)
+        assert cli_main(["classify", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_explicit_vector_wrong_length(self, tmp_path, small_mixed_file, small_mixed_schema_file):
         cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, symmetry_vector=[1.0, 2.0])
         config = load_experiment_config(cfg)
@@ -220,7 +263,7 @@ class TestRunPipeline:
         run_pipeline(load_experiment_config(cfg_b))
         for name in ("run_manifest.json", "report.txt", "report.kv", "predictions.csv"):
             assert (tmp_path / "out_a" / name).read_bytes() == (tmp_path / "out_b" / name).read_bytes()
-        for name in ("diagrams.csv", "distances.csv"):
+        for name in ("diagrams.csv", "distances.npy"):
             assert (tmp_path / "cache_a" / name).read_bytes() == (tmp_path / "cache_b" / name).read_bytes()
 
     def test_stale_cache_recomputed(self, tmp_path):
@@ -263,6 +306,14 @@ class TestRunPipeline:
             compute_diagrams(config)
         assert "diagram export damaged, rewriting" in caplog.text
         assert export.read_bytes() == first
+        caplog.clear()
+        edited = first.replace(b",", b";", 1)  # same size, one byte different
+        assert len(edited) == len(first)
+        export.write_bytes(edited)
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            compute_diagrams(config)
+        assert "diagram export damaged, rewriting" in caplog.text
+        assert export.read_bytes() == first
 
     def test_distance_cache_of_another_algorithm_is_stale(self, tmp_path, caplog):
         data, schema = _synth_files(tmp_path, n=20)
@@ -272,33 +323,43 @@ class TestRunPipeline:
         manifest = json.loads(manifest_file.read_text())
         # the tag-free fingerprint that assignment-solver caches were written with
         manifest["fingerprint"] = f"{features_fingerprint(config)}:p={config.wasserstein_p!r}"
+        # a well-formed matrix, vouched for by size and sha256, that must not be served
+        size, sha256 = save_distance_matrix(2 * first.distances, tmp_path / "cache" / "distances.npy")
+        manifest.update(bytes=size, sha256=sha256)
         manifest_file.write_text(json.dumps(manifest))
-        # a well-formed matrix that must not be served
-        save_distance_matrix(2 * first.distances, tmp_path / "cache" / "distances.csv")
         with caplog.at_level(logging.INFO, logger="topmix"):
             second = run_pipeline(config)
         assert "distance cache stale" in caplog.text
         assert np.array_equal(first.distances, second.distances)
 
-    @pytest.mark.parametrize("damage", ["missing", "cut_mid_row", "garbage", "missing_last_row"])
+    @pytest.mark.parametrize(
+        "damage", ["missing", "cut_mid_row", "garbage", "missing_last_row", "same_size_edit"]
+    )
     def test_damaged_distance_cache_recomputed(self, tmp_path, caplog, damage):
         data, schema = _synth_files(tmp_path, n=20)
         cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
         first = run_pipeline(load_experiment_config(cfg))
-        cache_file = tmp_path / "cache" / "distances.csv"
+        cache_file = tmp_path / "cache" / "distances.npy"
         good = cache_file.read_bytes()
-        lines = good.splitlines(keepends=True)
+        row_bytes = 20 * 8
+        header = len(good) - 20 * row_bytes
         if damage == "missing":
             cache_file.unlink()
         elif damage == "cut_mid_row":
-            cache_file.write_bytes(b"".join(lines[:10]) + lines[10][: len(lines[10]) // 2])
+            cache_file.write_bytes(good[: header + 10 * row_bytes + row_bytes // 2])
         elif damage == "garbage":
             cache_file.write_bytes(b"not,a\ndistance matrix\n")
-        else:
-            cache_file.write_bytes(b"".join(lines[:-1]))
+        elif damage == "missing_last_row":
+            cache_file.write_bytes(good[:-row_bytes])
+        else:  # entry (0, 1) scaled by 100: a well-formed matrix of the same size
+            matrix = np.load(cache_file)
+            matrix[0, 1] *= 100
+            np.save(cache_file, matrix)
+            assert len(cache_file.read_bytes()) == len(good)
+        reason = "missing" if damage == "missing" else "damaged"
         with caplog.at_level(logging.INFO, logger="topmix"):
             second = run_pipeline(load_experiment_config(cfg))
-            assert "distance cache unreadable" in caplog.text
+            assert f"distance cache {reason}, rewriting" in caplog.text
             assert "distance cache hit" not in caplog.text
             assert np.array_equal(first.distances, second.distances)
             assert cache_file.read_bytes() == good
@@ -343,7 +404,8 @@ class TestCli:
                             cache_dir=str(tmp_path / "cb"), out_dir=str(tmp_path / "ob"))
         assert cli_main(["distances", "--config", str(cfg_a)]) == 0
         assert cli_main(["distances", "--config", str(cfg_b)]) == 0
-        assert (tmp_path / "ca" / "distances.csv").read_bytes() == (tmp_path / "cb" / "distances.csv").read_bytes()
+        assert f"written to {tmp_path / 'cb' / 'distances.npy'}" in capsys.readouterr().out
+        assert (tmp_path / "ca" / "distances.npy").read_bytes() == (tmp_path / "cb" / "distances.npy").read_bytes()
 
     def test_inspect_matches_distance_row_sort(self, tmp_path, capsys):
         data, schema = _synth_files(tmp_path, n=30)
@@ -366,6 +428,13 @@ class TestCli:
         data, schema = mirrored_pair_setup
         cfg = _config_for(tmp_path, data, schema)
         assert cli_main(["inspect", "--config", str(cfg), "--row", "99"]) == 1
+
+    def test_cache_dir_that_is_a_file_exits_1(self, tmp_path, capsys):
+        data, schema = _synth_files(tmp_path, n=20)
+        (tmp_path / "cache").write_text("not a directory\n", encoding="utf-8")
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        assert cli_main(["classify", "--config", str(cfg)]) == 1
+        assert "error: [stage diagrams]" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:
