@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .classify import knn_grid
 from .cloud import build_point_cloud
 from .errors import TopmixError
 from .evaluate import holdout_indices
@@ -120,15 +121,12 @@ def _cmd_inspect(config, row: int) -> int:
         pool = train[train != row]
         pool_name = "training rows"
     else:
-        pool = np.asarray([i for i in range(n) if i != row])
+        pool = np.delete(np.arange(n), row)
         pool_name = "other rows"
-    k = config.k if config.k is not None else 5
-    k = min(k, pool.size)
-    dist = matrix[row, pool]
-    order = np.lexsort((pool, dist))[:k]
+    k = min(config.k if config.k is not None else 5, pool.size)
+    nearest, _ = knn_grid([row], pool, matrix, diagram_set.labels, [k])
     print(f"{k} nearest {pool_name}:")
-    for idx in order:
-        neighbor = int(pool[idx])
+    for neighbor in nearest[0].tolist():
         print(
             f"  row {neighbor}  distance {float(matrix[row, neighbor])!r}  "
             f"label {int(diagram_set.labels[neighbor])}"

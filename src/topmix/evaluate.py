@@ -4,6 +4,10 @@ Splits are seeded shuffles (optionally stratified). Hold-out sizing puts
 the rounding remainder in the training set: floor(val_frac*n) and
 floor(test_frac*n) rows go to validation and test, the rest to training,
 which reproduces the 179/59/59 partition of 297 rows at 60:20:20.
+Predictions come from ``classify.knn_grid``, one call per block of rows:
+the validation rows over the whole k grid, the test rows at the chosen k,
+and each cross-validation fold over the whole grid, the folds being drawn
+once per grid (``_kfold_reports``).
 Metrics are kept at full precision internally; rounding happens only in
 the text formatters. Undefined ratios (zero denominators) are reported as
 None, never NaN.
@@ -16,7 +20,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .classify import knn_predict
+from .classify import knn_grid
 from .errors import ContractError, EvaluationError
 
 
@@ -181,19 +185,6 @@ def compute_metrics(
     )
 
 
-def _predict_rows(
-    rows: np.ndarray,
-    candidates: np.ndarray,
-    distances: np.ndarray,
-    labels: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    return np.asarray(
-        [knn_predict(int(r), candidates, distances, labels, k) for r in rows],
-        dtype=np.int64,
-    )
-
-
 def _check_distances(distances: np.ndarray, labels: np.ndarray) -> None:
     if np.shape(distances) != (labels.size, labels.size):
         raise ContractError(
@@ -242,7 +233,7 @@ def evaluate_split(
     """
     labels = np.asarray(labels)
     _check_distances(distances, labels)
-    k_grid = list(k_grid)
+    k_grid = sorted(k_grid)
     if not k_grid or min(k_grid) < 1:
         raise ContractError("k grid must be non-empty positive integers")
 
@@ -251,9 +242,9 @@ def evaluate_split(
     if max(k_grid) > train.size:
         raise ContractError(f"k grid exceeds training size {train.size}")
 
+    _, val_preds = knn_grid(val, train, distances, labels, k_grid)
     table = []
-    for k in sorted(k_grid):
-        preds = _predict_rows(val, train, distances, labels, k)
+    for k, preds in zip(k_grid, val_preds.T):
         counts = ConfusionCounts.from_predictions(labels[val], preds)
         table.append(
             ValidationRow(
@@ -265,7 +256,7 @@ def evaluate_split(
         )
     chosen = max(table, key=lambda r: (r.accuracy, -r.k)).k
 
-    test_preds = _predict_rows(test, train, distances, labels, chosen)
+    test_preds = knn_grid(test, train, distances, labels, [chosen])[1][:, 0]
     counts = ConfusionCounts.from_predictions(labels[test], test_preds)
     report = compute_metrics(
         counts,
@@ -283,6 +274,32 @@ def evaluate_split(
     )
 
 
+def _kfold_reports(
+    distances: np.ndarray, labels: np.ndarray, folds: int, k_grid: list[int], seed: int, stratified: bool
+) -> list[EvaluationReport]:
+    """One pooled cross-validation report per k; the folds are drawn once."""
+    labels = np.asarray(labels)
+    _check_distances(distances, labels)
+    _require_both_classes(labels, "dataset")
+    spec = SplitSpec(mode="kfold", folds=folds, seed=seed, stratified=stratified)
+    fold_sets = kfold_indices(labels, spec)
+    preds = np.empty((labels.size, len(k_grid)), dtype=np.int64)
+    for fold in fold_sets:
+        candidates = np.setdiff1d(np.arange(labels.size), fold)
+        if candidates.size < max(k_grid):
+            raise EvaluationError(f"fold leaves only {candidates.size} candidates for k={max(k_grid)}")
+        preds[fold] = knn_grid(fold, candidates, distances, labels, k_grid)[1]
+    hits = preds == labels[:, None]
+    return [
+        compute_metrics(
+            ConfusionCounts.from_predictions(labels, preds[:, j]), k=k, seed=seed,
+            fold_accuracies=[100.0 * hits[fold, j].sum() / fold.size for fold in fold_sets],
+            predictions=[(r, int(t), int(pr)) for r, (t, pr) in enumerate(zip(labels, preds[:, j]))],
+        )
+        for j, k in enumerate(k_grid)
+    ]
+
+
 def evaluate_kfold(
     distances: np.ndarray,
     labels: np.ndarray,
@@ -296,36 +313,7 @@ def evaluate_kfold(
     Every row is classified exactly once, against all rows outside its
     fold; per-fold accuracies are kept in the report for the breakdown.
     """
-    labels = np.asarray(labels)
-    _check_distances(distances, labels)
-    _require_both_classes(labels, "dataset")
-
-    spec = SplitSpec(mode="kfold", folds=folds, seed=seed, stratified=stratified)
-    fold_sets = kfold_indices(labels, spec)
-    all_rows = np.arange(labels.size)
-    predictions: list[tuple[int, int, int]] = []
-    fold_accuracies = []
-    for fold in fold_sets:
-        candidates = np.setdiff1d(all_rows, fold)
-        if candidates.size == 0:
-            raise EvaluationError("fold without candidates")
-        if candidates.size < k:
-            raise EvaluationError(
-                f"fold leaves only {candidates.size} candidates for k={k}"
-            )
-        preds = _predict_rows(fold, candidates, distances, labels, k)
-        correct = (preds == labels[fold]).sum()
-        fold_accuracies.append(100.0 * correct / fold.size if fold.size else 0.0)
-        predictions.extend(
-            (int(r), int(labels[r]), int(pr)) for r, pr in zip(fold, preds)
-        )
-    predictions.sort()
-    y_true = np.asarray([t for _, t, _ in predictions])
-    y_pred = np.asarray([pr for _, _, pr in predictions])
-    counts = ConfusionCounts.from_predictions(y_true, y_pred)
-    return compute_metrics(
-        counts, k=k, seed=seed, fold_accuracies=fold_accuracies, predictions=predictions
-    )
+    return _kfold_reports(distances, labels, folds, [k], seed, stratified)[0]
 
 
 def select_k_kfold(
@@ -340,10 +328,7 @@ def select_k_kfold(
     k_grid = sorted(set(int(k) for k in k_grid))
     if not k_grid or k_grid[0] < 1:
         raise ContractError("k grid must be non-empty positive integers")
-    reports = [
-        evaluate_kfold(distances, labels, folds, k, seed=seed, stratified=stratified)
-        for k in k_grid
-    ]
+    reports = _kfold_reports(distances, labels, folds, k_grid, seed, stratified)
     best = max(reports, key=lambda r: (r.accuracy, -r.k))
     return best.k, reports
 

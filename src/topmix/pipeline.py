@@ -33,7 +33,6 @@ from .evaluate import (
     EvaluationReport,
     SplitResult,
     SplitSpec,
-    evaluate_kfold,
     evaluate_split,
     format_report_kv,
     format_report_text,
@@ -77,6 +76,8 @@ class ExperimentConfig:
     out_dir: Path = Path("out")
 
     def __post_init__(self):
+        if not isinstance(self.delimiter, str) or not self.delimiter:
+            raise ContractError(f"delimiter must be a non-empty string, got {self.delimiter!r}")
         if self.standardize_scope not in ("full", "train"):
             raise ContractError(f"unknown standardize scope {self.standardize_scope!r}")
         if self.standardize_scope == "train" and self.split.mode != "holdout":
@@ -166,6 +167,7 @@ def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = 
     except (OSError, ValueError) as exc:
         raise ContractError(f"cannot read config {path}: {exc}") from None
     _reject_unknown_keys(doc, CONFIG_KEYS, "config")
+    _reject_unknown_keys(doc.get("split", {}), SPLIT_KEYS, "split")
     if overrides:
         for key, value in overrides.items():
             if value is not None:
@@ -183,7 +185,6 @@ def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = 
         return p if p.is_absolute() else base / p
 
     split_doc = doc.get("split", {})
-    _reject_unknown_keys(split_doc, SPLIT_KEYS, "split")
     split = SplitSpec(
         mode=split_doc.get("mode", "holdout"),
         seed=_value(split_doc, "seed", _integer, 0, "split"),
@@ -377,6 +378,7 @@ class DiagramSet:
     maxscale: float
     labels: np.ndarray
     prepared: PreparedData
+    fingerprint: str  # features_fingerprint of the run's config
 
 
 def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
@@ -384,22 +386,23 @@ def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
 
     The closed form is cheaper than reading any file, so diagrams are
     always recomputed. ``diagrams.csv`` and its manifest are rewritten only
-    when ``_cache_problem`` finds the export missing, stale or damaged.
+    when ``_cache_problem`` finds the export missing, stale or damaged. The
+    run's one ``features_fingerprint`` call is here; the result carries it.
     """
     prepared = prepare_features(config)
     with _stage("diagrams"):
+        fingerprint = features_fingerprint(config)
         diagrams, maxscale = dim0_diagrams(
             prepared.features.values, config.maxscale, config.maxscale_safety
         )
         if config.cache_dir is not None:
-            fingerprint = features_fingerprint(config)
             cache_file = config.cache_dir / "diagrams.csv"
             if _cache_problem(cache_file, fingerprint, "diagram export") is not None:
                 _write_cache(
                     cache_file, fingerprint, lambda path: save_diagrams(diagrams, path),
                     maxscale=maxscale, safety=config.maxscale_safety, version=__version__,
                 )
-    return DiagramSet(diagrams, maxscale, prepared.features.labels, prepared)
+    return DiagramSet(diagrams, maxscale, prepared.features.labels, prepared, fingerprint)
 
 
 def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.ndarray:
@@ -411,7 +414,7 @@ def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.n
     with _stage("distances"):
         if config.cache_dir is None:
             return distance_matrix(diagram_set.diagrams, config.wasserstein_p)
-        fingerprint = f"{features_fingerprint(config)}:p={config.wasserstein_p!r}:{ALGORITHM}"
+        fingerprint = f"{diagram_set.fingerprint}:p={config.wasserstein_p!r}:{ALGORITHM}"
         cache_file = config.cache_dir / "distances.npy"
         if _cache_problem(cache_file, fingerprint, "distance cache") is None:
             return load_distance_matrix(cache_file)
@@ -442,22 +445,16 @@ def run_pipeline(config: ExperimentConfig) -> RunResult:
 
     split_result: SplitResult | None = None
     with _stage("classify"):
+        k_grid = [config.k] if config.k is not None else list(config.k_grid)
         if config.split.mode == "holdout":
-            k_grid = [config.k] if config.k is not None else list(config.k_grid)
             split_result = evaluate_split(distances, labels, config.split, k_grid)
             report = split_result.test_report
         else:
-            if config.k is not None:
-                report = evaluate_kfold(
-                    distances, labels, config.split.folds, config.k,
-                    seed=config.split.seed, stratified=config.split.stratified,
-                )
-            else:
-                chosen, reports = select_k_kfold(
-                    distances, labels, config.split.folds, config.k_grid,
-                    seed=config.split.seed, stratified=config.split.stratified,
-                )
-                report = next(r for r in reports if r.k == chosen)
+            chosen, reports = select_k_kfold(
+                distances, labels, config.split.folds, k_grid,
+                seed=config.split.seed, stratified=config.split.stratified,
+            )
+            report = next(r for r in reports if r.k == chosen)
 
     with _stage("report"):
         artifacts = write_artifacts(config, diagram_set, split_result, report)
@@ -482,7 +479,7 @@ def write_artifacts(
     artifacts: dict[str, Path] = {}
 
     manifest = {
-        "fingerprint": features_fingerprint(config),
+        "fingerprint": diagram_set.fingerprint,
         "version": __version__,
         "maxscale": diagram_set.maxscale,
         "maxscale_safety": config.maxscale_safety,

@@ -4,7 +4,9 @@ These deliberately avoid the algorithms used by the package: dimension-0
 pairs come from recounting components by graph traversal at every
 threshold of a generic distance matrix instead of the closed form, and
 diagram distances enumerate every augmented bijection instead of solving
-an assignment problem.
+an assignment problem. The k-NN reference classifies one query at one k
+with its own sort, where the package ranks a block of queries once for a
+whole grid of k.
 """
 
 from __future__ import annotations
@@ -123,3 +125,23 @@ def two_pass_mean_std(column: np.ndarray) -> tuple[float, float]:
     mean = sum(float(v) for v in column) / n
     var = sum((float(v) - mean) ** 2 for v in column) / n
     return mean, var ** 0.5
+
+
+def knn_predict(query: int, candidates, distances: np.ndarray, labels: np.ndarray, k: int) -> int:
+    """Majority label of the k nearest candidates, one query at one k.
+
+    Candidates tied at the rank-k boundary are admitted by smallest row
+    index; a tied vote goes to the smaller summed distance, then to the
+    smaller label.
+    """
+    candidates = np.asarray(candidates, dtype=np.intp)
+    dist = distances[query, candidates]
+    order = np.lexsort((candidates, dist))[:k]
+    top_labels = labels[candidates[order]]
+    top_dist = dist[order]
+    votes = np.bincount(top_labels, minlength=2)
+    tied = np.flatnonzero(votes == votes.max())
+    if tied.size == 1:
+        return int(tied[0])
+    sums = [top_dist[top_labels == cls].sum() for cls in tied]
+    return int(tied[int(np.lexsort((tied, sums))[0])])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from topmix.classify import knn_predict
+from topmix.classify import knn_grid, knn_predict
 from topmix.errors import ContractError
+
+import oracles
 
 
 def _matrix(rows):
@@ -99,3 +101,45 @@ def test_affine_transform_invariance_any_k():
             assert knn_predict(0, candidates, dist, labels, k) == knn_predict(
                 0, candidates, warped, labels, k
             )
+
+
+def _random_table(rng, integer_valued):
+    n = int(rng.integers(3, 25))
+    if integer_valued:  # ties at the rank boundary, in the vote and in the sums
+        raw = rng.integers(0, 4, size=(n, n)).astype(np.float64)
+    else:  # few distinct non-dyadic values: float sums depend on their order
+        raw = rng.choice([0.1, 0.2, 0.3, 0.7], size=(n, n)) * rng.uniform(0.5, 2.0)
+    dist = np.triu(raw, 1) + np.triu(raw, 1).T
+    labels = rng.integers(0, 2, size=n)
+    rows = rng.permutation(n)
+    n_queries = int(rng.integers(1, min(5, n)))
+    return dist, labels, rows[:n_queries], rows[n_queries:]  # candidates unsorted
+
+
+def test_grid_matches_per_query_oracle_3000_tables():
+    rng = np.random.default_rng(23)
+    cases = 0
+    for table in range(3000):
+        dist, labels, queries, candidates = _random_table(rng, integer_valued=table % 2 == 0)
+        k_grid = list(range(1, candidates.size + 1))
+        nearest, predictions = knn_grid(queries, candidates, dist, labels, k_grid)
+        for i, q in enumerate(queries):
+            ranked = candidates[np.lexsort((candidates, dist[q, candidates]))]
+            assert nearest[i].tolist() == ranked.tolist()
+            for j, k in enumerate(k_grid):
+                expected = oracles.knn_predict(int(q), candidates, dist, labels, k)
+                assert predictions[i, j] == expected, (table, int(q), k)
+                cases += 1
+            k = int(rng.integers(1, candidates.size + 1))
+            assert knn_predict(int(q), candidates, dist, labels, k) == predictions[i, k - 1]
+    assert cases >= 30_000
+
+
+def test_grid_contract_errors():
+    dist = _matrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    with pytest.raises(ContractError, match="0 or 1"):
+        knn_grid([0], np.array([1, 2]), dist, np.array([0, 1, 2]), [1])
+    with pytest.raises(ContractError, match="own candidate"):
+        knn_grid([0, 2], np.array([1, 2]), dist, np.array([0, 1, 0]), [1])
+    with pytest.raises(ContractError, match="k=3"):
+        knn_grid([0], np.array([1, 2]), dist, np.array([0, 1, 0]), [1, 3])

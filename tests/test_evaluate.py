@@ -235,6 +235,34 @@ class TestSelectKKfold:
         assert accs[chosen] == best
         assert chosen == min(k for k, a in accs.items() if a == best)
 
+    def test_each_report_equals_evaluate_kfold_at_its_k(self):
+        rng = np.random.default_rng(31)
+        for case in range(12):
+            n = int(rng.integers(20, 60))
+            raw = rng.integers(0, 5, size=(n, n)) if case % 2 else rng.uniform(0, 3, size=(n, n))
+            distances = np.triu(raw, 1) + np.triu(raw, 1).T
+            labels = np.resize([0, 1], n)
+            rng.shuffle(labels)
+            folds, seed, stratified = int(rng.integers(2, 11)), case, case % 3 == 0
+            chosen, reports = select_k_kfold(
+                distances, labels, folds, [7, 1, 4, 2, 4], seed=seed, stratified=stratified
+            )
+            assert [r.k for r in reports] == [1, 2, 4, 7]
+            for report in reports:
+                assert report == evaluate_kfold(
+                    distances, labels, folds, report.k, seed=seed, stratified=stratified
+                )
+
+    def test_folds_drawn_once_for_the_grid(self, monkeypatch):
+        import topmix.evaluate as evaluate
+
+        calls = []
+        draw = evaluate.kfold_indices
+        monkeypatch.setattr(evaluate, "kfold_indices", lambda *a: calls.append(a) or draw(*a))
+        distances, labels = _duplicated_distance_set()
+        select_k_kfold(distances, labels, folds=5, k_grid=[1, 2, 3, 4], seed=0)
+        assert len(calls) == 1
+
 
 def test_monotone_distance_invariance_end_to_end():
     distances, labels = _duplicated_distance_set()

@@ -122,11 +122,15 @@ class TestConfig:
             ("k", "invalid config value for 'k': 'five'"),
             ("wasserstein_p", "invalid config value for 'wasserstein_p': 'two'"),
             ("stratified", "invalid split value for 'stratified': 'false'"),
+            ("empty_delimiter", "delimiter must be a non-empty string, got ''"),
+            ("numeric_delimiter", "delimiter must be a non-empty string, got 5"),
+            ("split_list_with_seed", "split must be a JSON object"),
         ],
     )
     def test_malformed_config_exits_1(
         self, tmp_path, small_mixed_file, small_mixed_schema_file, capsys, damage, message
     ):
+        overrides, seed_args = None, []
         if damage == "missing":
             cfg = tmp_path / "absent.json"
         elif damage == "truncated":
@@ -135,12 +139,20 @@ class TestConfig:
         elif damage == "stratified":  # bool("false") would be True
             split = {"mode": "holdout", "stratified": "false"}
             cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, split=split)
+        elif damage == "split_list_with_seed":  # the --seed override writes into split
+            cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, split=[])
+            overrides, seed_args = {"split_seed": 3}, ["--seed", "3"]
         else:
-            value = {"k": "five", "wasserstein_p": "two"}[damage]
-            cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, **{damage: value})
-        with pytest.raises(ContractError, match=message):
-            load_experiment_config(cfg)
-        assert cli_main(["classify", "--config", str(cfg)]) == 1
+            key, value = {
+                "k": ("k", "five"),
+                "wasserstein_p": ("wasserstein_p", "two"),
+                "empty_delimiter": ("delimiter", ""),
+                "numeric_delimiter": ("delimiter", 5),
+            }[damage]
+            cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, **{key: value})
+        with pytest.raises(ContractError, match=re.escape(message)):
+            load_experiment_config(cfg, overrides)
+        assert cli_main(["classify", "--config", str(cfg), *seed_args]) == 1
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -237,6 +249,19 @@ class TestRunPipeline:
         assert result.split_result is None
         assert len(result.report.fold_accuracies) == 5
         assert result.report.counts.total == 60
+
+    def test_inputs_hashed_once_per_run(self, tmp_path, monkeypatch):
+        import topmix.pipeline as pipeline
+
+        hashed = []
+        sha256_file = pipeline._sha256_file
+        monkeypatch.setattr(pipeline, "_sha256_file", lambda path: hashed.append(path) or sha256_file(path))
+        data, schema = _synth_files(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        for warm in (False, True):
+            hashed.clear()
+            run_pipeline(load_experiment_config(cfg))
+            assert [p for p in hashed if p in (data, schema)] == [data, schema], warm
 
     def test_warm_cache_rerun_identical(self, tmp_path):
         data, schema = _synth_files(tmp_path)
