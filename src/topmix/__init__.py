@@ -2,14 +2,14 @@
 
 Each record becomes a small point cloud (the record plus its
 coordinate-zeroing projections), clouds become dimension-0 persistence
-diagrams, diagrams are compared with the p-Wasserstein distance, and a
-k-nearest-neighbor vote classifies.
+diagrams, carried as one matrix of sorted deaths, diagrams are compared
+with the p-Wasserstein distance, and a k-nearest-neighbor vote classifies.
 """
 
 __version__ = "0.1.0"
 
 from .classify import knn_predict
-from .cloud import build_point_cloud, project
+from .cloud import build_point_cloud
 from .errors import (
     ContractError,
     EvaluationError,
@@ -24,14 +24,13 @@ from .evaluate import (
     SplitResult,
     SplitSpec,
     compute_metrics,
-    evaluate_kfold,
     evaluate_split,
     holdout_indices,
     kfold_indices,
     select_k_kfold,
 )
 from .ingest import ParseReport, RawDataset, binarize_target, parse_dataset
-from .metric import distance_matrix, wasserstein
+from .metric import distance_matrix
 from .persistence import PersistenceDiagram, dim0_diagrams
 from .pipeline import (
     ExperimentConfig,

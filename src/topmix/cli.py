@@ -2,9 +2,10 @@
 
 Subcommands run pipeline prefixes, honoring caches:
   classify   full experiment (splits, k selection, report artifacts)
-  diagrams   compute per-row persistence diagrams, exported to diagrams.csv
+  diagrams   compute every row's diagram deaths, exported to diagrams.npy
   distances  compute the pairwise distance matrix, cached as distances.npy
-  inspect    print one row's point cloud, diagram, and nearest neighbors
+  inspect    print one row's point cloud, diagram, and the nearest neighbors
+             and vote at the k that classify uses
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .cloud import build_point_cloud
 from .errors import TopmixError
 from .evaluate import holdout_indices
 from .pipeline import (
+    classify_stage,
     compute_diagrams,
     compute_distances,
     load_experiment_config,
@@ -63,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     _add_common(sub.add_parser("classify", help="run the full experiment"))
-    _add_common(sub.add_parser("diagrams", help="compute per-row diagrams"))
+    _add_common(sub.add_parser("diagrams", help="compute per-row diagram deaths"))
     _add_common(sub.add_parser("distances", help="compute the distance matrix"))
 
     inspect = sub.add_parser("inspect", help="examine one row")
@@ -81,13 +83,13 @@ def _cmd_classify(config) -> int:
 
 def _cmd_diagrams(config) -> int:
     diagram_set = compute_diagrams(config)
-    n_pairs = sum(len(d) for d in diagram_set.diagrams)
+    deaths = diagram_set.deaths
     print(
-        f"{len(diagram_set.diagrams)} diagrams, {n_pairs} pairs, "
+        f"{deaths.shape[0]} diagrams, {deaths.size} pairs, "
         f"maxscale {diagram_set.maxscale!r}"
     )
     if config.cache_dir is not None:
-        print(f"written to {config.cache_dir / 'diagrams.csv'}")
+        print(f"written to {config.cache_dir / 'diagrams.npy'}")
     return 0
 
 
@@ -103,34 +105,37 @@ def _cmd_distances(config) -> int:
 def _cmd_inspect(config, row: int) -> int:
     diagram_set = compute_diagrams(config)
     matrix = compute_distances(config, diagram_set)
-    n = len(diagram_set.diagrams)
+    labels = diagram_set.labels
+    n = labels.size
     if not 0 <= row < n:
         raise TopmixError(f"row {row} out of range 0..{n - 1}")
 
     features = diagram_set.prepared.features
-    print(f"row {row}: label {int(diagram_set.labels[row])}")
+    print(f"row {row}: label {int(labels[row])}")
     print("point cloud (row vector, then one projection per coordinate):")
     for point in build_point_cloud(features.values[row]):
         print("  " + " ".join(f"{v:.6g}" for v in point))
     print("diagram (birth, death):")
-    for birth, death in diagram_set.diagrams[row].pairs:
-        print(f"  ({float(birth)!r}, {float(death)!r})")
+    for death in diagram_set.deaths[row].tolist():
+        print(f"  (0.0, {death!r})")
 
     if config.split.mode == "holdout":
-        train, _, _ = holdout_indices(diagram_set.labels, config.split)
+        train, _, _ = holdout_indices(labels, config.split)
         pool = train[train != row]
         pool_name = "training rows"
     else:
         pool = np.delete(np.arange(n), row)
         pool_name = "other rows"
-    k = min(config.k if config.k is not None else 5, pool.size)
-    nearest, _ = knn_grid([row], pool, matrix, diagram_set.labels, [k])
+    k = min(classify_stage(config, matrix, labels)[1].k, pool.size)
+    nearest, predicted = knn_grid([row], pool, matrix, labels, [k])
     print(f"{k} nearest {pool_name}:")
     for neighbor in nearest[0].tolist():
         print(
             f"  row {neighbor}  distance {float(matrix[row, neighbor])!r}  "
-            f"label {int(diagram_set.labels[neighbor])}"
+            f"label {int(labels[neighbor])}"
         )
+    votes = np.bincount(labels[nearest[0]], minlength=2)
+    print(f"vote at k={k}: {votes[0]} for class 0, {votes[1]} for class 1; predicted {predicted[0, 0]}")
     return 0
 
 

@@ -15,19 +15,6 @@ import numpy as np
 from .errors import ContractError
 
 
-def project(x: np.ndarray, coord: int) -> np.ndarray:
-    """Zero the given coordinate of x. Coordinates are numbered from 1.
-
-    Idempotent: project(project(x, i), i) == project(x, i).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not 1 <= coord <= x.shape[0]:
-        raise ContractError(f"coordinate {coord} out of range 1..{x.shape[0]}")
-    out = x.copy()
-    out[coord - 1] = 0.0
-    return out
-
-
 def build_point_cloud(x: np.ndarray) -> np.ndarray:
     """The (m+1, m) array of points [x, p_1(x), ..., p_m(x)] of a feature row."""
     x = np.asarray(x, dtype=np.float64)

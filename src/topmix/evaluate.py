@@ -7,7 +7,8 @@ which reproduces the 179/59/59 partition of 297 rows at 60:20:20.
 Predictions come from ``classify.knn_grid``, one call per block of rows:
 the validation rows over the whole k grid, the test rows at the chosen k,
 and each cross-validation fold over the whole grid, the folds being drawn
-once per grid (``_kfold_reports``).
+once per grid (``_kfold_reports``). Both protocols sweep the distinct ks of
+a grid in ascending order, so a repeated k is evaluated and reported once.
 Metrics are kept at full precision internally; rounding happens only in
 the text formatters. Undefined ratios (zero denominators) are reported as
 None, never NaN.
@@ -193,6 +194,14 @@ def _check_distances(distances: np.ndarray, labels: np.ndarray) -> None:
         )
 
 
+def _sorted_grid(k_grid: Sequence[int]) -> list[int]:
+    """The distinct ks in ascending order, each a positive integer."""
+    k_grid = sorted(set(int(k) for k in k_grid))
+    if not k_grid or k_grid[0] < 1:
+        raise ContractError("k grid must be non-empty positive integers")
+    return k_grid
+
+
 def _require_both_classes(labels: np.ndarray, where: str) -> None:
     present = set(np.asarray(labels).tolist())
     if not {0, 1} <= present:
@@ -233,9 +242,7 @@ def evaluate_split(
     """
     labels = np.asarray(labels)
     _check_distances(distances, labels)
-    k_grid = sorted(k_grid)
-    if not k_grid or min(k_grid) < 1:
-        raise ContractError("k grid must be non-empty positive integers")
+    k_grid = _sorted_grid(k_grid)
 
     train, val, test = holdout_indices(labels, split)
     _require_both_classes(labels[train], "training set")
@@ -300,22 +307,6 @@ def _kfold_reports(
     ]
 
 
-def evaluate_kfold(
-    distances: np.ndarray,
-    labels: np.ndarray,
-    folds: int,
-    k: int,
-    seed: int = 0,
-    stratified: bool = False,
-) -> EvaluationReport:
-    """k-fold cross-validation with pooled confusion counts.
-
-    Every row is classified exactly once, against all rows outside its
-    fold; per-fold accuracies are kept in the report for the breakdown.
-    """
-    return _kfold_reports(distances, labels, folds, [k], seed, stratified)[0]
-
-
 def select_k_kfold(
     distances: np.ndarray,
     labels: np.ndarray,
@@ -324,11 +315,13 @@ def select_k_kfold(
     seed: int = 0,
     stratified: bool = False,
 ) -> tuple[int, list[EvaluationReport]]:
-    """Choose k by pooled cross-validation accuracy (ties to the smaller k)."""
-    k_grid = sorted(set(int(k) for k in k_grid))
-    if not k_grid or k_grid[0] < 1:
-        raise ContractError("k grid must be non-empty positive integers")
-    reports = _kfold_reports(distances, labels, folds, k_grid, seed, stratified)
+    """k-fold cross-validation; k chosen by pooled accuracy, ties to the smaller k.
+
+    Every row is classified exactly once per k, against all rows outside
+    its fold. Returns the chosen k and one report per distinct k, ascending,
+    with pooled confusion counts and the per-fold accuracies.
+    """
+    reports = _kfold_reports(distances, labels, folds, _sorted_grid(k_grid), seed, stratified)
     best = max(reports, key=lambda r: (r.accuracy, -r.k))
     return best.k, reports
 

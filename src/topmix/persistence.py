@@ -9,14 +9,16 @@ weights as deaths of components born at scale 0 (Edelsbrunner & Harer,
 component that never dies. That essential component is recorded with
 death equal to a filtration cap shared by all rows, so diagrams stay
 mutually comparable.
+
+A family of diagrams is therefore carried as one (n, m+1) matrix of
+ascending deaths, the cap in its last column; every birth is 0.
+``PersistenceDiagram`` is the general (birth, death) form, built only as a
+view of one such row and as the input type of the test oracles.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -56,8 +58,11 @@ class PersistenceDiagram:
 
 def dim0_diagrams(
     values: np.ndarray, maxscale: float | None = None, safety: float = 1.1
-) -> tuple[list[PersistenceDiagram], float]:
-    """Diagram of every row's projection cloud, and the shared cap.
+) -> tuple[np.ndarray, float]:
+    """Deaths of every row's diagram, and the shared cap.
+
+    Row i of the (n, m+1) result is the ascending |x_i| of row i followed by
+    the cap, the death of the one component that never dies.
 
     Without an explicit ``maxscale`` the cap is ``safety`` times the largest
     distance in any cloud. That distance is sqrt(a1^2 + a2^2) for the two
@@ -95,26 +100,4 @@ def dim0_diagrams(
                 f"maxscale too small: components merge at distance {largest!r} "
                 f"> maxscale {maxscale!r}"
             )
-    pairs = np.zeros((x.shape[0], x.shape[1] + 1, 2), dtype=np.float64)
-    pairs[:, :-1, 1] = mags
-    pairs[:, -1, 1] = maxscale
-    return [PersistenceDiagram(p, maxscale=maxscale) for p in pairs], maxscale
-
-
-def save_diagrams(diagrams: Iterable[PersistenceDiagram], path: str | Path) -> tuple[int, str]:
-    """Write one ``row,dim,birth,death`` record per pair, row-major.
-
-    Returns the byte size and sha256 hex digest of what was written.
-    """
-    digest = hashlib.sha256()
-    size = 0
-    with open(path, "wb") as fh:
-        for row, diagram in enumerate(diagrams):
-            chunk = "".join(
-                f"{row},{diagram.dimension},{birth!r},{death!r}\n"
-                for birth, death in diagram.pairs.tolist()
-            ).encode("utf-8")
-            fh.write(chunk)
-            digest.update(chunk)
-            size += len(chunk)
-    return size, digest.hexdigest()
+    return np.column_stack([mags, np.full(x.shape[0], maxscale)]), maxscale

@@ -1,16 +1,19 @@
 """End-to-end experiment orchestration with caching and a run manifest.
 
 Stage order: ingest -> one-hot encode -> standardize -> symmetry break ->
-diagrams -> distance matrix -> k-NN evaluation. Diagrams come in closed
-form on every run; ``diagrams.csv`` in the cache directory is a text
-export, never read back. The distance matrix, computed by the batched
-dynamic programme of ``metric.distance_matrix``, is cached as
+diagrams -> distance matrix -> k-NN evaluation. Diagrams are carried as
+one matrix of ascending deaths per run (see persistence.py), computed in
+closed form on every run; ``diagrams.npy`` in the cache directory is an
+export of that matrix, never read back. The distance matrix, computed by
+the batched dynamic programme of ``metric.distance_matrix``, is cached as
 ``distances.npy``. Each file is written before its manifest, which records
 a fingerprint of everything the file depends on and the file's size and
 sha256. ``_cache_problem`` alone decides whether either file can be used;
 a missing, stale or damaged one is logged with that reason and rewritten,
-never silently reused. Every output is byte-deterministic, so identical
-configs produce byte-identical files.
+never silently reused. The text file of the same stem that earlier
+versions wrote (``diagrams.csv``, ``distances.csv``) is removed.
+Every output is byte-deterministic, so identical configs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .evaluate import (
 )
 from .ingest import ParseReport, RawDataset, parse_dataset
 from .metric import ALGORITHM, distance_matrix, load_distance_matrix, save_distance_matrix
-from .persistence import PersistenceDiagram, dim0_diagrams, save_diagrams
+from .persistence import PersistenceDiagram, dim0_diagrams
 from .preprocess import (
     FeatureMatrix,
     default_symmetry_vector,
@@ -340,8 +343,14 @@ def _cache_problem(data_file: Path, fingerprint: str, what: str) -> str | None:
     The one validity rule for every cache file: its manifest must carry
     ``fingerprint`` and the file's exact size and sha256. The reasons are
     "missing" (no readable manifest or no file), "stale" (the fingerprint
-    differs) and "damaged" (the size or sha256 differs).
+    differs) and "damaged" (the size or sha256 differs). The text file of
+    the same stem that earlier versions wrote is deleted first: it is
+    never read, and a file that is not a hit is rewritten right after.
     """
+    legacy = data_file.with_suffix(".csv")
+    if legacy.is_file():
+        legacy.unlink()
+        logger.info("removed %s, replaced by %s", legacy, data_file.name)
     manifest = _read_manifest(data_file.with_suffix(".manifest.json"))
     if manifest is None or not data_file.is_file():
         reason = "missing"
@@ -374,35 +383,41 @@ def _write_cache(
 
 @dataclass
 class DiagramSet:
-    diagrams: list[PersistenceDiagram]
+    deaths: np.ndarray  # (rows, m+1) ascending, the shared cap last
     maxscale: float
     labels: np.ndarray
     prepared: PreparedData
     fingerprint: str  # features_fingerprint of the run's config
+
+    @property
+    def diagrams(self) -> list[PersistenceDiagram]:
+        """Each row as a general diagram, built on every read; no stage reads it."""
+        births = np.zeros(self.deaths.shape[1])
+        return [PersistenceDiagram(np.column_stack([births, row]), self.maxscale) for row in self.deaths]
 
 
 def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
     """Dimension-0 diagrams for every row, exported to the cache directory.
 
     The closed form is cheaper than reading any file, so diagrams are
-    always recomputed. ``diagrams.csv`` and its manifest are rewritten only
+    always recomputed. ``diagrams.npy`` and its manifest are rewritten only
     when ``_cache_problem`` finds the export missing, stale or damaged. The
     run's one ``features_fingerprint`` call is here; the result carries it.
     """
     prepared = prepare_features(config)
     with _stage("diagrams"):
         fingerprint = features_fingerprint(config)
-        diagrams, maxscale = dim0_diagrams(
+        deaths, maxscale = dim0_diagrams(
             prepared.features.values, config.maxscale, config.maxscale_safety
         )
         if config.cache_dir is not None:
-            cache_file = config.cache_dir / "diagrams.csv"
+            cache_file = config.cache_dir / "diagrams.npy"
             if _cache_problem(cache_file, fingerprint, "diagram export") is not None:
                 _write_cache(
-                    cache_file, fingerprint, lambda path: save_diagrams(diagrams, path),
+                    cache_file, fingerprint, lambda path: save_distance_matrix(deaths, path),
                     maxscale=maxscale, safety=config.maxscale_safety, version=__version__,
                 )
-    return DiagramSet(diagrams, maxscale, prepared.features.labels, prepared, fingerprint)
+    return DiagramSet(deaths, maxscale, prepared.features.labels, prepared, fingerprint)
 
 
 def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.ndarray:
@@ -413,12 +428,12 @@ def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.n
     """
     with _stage("distances"):
         if config.cache_dir is None:
-            return distance_matrix(diagram_set.diagrams, config.wasserstein_p)
+            return distance_matrix(diagram_set.deaths, config.wasserstein_p)
         fingerprint = f"{diagram_set.fingerprint}:p={config.wasserstein_p!r}:{ALGORITHM}"
         cache_file = config.cache_dir / "distances.npy"
         if _cache_problem(cache_file, fingerprint, "distance cache") is None:
             return load_distance_matrix(cache_file)
-        matrix = distance_matrix(diagram_set.diagrams, config.wasserstein_p)
+        matrix = distance_matrix(diagram_set.deaths, config.wasserstein_p)
         _write_cache(
             cache_file, fingerprint, lambda path: save_distance_matrix(matrix, path),
             algorithm=ALGORITHM, maxscale=diagram_set.maxscale,
@@ -437,25 +452,31 @@ class RunResult:
     artifacts: dict[str, Path]
 
 
-def run_pipeline(config: ExperimentConfig) -> RunResult:
-    """Execute the full experiment and write report artifacts."""
-    diagram_set = compute_diagrams(config)
-    distances = compute_distances(config, diagram_set)
-    labels = diagram_set.labels
+def classify_stage(
+    config: ExperimentConfig, distances: np.ndarray, labels: np.ndarray
+) -> tuple[SplitResult | None, EvaluationReport]:
+    """The configured protocol: k from ``config.k`` or chosen over the grid.
 
-    split_result: SplitResult | None = None
+    Returns the hold-out result (None under k-fold) and the report of the
+    k that was used.
+    """
     with _stage("classify"):
         k_grid = [config.k] if config.k is not None else list(config.k_grid)
         if config.split.mode == "holdout":
             split_result = evaluate_split(distances, labels, config.split, k_grid)
-            report = split_result.test_report
-        else:
-            chosen, reports = select_k_kfold(
-                distances, labels, config.split.folds, k_grid,
-                seed=config.split.seed, stratified=config.split.stratified,
-            )
-            report = next(r for r in reports if r.k == chosen)
+            return split_result, split_result.test_report
+        chosen, reports = select_k_kfold(
+            distances, labels, config.split.folds, k_grid,
+            seed=config.split.seed, stratified=config.split.stratified,
+        )
+        return None, next(r for r in reports if r.k == chosen)
 
+
+def run_pipeline(config: ExperimentConfig) -> RunResult:
+    """Execute the full experiment and write report artifacts."""
+    diagram_set = compute_diagrams(config)
+    distances = compute_distances(config, diagram_set)
+    split_result, report = classify_stage(config, distances, diagram_set.labels)
     with _stage("report"):
         artifacts = write_artifacts(config, diagram_set, split_result, report)
     return RunResult(

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 from topmix.classify import knn_predict
-from topmix.cloud import build_point_cloud, project
+from topmix.cloud import build_point_cloud
 from topmix.errors import FitError
-from topmix.evaluate import SplitSpec, evaluate_kfold, evaluate_split, holdout_indices
+from topmix.evaluate import SplitSpec, evaluate_split, holdout_indices, select_k_kfold
 from topmix.ingest import RawDataset, parse_dataset
-from topmix.metric import distance_matrix, wasserstein
+from topmix.metric import distance_matrix
 from topmix.persistence import PersistenceDiagram, dim0_diagrams
 from topmix.pipeline import load_experiment_config, run_pipeline
 from topmix.preprocess import (
@@ -42,11 +42,16 @@ from conftest import (
     synthetic_cleveland_rows,
     write_config,
 )
-from oracles import brute_wasserstein, euclidean_distances, sweep_dim0_pairs
+from oracles import brute_wasserstein, euclidean_distances, sweep_dim0_pairs, wasserstein
 
 
 def _ok(criterion: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion} PASS: {detail}")
+
+
+def _pairs(deaths) -> list[tuple[float, float]]:
+    """A row of ascending deaths as its diagram's (birth, death) pairs."""
+    return [(0.0, d) for d in deaths.tolist()]
 
 
 def _random_diagram(rng, max_points: int, cap: float) -> PersistenceDiagram:
@@ -64,11 +69,11 @@ def _diagram_with(rng, n: int, cap: float) -> PersistenceDiagram:
 
 
 def test_c1a_two_point_diagram_exact():
-    (diagram,), _ = dim0_diagrams(np.array([[1.0]]), maxscale=5.0)
-    assert diagram.pairs.tolist() == [[0.0, 1.0], [0.0, 5.0]]
-    (diagram,), cap = dim0_diagrams(np.array([[6.0, 8.0]]), safety=1.1)
+    (deaths,), _ = dim0_diagrams(np.array([[1.0]]), maxscale=5.0)
+    assert _pairs(deaths) == [(0.0, 1.0), (0.0, 5.0)]
+    (deaths,), cap = dim0_diagrams(np.array([[6.0, 8.0]]), safety=1.1)
     assert cap == 1.1 * 10.0
-    assert diagram.pairs.tolist() == [[0.0, 6.0], [0.0, 8.0], [0.0, cap]]
+    assert _pairs(deaths) == [(0.0, 6.0), (0.0, 8.0), (0.0, cap)]
     _ok("1a", "cloud of x=(1) at cap 5 gives (0,1),(0,5); x=(6,8) gives deaths [6, 8, 1.1*10] exactly")
 
 
@@ -124,9 +129,8 @@ def test_c2a_dim0_matches_sweep_oracle_500_clouds():
             x[1] = -x[0]  # tied magnitudes
         dist = euclidean_distances(build_point_cloud(x))
         cap = float(dist.max()) * 1.1 + 0.25
-        (diagram,), _ = dim0_diagrams(x[None, :], maxscale=cap)
-        got = [tuple(p) for p in diagram.pairs]
-        assert got == sweep_dim0_pairs(dist, cap), f"case {case}"
+        (deaths,), _ = dim0_diagrams(x[None, :], maxscale=cap)
+        assert _pairs(deaths) == sweep_dim0_pairs(dist, cap), f"case {case}"
     _ok("2a", "500 random projection clouds of <=10 points: closed form == threshold-sweep oracle")
 
 
@@ -211,8 +215,8 @@ def test_c3_projection_idempotence_1000():
         m = int(rng.integers(1, 30))
         x = rng.uniform(-1e6, 1e6, size=m)
         i = int(rng.integers(1, m + 1))
-        once = project(x, i)
-        assert np.array_equal(project(once, i), once)
+        once = build_point_cloud(x)[i]  # p_i(x)
+        assert np.array_equal(build_point_cloud(once)[i], once)
     _ok("3.projection", "1000 random vectors: zeroing a coordinate is idempotent")
 
 
@@ -225,9 +229,9 @@ def test_c3_diagram_permutation_isometry_invariance_1000():
         x = rng.normal(size=m)
         moved = x[rng.permutation(m)] * rng.choice([-1.0, 1.0], size=m)
         (base, iso), cap = dim0_diagrams(np.vstack([x, moved]), safety=2.0)
-        assert np.array_equal(base.pairs, iso.pairs)
+        assert np.array_equal(base.view(np.uint64), iso.view(np.uint64))
         assert cap == 2.0 * euclidean_distances(build_point_cloud(x)).max()
-        assert [tuple(p) for p in base.pairs] == sweep_dim0_pairs(
+        assert _pairs(base) == sweep_dim0_pairs(
             euclidean_distances(build_point_cloud(moved)), cap
         )
     _ok("3.invariance", "1000 rows: coordinate permutations and sign flips leave the diagram bit-identical")
@@ -301,8 +305,8 @@ def cleveland_distances():
         standardize(encoded, fit_standardizer(encoded)),
         default_symmetry_vector(encoded.m),
     )
-    diagrams, _ = dim0_diagrams(broken.values, safety=1.1)
-    distances = distance_matrix(diagrams, p=1.0)
+    deaths, _ = dim0_diagrams(broken.values, safety=1.1)
+    distances = distance_matrix(deaths, p=1.0)
     return distances, broken.labels
 
 
@@ -312,7 +316,7 @@ def test_c4a_kfold_accuracy_window(cleveland_distances):
     in_window = 0
     accuracies = []
     for seed in range(10):
-        report = evaluate_kfold(distances, labels, folds=10, k=16, seed=seed)
+        (report,) = select_k_kfold(distances, labels, 10, [16], seed=seed)[1]
         accuracies.append(report.accuracy)
         if 77.0 <= report.accuracy <= 88.0:
             in_window += 1
@@ -371,7 +375,7 @@ def test_c5_desk_scale_performance(tmp_path):
     result = run_pipeline(load_experiment_config(cfg))
     cold = time.perf_counter() - start
     assert result.distances.shape == (297, 297)
-    assert len(result.diagram_set.diagrams[0]) == 26
+    assert result.diagram_set.deaths.shape == (297, 26)
     assert cold < 300.0, f"cold run took {cold:.1f}s"
 
     start = time.perf_counter()
@@ -407,7 +411,7 @@ def test_c6_cold_runs_byte_identical(tmp_path):
         b = (tmp_path / "out_b" / name).read_bytes()
         assert a == b, f"{name} differs between cold runs"
         compared += 1
-    for name in ("diagrams.csv", "distances.npy", "diagrams.manifest.json", "distances.manifest.json"):
+    for name in ("diagrams.npy", "distances.npy", "diagrams.manifest.json", "distances.manifest.json"):
         a = (tmp_path / "cache_a" / name).read_bytes()
         b = (tmp_path / "cache_b" / name).read_bytes()
         assert a == b, f"{name} differs between cold runs"

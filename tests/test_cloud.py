@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from topmix.cloud import build_point_cloud, project
+from topmix.cloud import build_point_cloud
 from topmix.errors import ContractError
 
 from oracles import closed_form_cloud_distances, euclidean_distances
@@ -19,24 +19,27 @@ def _sorted_upper(dist):
 
 
 class TestProject:
+    """The projection p_i(x), x with coordinate i zeroed, is row i of the cloud."""
+
     def test_zeroes_first_coordinate(self):
-        assert project(np.array([6.0, 8.0]), 1).tolist() == [0.0, 8.0]
+        assert build_point_cloud(np.array([6.0, 8.0]))[1].tolist() == [0.0, 8.0]
 
     def test_zeroes_second_coordinate(self):
-        assert project(np.array([7.0, 7.0]), 2).tolist() == [7.0, 0.0]
+        assert build_point_cloud(np.array([7.0, 7.0]))[2].tolist() == [7.0, 0.0]
 
     def test_out_of_range(self):
+        # no coordinate to project: an empty vector, or a matrix of rows
         with pytest.raises(ContractError):
-            project(np.array([1.0, 2.0]), 0)
+            build_point_cloud(np.array([]))
         with pytest.raises(ContractError):
-            project(np.array([1.0, 2.0]), 3)
+            build_point_cloud(np.array([[1.0, 2.0]]))
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8), st.data())
     def test_idempotent(self, xs, data):
         x = np.asarray(xs)
         i = data.draw(st.integers(1, len(xs)))
-        once = project(x, i)
-        assert np.array_equal(project(once, i), once)
+        once = build_point_cloud(x)[i]
+        assert np.array_equal(build_point_cloud(once)[i], once)
 
 
 class TestBuildCloud:

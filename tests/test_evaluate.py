@@ -6,7 +6,6 @@ from topmix.evaluate import (
     ConfusionCounts,
     SplitSpec,
     compute_metrics,
-    evaluate_kfold,
     evaluate_split,
     format_report_kv,
     format_report_text,
@@ -14,12 +13,16 @@ from topmix.evaluate import (
     kfold_indices,
     select_k_kfold,
 )
-from topmix.metric import distance_matrix, wasserstein
+from topmix.metric import distance_matrix
 from topmix.persistence import PersistenceDiagram
 
+from oracles import wasserstein
 
-def _diag(pairs, cap=50.0):
-    return PersistenceDiagram(np.asarray(pairs, dtype=np.float64).reshape(-1, 2), maxscale=cap)
+
+def _kfold(distances, labels, folds, k, seed=0):
+    """The pooled k-fold report at one k."""
+    (report,) = select_k_kfold(distances, labels, folds, [k], seed=seed)[1]
+    return report
 
 
 class TestHoldout:
@@ -131,17 +134,15 @@ class TestComputeMetrics:
 
 
 def _duplicated_diagram_set():
-    """10 rows: two distinct diagrams, 5 exact copies each, labels matching."""
-    a = _diag([[0.0, 1.0], [0.0, 50.0]])
-    b = _diag([[0.0, 7.0], [0.0, 50.0]])
-    diagrams = [a] * 5 + [b] * 5
+    """10 rows of deaths: two distinct diagrams, 5 exact copies each, labels matching."""
+    deaths = np.array([[1.0, 50.0]] * 5 + [[7.0, 50.0]] * 5)
     labels = np.array([0] * 5 + [1] * 5)
-    return diagrams, labels
+    return deaths, labels
 
 
 def _duplicated_distance_set():
-    diagrams, labels = _duplicated_diagram_set()
-    return distance_matrix(diagrams, 1.0), labels
+    deaths, labels = _duplicated_diagram_set()
+    return distance_matrix(deaths, 1.0), labels
 
 
 class TestEvaluateSplit:
@@ -168,10 +169,10 @@ class TestEvaluateSplit:
         assert len(result.test_report.predictions) == len(result.test_rows)
 
     def test_single_class_train_is_degenerate(self):
-        diagrams = [_diag([[0.0, float(i + 1)]]) for i in range(10)]
+        deaths = np.arange(1.0, 11.0)[:, None]
         labels = np.zeros(10, dtype=int)
         with pytest.raises(EvaluationError, match="degenerate"):
-            evaluate_split(distance_matrix(diagrams, 1.0), labels, SplitSpec(seed=0), k_grid=[1])
+            evaluate_split(distance_matrix(deaths, 1.0), labels, SplitSpec(seed=0), k_grid=[1])
 
     def test_k_grid_validation(self):
         distances, labels = _duplicated_distance_set()
@@ -186,23 +187,29 @@ class TestEvaluateSplit:
                 select_k_kfold(distances, labels, 2, k_grid)
 
     def test_result_depends_only_on_the_matrix(self):
-        diagrams, labels = _duplicated_diagram_set()
+        deaths, labels = _duplicated_diagram_set()
+        diagrams = [PersistenceDiagram(np.column_stack([[0.0, 0.0], row]), maxscale=50.0) for row in deaths]
         pairwise = np.array([[wasserstein(a, b, 1.0) for b in diagrams] for a in diagrams])
         a = evaluate_split(pairwise, labels, SplitSpec(seed=2), k_grid=[1, 3])
-        b = evaluate_split(distance_matrix(diagrams, 1.0), labels, SplitSpec(seed=2), k_grid=[1, 3])
+        b = evaluate_split(distance_matrix(deaths, 1.0), labels, SplitSpec(seed=2), k_grid=[1, 3])
         assert a == b
+
+    def test_repeated_k_swept_once(self):
+        distances, labels = _duplicated_distance_set()
+        result = evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[3, 1, 3])
+        assert [row.k for row in result.validation] == [1, 3]
+        assert result == evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[1, 3])
 
 
 class TestEvaluateKfold:
     def test_identical_diagrams_opposite_labels_score_zero(self):
-        d = _diag([[0.0, 3.0]])
         labels = np.array([0, 1])
-        report = evaluate_kfold(distance_matrix([d, d], 1.0), labels, folds=2, k=1)
+        report = _kfold(distance_matrix([[3.0]] * 2, 1.0), labels, folds=2, k=1)
         assert report.accuracy == 0.0
 
     def test_leave_one_out_pools_all_rows(self):
         distances, labels = _duplicated_distance_set()
-        report = evaluate_kfold(distances, labels, folds=10, k=1)
+        report = _kfold(distances, labels, folds=10, k=1)
         assert report.counts.total == 10
         assert len(report.predictions) == 10
         assert len(report.fold_accuracies) == 10
@@ -210,19 +217,18 @@ class TestEvaluateKfold:
 
     def test_every_row_predicted_once(self):
         distances, labels = _duplicated_distance_set()
-        report = evaluate_kfold(distances, labels, folds=3, k=2, seed=4)
+        report = _kfold(distances, labels, folds=3, k=2, seed=4)
         assert sorted(r for r, _, _ in report.predictions) == list(range(10))
 
     def test_k_exceeding_candidates_is_error(self):
-        d = _diag([[0.0, 1.0]])
         labels = np.array([0, 1, 0, 1])
         with pytest.raises(EvaluationError, match="candidates"):
-            evaluate_kfold(distance_matrix([d] * 4, 1.0), labels, folds=2, k=3)
+            _kfold(distance_matrix([[1.0]] * 4, 1.0), labels, folds=2, k=3)
 
     def test_seed_determinism(self):
         distances, labels = _duplicated_distance_set()
-        a = evaluate_kfold(distances, labels, folds=5, k=3, seed=7)
-        b = evaluate_kfold(distances, labels, folds=5, k=3, seed=7)
+        a = _kfold(distances, labels, folds=5, k=3, seed=7)
+        b = _kfold(distances, labels, folds=5, k=3, seed=7)
         assert a == b
 
 
@@ -249,9 +255,9 @@ class TestSelectKKfold:
             )
             assert [r.k for r in reports] == [1, 2, 4, 7]
             for report in reports:
-                assert report == evaluate_kfold(
-                    distances, labels, folds, report.k, seed=seed, stratified=stratified
-                )
+                assert [report] == select_k_kfold(
+                    distances, labels, folds, [report.k], seed=seed, stratified=stratified
+                )[1]
 
     def test_folds_drawn_once_for_the_grid(self, monkeypatch):
         import topmix.evaluate as evaluate

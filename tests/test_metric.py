@@ -5,12 +5,7 @@ import pytest
 
 from topmix.errors import ContractError
 from topmix.ingest import parse_dataset
-from topmix.metric import (
-    distance_matrix,
-    load_distance_matrix,
-    save_distance_matrix,
-    wasserstein,
-)
+from topmix.metric import distance_matrix, load_distance_matrix, save_distance_matrix
 from topmix.persistence import PersistenceDiagram, dim0_diagrams
 from topmix.preprocess import (
     default_symmetry_vector,
@@ -22,7 +17,7 @@ from topmix.preprocess import (
 from topmix.schema import cleveland_schema
 
 from conftest import synthetic_cleveland_rows
-from oracles import brute_bottleneck, brute_wasserstein
+from oracles import brute_bottleneck, brute_wasserstein, wasserstein
 
 CAP = 10.0
 
@@ -38,9 +33,19 @@ def _random_diagram(rng, max_points=4, cap=CAP):
     return _diag(np.column_stack([births, deaths]) if n else np.zeros((0, 2)), cap)
 
 
-def _zero_birth_diagram(rng, max_points=4, cap=CAP):
-    deaths = rng.uniform(0, cap, size=int(rng.integers(0, max_points + 1)))
+def _zero_birth(deaths, cap=CAP):
     return _diag(np.column_stack([np.zeros_like(deaths), deaths]), cap)
+
+
+def _zero_birth_diagram(rng, max_points=4, cap=CAP):
+    return _zero_birth(rng.uniform(0, cap, size=int(rng.integers(0, max_points + 1))), cap)
+
+
+def _deaths(diagrams):
+    """Zero-birth diagrams as rows of ascending deaths, front-padded with 0
+    deaths: points on the diagonal, which cost nothing to match."""
+    width = max(len(d) for d in diagrams)
+    return np.array([np.concatenate([np.zeros(width - len(d)), d.deaths]) for d in diagrams])
 
 
 def _close_to_wasserstein(got, want):
@@ -65,11 +70,13 @@ class TestWorkedExamples:
         assert wasserstein(e, e, 1.0) == 0.0
 
     def test_worked_clouds_are_separated(self):
-        (dx, dy), cap = dim0_diagrams(np.array([[6.0, 8.0], [7.0, 7.0]]), safety=1.1)
+        deaths, cap = dim0_diagrams(np.array([[6.0, 8.0], [7.0, 7.0]]), safety=1.1)
         assert cap == 1.1 * 10.0
+        dx, dy = _zero_birth(deaths[0], cap), _zero_birth(deaths[1], cap)
         # finite deaths {6, 8} vs {7, 7}: optimal matching pays |6-7| + |8-7|
         w = wasserstein(dx, dy, 1.0)
         assert w == 2.0
+        assert distance_matrix(deaths, 1.0)[0, 1] == 2.0
         assert w > 0.0
         assert w == pytest.approx(brute_wasserstein(dx.pairs, dy.pairs, 1.0), rel=1e-12)
 
@@ -158,42 +165,45 @@ class TestMetricProperties:
 
 class TestDistanceMatrix:
     def test_single_diagram(self):
-        out = distance_matrix([_diag([[0.0, 1.0]])], 1.0)
+        out = distance_matrix([[1.0, CAP]], 1.0)
         assert out.shape == (1, 1)
         assert out[0, 0] == 0.0
 
     def test_duplicated_diagram(self):
-        d = _diag([[0.0, 1.0], [0.0, 4.0]])
-        out = distance_matrix([d, d], 1.0)
+        out = distance_matrix([[1.0, 4.0, CAP]] * 2, 1.0)
         assert np.array_equal(out, np.zeros((2, 2)))
 
     def test_symmetric_zero_diagonal_and_spot_values(self):
         rng = np.random.default_rng(17)
         diagrams = [_zero_birth_diagram(rng) for _ in range(8)]
-        out = distance_matrix(diagrams, 1.0)
+        out = distance_matrix(_deaths(diagrams), 1.0)
         assert np.array_equal(out, out.T)
         assert np.array_equal(np.diag(out), np.zeros(8))
         for i, j in [(0, 3), (2, 7), (4, 5)]:
             assert _close_to_wasserstein(out[i, j], wasserstein(diagrams[i], diagrams[j], 1.0))
 
-    def test_mixed_caps_rejected(self):
-        with pytest.raises(ContractError):
-            distance_matrix([_diag([[0.0, 1.0]], cap=5.0), _diag([[0.0, 1.0]], cap=6.0)], 1.0)
-
-    def test_nonzero_births_rejected(self):
-        with pytest.raises(ContractError, match=r"wasserstein\(\)"):
-            distance_matrix([_diag([[0.0, 1.0]]), _diag([[0.5, 2.0]])], 1.0)
+    def test_malformed_deaths_rejected(self):
+        for deaths in (
+            [1.0, 2.0],  # one diagram, not a matrix of them
+            np.zeros((0, 3)),
+            np.zeros((2, 3, 1)),
+            [[1.0, 2.0], [1.0, np.nan]],
+            [[1.0, 2.0], [1.0, np.inf]],
+            [[1.0, 2.0], [-1.0, 2.0]],
+            [[1.0, 2.0], [3.0, 2.0]],  # not ascending
+        ):
+            with pytest.raises(ContractError):
+                distance_matrix(deaths, 1.0)
 
     def test_bad_order_rejected(self):
-        d = _diag([[0.0, 1.0]])
         for p in (0.5, 0.0, math.inf, math.nan):
             with pytest.raises(ContractError):
-                distance_matrix([d, d], p)
+                distance_matrix([[1.0, CAP]] * 2, p)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
         diagrams = [_zero_birth_diagram(rng) for _ in range(5)]
-        out = distance_matrix(diagrams, 1.0)
+        out = distance_matrix(_deaths(diagrams), 1.0)
         path = tmp_path / "distances.npy"
         save_distance_matrix(out, path)
         assert np.array_equal(load_distance_matrix(path), out)
@@ -212,10 +222,10 @@ class TestDistanceMatrixAgainstOracles:
                 deaths = CAP * rng.random(int(rng.integers(0, 7))) ** 3
                 if rng.random() < 0.3:
                     deaths = np.round(deaths * 2) / 2  # ties, and zeros
-                sides.append(_diag(np.column_stack([np.zeros_like(deaths), deaths])))
+                sides.append(_zero_birth(np.sort(deaths)))
             d1, d2 = sides
             p = float(rng.choice([1.0, 2.0, 3.5]))
-            got = distance_matrix([d1, d2], p)
+            got = distance_matrix(_deaths(sides), p)
             want = brute_wasserstein(d1.pairs, d2.pairs, p)
             assert got[0, 1] == got[1, 0]
             assert math.isclose(got[0, 1], want, rel_tol=1e-12, abs_tol=1e-15), f"case {case}"
@@ -237,9 +247,10 @@ class TestDistanceMatrixAgainstOracles:
         broken = symmetry_break(
             standardize(encoded, fit_standardizer(encoded)), default_symmetry_vector(encoded.m)
         )
-        diagrams, _ = dim0_diagrams(broken.values, safety=1.1)
-        assert len(diagrams) == 297
-        out = distance_matrix(diagrams, 1.0)
+        deaths, cap = dim0_diagrams(broken.values, safety=1.1)
+        assert len(deaths) == 297
+        out = distance_matrix(deaths, 1.0)
+        diagrams = [_zero_birth(row, cap) for row in deaths]
         for i in range(len(diagrams)):
             for j in range(i + 1, len(diagrams)):
                 want = wasserstein(diagrams[i], diagrams[j], 1.0)

@@ -3,18 +3,20 @@ import pytest
 
 from topmix.cloud import build_point_cloud
 from topmix.errors import ContractError
-from topmix.persistence import PersistenceDiagram, dim0_diagrams, save_diagrams
+from topmix.metric import save_distance_matrix
+from topmix.persistence import PersistenceDiagram, dim0_diagrams
 
 from oracles import euclidean_distances, sweep_dim0_pairs
 
 
-def _pairs(diagram):
-    return [tuple(p) for p in diagram.pairs]
+def _pairs(deaths):
+    """A row of ascending deaths as its diagram's (birth, death) pairs."""
+    return [(0.0, d) for d in deaths.tolist()]
 
 
 def _diagram(row, maxscale=None, safety=1.1):
-    diagrams, _ = dim0_diagrams(np.asarray([row], dtype=np.float64), maxscale, safety)
-    return diagrams[0]
+    deaths, _ = dim0_diagrams(np.asarray([row], dtype=np.float64), maxscale, safety)
+    return deaths[0]
 
 
 class TestWorkedExamples:
@@ -50,11 +52,11 @@ class TestStructure:
         for _ in range(50):
             m = int(rng.integers(1, 11))
             rows = rng.normal(size=(3, m))
-            diagrams, cap = dim0_diagrams(rows, safety=1.5)
-            for diagram in diagrams:
-                assert len(diagram) == m + 1
-                assert (diagram.pairs[:, 0] == 0).all()
-                assert (diagram.deaths == cap).sum() == 1
+            deaths, cap = dim0_diagrams(rows, safety=1.5)
+            assert deaths.shape == (3, m + 1)
+            assert (deaths[:, -1] == cap).all()
+            assert (np.diff(deaths, axis=1) >= 0).all()
+            assert ((deaths == cap).sum(axis=1) == 1).all()
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(1)
@@ -63,7 +65,7 @@ class TestStructure:
         base = _diagram(row, cap)
         for _ in range(20):
             shuffled = _diagram(row[rng.permutation(8)], cap)
-            assert np.array_equal(base.pairs, shuffled.pairs)
+            assert np.array_equal(base, shuffled)
 
     def test_isometry_invariance(self):
         # flipping coordinate signs moves the cloud rigidly
@@ -73,7 +75,7 @@ class TestStructure:
         base = _diagram(row, cap)
         for _ in range(20):
             flipped = _diagram(row * rng.choice([-1.0, 1.0], size=5), cap)
-            assert np.array_equal(base.pairs, flipped.pairs)
+            assert np.array_equal(base, flipped)
 
     def test_monotone_scaling(self):
         rng = np.random.default_rng(3)
@@ -82,16 +84,16 @@ class TestStructure:
         lam = 3.25
         base = _diagram(row, cap)
         scaled = _diagram(row * lam, cap * lam)
-        finite_base = base.deaths[base.deaths < cap]
-        finite_scaled = scaled.deaths[scaled.deaths < cap * lam]
+        finite_base = base[base < cap]
+        finite_scaled = scaled[scaled < cap * lam]
         assert finite_scaled == pytest.approx(finite_base * lam, rel=1e-12)
 
     def test_matches_sweep_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(60):
             rows = rng.uniform(-5, 5, size=(int(rng.integers(1, 4)), int(rng.integers(1, 11))))
-            diagrams, cap = dim0_diagrams(rows)
-            for row, diagram in zip(rows, diagrams):
+            deaths, cap = dim0_diagrams(rows)
+            for row, diagram in zip(rows, deaths):
                 assert _pairs(diagram) == sweep_dim0_pairs(euclidean_distances(build_point_cloud(row)), cap)
 
 
@@ -129,16 +131,16 @@ def test_cap_rules_exact():
     _, cap = dim0_diagrams(np.array([[-2.0], [0.5]]), safety=1.5)
     assert cap == 1.5 * 2.0
     # all-zero rows: every cloud collapses, the cap is the safety factor
-    diagrams, cap = dim0_diagrams(np.zeros((2, 3)), safety=1.3)
+    deaths, cap = dim0_diagrams(np.zeros((2, 3)), safety=1.3)
     assert cap == 1.3
-    assert all(_pairs(d) == [(0.0, 0.0)] * 3 + [(0.0, 1.3)] for d in diagrams)
+    assert all(_pairs(d) == [(0.0, 0.0)] * 3 + [(0.0, 1.3)] for d in deaths)
     # m >= 2: safety * sqrt(a1^2 + a2^2) over the two largest magnitudes
     _, cap = dim0_diagrams(np.array([[1.0, -8.0, 6.0], [7.0, 7.0, 0.0]]), safety=1.1)
     assert cap == 1.1 * 10.0
     # an explicit cap is used as given once it covers every |x_i|
-    diagrams, cap = dim0_diagrams(np.array([[1.0, -8.0]]), maxscale=8.0)
+    deaths, cap = dim0_diagrams(np.array([[1.0, -8.0]]), maxscale=8.0)
     assert cap == 8.0
-    assert _pairs(diagrams[0]) == [(0.0, 1.0), (0.0, 8.0), (0.0, 8.0)]
+    assert _pairs(deaths[0]) == [(0.0, 1.0), (0.0, 8.0), (0.0, 8.0)]
     with pytest.raises(ContractError, match="maxscale too small"):
         dim0_diagrams(np.array([[1.0, -8.0]]), maxscale=np.nextafter(8.0, 0.0))
 
@@ -161,13 +163,12 @@ def test_sqrt_of_square_is_abs_bit_for_bit():
 
 
 def test_save_load_round_trip(tmp_path):
+    # the diagram export: the deaths matrix in .npy format, bit-exact on reload
     rng = np.random.default_rng(6)
     rows = rng.normal(size=(5, 4))
-    diagrams, _ = dim0_diagrams(rows, maxscale=40.0)
-    path = tmp_path / "diagrams.csv"
-    save_diagrams(diagrams, path)
-    records = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
-    assert [int(r[0]) for r in records] == [row for row in range(5) for _ in range(5)]
-    assert all(r[1] == "0" for r in records)
-    loaded = np.array([[float(r[2]), float(r[3])] for r in records])
-    assert np.array_equal(loaded, np.vstack([d.pairs for d in diagrams]))
+    deaths, _ = dim0_diagrams(rows, maxscale=40.0)
+    path = tmp_path / "diagrams.npy"
+    save_distance_matrix(deaths, path)
+    loaded = np.load(path, allow_pickle=False)
+    assert loaded.shape == (5, 5)
+    assert np.array_equal(loaded.view(np.uint64), deaths.view(np.uint64))

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -208,16 +209,14 @@ class TestSymmetryVectorModes:
     def test_zero_vector_makes_mirrored_rows_indistinguishable(self, tmp_path, mirrored_pair_setup):
         data, schema = mirrored_pair_setup
         cfg = _config_for(tmp_path, data, schema, symmetry_vector="zero")
-        diagram_set = compute_diagrams(load_experiment_config(cfg))
-        a, b = diagram_set.diagrams
-        assert np.array_equal(a.pairs, b.pairs)
+        a, b = compute_diagrams(load_experiment_config(cfg)).deaths
+        assert np.array_equal(a, b)
 
     def test_default_vector_separates_mirrored_rows(self, tmp_path, mirrored_pair_setup):
         data, schema = mirrored_pair_setup
         cfg = _config_for(tmp_path, data, schema, symmetry_vector="default")
-        diagram_set = compute_diagrams(load_experiment_config(cfg))
-        a, b = diagram_set.diagrams
-        assert not np.array_equal(a.pairs, b.pairs)
+        a, b = compute_diagrams(load_experiment_config(cfg)).deaths
+        assert not np.array_equal(a, b)
 
 
 def _synth_files(tmp_path, n=60, seed=13):
@@ -288,7 +287,7 @@ class TestRunPipeline:
         run_pipeline(load_experiment_config(cfg_b))
         for name in ("run_manifest.json", "report.txt", "report.kv", "predictions.csv"):
             assert (tmp_path / "out_a" / name).read_bytes() == (tmp_path / "out_b" / name).read_bytes()
-        for name in ("diagrams.csv", "distances.npy"):
+        for name in ("diagrams.npy", "distances.npy"):
             assert (tmp_path / "cache_a" / name).read_bytes() == (tmp_path / "cache_b" / name).read_bytes()
 
     def test_stale_cache_recomputed(self, tmp_path):
@@ -304,13 +303,13 @@ class TestRunPipeline:
         diagram_set = compute_diagrams(config2)  # same cache dir, stale manifest
         manifest = json.loads((tmp_path / "cache" / "diagrams.manifest.json").read_text())
         assert manifest["fingerprint"] == features_fingerprint(config2)
-        assert len(diagram_set.diagrams) == 60
+        assert diagram_set.deaths.shape[0] == 60
 
     def test_diagram_export_rewritten_only_when_missing(self, tmp_path):
         data, schema = _synth_files(tmp_path, n=20)
         config = load_experiment_config(_config_for(tmp_path, data, schema))
         compute_diagrams(config)
-        export = tmp_path / "cache" / "diagrams.csv"
+        export = tmp_path / "cache" / "diagrams.npy"
         first = export.read_bytes()
         os.utime(export, ns=(0, 0))
         compute_diagrams(config)  # warm: the export is up to date and left alone
@@ -323,7 +322,7 @@ class TestRunPipeline:
         data, schema = _synth_files(tmp_path, n=60)
         config = load_experiment_config(_config_for(tmp_path, data, schema))
         compute_diagrams(config)
-        export = tmp_path / "cache" / "diagrams.csv"
+        export = tmp_path / "cache" / "diagrams.npy"
         first = export.read_bytes()
         assert len(first) > 1000
         export.write_bytes(first[:1000])
@@ -332,7 +331,7 @@ class TestRunPipeline:
         assert "diagram export damaged, rewriting" in caplog.text
         assert export.read_bytes() == first
         caplog.clear()
-        edited = first.replace(b",", b";", 1)  # same size, one byte different
+        edited = first[:-1] + bytes([first[-1] ^ 1])  # same size, one bit of one death flipped
         assert len(edited) == len(first)
         export.write_bytes(edited)
         with caplog.at_level(logging.INFO, logger="topmix"):
@@ -399,10 +398,42 @@ class TestRunPipeline:
         )
         d_full = compute_diagrams(full)
         d_train = compute_diagrams(train)
-        assert not all(
-            np.array_equal(a.pairs, b.pairs)
-            for a, b in zip(d_full.diagrams, d_train.diagrams)
-        )
+        assert not np.array_equal(d_full.deaths, d_train.deaths)
+
+    def test_legacy_text_caches_removed(self, tmp_path, caplog):
+        data, schema = _synth_files(tmp_path, n=20)
+        config = load_experiment_config(_config_for(tmp_path, data, schema, k_grid=[1, 3]))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for name in ("diagrams.csv", "distances.csv"):
+            (cache / name).write_text("0,0,0.0,1.0\n", encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            run_pipeline(config)
+            assert sorted(p.name for p in cache.iterdir()) == [
+                "diagrams.manifest.json", "diagrams.npy", "distances.manifest.json", "distances.npy",
+            ]
+            for name in ("diagrams.csv", "distances.csv"):
+                assert f"removed {cache / name}" in caplog.text
+            # a text file left beside an .npy file that is already valid goes too
+            (cache / "distances.csv").write_text("0,0,0.0,1.0\n", encoding="utf-8")
+            caplog.clear()
+            run_pipeline(config)
+            assert "distance cache hit" in caplog.text
+            assert not (cache / "distances.csv").exists()
+
+    def test_run_builds_no_diagram_objects(self, tmp_path, monkeypatch, capsys):
+        from topmix.persistence import PersistenceDiagram
+
+        def refuse(self):
+            raise AssertionError("a PersistenceDiagram was built")
+
+        data, schema = _synth_files(tmp_path, n=30)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        monkeypatch.setattr(PersistenceDiagram, "__post_init__", refuse)
+        for command in ("classify", "diagrams", "distances", "inspect"):
+            assert cli_main([command, "--config", str(cfg)] + ["--row", "0"] * (command == "inspect")) == 0
+        with pytest.raises(AssertionError, match="PersistenceDiagram"):
+            compute_diagrams(load_experiment_config(cfg)).diagrams
 
 
 class TestCli:
@@ -417,9 +448,10 @@ class TestCli:
         data, schema = mirrored_pair_setup
         cfg = _config_for(tmp_path, data, schema)
         assert cli_main(["diagrams", "--config", str(cfg)]) == 0
-        assert "2 diagrams, 6 pairs" in capsys.readouterr().out  # m+1 = 3 pairs per row
-        cache = (tmp_path / "cache" / "diagrams.csv").read_text().strip().splitlines()
-        assert len(cache) == 6
+        out = capsys.readouterr().out
+        assert "2 diagrams, 6 pairs" in out  # m+1 = 3 pairs per row
+        assert f"written to {tmp_path / 'cache' / 'diagrams.npy'}" in out
+        assert np.load(tmp_path / "cache" / "diagrams.npy").shape == (2, 3)
 
     def test_distances_deterministic_bytes(self, tmp_path, capsys):
         data, schema = _synth_files(tmp_path, n=20)
@@ -448,6 +480,38 @@ class TestCli:
         expected = [int(pool[i]) for i in order]
         listed = [int(line.split()[1]) for line in out.splitlines() if line.startswith("  row ")]
         assert listed == expected
+
+    def test_inspect_uses_the_k_classify_chose(self, tmp_path, capsys):
+        config = REPO_ROOT / "configs" / "example.json"
+        dirs = ["--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")]
+        assert cli_main(["classify", "--config", str(config)] + dirs) == 0
+        report = (tmp_path / "out" / "report.kv").read_text(encoding="utf-8")
+        assert report.startswith("k=1\n")
+        capsys.readouterr()
+        assert cli_main(["inspect", "--config", str(config), "--row", "0"] + dirs) == 0
+        out = capsys.readouterr().out
+        assert "1 nearest training rows:" in out
+        (neighbor,) = [line for line in out.splitlines() if line.startswith("  row ")]
+        label = int(neighbor.split()[-1])
+        votes = [1 - label, label]
+        assert f"vote at k=1: {votes[0]} for class 0, {votes[1]} for class 1; predicted {label}" in out
+
+    def test_cli_runs_without_scipy(self, tmp_path):
+        program = (
+            "import sys; sys.modules['scipy'] = None; "
+            "from topmix.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        common = [
+            "--config", str(REPO_ROOT / "configs" / "example.json"),
+            "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out"),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        for command in (["classify"], ["inspect", "--row", "0"]):
+            run = subprocess.run(
+                [sys.executable, "-c", program, *command, *common],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
 
     def test_row_out_of_range(self, tmp_path, mirrored_pair_setup):
         data, schema = mirrored_pair_setup
