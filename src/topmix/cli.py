@@ -5,7 +5,8 @@ Subcommands run pipeline prefixes, honoring caches:
   diagrams   compute every row's diagram deaths, exported to diagrams.npy
   distances  compute the pairwise distance matrix, cached as distances.npy
   inspect    print one row's point cloud, diagram, and the nearest neighbors
-             and vote at the k that classify uses
+             and vote at the k that classify uses, among the candidates
+             classify used for that row
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .classify import knn_grid
 from .cloud import build_point_cloud
 from .errors import TopmixError
-from .evaluate import holdout_indices
+from .evaluate import holdout_indices, kfold_indices
 from .pipeline import (
     classify_stage,
     compute_diagrams,
@@ -124,8 +125,9 @@ def _cmd_inspect(config, row: int) -> int:
         pool = train[train != row]
         pool_name = "training rows"
     else:
-        pool = np.delete(np.arange(n), row)
-        pool_name = "other rows"
+        fold = next(f for f in kfold_indices(labels, config.split) if row in f)
+        pool = np.setdiff1d(np.arange(n), fold)
+        pool_name = "rows outside its fold"
     k = min(classify_stage(config, matrix, labels)[1].k, pool.size)
     nearest, predicted = knn_grid([row], pool, matrix, labels, [k])
     print(f"{k} nearest {pool_name}:")

@@ -8,8 +8,9 @@ export of that matrix, never read back. The distance matrix, computed by
 the batched dynamic programme of ``metric.distance_matrix``, is cached as
 ``distances.npy``. Each file is written before its manifest, which records
 a fingerprint of everything the file depends on and the file's size and
-sha256. ``_cache_problem`` alone decides whether either file can be used;
-a missing, stale or damaged one is logged with that reason and rewritten,
+sha256; each is written to a temporary file and renamed into place.
+``_cache_problem`` alone decides whether either file can be used; a
+missing, stale or damaged one is logged with that reason and rewritten,
 never silently reused. The text file of the same stem that earlier
 versions wrote (``diagrams.csv``, ``distances.csv``) is removed.
 Every output is byte-deterministic, so identical configs produce
@@ -22,6 +23,7 @@ import difflib
 import hashlib
 import json
 import logging
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -367,18 +369,35 @@ def _cache_problem(data_file: Path, fingerprint: str, what: str) -> str | None:
     return reason
 
 
+def _replace(path: Path, write: Callable[[Path], Any]) -> Any:
+    """Run ``write`` on a temporary file beside ``path``, then rename it to ``path``.
+
+    ``path`` holds its old content or all of the new, never part of it; a
+    write that raises removes its temporary file. Returns what ``write`` does.
+    """
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        result = write(temporary)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+    return result
+
+
 def _write_cache(
     data_file: Path, fingerprint: str, save: Callable[[Path], tuple[int, str]], **fields: Any
 ) -> None:
     """Write ``data_file`` with ``save``, then the manifest that vouches for it.
 
-    ``save`` returns the size and sha256 of what it wrote. The manifest goes
-    last, so an interrupted write leaves a file ``_cache_problem`` rejects.
+    ``save`` returns the size and sha256 of what it wrote. Each file is
+    replaced whole, the manifest last, so an interrupted write leaves no
+    partial file and at worst a data file ``_cache_problem`` rejects.
     """
     data_file.parent.mkdir(parents=True, exist_ok=True)
-    size, sha256 = save(data_file)
+    size, sha256 = _replace(data_file, save)
     fields.update(bytes=size, fingerprint=fingerprint, sha256=sha256)
-    _write_manifest(data_file.with_suffix(".manifest.json"), fields)
+    _replace(data_file.with_suffix(".manifest.json"), lambda path: _write_manifest(path, fields))
 
 
 @dataclass

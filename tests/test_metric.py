@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from topmix import metric
 from topmix.errors import ContractError
 from topmix.ingest import parse_dataset
 from topmix.metric import distance_matrix, load_distance_matrix, save_distance_matrix
@@ -255,3 +258,111 @@ class TestDistanceMatrixAgainstOracles:
             for j in range(i + 1, len(diagrams)):
                 want = wasserstein(diagrams[i], diagrams[j], 1.0)
                 assert _close_to_wasserstein(out[i, j], want), (i, j, out[i, j], want)
+
+
+def _programme(deaths, p=1.0):
+    """``_dp_distances`` on every pair (i < j) of rows, in ``triu_indices`` order."""
+    rows, cols = np.triu_indices(len(deaths), k=1)
+    a = np.ascontiguousarray(deaths[rows].T)
+    b_rev = np.ascontiguousarray(deaths[cols, ::-1].T)
+    return metric._dp_distances(a, b_rev, p)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def _deaths_matrices(draw, max_rows=7, max_width=6):
+    """Rows of ascending deaths: continuous, on a coarse grid (ties and
+    zeros), or drawn from a few shared magnitudes as under the zero
+    symmetry vector; sometimes with a shared cap column; (n, 0) included."""
+    n = draw(st.integers(1, max_rows))
+    width = draw(st.integers(0, max_width))
+    kind = draw(st.sampled_from(["continuous", "grid", "few"]))
+    if kind == "few":
+        pool = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+        cell = st.sampled_from(pool)
+    else:
+        cell = st.floats(0.0, 10.0)
+    deaths = np.sort(np.array(draw(st.lists(cell, min_size=n * width, max_size=n * width))).reshape(n, width))
+    if kind == "grid":
+        deaths = np.round(deaths * 2) / 2
+    if width and draw(st.booleans()):
+        deaths[:, -1] = max(11.0, deaths.max())
+    return deaths
+
+
+class TestSortedCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(_deaths_matrices())
+    def test_every_entry_is_the_programmes(self, deaths):
+        out = distance_matrix(deaths, 1.0)
+        rows, cols = np.triu_indices(len(deaths), k=1)
+        assert np.array_equal(_bits(out[rows, cols]), _bits(_programme(deaths)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10), st.lists(st.floats(0.0, 40.0), max_size=12), st.randoms())
+    def test_mixed_blocks_land_in_their_cells(self, block, extra, random):
+        # (1, 10) against (10, 30) is not settled, (1, 10) against (2, 11) is
+        fixed = [[1.0, 10.0, 40.0], [10.0, 30.0, 40.0], [2.0, 11.0, 40.0]]
+        drawn = np.sort(np.array(extra[: len(extra) // 2 * 2]).reshape(-1, 2), axis=1)
+        deaths = np.vstack([fixed, np.column_stack([drawn, np.full(len(drawn), 40.0)])])
+        order = list(range(len(deaths)))
+        random.shuffle(order)
+        deaths = deaths[order]
+        rows, cols = np.triu_indices(len(deaths), k=1)
+        with mock.patch.object(metric, "_BLOCK_PAIRS", block):
+            left = metric._settle_sorted(deaths, rows, cols, np.zeros((len(deaths),) * 2))
+            out = distance_matrix(deaths, 1.0)
+        assert 0 < left.size < rows.size
+        assert np.array_equal(_bits(out[rows, cols]), _bits(_programme(deaths)))
+        assert np.array_equal(out, out.T)
+
+    def test_non_optimal_sorted_matching_rejected(self):
+        # sorted: |1 - 10| + |10 - 30| = 29; optimal: 10 with 10, 1/2 + 30/2 = 15.5
+        a, b = np.array([[1.0], [10.0]]), np.array([[10.0], [30.0]])
+        settled, cost = metric._sorted_certificate(a, b, 0.0, np.empty((4, 2, 1)))
+        assert not settled[0]
+        assert cost[0] == 29.0
+        assert distance_matrix([[1.0, 10.0], [10.0, 30.0]], 1.0)[0, 1] == 15.5
+
+    def test_every_pair_settled_on_cleveland_shaped_table(self, tmp_path):
+        path = tmp_path / "synth.csv"
+        path.write_text("\n".join(synthetic_cleveland_rows()) + "\n", encoding="utf-8")
+        raw, _ = parse_dataset(path, cleveland_schema())
+        encoded = one_hot_encode(raw)
+        broken = symmetry_break(
+            standardize(encoded, fit_standardizer(encoded)), default_symmetry_vector(encoded.m)
+        )
+        deaths, _ = dim0_diagrams(broken.values, safety=1.1)
+        rows, cols = np.triu_indices(len(deaths), k=1)
+        out = np.zeros((len(deaths),) * 2)
+        assert metric._settle_sorted(deaths, rows, cols, out).size == 0
+        assert np.array_equal(_bits(out[rows, cols]), _bits(_programme(deaths)))
+
+
+class TestDistanceMatrixProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    def test_stability_bound(self, data, p):
+        # W_p(D(x), D(y)) <= ||sort|x| - sort|y|||_p <= ||x - y||_p
+        m = data.draw(st.integers(1, 8))
+        vector = st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m)
+        x, y = np.array(data.draw(vector)), np.array(data.draw(vector))
+        deaths, _ = dim0_diagrams(np.vstack([x, y]), safety=1.1)
+        w = distance_matrix(deaths, p)[0, 1]
+        sorted_gap = np.sum(np.abs(np.sort(np.abs(x)) - np.sort(np.abs(y))) ** p) ** (1 / p)
+        plain_gap = np.sum(np.abs(x - y) ** p) ** (1 / p)
+        assert w <= sorted_gap * (1 + 1e-12) + 1e-300
+        assert sorted_gap <= plain_gap * (1 + 1e-12) + 1e-300
+
+    @settings(max_examples=200, deadline=None)
+    @given(_deaths_matrices(), st.sampled_from([1.0, 2.0]), st.randoms())
+    def test_symmetric_zero_diagonal_and_row_order_free(self, deaths, p, random):
+        out = distance_matrix(deaths, p)
+        assert np.array_equal(out, out.T)
+        assert not np.diag(out).any()
+        order = list(range(len(deaths)))
+        random.shuffle(order)
+        assert np.array_equal(_bits(distance_matrix(deaths[order], p)), _bits(out[np.ix_(order, order)]))

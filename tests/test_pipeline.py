@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from topmix.cli import main as cli_main
-from topmix.errors import ContractError
+from topmix.errors import ContractError, TopmixError
 from topmix.metric import save_distance_matrix
 from topmix.pipeline import (
     CONFIG_KEYS,
@@ -390,6 +390,60 @@ class TestRunPipeline:
             run_pipeline(load_experiment_config(cfg))  # the rewritten cache is served warm
             assert "distance cache hit" in caplog.text
 
+    def test_interrupted_cache_write_leaves_no_partial_file(self, tmp_path):
+        from topmix.pipeline import _write_cache
+
+        def save_half(path):
+            path.write_bytes(b"\x93NUMPY" + bytes(100))
+            raise OSError("no space left on device")
+
+        cache = tmp_path / "cache"
+        with pytest.raises(OSError, match="no space"):
+            _write_cache(cache / "distances.npy", "fingerprint", save_half)
+        assert list(cache.iterdir()) == []
+
+    def test_failed_rewrite_keeps_the_earlier_cache(self, tmp_path, caplog, monkeypatch):
+        import topmix.pipeline as pipeline
+
+        data, schema = _synth_files(tmp_path, n=20)
+        config = load_experiment_config(_config_for(tmp_path, data, schema, k_grid=[1, 3]))
+        first = run_pipeline(config)
+        cache = tmp_path / "cache"
+        files = {path.name: path.read_bytes() for path in cache.iterdir()}
+        save = pipeline.save_distance_matrix
+
+        def save_half(matrix, path):
+            save(matrix, path)
+            path.write_bytes(path.read_bytes()[:100])
+            raise OSError("no space left on device")
+
+        # at p = 2 the distance cache is stale; rewriting it fails halfway
+        monkeypatch.setattr(pipeline, "save_distance_matrix", save_half)
+        other = load_experiment_config(_config_for(tmp_path, data, schema, name="p2.json", wasserstein_p=2.0))
+        with pytest.raises(TopmixError, match="stage distances"):
+            run_pipeline(other)
+        monkeypatch.undo()
+        assert {path.name: path.read_bytes() for path in cache.iterdir()} == files
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            second = run_pipeline(config)
+        assert "distance cache hit" in caplog.text
+        assert np.array_equal(first.distances, second.distances)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_distances_stage_logs_how_pairs_were_settled(self, synthetic_cleveland_file, tmp_path, caplog, p):
+        config = load_experiment_config(
+            _config_for(tmp_path, synthetic_cleveland_file, CLEVELAND_SCHEMA, cache_dir=None, wasserstein_p=p)
+        )
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            compute_distances(config, compute_diagrams(config))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("distances: ")]
+        pairs = 297 * 296 // 2
+        settled = pairs if p == 1.0 else 0
+        assert lines == [
+            f"distances: {pairs} pairs, {settled} settled by the sorted certificate, "
+            f"{pairs - settled} by the dynamic programme"
+        ]
+
     def test_train_scope_changes_diagrams(self, tmp_path):
         data, schema = _synth_files(tmp_path)
         full = load_experiment_config(_config_for(tmp_path, data, schema, name="f.json", cache_dir=None))
@@ -495,6 +549,19 @@ class TestCli:
         label = int(neighbor.split()[-1])
         votes = [1 - label, label]
         assert f"vote at k=1: {votes[0]} for class 0, {votes[1]} for class 1; predicted {label}" in out
+
+    def test_inspect_votes_as_classify_predicted_under_kfold(self, tmp_path, capsys):
+        data, schema = _synth_files(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, split={"mode": "kfold", "folds": 10, "seed": 0})
+        assert cli_main(["classify", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "out" / "predictions.csv").read_text(encoding="utf-8").splitlines()[1:]
+        predicted = {int(r): int(pr) for r, _, pr in (line.split(",") for line in lines)}
+        assert len(predicted) == 60
+        for row, label in predicted.items():
+            capsys.readouterr()
+            assert cli_main(["inspect", "--config", str(cfg), "--row", str(row)]) == 0
+            vote = capsys.readouterr().out.splitlines()[-1]
+            assert vote.endswith(f"predicted {label}"), (row, vote)
 
     def test_cli_runs_without_scipy(self, tmp_path):
         program = (
