@@ -3,12 +3,18 @@
 Splits are seeded shuffles (optionally stratified). Hold-out sizing puts
 the rounding remainder in the training set: floor(val_frac*n) and
 floor(test_frac*n) rows go to validation and test, the rest to training,
-which reproduces the 179/59/59 partition of 297 rows at 60:20:20.
+which reproduces the 179/59/59 partition of 297 rows at 60:20:20; a split
+that leaves validation or test empty is an ``EvaluationError``.
 Predictions come from ``classify.knn_grid``, one call per block of rows:
 the validation rows over the whole k grid, the test rows at the chosen k,
-and each cross-validation fold over the whole grid, the folds being drawn
-once per grid (``_kfold_reports``). Both protocols sweep the distinct ks of
-a grid in ascending order, so a repeated k is evaluated and reported once.
+and each cross-validation fold over the whole grid. ``knn_grid`` ranks a
+block with one partition and one lexsort and breaks tied votes once per
+k, so the cost of a protocol is a few array passes per block, not work
+per (row, k) cell. Cross-validation draws the folds once per grid
+(``_kfold_reports``) and keeps one fold id per row: a fold's candidates
+are the rows with another id, and one scatter-add over the ids counts the
+hits of every (fold, k). Both protocols sweep the distinct ks of a grid in
+ascending order, so a repeated k is evaluated and reported once.
 Metrics are kept at full precision internally; rounding happens only in
 the text formatters. Undefined ratios (zero denominators) are reported as
 None, never NaN.
@@ -245,6 +251,11 @@ def evaluate_split(
     k_grid = _sorted_grid(k_grid)
 
     train, val, test = holdout_indices(labels, split)
+    if not val.size or not test.size:
+        raise EvaluationError(
+            f"hold-out split of {labels.size} rows leaves {train.size} training, "
+            f"{val.size} validation and {test.size} test rows; each set needs at least one"
+        )
     _require_both_classes(labels[train], "training set")
     if max(k_grid) > train.size:
         raise ContractError(f"k grid exceeds training size {train.size}")
@@ -290,18 +301,24 @@ def _kfold_reports(
     _require_both_classes(labels, "dataset")
     spec = SplitSpec(mode="kfold", folds=folds, seed=seed, stratified=stratified)
     fold_sets = kfold_indices(labels, spec)
+    fold_of = np.empty(labels.size, dtype=np.intp)
+    for f, fold in enumerate(fold_sets):
+        fold_of[fold] = f
     preds = np.empty((labels.size, len(k_grid)), dtype=np.int64)
-    for fold in fold_sets:
-        candidates = np.setdiff1d(np.arange(labels.size), fold)
+    for f, fold in enumerate(fold_sets):
+        candidates = np.flatnonzero(fold_of != f)
         if candidates.size < max(k_grid):
             raise EvaluationError(f"fold leaves only {candidates.size} candidates for k={max(k_grid)}")
         preds[fold] = knn_grid(fold, candidates, distances, labels, k_grid)[1]
-    hits = preds == labels[:, None]
+    fold_hits = np.zeros((len(fold_sets), len(k_grid)), dtype=np.int64)
+    np.add.at(fold_hits, fold_of, preds == labels[:, None])
+    fold_accuracies = (100.0 * fold_hits / np.bincount(fold_of)[:, None]).T.tolist()
+    rows, truth = range(labels.size), labels.astype(np.int64).tolist()
     return [
         compute_metrics(
             ConfusionCounts.from_predictions(labels, preds[:, j]), k=k, seed=seed,
-            fold_accuracies=[100.0 * hits[fold, j].sum() / fold.size for fold in fold_sets],
-            predictions=[(r, int(t), int(pr)) for r, (t, pr) in enumerate(zip(labels, preds[:, j]))],
+            fold_accuracies=fold_accuracies[j],
+            predictions=list(zip(rows, truth, preds[:, j].tolist())),
         )
         for j, k in enumerate(k_grid)
     ]

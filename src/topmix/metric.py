@@ -108,6 +108,7 @@ def _dp_distances(a: np.ndarray, b_rev: np.ndarray, p: float) -> np.ndarray:
     half_a = (a / 2.0) ** p
     half_b = (b_rev / 2.0) ** p
     before, last, cur = (np.empty((n + 1, block)) for _ in range(3))
+    step_buf, via_buf = np.empty((n, block)), np.empty((n, block))  # fresh ones fault per step
     last[0] = 0.0
     for s in range(1, 2 * n + 1):
         lo, hi = max(0, s - n), min(s, n)
@@ -118,12 +119,16 @@ def _dp_distances(a: np.ndarray, b_rev: np.ndarray, p: float) -> np.ndarray:
         r0, r1 = max(1, lo), min(hi, s - 1)  # cells with i >= 1 and j >= 1
         if r0 <= r1:
             b0, b1 = n - s + r0, n - s + r1 + 1
-            step = np.abs(a[r0 - 1 : r1] - b_rev[b0:b1])
+            step, via = step_buf[: r1 - r0 + 1], via_buf[: r1 - r0 + 1]
+            np.subtract(a[r0 - 1 : r1], b_rev[b0:b1], out=step)
+            np.abs(step, out=step)
             if p != 1.0:
                 step **= p
             step += before[r0 - 1 : r1]  # match a_i with b_j
-            np.minimum(step, last[r0 - 1 : r1] + half_a[r0 - 1 : r1], out=step)
-            np.minimum(step, last[r0 : r1 + 1] + half_b[b0:b1], out=cur[r0 : r1 + 1])
+            np.add(last[r0 - 1 : r1], half_a[r0 - 1 : r1], out=via)
+            np.minimum(step, via, out=step)
+            np.add(last[r0 : r1 + 1], half_b[b0:b1], out=via)
+            np.minimum(step, via, out=cur[r0 : r1 + 1])
         before, last, cur = last, cur, before
     return last[n] ** (1.0 / p)
 

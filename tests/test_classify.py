@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topmix.classify import knn_grid, knn_predict
 from topmix.errors import ContractError
@@ -116,23 +117,68 @@ def _random_table(rng, integer_valued):
     return dist, labels, rows[:n_queries], rows[n_queries:]  # candidates unsorted
 
 
+def _assert_grid_matches_oracle(dist, labels, queries, candidates, k_grid, where):
+    """knn_grid against the full lexsort ranking and the per-query oracle; returns the predictions."""
+    nearest, predictions = knn_grid(queries, candidates, dist, labels, k_grid)
+    for i, q in enumerate(queries):
+        ranked = candidates[np.lexsort((candidates, dist[q, candidates]))]
+        assert nearest[i].tolist() == ranked[: max(k_grid)].tolist(), (where, int(q))
+        for j, k in enumerate(k_grid):
+            expected = oracles.knn_predict(int(q), candidates, dist, labels, k)
+            assert predictions[i, j] == expected, (where, int(q), k)
+    return predictions
+
+
 def test_grid_matches_per_query_oracle_3000_tables():
     rng = np.random.default_rng(23)
     cases = 0
     for table in range(3000):
         dist, labels, queries, candidates = _random_table(rng, integer_valued=table % 2 == 0)
         k_grid = list(range(1, candidates.size + 1))
-        nearest, predictions = knn_grid(queries, candidates, dist, labels, k_grid)
+        predictions = _assert_grid_matches_oracle(dist, labels, queries, candidates, k_grid, table)
+        cases += predictions.size
         for i, q in enumerate(queries):
-            ranked = candidates[np.lexsort((candidates, dist[q, candidates]))]
-            assert nearest[i].tolist() == ranked.tolist()
-            for j, k in enumerate(k_grid):
-                expected = oracles.knn_predict(int(q), candidates, dist, labels, k)
-                assert predictions[i, j] == expected, (table, int(q), k)
-                cases += 1
             k = int(rng.integers(1, candidates.size + 1))
             assert knn_predict(int(q), candidates, dist, labels, k) == predictions[i, k - 1]
     assert cases >= 30_000
+
+
+def test_partition_cut_below_candidate_count_matches_oracle():
+    # max(k) < len(candidates) with integer distances: the partition cuts each
+    # row, and the cut often falls inside a run of equal distances
+    rng = np.random.default_rng(24)
+    boundary_ties = 0
+    for table in range(1500):
+        dist, labels, queries, candidates = _random_table(rng, integer_valued=True)
+        if candidates.size < 2:
+            continue
+        top = int(rng.integers(1, candidates.size))
+        k_grid = sorted(set(rng.integers(1, top + 1, size=3).tolist()) | {top})
+        _assert_grid_matches_oracle(dist, labels, queries, candidates, k_grid, table)
+        for q in queries:
+            row = np.sort(dist[q, candidates])
+            boundary_ties += row[top - 1] == row[top]
+    assert boundary_ties >= 1000
+
+
+def test_tied_votes_at_large_k_match_oracle():
+    # k up to 38 with 8 or more neighbours of each class in a tie; few
+    # non-dyadic values, so the class sums depend on their summation order
+    rng = np.random.default_rng(25)
+    ties_at_16_or_more = 0
+    for table in range(60):
+        n = int(rng.integers(45, 70))
+        raw = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1], size=(n, n)) * rng.uniform(0.5, 2.0)
+        dist = np.triu(raw, 1) + np.triu(raw, 1).T
+        labels = rng.integers(0, 2, size=n)
+        rows = rng.permutation(n)
+        queries, candidates = rows[:5], rows[5:]
+        k_grid = list(range(16, 39, 2))
+        _assert_grid_matches_oracle(dist, labels, queries, candidates, k_grid, table)
+        nearest, _ = knn_grid(queries, candidates, dist, labels, k_grid)
+        ones = np.cumsum(labels[nearest], axis=1)[:, np.asarray(k_grid) - 1]
+        ties_at_16_or_more += int((2 * ones == np.asarray(k_grid)).sum())
+    assert ties_at_16_or_more >= 50
 
 
 def test_grid_contract_errors():
@@ -143,3 +189,50 @@ def test_grid_contract_errors():
         knn_grid([0, 2], np.array([1, 2]), dist, np.array([0, 1, 0]), [1])
     with pytest.raises(ContractError, match="k=3"):
         knn_grid([0], np.array([1, 2]), dist, np.array([0, 1, 0]), [1, 3])
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = dist.copy()
+        broken[0, 2] = bad  # beyond the single neighbour k = 1 keeps
+        with pytest.raises(ContractError, match="finite"):
+            knn_grid([0], np.array([1, 2]), broken, np.array([0, 1, 0]), [1])
+
+
+@st.composite
+def _knn_tables(draw):
+    """(distances, labels, queries, candidates, k_grid) with ties in ranks, votes and sums."""
+    n = draw(st.integers(3, 14))
+    pool = draw(st.sampled_from([[0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.7], None]))
+    cell = st.floats(0.0, 10.0) if pool is None else st.sampled_from(pool)
+    dist = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    rows = np.array(draw(st.permutations(range(n))))
+    n_queries = draw(st.integers(1, n - 1))
+    candidates = rows[n_queries:]
+    k_grid = draw(st.lists(st.integers(1, candidates.size), min_size=1, max_size=5))
+    return dist, labels, rows[:n_queries], candidates, k_grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_knn_tables(), st.floats(0.0, 5.0), st.integers(0, 1))
+def test_far_candidate_changes_nothing(table, extra, far_label):
+    dist, labels, queries, candidates, k_grid = table
+    n = labels.size
+    grown = np.zeros((n + 1, n + 1))
+    grown[:n, :n] = dist
+    grown[queries, n] = dist[queries].max(axis=1) + 1.0 + extra  # farther than every candidate
+    grown_labels = np.append(labels, far_label)
+    before = knn_grid(queries, candidates, dist, labels, k_grid)
+    after = knn_grid(queries, np.append(candidates, n), grown, grown_labels, k_grid)
+    assert np.array_equal(before[0], after[0])
+    assert np.array_equal(before[1], after[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_knn_tables())
+def test_swapped_labels_mirror_every_untied_vote(table):
+    dist, labels, queries, candidates, k_grid = table
+    nearest, predictions = knn_grid(queries, candidates, dist, labels, k_grid)
+    swapped_nearest, swapped = knn_grid(queries, candidates, dist, 1 - labels, k_grid)
+    assert np.array_equal(nearest, swapped_nearest)
+    ks = np.asarray(k_grid)
+    untied = 2 * np.cumsum(labels[nearest], axis=1)[:, ks - 1] != ks
+    assert np.array_equal(swapped[untied], 1 - predictions[untied])

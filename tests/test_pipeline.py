@@ -101,6 +101,8 @@ class TestConfig:
     def test_shipped_and_default_configs_load(self, tmp_path, small_mixed_file, small_mixed_schema_file):
         config = load_experiment_config(REPO_ROOT / "configs" / "example.json")
         assert config.k_grid == (1, 2, 3, 4, 5)
+        config = load_experiment_config(REPO_ROOT / "configs" / "example_kfold.json")
+        assert (config.split.mode, config.split.folds, config.k_grid) == ("kfold", 5, (1, 2, 3, 4, 5))
         config = load_experiment_config(_config_for(tmp_path, small_mixed_file, small_mixed_schema_file))
         assert config.k_grid == tuple(range(1, 11))
         # the real-data configs name a file that may be absent; check their keys
@@ -497,6 +499,17 @@ class TestCli:
         assert cli_main(["classify", "--config", str(cfg)]) == 0
         captured = capsys.readouterr()
         assert "accuracy" in captured.out
+
+    def test_holdout_with_empty_evaluation_sets_exits_1(self, tmp_path, small_mixed_schema_file, capsys):
+        # floor(0.2 * 4) = 0 rows for validation and for test, at every seed
+        data = tmp_path / "four.csv"
+        data.write_text("1.5,a,0\n2.5,b,1\n0.5,c,0\n3.5,a,1\n", encoding="utf-8")
+        cfg = _config_for(tmp_path, data, small_mixed_schema_file, k_grid=[1, 2])
+        for seed in range(6):
+            assert cli_main(["classify", "--config", str(cfg), "--seed", str(seed)]) == 1
+            err = capsys.readouterr().err
+            message = "hold-out split of 4 rows leaves 4 training, 0 validation and 0 test rows"
+            assert f"error: [stage classify] {message}" in err
 
     def test_diagrams_on_two_row_file(self, tmp_path, mirrored_pair_setup, capsys):
         data, schema = mirrored_pair_setup
