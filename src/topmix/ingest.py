@@ -4,18 +4,29 @@ Rows containing the schema's missing token anywhere are dropped (counted
 in the parse report); everything retained is fully validated: numeric
 fields are finite reals, categorical tokens come from the declared
 domain, and the target is binarized by the schema's positive rule.
+
+Validation is column-wise: every line is split once, the kept rows are
+transposed, and each column is checked in one pass (``float`` over a
+numeric column and one ``np.isfinite``, one subset test of a categorical
+column against its domain). The error raised is still the first one in
+row-major order, the one a row-by-row reader would meet: the lowest row,
+and within it the leftmost field, the target last. A row with the wrong
+field count is reported only when no earlier row fails.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
-from .schema import PositiveRule, SchemaSpec
+from .errors import ParseError, SchemaError, TopmixError
+from .schema import Attribute, PositiveRule, SchemaSpec
+
+# A column's first bad position, the error type and the message without its row prefix.
+Failure = tuple[int, type[TopmixError], str]
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,70 @@ def binarize_target(token: str, rule: PositiveRule) -> int:
     return 1 if rule.matches(token) else 0
 
 
+def _floats(tokens: Sequence[str]) -> list[float]:
+    """The tokens as floats, up to (not including) the first that is not numeric.
+
+    ``float`` ignores the surrounding whitespace it accepts, so when every
+    raw token parses the values equal those of the stripped tokens; only
+    a failure needs the stripped column.
+    """
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        pass
+    values: list[float] = []
+    for token in map(str.strip, tokens):
+        try:
+            values.append(float(token))
+        except ValueError:
+            break
+    return values
+
+
+def _numeric(attr: Attribute, tokens: Sequence[str]) -> tuple[list[float], Failure | None]:
+    values = _floats(tokens)
+    # Non-finite values before the first non-numeric token come first in row order.
+    finite = np.isfinite(values)
+    if not finite.all():
+        pos = int(finite.argmin())
+        message = f"attribute {attr.name!r}: non-finite value {tokens[pos].strip()!r}"
+        return values, (pos, ParseError, message)
+    if len(values) < len(tokens):
+        pos = len(values)
+        return values, (pos, ParseError, f"attribute {attr.name!r}: {tokens[pos].strip()!r} is not numeric")
+    return values, None
+
+
+def _categorical(attr: Attribute, tokens: Sequence[str]) -> tuple[Sequence[str], Failure | None]:
+    # A raw token equal to a strip-invariant domain token is its own stripped form.
+    if {t for t in attr.domain if t == t.strip()}.issuperset(tokens):
+        return tokens, None
+    tokens = list(map(str.strip, tokens))
+    domain = set(attr.domain)
+    for pos, token in enumerate(tokens):
+        if token not in domain:
+            message = (
+                f"attribute {attr.name!r}: token {token!r} "
+                f"outside declared domain {list(attr.domain)}"
+            )
+            return tokens, (pos, SchemaError, message)
+    return tokens, None
+
+
+def _labels(rule: PositiveRule, tokens: Sequence[str]) -> tuple[np.ndarray, Failure | None]:
+    """The column-wise form of ``binarize_target``."""
+    if rule.kind == "one-of":
+        positive = set(rule.tokens)
+        hits = map(positive.__contains__, map(str.strip, tokens))
+        return np.fromiter(hits, dtype=np.int64, count=len(tokens)), None
+    values = _floats(tokens)
+    labels = (np.asarray(values, dtype=np.float64) > rule.threshold).astype(np.int64)
+    if len(values) < len(tokens):
+        pos = len(values)
+        return labels, (pos, ParseError, f"target token {tokens[pos].strip()!r} is not numeric")
+    return labels, None
+
+
 def parse_dataset(
     source: str | Path,
     schema: SchemaSpec,
@@ -70,64 +145,60 @@ def parse_dataset(
         the missing token. Row order is preserved.
 
     Raises:
-        ParseError: wrong field count, non-finite numeric, bad target token.
+        ParseError: a file that is not UTF-8 text; wrong field count,
+            non-finite or non-numeric numeric field, bad target token.
         SchemaError: categorical token outside its declared domain.
+        Of several faults, the first in row-major order is raised.
     """
-    with open(source, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
-    data_lines = [ln for ln in lines if ln.strip() != ""]
-    if has_header and data_lines:
-        data_lines = data_lines[1:]
-
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"data file {source} is not UTF-8 text: {exc}") from None
+    # Universal newlines leave only "\n"; str.splitlines would also split at \v, \f, ...
+    lines = list(filter(str.strip, text.split("\n")))
+    del text
+    if has_header:
+        lines = lines[1:]
+    total = len(lines)
     n_fields = schema.n_fields
-    rows: list[tuple[float | str, ...]] = []
-    labels: list[int] = []
-    dropped: list[int] = []
+    rows = [line.split(delimiter) for line in lines]
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=total)
+    wrong = np.flatnonzero(widths != n_fields)
+    stop = int(wrong[0]) if wrong.size else total  # rows before the first of the wrong width
 
-    for idx, line in enumerate(data_lines):
-        fields = [f.strip() for f in line.split(delimiter)]
-        if len(fields) != n_fields:
-            raise ParseError(
-                f"row {idx}: expected {n_fields} fields, got {len(fields)}"
-            )
-        if schema.missing_token in fields:
-            dropped.append(idx)
-            continue
-        parsed: list[float | str] = []
-        for attr, token in zip(schema.attributes, fields[:-1]):
-            if attr.kind == "numeric":
-                try:
-                    value = float(token)
-                except ValueError:
-                    raise ParseError(
-                        f"row {idx}: attribute {attr.name!r}: {token!r} is not numeric"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"row {idx}: attribute {attr.name!r}: non-finite value {token!r}"
-                    )
-                parsed.append(value)
-            else:
-                if token not in attr.domain:
-                    raise SchemaError(
-                        f"row {idx}: attribute {attr.name!r}: token {token!r} "
-                        f"outside declared domain {list(attr.domain)}"
-                    )
-                parsed.append(token)
-        try:
-            labels.append(binarize_target(fields[-1], schema.positive_rule))
-        except ParseError as exc:
-            raise ParseError(f"row {idx}: {exc}") from None
-        rows.append(tuple(parsed))
+    missing = schema.missing_token
+    dropped = [i for i in range(stop) if missing in lines[i] and missing in map(str.strip, rows[i])]
+    del lines
+    if dropped:
+        skip = set(dropped)
+        kept_at: Sequence[int] = [i for i in range(stop) if i not in skip]
+        rows = [rows[i] for i in kept_at]
+    else:
+        kept_at = range(stop)
+        del rows[stop:]
 
-    dataset = RawDataset(
-        schema=schema,
-        rows=tuple(rows),
-        labels=np.asarray(labels, dtype=np.int64),
-    )
+    columns = list(zip(*rows)) or [()] * n_fields
+    del rows
+    parsed: list[Sequence[float | str]] = []
+    failures: list[Failure | None] = []
+    for attr, tokens in zip(schema.attributes, columns):
+        values, failure = (_numeric if attr.kind == "numeric" else _categorical)(attr, tokens)
+        parsed.append(values)
+        failures.append(failure)
+    labels, failure = _labels(schema.positive_rule, columns[-1])
+    failures = [f for f in failures + [failure] if f is not None]
+    if failures:
+        # min keeps the leftmost column among failures in the same row
+        pos, error, message = min(failures, key=lambda f: f[0])
+        raise error(f"row {kept_at[pos]}: {message}")
+    if stop < total:
+        raise ParseError(f"row {stop}: expected {n_fields} fields, got {int(widths[stop])}")
+
+    dataset = RawDataset(schema=schema, rows=tuple(zip(*parsed)), labels=labels)
     report = ParseReport(
-        total_rows=len(data_lines),
-        kept_rows=len(rows),
+        total_rows=total,
+        kept_rows=dataset.n,
         dropped_rows=len(dropped),
         dropped_indices=tuple(dropped),
     )

@@ -2,7 +2,11 @@
 
 The three stages are pure functions from matrix to matrix and are tagged so
 the pipeline can enforce its ordering: ``encoded`` -> ``standardized`` ->
-``symmetry-broken``. Standardization uses the population convention
+``symmetry-broken``. Encoding works on whole columns of the parsed rows,
+which ``ingest`` has already validated column by column (reporting the
+first fault in row-major order): each numeric column is copied with one
+slice assignment and each categorical block is filled with one scatter of
+its domain codes. Standardization uses the population convention
 (divide by n), which makes the zero-mean/unit-variance invariant exact on
 the fit rows.
 """
@@ -71,20 +75,22 @@ def one_hot_encode(raw: RawDataset) -> FeatureMatrix:
     Numeric attributes pass through unchanged. Column order follows the
     schema's attribute order, with each categorical attribute's columns in
     its declared domain order; every row carries exactly one 1 per
-    categorical block.
+    categorical block. The rows are transposed once: a numeric column is
+    assigned as one slice, and a categorical block is scattered from the
+    domain codes of its column.
     """
     schema = raw.schema
-    n, width = raw.n, schema.encoded_width
-    values = np.zeros((n, width), dtype=np.float64)
-    for i, row in enumerate(raw.rows):
-        col = 0
-        for attr, value in zip(schema.attributes, row):
-            if attr.kind == "numeric":
-                values[i, col] = value
-                col += 1
-            else:
-                values[i, col + attr.domain.index(value)] = 1.0
-                col += len(attr.domain)
+    n = raw.n
+    values = np.zeros((n, schema.encoded_width), dtype=np.float64)
+    every_row = np.arange(n)
+    col = 0
+    for attr, column in zip(schema.attributes, zip(*raw.rows)):
+        if attr.kind == "numeric":
+            values[:, col] = column
+        else:
+            code = {token: j for j, token in enumerate(attr.domain)}
+            values[every_row, col + np.fromiter(map(code.__getitem__, column), np.intp, n)] = 1.0
+        col += attr.width
     return FeatureMatrix(
         values=values,
         column_names=schema.encoded_column_names(),

@@ -29,6 +29,11 @@ class Attribute:
     domain: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not all(isinstance(token, str) for token in self.domain):
+            raise SchemaError(
+                f"attribute {self.name!r} has non-string domain tokens {list(self.domain)}; "
+                "domain tokens are matched against the data's text, so quote them"
+            )
         if self.kind == "categorical":
             if not self.domain:
                 raise SchemaError(f"categorical attribute {self.name!r} has empty domain")
@@ -63,6 +68,8 @@ class PositiveRule:
     def __post_init__(self):
         if self.kind == "one-of" and not self.tokens:
             raise SchemaError("one-of positive rule needs a non-empty token list")
+        if not all(isinstance(token, str) for token in self.tokens):
+            raise SchemaError(f"positive rule has non-string tokens {list(self.tokens)}")
         if self.kind not in ("greater-than", "one-of"):
             raise SchemaError(f"unknown positive rule kind {self.kind!r}")
 
@@ -98,6 +105,8 @@ class SchemaSpec:
             raise SchemaError(f"target {self.target!r} also appears as a predictive attribute")
         if not self.attributes:
             raise SchemaError("schema declares no predictive attributes")
+        if not isinstance(self.missing_token, str):
+            raise SchemaError(f"missing token {self.missing_token!r} is not a string")
 
     @property
     def n_fields(self) -> int:
@@ -135,10 +144,18 @@ def schema_to_dict(spec: SchemaSpec) -> dict:
     }
 
 
+def _token_list(doc: dict, key: str, where: str) -> tuple:
+    """``doc[key]`` as a tuple; a bare string would split into characters."""
+    value = doc.get(key, ())
+    if isinstance(value, str):
+        raise SchemaError(f"{where}: {key!r} must be a list of tokens, got the string {value!r}")
+    return tuple(value)
+
+
 def schema_from_dict(doc: dict) -> SchemaSpec:
     try:
         attrs = tuple(
-            Attribute(name=a["name"], kind=a["kind"], domain=tuple(a.get("domain", ())))
+            Attribute(name=a["name"], kind=a["kind"], domain=_token_list(a, "domain", f"attribute {a['name']!r}"))
             for a in doc["attributes"]
         )
         target = doc["target"]
@@ -146,7 +163,7 @@ def schema_from_dict(doc: dict) -> SchemaSpec:
         rule = PositiveRule(
             kind=rule_doc["kind"],
             threshold=float(rule_doc.get("threshold", 0.0)),
-            tokens=tuple(rule_doc.get("tokens", ())),
+            tokens=_token_list(rule_doc, "tokens", "positive rule"),
         )
         return SchemaSpec(
             attributes=attrs,
@@ -156,11 +173,26 @@ def schema_from_dict(doc: dict) -> SchemaSpec:
         )
     except KeyError as exc:
         raise SchemaError(f"schema document missing field: {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed schema document: {exc}") from None
 
 
 def load_schema(path: str | Path) -> SchemaSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schema_from_dict(json.load(fh))
+    """Read a JSON schema file.
+
+    Raises:
+        SchemaError: the file is not UTF-8 JSON, or does not declare a
+            valid schema; the message names the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise SchemaError(f"cannot read schema {path}: {exc}") from None
+    try:
+        return schema_from_dict(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"schema {path}: {exc}") from None
 
 
 def save_schema(spec: SchemaSpec, path: str | Path) -> None:

@@ -8,19 +8,25 @@ the package's DP over sorted deaths: ``wasserstein`` solves the augmented
 assignment problem of any two ``PersistenceDiagram``s with scipy, and
 ``brute_wasserstein`` enumerates every augmented bijection of small ones.
 The k-NN reference classifies one query at one k with its own sort, where
-the package ranks a block of queries once for a whole grid of k.
+the package ranks a block of queries once for a whole grid of k. The
+table references parse, validate and one-hot encode one row, and within
+it one field, at a time, where the package works on whole columns.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from topmix.errors import ContractError
+from topmix.errors import ContractError, ParseError, SchemaError
+from topmix.ingest import ParseReport, RawDataset, binarize_target
 from topmix.persistence import PersistenceDiagram
+from topmix.preprocess import FeatureMatrix
+from topmix.schema import SchemaSpec
 
 
 def euclidean_distances(points) -> np.ndarray:
@@ -216,3 +222,97 @@ def knn_predict(query: int, candidates, distances: np.ndarray, labels: np.ndarra
         return int(tied[0])
     sums = [top_dist[top_labels == cls].sum() for cls in tied]
     return int(tied[int(np.lexsort((tied, sums))[0])])
+
+
+def parse_dataset_rowwise(
+    source: str | Path,
+    schema: SchemaSpec,
+    delimiter: str = ",",
+    has_header: bool = False,
+) -> tuple[RawDataset, ParseReport]:
+    """``ingest.parse_dataset`` one row, and within it one field, at a time.
+
+    The first fault met in reading order is raised: a wrong field count,
+    then each attribute left to right, the target last.
+    """
+    with open(source, "r", encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+    data_lines = [ln for ln in lines if ln.strip() != ""]
+    if has_header and data_lines:
+        data_lines = data_lines[1:]
+
+    n_fields = schema.n_fields
+    rows: list[tuple[float | str, ...]] = []
+    labels: list[int] = []
+    dropped: list[int] = []
+
+    for idx, line in enumerate(data_lines):
+        fields = [f.strip() for f in line.split(delimiter)]
+        if len(fields) != n_fields:
+            raise ParseError(
+                f"row {idx}: expected {n_fields} fields, got {len(fields)}"
+            )
+        if schema.missing_token in fields:
+            dropped.append(idx)
+            continue
+        parsed: list[float | str] = []
+        for attr, token in zip(schema.attributes, fields[:-1]):
+            if attr.kind == "numeric":
+                try:
+                    value = float(token)
+                except ValueError:
+                    raise ParseError(
+                        f"row {idx}: attribute {attr.name!r}: {token!r} is not numeric"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"row {idx}: attribute {attr.name!r}: non-finite value {token!r}"
+                    )
+                parsed.append(value)
+            else:
+                if token not in attr.domain:
+                    raise SchemaError(
+                        f"row {idx}: attribute {attr.name!r}: token {token!r} "
+                        f"outside declared domain {list(attr.domain)}"
+                    )
+                parsed.append(token)
+        try:
+            labels.append(binarize_target(fields[-1], schema.positive_rule))
+        except ParseError as exc:
+            raise ParseError(f"row {idx}: {exc}") from None
+        rows.append(tuple(parsed))
+
+    dataset = RawDataset(
+        schema=schema,
+        rows=tuple(rows),
+        labels=np.asarray(labels, dtype=np.int64),
+    )
+    report = ParseReport(
+        total_rows=len(data_lines),
+        kept_rows=len(rows),
+        dropped_rows=len(dropped),
+        dropped_indices=tuple(dropped),
+    )
+    return dataset, report
+
+
+def one_hot_encode_rowwise(raw: RawDataset) -> FeatureMatrix:
+    """``preprocess.one_hot_encode`` one cell at a time."""
+    schema = raw.schema
+    n, width = raw.n, schema.encoded_width
+    values = np.zeros((n, width), dtype=np.float64)
+    for i, row in enumerate(raw.rows):
+        col = 0
+        for attr, value in zip(schema.attributes, row):
+            if attr.kind == "numeric":
+                values[i, col] = value
+                col += 1
+            else:
+                values[i, col + attr.domain.index(value)] = 1.0
+                col += len(attr.domain)
+    return FeatureMatrix(
+        values=values,
+        column_names=schema.encoded_column_names(),
+        labels=raw.labels.copy(),
+        stage="encoded",
+    )

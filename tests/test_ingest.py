@@ -1,11 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from topmix.errors import ParseError, SchemaError
+from topmix.errors import ParseError, SchemaError, TopmixError
 from topmix.ingest import binarize_target, parse_dataset
+from topmix.preprocess import one_hot_encode
 from topmix.schema import Attribute, PositiveRule, SchemaSpec, cleveland_schema
 
 from conftest import CLEVELAND_DATA, requires_cleveland
+from oracles import one_hot_encode_rowwise, parse_dataset_rowwise
 
 
 @pytest.fixture
@@ -110,3 +115,206 @@ def test_cleveland_parses_to_297_complete_rows():
     assert dataset.n == 297
     frac0 = (dataset.labels == 0).mean()
     assert 0.52 <= frac0 <= 0.56  # ~54% healthy
+
+
+# --- column-wise parse and encode against the row-wise oracles ---------------
+
+# Field tokens by the fault they carry. Each list mixes clean tokens with
+# near misses, so a table is sometimes valid and sometimes fails at a
+# random (row, field).
+NUMERIC_TOKENS = (
+    "1.5", "-2", "0", " 3.25 ", "7e-3", "\t4\t", "1_0", " 5 ", "٣",
+    "inf", "-inf", "nan", "1e999", "abc", "", "1.2.3", "\x1c6\x1c",
+)
+CATEGORICAL_TOKENS = ("a", "b", "0.0", "1.0", " a ", "zz", "", "A", "x y", " a")
+DOMAIN_TOKENS = ("a", "b", "0.0", "1.0", "x y", " a")
+GT_TARGET_TOKENS = ("0", "1", "2", " 3 ", "0.5", "-1", "nan", "inf", "huh", "")
+ONE_OF_TARGET_TOKENS = ("yes", "no", " yes ", "1", "maybe", "")
+MISSING_VARIANTS = ("{m}", " {m} ", "{m}x", "x{m}")
+DELIMITERS = (",", ";", "\t", "::")
+NEWLINES = ("\n", "\r\n", "\r")
+BLANK_LINES = ("", "   ", "\t")
+
+
+def _random_schema(rng) -> SchemaSpec:
+    attributes = []
+    for j in range(int(rng.integers(1, 5))):
+        if rng.random() < 0.5:
+            attributes.append(Attribute(f"n{j}", "numeric"))
+        else:
+            size = int(rng.integers(1, 4))
+            domain = tuple(rng.choice(DOMAIN_TOKENS, size=size, replace=False).tolist())
+            attributes.append(Attribute(f"c{j}", "categorical", domain))
+    if rng.random() < 0.5:
+        rule = PositiveRule(kind="greater-than", threshold=float(rng.choice([0.0, 0.5, 2.0])))
+    else:
+        rule = PositiveRule(kind="one-of", tokens=("yes", "1"))
+    missing = str(rng.choice(["?", "?", "NA", ""]))
+    return SchemaSpec(attributes=tuple(attributes), target="y", positive_rule=rule, missing_token=missing)
+
+
+def _random_table(rng, schema: SchemaSpec, delimiter: str, fault_rate: float) -> list[str]:
+    """Data lines (no newlines) with faults injected at ``fault_rate`` per field."""
+    target_tokens = GT_TARGET_TOKENS if schema.positive_rule.kind == "greater-than" else ONE_OF_TARGET_TOKENS
+    lines = []
+    for _ in range(int(rng.integers(0, 12))):
+        fields = []
+        for attr in schema.attributes:
+            if attr.kind == "numeric":
+                clean, noisy = f"{rng.normal():.3f}", NUMERIC_TOKENS
+            else:
+                clean, noisy = str(rng.choice(attr.domain)), CATEGORICAL_TOKENS
+            fields.append(str(rng.choice(noisy)) if rng.random() < fault_rate else clean)
+        fields.append(str(rng.choice(target_tokens)) if rng.random() < fault_rate else str(rng.choice(target_tokens[:2])))
+        if rng.random() < fault_rate:
+            j = int(rng.integers(len(fields)))
+            fields[j] = str(rng.choice(MISSING_VARIANTS)).format(m=schema.missing_token)
+        if rng.random() < fault_rate / 3:
+            if rng.random() < 0.5:
+                fields.pop(int(rng.integers(len(fields))))
+            else:
+                fields.append("1")
+        lines.append(delimiter.join(fields))
+    return lines
+
+
+def _file_text(rng, lines: list[str], has_header: bool) -> str:
+    """Join lines with mixed newline styles, blank lines and an optional header."""
+    lines = (["h1,h2,h3"] if has_header else []) + lines
+    for _ in range(int(rng.integers(0, 3))):
+        lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(BLANK_LINES)))
+    parts = [line + str(rng.choice(NEWLINES)) for line in lines]
+    if parts and rng.random() < 0.3:
+        parts[-1] = lines[-1]  # no newline at end of file
+    return "".join(parts)
+
+
+def _outcome(parse, encode, path, schema, delimiter, has_header):
+    try:
+        dataset, report = parse(path, schema, delimiter=delimiter, has_header=has_header)
+    except TopmixError as exc:
+        return ("raised", type(exc), str(exc))
+    encoded = encode(dataset)
+    return (
+        "parsed",
+        repr(dataset.rows),
+        dataset.labels.dtype,
+        dataset.labels.tolist(),
+        report,
+        encoded.values.shape,
+        encoded.values.tobytes(),
+        encoded.column_names,
+        encoded.labels.tolist(),
+        encoded.stage,
+    )
+
+
+def _assert_matches_oracle(path, schema, delimiter=",", has_header=False):
+    got = _outcome(parse_dataset, one_hot_encode, path, schema, delimiter, has_header)
+    want = _outcome(parse_dataset_rowwise, one_hot_encode_rowwise, path, schema, delimiter, has_header)
+    assert got == want
+    return got[0]
+
+
+def test_corpus_of_corrupted_tables_matches_rowwise_oracle(tmp_path):
+    rng = np.random.default_rng(20260918)
+    path = tmp_path / "table.txt"
+    outcomes = {"raised": 0, "parsed": 0}
+    for _ in range(1200):
+        schema = _random_schema(rng)
+        delimiter = str(rng.choice(DELIMITERS))
+        has_header = bool(rng.random() < 0.2)
+        lines = _random_table(rng, schema, delimiter, float(rng.choice([0.0, 0.02, 0.1, 0.3])))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_file_text(rng, lines, has_header))
+        outcomes[_assert_matches_oracle(path, schema, delimiter, has_header)] += 1
+    # both branches are exercised in earnest
+    assert outcomes["raised"] >= 300 and outcomes["parsed"] >= 300, outcomes
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]), min_size=1, max_size=3))
+    domains = st.lists(st.sampled_from(DOMAIN_TOKENS), min_size=1, max_size=3, unique=True).map(tuple)
+    attributes = tuple(
+        Attribute(f"a{j}", kind, draw(domains) if kind == "categorical" else ())
+        for j, kind in enumerate(kinds)
+    )
+    if draw(st.booleans()):
+        rule = PositiveRule(kind="greater-than", threshold=draw(st.sampled_from([0.0, 1.5])))
+        target = st.sampled_from(GT_TARGET_TOKENS)
+    else:
+        rule = PositiveRule(kind="one-of", tokens=("yes",))
+        target = st.sampled_from(ONE_OF_TARGET_TOKENS)
+    schema = SchemaSpec(attributes=attributes, target="y", positive_rule=rule, missing_token="?")
+    odd = st.text(alphabet="ab?.1e \t\x1c ٣-", max_size=4)
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    cell = {
+        # clean tokens twice, so that many tables parse
+        "numeric": st.one_of(finite, finite, st.sampled_from(NUMERIC_TOKENS), odd),
+        "categorical": st.one_of(st.sampled_from(DOMAIN_TOKENS), st.sampled_from(DOMAIN_TOKENS), st.sampled_from(CATEGORICAL_TOKENS), odd),
+    }
+    row = st.tuples(*(cell[kind] for kind in kinds), target).map(list)
+    rows = draw(st.lists(st.one_of(row, row.map(lambda r: r[:-1]), st.just(["?"] * (len(kinds) + 1))), max_size=8))
+    newline = draw(st.sampled_from(NEWLINES))
+    text = "".join(",".join(r) + newline for r in rows)
+    return schema, text, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_parse_and_encode_match_rowwise_oracle(tmp_path_factory, table):
+    schema, text, has_header = table
+    path = tmp_path_factory.mktemp("hyp") / "table.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    _assert_matches_oracle(path, schema, has_header=has_header)
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        # A later non-numeric token must not hide an earlier non-finite one.
+        pytest.param(
+            "inf,a,0\n1.0,a,0\nabc,a,0\n", "row 0: attribute 'x': non-finite value 'inf'",
+            id="non_finite_before_later_non_numeric",
+        ),
+        pytest.param(
+            "1.0,a,0\nabc,a,0\n1e999,a,0\n", "row 1: attribute 'x': 'abc' is not numeric",
+            id="non_numeric_before_later_non_finite",
+        ),
+        pytest.param(
+            "1.0,zz,0\nabc,a,0\n", "row 0: attribute 'c': token 'zz' outside declared domain ['a', 'b']",
+            id="lower_row_beats_left_column",
+        ),
+        pytest.param("nan,zz,huh\n", "row 0: attribute 'x': non-finite value 'nan'", id="left_field_first"),
+        pytest.param("1.0,a,huh\n2.0,zz,0\n", "row 0: target token 'huh' is not numeric", id="target_in_lower_row"),
+        pytest.param("1.0,a,0\n1.0,a\nabc,a,0\n", "row 1: expected 3 fields, got 2", id="field_count"),
+        pytest.param("abc,a,0\n1.0,a\n", "row 0: attribute 'x': 'abc' is not numeric", id="fault_before_field_count"),
+        # Dropped rows are not validated, and row numbers count them.
+        pytest.param("?,zz,huh\n1.0,a,0\n2.0,a,x\n", "row 2: target token 'x' is not numeric", id="after_dropped_row"),
+    ],
+)
+def test_first_fault_in_row_major_order(tmp_path, toy_schema, text, expected):
+    path = _write(tmp_path, text)
+    with pytest.raises(TopmixError) as excinfo:
+        parse_dataset(path, toy_schema)
+    assert str(excinfo.value) == expected
+    _assert_matches_oracle(path, toy_schema)
+
+
+def test_missing_token_variants(tmp_path, toy_schema):
+    # " ? " is the missing token once stripped; "?x" is not, and fails as a number.
+    path = _write(tmp_path, "1.0, ? ,0\n2.0,a,1\n")
+    dataset, report = parse_dataset(path, toy_schema)
+    assert report.dropped_indices == (0,) and dataset.rows == ((2.0, "a"),)
+    path = _write(tmp_path, "?x,a,0\n")
+    with pytest.raises(ParseError, match=r"row 0: attribute 'x': '\?x' is not numeric"):
+        parse_dataset(path, toy_schema)
+
+
+def test_non_utf8_data_file_is_parse_error(tmp_path, toy_schema):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("1.0,a,0\n2.0,b,café\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=f"data file {re.escape(str(path))} is not UTF-8 text"):
+        parse_dataset(path, toy_schema)

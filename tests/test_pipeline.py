@@ -593,6 +593,43 @@ class TestCli:
             )
             assert run.returncode == 0, run.stderr
 
+    @pytest.mark.parametrize(
+        "case", ["truncated_schema", "attributes_not_a_list", "non_numeric_threshold", "non_utf8_data"]
+    )
+    def test_bad_schema_or_data_file_exits_1_without_traceback(self, tmp_path, case):
+        expected = {
+            "truncated_schema": "cannot read schema",
+            "attributes_not_a_list": "malformed schema document",
+            "non_numeric_threshold": "malformed schema document",
+            "non_utf8_data": "is not UTF-8 text",
+        }[case]
+        doc = json.loads(CLEVELAND_SCHEMA.read_text(encoding="utf-8"))
+        schema_text = json.dumps(doc)
+        data_bytes = "\n".join(synthetic_cleveland_rows(20, 0)).encode("utf-8") + b"\n"
+        if case == "truncated_schema":
+            schema_text = schema_text[: len(schema_text) // 2]
+        elif case == "attributes_not_a_list":
+            schema_text = json.dumps({**doc, "attributes": "x"})
+        elif case == "non_numeric_threshold":
+            doc["target"]["positive_rule"]["threshold"] = "abc"
+            schema_text = json.dumps(doc)
+        else:
+            data_bytes = data_bytes.replace(b"\n", b"\xe9\n", 1)
+        schema, data = tmp_path / "schema.json", tmp_path / "data.csv"
+        schema.write_text(schema_text, encoding="utf-8")
+        data.write_bytes(data_bytes)
+        cfg = _config_for(tmp_path, data, schema)
+        run = subprocess.run(
+            [sys.executable, "-m", "topmix.cli", "classify", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        named = schema if "schema" in expected else data
+        assert "error: [stage ingest] " in run.stderr and str(named) in run.stderr
+        assert expected in run.stderr
+
     def test_row_out_of_range(self, tmp_path, mirrored_pair_setup):
         data, schema = mirrored_pair_setup
         cfg = _config_for(tmp_path, data, schema)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from topmix.errors import ParseError, SchemaError
@@ -8,6 +10,7 @@ from topmix.schema import (
     cleveland_schema,
     load_schema,
     save_schema,
+    schema_from_dict,
 )
 
 from conftest import CLEVELAND_SCHEMA
@@ -88,6 +91,46 @@ def test_categorical_domain_validation():
         Attribute("n", "numeric", ("a",))
     with pytest.raises(SchemaError):
         Attribute("w", "weird")  # type: ignore[arg-type]
+
+
+def test_non_string_domain_tokens_rejected(tmp_path):
+    # [0.0, 1.0] would never match the data's "0.0"/"1.0" text
+    with pytest.raises(SchemaError, match="attribute 'sex' has non-string domain tokens"):
+        Attribute("sex", "categorical", (0.0, 1.0))
+    path = tmp_path / "schema.json"
+    path.write_text(
+        '{"attributes": [{"name": "sex", "kind": "categorical", "domain": [0.0, 1.0]}], '
+        '"target": {"name": "y", "positive_rule": {"kind": "greater-than"}}}',
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError, match=f"schema {re.escape(str(path))}: .*'sex'"):
+        load_schema(path)
+
+
+def test_token_lists_given_as_strings_rejected():
+    # tuple("abc") would silently declare the tokens "a", "b" and "c"
+    doc = {
+        "attributes": [{"name": "g", "kind": "categorical", "domain": "abc"}],
+        "target": {"name": "y", "positive_rule": {"kind": "greater-than"}},
+    }
+    with pytest.raises(SchemaError, match="attribute 'g': 'domain' must be a list of tokens"):
+        schema_from_dict(doc)
+    doc["attributes"][0]["domain"] = ["a"]
+    doc["target"]["positive_rule"] = {"kind": "one-of", "tokens": "yes"}
+    with pytest.raises(SchemaError, match="positive rule: 'tokens' must be a list of tokens"):
+        schema_from_dict(doc)
+
+
+def test_non_string_rule_tokens_and_missing_token_rejected():
+    with pytest.raises(SchemaError, match="non-string tokens"):
+        PositiveRule(kind="one-of", tokens=(1,))
+    with pytest.raises(SchemaError, match="missing token"):
+        SchemaSpec(
+            attributes=(Attribute("x", "numeric"),),
+            target="y",
+            positive_rule=PositiveRule(kind="greater-than"),
+            missing_token=0,
+        )
 
 
 def test_positive_rule_greater_than():
