@@ -21,7 +21,7 @@ import numpy as np
 from .classify import knn_grid
 from .cloud import build_point_cloud
 from .errors import TopmixError
-from .evaluate import holdout_indices, kfold_indices
+from .evaluate import holdout_indices, kfold_groups
 from .pipeline import (
     classify_stage,
     compute_diagrams,
@@ -122,14 +122,13 @@ def _cmd_inspect(config, row: int) -> int:
 
     if config.split.mode == "holdout":
         train, _, _ = holdout_indices(labels, config.split)
-        pool = train[train != row]
-        pool_name = "training rows"
-    else:
-        fold = next(f for f in kfold_indices(labels, config.split) if row in f)
-        pool = np.setdiff1d(np.arange(n), fold)
-        pool_name = "rows outside its fold"
-    k = min(classify_stage(config, matrix, labels)[1].k, pool.size)
-    nearest, predicted = knn_grid([row], pool, matrix, labels, [k])
+        pool, groups = train[train != row], None
+        pool_size, pool_name = pool.size, "training rows"
+    else:  # the candidate rule of cross-validation: every row outside the row's fold
+        pool, groups = np.arange(n), kfold_groups(labels, config.split)
+        pool_size, pool_name = int((groups != groups[row]).sum()), "rows outside its fold"
+    k = min(classify_stage(config, matrix, labels)[1].k, pool_size)
+    nearest, predicted = knn_grid([row], pool, matrix, labels, [k], groups=groups)
     print(f"{k} nearest {pool_name}:")
     for neighbor in nearest[0].tolist():
         print(

@@ -5,16 +5,18 @@ the rounding remainder in the training set: floor(val_frac*n) and
 floor(test_frac*n) rows go to validation and test, the rest to training,
 which reproduces the 179/59/59 partition of 297 rows at 60:20:20; a split
 that leaves validation or test empty is an ``EvaluationError``.
-Predictions come from ``classify.knn_grid``, one call per block of rows:
-the validation rows over the whole k grid, the test rows at the chosen k,
-and each cross-validation fold over the whole grid. ``knn_grid`` ranks a
-block with one partition and one lexsort and breaks tied votes once per
-k, so the cost of a protocol is a few array passes per block, not work
-per (row, k) cell. Cross-validation draws the folds once per grid
-(``_kfold_reports``) and keeps one fold id per row: a fold's candidates
-are the rows with another id, and one scatter-add over the ids counts the
-hits of every (fold, k). Both protocols sweep the distinct ks of a grid in
-ascending order, so a repeated k is evaluated and reported once.
+Predictions come from ``classify.knn_grid``, one call per protocol.
+Hold-out ranks the validation and test rows together against the training
+rows over the whole k grid, sweeps k on the validation rows and reads the
+test predictions from the column of the chosen k. Cross-validation draws
+the folds once per grid and keeps one fold id per row (``kfold_groups``);
+it ranks every row against every row with the fold ids as ``groups``, so
+each row's candidates are exactly the rows outside its fold, and one
+scatter-add over the ids counts the hits of every (fold, k). ``knn_grid``
+admits exactly K = max(k) entries per query and ranks them with one
+stable argsort, so the cost of a protocol is a few array passes, not work
+per fold or per (row, k) cell. Both protocols sweep the distinct ks of a
+grid in ascending order, so a repeated k is evaluated and reported once.
 Metrics are kept at full precision internally; rounding happens only in
 the text formatters. Undefined ratios (zero denominators) are reported as
 None, never NaN.
@@ -107,6 +109,14 @@ def kfold_indices(labels: np.ndarray, spec: SplitSpec) -> list[np.ndarray]:
     else:
         folds = np.array_split(rng.permutation(labels.size), spec.folds)
     return [np.sort(f) for f in folds]
+
+
+def kfold_groups(labels: np.ndarray, spec: SplitSpec) -> np.ndarray:
+    """The fold id of every row, in the fold order of ``kfold_indices``."""
+    fold_of = np.empty(np.size(labels), dtype=np.intp)
+    for f, fold in enumerate(kfold_indices(labels, spec)):
+        fold_of[fold] = f
+    return fold_of
 
 
 @dataclass(frozen=True)
@@ -260,7 +270,8 @@ def evaluate_split(
     if max(k_grid) > train.size:
         raise ContractError(f"k grid exceeds training size {train.size}")
 
-    _, val_preds = knn_grid(val, train, distances, labels, k_grid)
+    _, grid_preds = knn_grid(np.concatenate([val, test]), train, distances, labels, k_grid)
+    val_preds, test_grid_preds = grid_preds[: val.size], grid_preds[val.size :]
     table = []
     for k, preds in zip(k_grid, val_preds.T):
         counts = ConfusionCounts.from_predictions(labels[val], preds)
@@ -274,7 +285,7 @@ def evaluate_split(
         )
     chosen = max(table, key=lambda r: (r.accuracy, -r.k)).k
 
-    test_preds = knn_grid(test, train, distances, labels, [chosen])[1][:, 0]
+    test_preds = test_grid_preds[:, k_grid.index(chosen)]
     counts = ConfusionCounts.from_predictions(labels[test], test_preds)
     report = compute_metrics(
         counts,
@@ -300,19 +311,17 @@ def _kfold_reports(
     _check_distances(distances, labels)
     _require_both_classes(labels, "dataset")
     spec = SplitSpec(mode="kfold", folds=folds, seed=seed, stratified=stratified)
-    fold_sets = kfold_indices(labels, spec)
-    fold_of = np.empty(labels.size, dtype=np.intp)
-    for f, fold in enumerate(fold_sets):
-        fold_of[fold] = f
-    preds = np.empty((labels.size, len(k_grid)), dtype=np.int64)
-    for f, fold in enumerate(fold_sets):
-        candidates = np.flatnonzero(fold_of != f)
-        if candidates.size < max(k_grid):
-            raise EvaluationError(f"fold leaves only {candidates.size} candidates for k={max(k_grid)}")
-        preds[fold] = knn_grid(fold, candidates, distances, labels, k_grid)[1]
-    fold_hits = np.zeros((len(fold_sets), len(k_grid)), dtype=np.int64)
+    fold_of = kfold_groups(labels, spec)
+    fold_sizes = np.bincount(fold_of)
+    short = np.flatnonzero(labels.size - fold_sizes < max(k_grid))
+    if short.size:  # the first such fold, in fold order
+        left = labels.size - fold_sizes[short[0]]
+        raise EvaluationError(f"fold leaves only {left} candidates for k={max(k_grid)}")
+    every_row = np.arange(labels.size)
+    preds = knn_grid(every_row, every_row, distances, labels, k_grid, groups=fold_of)[1]
+    fold_hits = np.zeros((fold_sizes.size, len(k_grid)), dtype=np.int64)
     np.add.at(fold_hits, fold_of, preds == labels[:, None])
-    fold_accuracies = (100.0 * fold_hits / np.bincount(fold_of)[:, None]).T.tolist()
+    fold_accuracies = (100.0 * fold_hits / fold_sizes[:, None]).T.tolist()
     rows, truth = range(labels.size), labels.astype(np.int64).tolist()
     return [
         compute_metrics(

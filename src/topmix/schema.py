@@ -11,6 +11,7 @@ bytes alone cannot decide.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
@@ -72,6 +73,9 @@ class PositiveRule:
             raise SchemaError(f"positive rule has non-string tokens {list(self.tokens)}")
         if self.kind not in ("greater-than", "one-of"):
             raise SchemaError(f"unknown positive rule kind {self.kind!r}")
+        if self.kind == "greater-than" and not math.isfinite(self.threshold):
+            # no finite token exceeds NaN or +inf, and every one exceeds -inf
+            raise SchemaError(f"greater-than threshold must be a finite number, got {self.threshold!r}")
 
     def matches(self, token: str) -> bool:
         if self.kind == "one-of":

@@ -8,7 +8,10 @@ the package's DP over sorted deaths: ``wasserstein`` solves the augmented
 assignment problem of any two ``PersistenceDiagram``s with scipy, and
 ``brute_wasserstein`` enumerates every augmented bijection of small ones.
 The k-NN reference classifies one query at one k with its own sort, where
-the package ranks a block of queries once for a whole grid of k. The
+the package ranks a block of queries once for a whole grid of k, and the
+cross-validation reference ranks one fold at a time against the rows of
+the other folds, where the package ranks every row in one call that
+excludes each row's own fold. The
 table references parse, validate and one-hot encode one row, and within
 it one field, at a time, where the package works on whole columns.
 """
@@ -22,7 +25,8 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from topmix.errors import ContractError, ParseError, SchemaError
+from topmix.classify import knn_grid
+from topmix.errors import ContractError, EvaluationError, ParseError, SchemaError
 from topmix.ingest import ParseReport, RawDataset, binarize_target
 from topmix.persistence import PersistenceDiagram
 from topmix.preprocess import FeatureMatrix
@@ -222,6 +226,27 @@ def knn_predict(query: int, candidates, distances: np.ndarray, labels: np.ndarra
         return int(tied[0])
     sums = [top_dist[top_labels == cls].sum() for cls in tied]
     return int(tied[int(np.lexsort((tied, sums))[0])])
+
+
+def kfold_predictions_per_fold(
+    distances: np.ndarray, labels: np.ndarray, fold_of: np.ndarray, k_grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest rows and predictions of every row, one ``knn_grid`` call per fold.
+
+    Fold f's rows are ranked against the rows of every other fold, in fold
+    order; the first fold that leaves fewer than max(k_grid) candidates
+    raises. Returns arrays shaped like ``knn_grid``'s, one line per row.
+    """
+    n = labels.size
+    nearest = np.empty((n, max(k_grid)), dtype=np.intp)
+    preds = np.empty((n, len(k_grid)), dtype=np.int64)
+    for f in range(int(fold_of.max()) + 1):
+        fold = np.flatnonzero(fold_of == f)
+        candidates = np.flatnonzero(fold_of != f)
+        if candidates.size < max(k_grid):
+            raise EvaluationError(f"fold leaves only {candidates.size} candidates for k={max(k_grid)}")
+        nearest[fold], preds[fold] = knn_grid(fold, candidates, distances, labels, k_grid)
+    return nearest, preds
 
 
 def parse_dataset_rowwise(

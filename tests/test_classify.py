@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import topmix.classify
 from topmix.classify import knn_grid, knn_predict
 from topmix.errors import ContractError
 
@@ -194,6 +195,10 @@ def test_grid_contract_errors():
         broken[0, 2] = bad  # beyond the single neighbour k = 1 keeps
         with pytest.raises(ContractError, match="finite"):
             knn_grid([0], np.array([1, 2]), broken, np.array([0, 1, 0]), [1])
+        with pytest.raises(ContractError, match="finite"):
+            knn_grid([0], np.arange(3), broken, np.array([0, 1, 0]), [1], groups=np.array([0, 1, 2]))
+    with pytest.raises(ContractError, match="k=2 candidates, got 1"):  # row 0 sees row 2 only
+        knn_grid([0, 1], np.arange(3), dist, np.array([0, 1, 0]), [2], groups=np.array([0, 0, 1]))
 
 
 @st.composite
@@ -236,3 +241,65 @@ def test_swapped_labels_mirror_every_untied_vote(table):
     ks = np.asarray(k_grid)
     untied = 2 * np.cumsum(labels[nearest], axis=1)[:, ks - 1] != ks
     assert np.array_equal(swapped[untied], 1 - predictions[untied])
+
+
+@st.composite
+def _grouped_tables(draw):
+    """(distances, labels, groups, queries, candidates, k_grid); queries may be candidates."""
+    n = draw(st.integers(3, 14))
+    pool = draw(st.sampled_from([[0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.7], None]))
+    cell = st.floats(0.0, 10.0) if pool is None else st.sampled_from(pool)
+    dist = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    groups = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # entries within a group are never read
+        dist[groups[:, None] == groups] = draw(st.sampled_from([np.nan, np.inf]))
+    rows = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    queries, candidates = np.array(draw(rows)), np.array(draw(rows))
+    eligible = (groups[queries, None] != groups[candidates]).sum(axis=1)
+    queries = queries[eligible > 0]
+    assume(queries.size)
+    fewest = int(eligible[eligible > 0].min())
+    k_grid = draw(st.lists(st.integers(1, fewest), min_size=1, max_size=5))
+    return dist, labels, groups, queries, candidates, k_grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grouped_tables())
+def test_groups_exclude_own_group_and_equal_per_group_calls(table):
+    dist, labels, groups, queries, candidates, k_grid = table
+    nearest, predictions = knn_grid(queries, candidates, dist, labels, k_grid, groups=groups)
+    assert (groups[nearest] != groups[queries, None]).all()
+    for g in np.unique(groups[queries]):
+        mine = groups[queries] == g
+        expected = knn_grid(queries[mine], candidates[groups[candidates] != g], dist, labels, k_grid)
+        assert np.array_equal(nearest[mine], expected[0])
+        assert np.array_equal(predictions[mine], expected[1])
+
+
+def test_query_blocks_rank_as_one_block(monkeypatch):
+    # every table above is one block; here each block holds 1 to 5 queries
+    rng = np.random.default_rng(26)
+    split = 0
+    for table in range(300):
+        n = int(rng.integers(6, 30))
+        raw = rng.integers(0, 4, size=(n, n)).astype(np.float64)
+        dist = np.triu(raw, 1) + np.triu(raw, 1).T
+        labels = rng.integers(0, 2, size=n)
+        if table % 2:  # a k-fold protocol: every row against every other group
+            queries = candidates = np.arange(n)
+            groups = rng.permutation(np.resize(np.arange(3), n))
+            top = n - np.bincount(groups).max()
+        else:
+            rows = rng.permutation(n)
+            queries, candidates, groups = rows[: n // 2], rows[n // 2 :], None
+            top = candidates.size
+        k_grid = sorted(set(rng.integers(1, top + 1, size=4).tolist()))
+        whole = knn_grid(queries, candidates, dist, labels, k_grid, groups=groups)
+        per_block = int(rng.integers(1, 6))
+        monkeypatch.setattr(topmix.classify, "BLOCK_ENTRIES", n * per_block)
+        blocked = knn_grid(queries, candidates, dist, labels, k_grid, groups=groups)
+        monkeypatch.undo()
+        assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1]), table
+        split += per_block < queries.size
+    assert split >= 250

@@ -10,12 +10,15 @@ from topmix.evaluate import (
     format_report_kv,
     format_report_text,
     holdout_indices,
+    kfold_groups,
     kfold_indices,
     select_k_kfold,
 )
+from topmix.classify import knn_grid
 from topmix.metric import distance_matrix
 from topmix.persistence import PersistenceDiagram
 
+import oracles
 from oracles import wasserstein
 
 
@@ -194,6 +197,25 @@ class TestEvaluateSplit:
         b = evaluate_split(distance_matrix(deaths, 1.0), labels, SplitSpec(seed=2), k_grid=[1, 3])
         assert a == b
 
+    def test_one_ranking_matches_per_query_oracle_on_validation_and_test(self):
+        # validation and test rows are ranked in one call; the test rows are
+        # read off the column of the chosen k
+        rng = np.random.default_rng(33)
+        chosen = set()
+        for seed in range(40):
+            raw = rng.integers(0, 6, size=(60, 60)).astype(np.float64)
+            distances = np.triu(raw, 1) + np.triu(raw, 1).T
+            labels = rng.permutation(np.resize([0, 1], 60))
+            result = evaluate_split(distances, labels, SplitSpec(seed=seed), k_grid=range(1, 12))
+            train = np.asarray(result.train_rows)
+            for row in result.validation:
+                hits = [oracles.knn_predict(r, train, distances, labels, row.k) == labels[r] for r in result.val_rows]
+                assert row.accuracy == 100.0 * sum(hits) / len(hits), (seed, row.k)
+            for r, _, predicted in result.test_report.predictions:
+                assert predicted == oracles.knn_predict(r, train, distances, labels, result.chosen_k), (seed, r)
+            chosen.add(result.chosen_k)
+        assert len(chosen) >= 4
+
     def test_repeated_k_swept_once(self):
         distances, labels = _duplicated_distance_set()
         result = evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[3, 1, 3])
@@ -224,6 +246,13 @@ class TestEvaluateKfold:
         labels = np.array([0, 1, 0, 1])
         with pytest.raises(EvaluationError, match="candidates"):
             _kfold(distance_matrix([[1.0]] * 4, 1.0), labels, folds=2, k=3)
+
+    def test_first_short_fold_in_fold_order_is_named(self):
+        # 10 rows in 4 folds of 3, 3, 2 and 2 rows leave 7, 7, 8 and 8 candidates
+        distances, labels = _duplicated_distance_set()
+        for k, stratified in ((8, False), (9, False), (8, True), (9, True)):
+            with pytest.raises(EvaluationError, match=rf"^fold leaves only 7 candidates for k={k}$"):
+                select_k_kfold(distances, labels, 4, [1, k], stratified=stratified)
 
     def test_seed_determinism(self):
         distances, labels = _duplicated_distance_set()
@@ -258,6 +287,44 @@ class TestSelectKKfold:
                 assert [report] == select_k_kfold(
                     distances, labels, folds, [report.k], seed=seed, stratified=stratified
                 )[1]
+
+    def test_one_pass_matches_per_fold_oracle_2000_tables(self):
+        # integer-valued distances: ties at the rank boundary, in votes and in sums;
+        # half the matrices are asymmetric with a non-zero diagonal
+        rng = np.random.default_rng(32)
+        checked = raised = boundary_ties = 0
+        for table in range(2000):
+            n = int(rng.integers(5, 30))
+            raw = rng.integers(0, 4, size=(n, n))
+            distances = raw if table % 2 else np.triu(raw, 1) + np.triu(raw, 1).T
+            if table % 4 < 2:
+                distances = distances.astype(np.float64)
+            labels = rng.permutation(np.resize([0, 1], n))
+            folds, stratified = int(rng.integers(2, 6)), bool(rng.integers(2))
+            fold_of = kfold_groups(labels, SplitSpec(mode="kfold", folds=folds, seed=table, stratified=stratified))
+            top = int(rng.integers(1, n - np.bincount(fold_of).max() + 2))  # sometimes one too many
+            k_grid = sorted(set(rng.integers(1, top + 1, size=3).tolist()) | {top})
+            try:
+                nearest, preds = oracles.kfold_predictions_per_fold(distances, labels, fold_of, k_grid)
+            except EvaluationError as exc:
+                with pytest.raises(EvaluationError) as got:
+                    select_k_kfold(distances, labels, folds, k_grid, seed=table, stratified=stratified)
+                assert str(got.value) == str(exc), table
+                raised += 1
+                continue
+            every_row = np.arange(n)
+            got_nearest, got_preds = knn_grid(every_row, every_row, distances, labels, k_grid, groups=fold_of)
+            assert np.array_equal(got_nearest, nearest), table
+            assert np.array_equal(got_preds, preds), table
+            _, reports = select_k_kfold(distances, labels, folds, k_grid, seed=table, stratified=stratified)
+            for j, report in enumerate(reports):
+                assert [p for _, _, p in report.predictions] == preds[:, j].tolist(), (table, report.k)
+            checked += 1
+            outside = np.where(fold_of[:, None] != fold_of, distances, np.inf)
+            ranked = np.sort(outside, axis=1)
+            boundary_ties += int((ranked[:, top - 1] == ranked[:, top]).sum())
+        assert checked >= 1500 and raised >= 50
+        assert boundary_ties >= 10_000
 
     def test_folds_drawn_once_for_the_grid(self, monkeypatch):
         import topmix.evaluate as evaluate

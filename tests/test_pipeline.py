@@ -594,13 +594,15 @@ class TestCli:
             assert run.returncode == 0, run.stderr
 
     @pytest.mark.parametrize(
-        "case", ["truncated_schema", "attributes_not_a_list", "non_numeric_threshold", "non_utf8_data"]
+        "case",
+        ["truncated_schema", "attributes_not_a_list", "non_numeric_threshold", "nan_threshold", "non_utf8_data"],
     )
     def test_bad_schema_or_data_file_exits_1_without_traceback(self, tmp_path, case):
         expected = {
             "truncated_schema": "cannot read schema",
             "attributes_not_a_list": "malformed schema document",
             "non_numeric_threshold": "malformed schema document",
+            "nan_threshold": "threshold must be a finite number, got nan",
             "non_utf8_data": "is not UTF-8 text",
         }[case]
         doc = json.loads(CLEVELAND_SCHEMA.read_text(encoding="utf-8"))
@@ -613,6 +615,9 @@ class TestCli:
         elif case == "non_numeric_threshold":
             doc["target"]["positive_rule"]["threshold"] = "abc"
             schema_text = json.dumps(doc)
+        elif case == "nan_threshold":
+            doc["target"]["positive_rule"]["threshold"] = float("nan")
+            schema_text = json.dumps(doc)  # writes the bare NaN that Python's json reads
         else:
             data_bytes = data_bytes.replace(b"\n", b"\xe9\n", 1)
         schema, data = tmp_path / "schema.json", tmp_path / "data.csv"
@@ -626,7 +631,7 @@ class TestCli:
         )
         assert run.returncode == 1
         assert "Traceback" not in run.stderr
-        named = schema if "schema" in expected else data
+        named = data if case == "non_utf8_data" else schema
         assert "error: [stage ingest] " in run.stderr and str(named) in run.stderr
         assert expected in run.stderr
 

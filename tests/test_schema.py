@@ -133,6 +133,20 @@ def test_non_string_rule_tokens_and_missing_token_rejected():
         )
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), "NaN", "Infinity", "-Infinity"])
+def test_non_finite_threshold_rejected(threshold):
+    # NaN labels every row 0, so the run failed later as a degenerate split
+    value = float(threshold)
+    with pytest.raises(SchemaError, match=f"threshold must be a finite number, got {value!r}"):
+        PositiveRule(kind="greater-than", threshold=value)
+    doc = {
+        "attributes": [{"name": "x", "kind": "numeric"}],
+        "target": {"name": "y", "positive_rule": {"kind": "greater-than", "threshold": threshold}},
+    }
+    with pytest.raises(SchemaError, match=f"got {value!r}"):
+        schema_from_dict(doc)
+
+
 def test_positive_rule_greater_than():
     rule = PositiveRule(kind="greater-than", threshold=0.0)
     assert rule.matches("3")
