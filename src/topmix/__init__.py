@@ -4,12 +4,14 @@ Each record becomes a small point cloud (the record plus its
 coordinate-zeroing projections), clouds become dimension-0 persistence
 diagrams, carried as one matrix of sorted deaths, diagrams are compared
 with the p-Wasserstein distance, and a k-nearest-neighbor vote classifies.
+The data travel as arrays throughout: the parsed table as columns, the
+votes as a (rows, ks) grid and the predictions as (row, true, predicted)
+rows of one int64 array.
 """
 
 __version__ = "0.1.0"
 
-from .classify import knn_predict
-from .cloud import build_point_cloud
+from .classify import knn_grid
 from .errors import (
     ContractError,
     EvaluationError,
@@ -29,7 +31,7 @@ from .evaluate import (
     kfold_indices,
     select_k_kfold,
 )
-from .ingest import ParseReport, RawDataset, binarize_target, parse_dataset
+from .ingest import ParseReport, RawDataset, parse_dataset
 from .metric import distance_matrix
 from .persistence import PersistenceDiagram, dim0_diagrams
 from .pipeline import (
@@ -46,4 +48,4 @@ from .preprocess import (
     standardize,
     symmetry_break,
 )
-from .schema import Attribute, PositiveRule, SchemaSpec, cleveland_schema, load_schema, save_schema
+from .schema import Attribute, PositiveRule, SchemaSpec, load_schema

@@ -139,9 +139,3 @@ def _rank(
     nearest = np.take_along_axis(nearest, by_distance, axis=1)
     return nearest, np.take_along_axis(dist, nearest, axis=1)
 
-
-def knn_predict(
-    query: int, candidates: np.ndarray, distances: np.ndarray, labels: np.ndarray, k: int
-) -> int:
-    """Majority label among the k candidates nearest to the query row (see ``knn_grid``)."""
-    return int(knn_grid([query], candidates, distances, labels, [k])[1][0, 0])

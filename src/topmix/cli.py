@@ -4,9 +4,9 @@ Subcommands run pipeline prefixes, honoring caches:
   classify   full experiment (splits, k selection, report artifacts)
   diagrams   compute every row's diagram deaths, exported to diagrams.npy
   distances  compute the pairwise distance matrix, cached as distances.npy
-  inspect    print one row's point cloud, diagram, and the nearest neighbors
-             and vote at the k that classify uses, among the candidates
-             classify used for that row
+  inspect    print one row's point cloud (built only for this display),
+             diagram, and the nearest neighbors and vote at the k that
+             classify uses, among the candidates classify used for that row
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .classify import knn_grid
-from .cloud import build_point_cloud
 from .errors import TopmixError
 from .evaluate import holdout_indices, kfold_groups
 from .pipeline import (
@@ -111,10 +110,12 @@ def _cmd_inspect(config, row: int) -> int:
     if not 0 <= row < n:
         raise TopmixError(f"row {row} out of range 0..{n - 1}")
 
-    features = diagram_set.prepared.features
+    x = diagram_set.prepared.features.values[row]
+    cloud = np.tile(x, (x.size + 1, 1))  # x, then p_i(x): x with coordinate i zeroed
+    cloud[np.arange(1, x.size + 1), np.arange(x.size)] = 0.0
     print(f"row {row}: label {int(labels[row])}")
     print("point cloud (row vector, then one projection per coordinate):")
-    for point in build_point_cloud(features.values[row]):
+    for point in cloud:
         print("  " + " ".join(f"{v:.6g}" for v in point))
     print("diagram (birth, death):")
     for death in diagram_set.deaths[row].tolist():

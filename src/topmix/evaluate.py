@@ -5,18 +5,20 @@ the rounding remainder in the training set: floor(val_frac*n) and
 floor(test_frac*n) rows go to validation and test, the rest to training,
 which reproduces the 179/59/59 partition of 297 rows at 60:20:20; a split
 that leaves validation or test empty is an ``EvaluationError``.
-Predictions come from ``classify.knn_grid``, one call per protocol.
-Hold-out ranks the validation and test rows together against the training
-rows over the whole k grid, sweeps k on the validation rows and reads the
-test predictions from the column of the chosen k. Cross-validation draws
-the folds once per grid and keeps one fold id per row (``kfold_groups``);
-it ranks every row against every row with the fold ids as ``groups``, so
-each row's candidates are exactly the rows outside its fold, and one
-scatter-add over the ids counts the hits of every (fold, k). ``knn_grid``
-admits exactly K = max(k) entries per query and ranks them with one
-stable argsort, so the cost of a protocol is a few array passes, not work
-per fold or per (row, k) cell. Both protocols sweep the distinct ks of a
-grid in ascending order, so a repeated k is evaluated and reported once.
+Predictions come from ``classify.knn_grid``, one call per protocol, as a
+(rows, ks) grid. Hold-out ranks the validation and test rows together
+against the training rows over the whole k grid, sweeps k on the
+validation rows and reads the test predictions from the column of the
+chosen k. Cross-validation draws the folds once per grid and keeps one
+fold id per row (``kfold_groups``); it ranks every row against every row
+with the fold ids as ``groups``, so each row's candidates are exactly the
+rows outside its fold. k is the first argmax of the hits per column, so
+ties go to the smaller k, and only the chosen k gets a report: one
+bincount over the fold ids gives its per-fold hits. Confusion counts of a
+whole grid are one bincount over 2 * true + predicted + 4 * column.
+Predictions travel as an int64 (rows, 3) array of [row, true, predicted].
+Both protocols sweep the distinct ks of a grid in ascending order, so a
+repeated k is evaluated and reported once.
 Metrics are kept at full precision internally; rounding happens only in
 the text formatters. Undefined ratios (zero denominators) are reported as
 None, never NaN.
@@ -130,16 +132,19 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
-    @staticmethod
-    def from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> "ConfusionCounts":
-        y_true = np.asarray(y_true)
-        y_pred = np.asarray(y_pred)
-        return ConfusionCounts(
-            tp=int(((y_true == 1) & (y_pred == 1)).sum()),
-            tn=int(((y_true == 0) & (y_pred == 0)).sum()),
-            fp=int(((y_true == 0) & (y_pred == 1)).sum()),
-            fn=int(((y_true == 1) & (y_pred == 0)).sum()),
-        )
+
+def _confusion(truth: np.ndarray, grid: np.ndarray) -> list[ConfusionCounts]:
+    """The counts of every column of a (rows, ks) grid of 0/1 predictions.
+
+    One bincount over 2 * true + predicted + 4 * column: cell 0 of a
+    column is TN, 1 FP, 2 FN and 3 TP.
+    """
+    truth = np.asarray(truth)
+    if not np.isin(truth, (0, 1)).all():
+        raise ContractError("labels must be 0 or 1")
+    ks = grid.shape[1]
+    cells = np.bincount((2 * truth[:, None] + grid + 4 * np.arange(ks)).ravel(), minlength=4 * ks)
+    return [ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn) for tn, fp, fn, tp in cells.reshape(ks, 4).tolist()]
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,8 @@ class EvaluationReport:
     k: int
     seed: int | None = None
     fold_accuracies: tuple[float, ...] = ()
-    predictions: tuple[tuple[int, int, int], ...] = ()  # (row, true, predicted)
+    # int64 (rows, 3) of [row, true, predicted]; None in a validation report
+    predictions: np.ndarray | None = field(default=None, compare=False)
 
 
 def _pct(numerator: float, denominator: float) -> float | None:
@@ -177,7 +183,7 @@ def compute_metrics(
     k: int,
     seed: int | None = None,
     fold_accuracies: Sequence[float] = (),
-    predictions: Sequence[tuple[int, int, int]] = (),
+    predictions: np.ndarray | None = None,
 ) -> EvaluationReport:
     """Standard binary-classification metrics from confusion counts."""
     if counts.total <= 0:
@@ -198,7 +204,7 @@ def compute_metrics(
         k=k,
         seed=seed,
         fold_accuracies=tuple(fold_accuracies),
-        predictions=tuple(predictions),
+        predictions=predictions,
     )
 
 
@@ -226,23 +232,18 @@ def _require_both_classes(labels: np.ndarray, where: str) -> None:
 
 
 @dataclass(frozen=True)
-class ValidationRow:
-    """One k's metrics on the validation set."""
-
-    k: int
-    accuracy: float
-    sensitivity: float | None
-    specificity: float | None
-
-
-@dataclass(frozen=True)
 class SplitResult:
     chosen_k: int
-    validation: tuple[ValidationRow, ...]
+    validation: tuple[EvaluationReport, ...]  # one per distinct k, ascending
     test_report: EvaluationReport
-    train_rows: tuple[int, ...]
-    val_rows: tuple[int, ...]
-    test_rows: tuple[int, ...]
+    train_rows: np.ndarray = field(compare=False)
+    val_rows: np.ndarray = field(compare=False)
+    test_rows: np.ndarray = field(compare=False)
+
+
+def _with_rows(rows: np.ndarray, labels: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """The int64 (rows, 3) predictions array: row index, true label, predicted label."""
+    return np.column_stack([rows, labels[rows], predicted]).astype(np.int64, copy=False)
 
 
 def evaluate_split(
@@ -271,42 +272,36 @@ def evaluate_split(
         raise ContractError(f"k grid exceeds training size {train.size}")
 
     _, grid_preds = knn_grid(np.concatenate([val, test]), train, distances, labels, k_grid)
-    val_preds, test_grid_preds = grid_preds[: val.size], grid_preds[val.size :]
-    table = []
-    for k, preds in zip(k_grid, val_preds.T):
-        counts = ConfusionCounts.from_predictions(labels[val], preds)
-        table.append(
-            ValidationRow(
-                k=k,
-                accuracy=100.0 * (counts.tp + counts.tn) / counts.total,
-                sensitivity=_pct(counts.tp, counts.tp + counts.fn),
-                specificity=_pct(counts.tn, counts.tn + counts.fp),
-            )
-        )
-    chosen = max(table, key=lambda r: (r.accuracy, -r.k)).k
+    val_counts = _confusion(labels[val], grid_preds[: val.size])
+    table = tuple(compute_metrics(counts, k=k) for counts, k in zip(val_counts, k_grid))
+    j = int(np.argmax([counts.tp + counts.tn for counts in val_counts]))  # the first: ties to the smaller k
 
-    test_preds = test_grid_preds[:, k_grid.index(chosen)]
-    counts = ConfusionCounts.from_predictions(labels[test], test_preds)
+    test_preds = grid_preds[val.size :, j]
     report = compute_metrics(
-        counts,
-        k=chosen,
+        _confusion(labels[test], test_preds[:, None])[0],
+        k=k_grid[j],
         seed=split.seed,
-        predictions=[(int(r), int(labels[r]), int(pr)) for r, pr in zip(test, test_preds)],
+        predictions=_with_rows(test, labels, test_preds),
     )
-    return SplitResult(
-        chosen_k=chosen,
-        validation=tuple(table),
-        test_report=report,
-        train_rows=tuple(int(i) for i in train),
-        val_rows=tuple(int(i) for i in val),
-        test_rows=tuple(int(i) for i in test),
-    )
+    return SplitResult(k_grid[j], table, report, train, val, test)
 
 
-def _kfold_reports(
-    distances: np.ndarray, labels: np.ndarray, folds: int, k_grid: list[int], seed: int, stratified: bool
-) -> list[EvaluationReport]:
-    """One pooled cross-validation report per k; the folds are drawn once."""
+def select_k_kfold(
+    distances: np.ndarray,
+    labels: np.ndarray,
+    folds: int,
+    k_grid: Sequence[int],
+    seed: int = 0,
+    stratified: bool = False,
+) -> tuple[int, EvaluationReport]:
+    """k-fold cross-validation; k chosen by pooled accuracy, ties to the smaller k.
+
+    Every row is classified exactly once per k, against all rows outside
+    its fold; the folds are drawn once for the grid. Returns the chosen k
+    and its report: pooled confusion counts, the per-fold accuracies and
+    every row's prediction.
+    """
+    k_grid = _sorted_grid(k_grid)
     labels = np.asarray(labels)
     _check_distances(distances, labels)
     _require_both_classes(labels, "dataset")
@@ -319,37 +314,16 @@ def _kfold_reports(
         raise EvaluationError(f"fold leaves only {left} candidates for k={max(k_grid)}")
     every_row = np.arange(labels.size)
     preds = knn_grid(every_row, every_row, distances, labels, k_grid, groups=fold_of)[1]
-    fold_hits = np.zeros((fold_sizes.size, len(k_grid)), dtype=np.int64)
-    np.add.at(fold_hits, fold_of, preds == labels[:, None])
-    fold_accuracies = (100.0 * fold_hits / fold_sizes[:, None]).T.tolist()
-    rows, truth = range(labels.size), labels.astype(np.int64).tolist()
-    return [
-        compute_metrics(
-            ConfusionCounts.from_predictions(labels, preds[:, j]), k=k, seed=seed,
-            fold_accuracies=fold_accuracies[j],
-            predictions=list(zip(rows, truth, preds[:, j].tolist())),
-        )
-        for j, k in enumerate(k_grid)
-    ]
-
-
-def select_k_kfold(
-    distances: np.ndarray,
-    labels: np.ndarray,
-    folds: int,
-    k_grid: Sequence[int],
-    seed: int = 0,
-    stratified: bool = False,
-) -> tuple[int, list[EvaluationReport]]:
-    """k-fold cross-validation; k chosen by pooled accuracy, ties to the smaller k.
-
-    Every row is classified exactly once per k, against all rows outside
-    its fold. Returns the chosen k and one report per distinct k, ascending,
-    with pooled confusion counts and the per-fold accuracies.
-    """
-    reports = _kfold_reports(distances, labels, folds, _sorted_grid(k_grid), seed, stratified)
-    best = max(reports, key=lambda r: (r.accuracy, -r.k))
-    return best.k, reports
+    hits = preds == labels[:, None]
+    j = int(np.argmax(hits.sum(axis=0)))  # the first: ties to the smaller k
+    fold_hits = np.bincount(fold_of, weights=hits[:, j], minlength=fold_sizes.size)
+    return k_grid[j], compute_metrics(
+        _confusion(labels, preds[:, j : j + 1])[0],
+        k=k_grid[j],
+        seed=seed,
+        fold_accuracies=(100.0 * fold_hits / fold_sizes).tolist(),
+        predictions=_with_rows(every_row, labels, preds[:, j]),
+    )
 
 
 def _fmt(value: float | None) -> str:

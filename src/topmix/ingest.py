@@ -8,7 +8,8 @@ domain, and the target is binarized by the schema's positive rule.
 Validation is column-wise: every line is split once, the kept rows are
 transposed, and each column is checked in one pass (``float`` over a
 numeric column and one ``np.isfinite``, one subset test of a categorical
-column against its domain). The error raised is still the first one in
+column against its domain). The dataset keeps those columns; nothing
+transposes them back to rows. The error raised is still the first one in
 row-major order, the one a row-by-row reader would meet: the lowest row,
 and within it the leftmost field, the target last. A row with the wrong
 field count is reported only when no earlier row fails.
@@ -41,24 +42,19 @@ class ParseReport:
 
 @dataclass(frozen=True)
 class RawDataset:
-    """Validated rows: per-attribute parsed values plus 0/1 labels.
+    """Validated columns, one per schema attribute in schema order, plus 0/1 labels.
 
-    ``rows[i]`` holds one entry per schema attribute, in schema order:
-    floats for numeric attributes, domain tokens (str) for categorical ones.
+    A numeric column holds floats, a categorical one domain tokens (str);
+    entry i of every column and of ``labels`` belongs to kept row i.
     """
 
     schema: SchemaSpec
-    rows: tuple[tuple[float | str, ...], ...]
+    columns: tuple[Sequence[float | str], ...]
     labels: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.rows)
-
-
-def binarize_target(token: str, rule: PositiveRule) -> int:
-    """Map a raw target token to 0 or 1 under the schema's positive rule."""
-    return 1 if rule.matches(token) else 0
+        return self.labels.size
 
 
 def _floats(tokens: Sequence[str]) -> list[float]:
@@ -112,7 +108,7 @@ def _categorical(attr: Attribute, tokens: Sequence[str]) -> tuple[Sequence[str],
 
 
 def _labels(rule: PositiveRule, tokens: Sequence[str]) -> tuple[np.ndarray, Failure | None]:
-    """The column-wise form of ``binarize_target``."""
+    """The 0/1 label of every target token under the schema's positive rule."""
     if rule.kind == "one-of":
         positive = set(rule.tokens)
         hits = map(positive.__contains__, map(str.strip, tokens))
@@ -195,7 +191,7 @@ def parse_dataset(
     if stop < total:
         raise ParseError(f"row {stop}: expected {n_fields} fields, got {int(widths[stop])}")
 
-    dataset = RawDataset(schema=schema, rows=tuple(zip(*parsed)), labels=labels)
+    dataset = RawDataset(schema=schema, columns=tuple(parsed), labels=labels)
     report = ParseReport(
         total_rows=total,
         kept_rows=dataset.n,

@@ -1,8 +1,9 @@
 """Dimension-0 persistence of the projection clouds, in closed form.
 
-The cloud of a row x is {x, p_1(x), ..., p_m(x)} (see cloud.py), where
-d(x, p_i) = |x_i| <= sqrt(x_i^2 + x_j^2) = d(p_i, p_j). By the cycle
-property the star centred at x is therefore a minimum spanning tree. The
+The cloud of a row x is {x, p_1(x), ..., p_m(x)}, where p_i(x) is x with
+coordinate i zeroed, so d(x, p_i) = |x_i| <= sqrt(x_i^2 + x_j^2) =
+d(p_i, p_j). By the cycle property the star centred at x is therefore a
+minimum spanning tree; no stage builds the cloud itself. The
 dimension-0 Rips diagram records exactly the minimum-spanning-tree edge
 weights as deaths of components born at scale 0 (Edelsbrunner & Harer,
 *Computational Topology*), so the diagram of x is the sorted |x_i| plus one
@@ -70,8 +71,9 @@ def dim0_diagrams(
     coordinate. If every row is zero the cap is ``safety`` itself.
 
     Raises:
-        ContractError: an empty or non-finite matrix, safety below 1, a
-            non-positive maxscale, or an explicit maxscale below some |x_i|
+        ContractError: an empty or non-finite matrix, a safety below 1 or
+            not finite, a maxscale not positive and finite, or an explicit
+            maxscale below some |x_i|
             (a cap that would truncate finite features is an error, never a
             silent clamp).
     """
@@ -82,16 +84,16 @@ def dim0_diagrams(
         raise ContractError("diagram input must be finite")
     mags = np.sort(np.abs(x), axis=1)
     if maxscale is None:
-        if safety < 1:
-            raise ContractError("safety factor must be >= 1")
+        if not 1 <= safety < np.inf:  # NaN fails every comparison
+            raise ContractError(f"safety factor must be finite and >= 1, got {safety!r}")
         if x.shape[1] == 1:
             top = float(mags[:, -1].max())
         else:
             top = float(np.sqrt(mags[:, -1] ** 2 + mags[:, -2] ** 2).max())
         # all-zero rows still need a positive cap
         maxscale = float(safety * top) if top > 0 else float(safety)
-    elif maxscale <= 0:
-        raise ContractError("maxscale must be positive")
+    elif not 0 < maxscale < np.inf:
+        raise ContractError(f"maxscale must be positive and finite, got {maxscale!r}")
     else:
         maxscale = float(maxscale)
         largest = float(mags[:, -1].max())

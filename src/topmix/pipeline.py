@@ -23,6 +23,7 @@ import difflib
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -45,7 +46,7 @@ from .evaluate import (
     holdout_indices,
     select_k_kfold,
 )
-from .ingest import ParseReport, RawDataset, parse_dataset
+from .ingest import ParseReport, parse_dataset
 from .metric import ALGORITHM, distance_matrix, load_distance_matrix, save_distance_matrix
 from .persistence import PersistenceDiagram, dim0_diagrams
 from .preprocess import (
@@ -98,6 +99,10 @@ class ExperimentConfig:
                 )
         else:
             self.symmetry_vector = tuple(float(v) for v in self.symmetry_vector)
+        for key in ("maxscale", "maxscale_safety", "wasserstein_p"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ContractError(f"{key} must be finite, got {value!r}")
         if self.maxscale is not None and self.maxscale <= 0:
             raise ContractError("explicit maxscale must be positive")
         if self.maxscale_safety < 1:
@@ -285,10 +290,8 @@ def features_fingerprint(config: ExperimentConfig) -> str:
 
 @dataclass
 class PreparedData:
-    raw: RawDataset
     parse_report: ParseReport
     features: FeatureMatrix  # symmetry-broken
-    symmetry_vector: np.ndarray
 
 
 def prepare_features(config: ExperimentConfig) -> PreparedData:
@@ -307,9 +310,9 @@ def prepare_features(config: ExperimentConfig) -> PreparedData:
     with _stage("standardize"):
         if config.standardize_scope == "train":
             train, _, _ = holdout_indices(encoded.labels, config.split)
-            params = fit_standardizer(encoded, scope="train", fit_rows=train)
+            params = fit_standardizer(encoded, train)
         else:
-            params = fit_standardizer(encoded, scope="full")
+            params = fit_standardizer(encoded)
         standardized = standardize(encoded, params)
     with _stage("symmetry-break"):
         if config.symmetry_vector == "default":
@@ -319,9 +322,7 @@ def prepare_features(config: ExperimentConfig) -> PreparedData:
         else:
             vector = np.asarray(config.symmetry_vector, dtype=np.float64)
         broken = symmetry_break(standardized, vector)
-    return PreparedData(
-        raw=raw, parse_report=report, features=broken, symmetry_vector=vector
-    )
+    return PreparedData(parse_report=report, features=broken)
 
 
 def _read_manifest(path: Path) -> dict | None:
@@ -463,7 +464,6 @@ def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.n
 
 @dataclass
 class RunResult:
-    config: ExperimentConfig
     diagram_set: DiagramSet
     distances: np.ndarray
     split_result: SplitResult | None
@@ -484,11 +484,11 @@ def classify_stage(
         if config.split.mode == "holdout":
             split_result = evaluate_split(distances, labels, config.split, k_grid)
             return split_result, split_result.test_report
-        chosen, reports = select_k_kfold(
+        _, report = select_k_kfold(
             distances, labels, config.split.folds, k_grid,
             seed=config.split.seed, stratified=config.split.stratified,
         )
-        return None, next(r for r in reports if r.k == chosen)
+        return None, report
 
 
 def run_pipeline(config: ExperimentConfig) -> RunResult:
@@ -498,14 +498,7 @@ def run_pipeline(config: ExperimentConfig) -> RunResult:
     split_result, report = classify_stage(config, distances, diagram_set.labels)
     with _stage("report"):
         artifacts = write_artifacts(config, diagram_set, split_result, report)
-    return RunResult(
-        config=config,
-        diagram_set=diagram_set,
-        distances=distances,
-        split_result=split_result,
-        report=report,
-        artifacts=artifacts,
-    )
+    return RunResult(diagram_set, distances, split_result, report, artifacts)
 
 
 def write_artifacts(
@@ -546,7 +539,7 @@ def write_artifacts(
     artifacts["report_kv"] = out / "report.kv"
 
     lines = ["row,true,predicted"]
-    lines += [f"{r},{t},{pr}" for r, t, pr in report.predictions]
+    lines += [f"{r},{t},{pr}" for r, t, pr in report.predictions.tolist()]
     (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     artifacts["predictions"] = out / "predictions.csv"
 

@@ -2,9 +2,9 @@
 
 The three stages are pure functions from matrix to matrix and are tagged so
 the pipeline can enforce its ordering: ``encoded`` -> ``standardized`` ->
-``symmetry-broken``. Encoding works on whole columns of the parsed rows,
-which ``ingest`` has already validated column by column (reporting the
-first fault in row-major order): each numeric column is copied with one
+``symmetry-broken``. Encoding works on the parsed columns, which
+``ingest`` has already validated (reporting the first fault in row-major
+order): each numeric column is copied with one
 slice assignment and each categorical block is filled with one scatter of
 its domain codes. Standardization uses the population convention
 (divide by n), which makes the zero-mean/unit-variance invariant exact on
@@ -22,8 +22,6 @@ from .errors import ContractError, FitError
 from .ingest import RawDataset
 
 Stage = Literal["encoded", "standardized", "symmetry-broken"]
-
-FitScope = Literal["full", "train"]
 
 
 @dataclass(frozen=True)
@@ -56,11 +54,10 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class StandardizationParams:
-    """Per-column mean and (strictly positive) population std, plus fit scope."""
+    """Per-column mean and (strictly positive) population std."""
 
     mean: np.ndarray
     std: np.ndarray
-    fit_scope: FitScope = "full"
 
     def __post_init__(self):
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
@@ -75,16 +72,15 @@ def one_hot_encode(raw: RawDataset) -> FeatureMatrix:
     Numeric attributes pass through unchanged. Column order follows the
     schema's attribute order, with each categorical attribute's columns in
     its declared domain order; every row carries exactly one 1 per
-    categorical block. The rows are transposed once: a numeric column is
-    assigned as one slice, and a categorical block is scattered from the
-    domain codes of its column.
+    categorical block. A numeric column is assigned as one slice, and a
+    categorical block is scattered from the domain codes of its column.
     """
     schema = raw.schema
     n = raw.n
     values = np.zeros((n, schema.encoded_width), dtype=np.float64)
     every_row = np.arange(n)
     col = 0
-    for attr, column in zip(schema.attributes, zip(*raw.rows)):
+    for attr, column in zip(schema.attributes, raw.columns):
         if attr.kind == "numeric":
             values[:, col] = column
         else:
@@ -100,9 +96,7 @@ def one_hot_encode(raw: RawDataset) -> FeatureMatrix:
 
 
 def fit_standardizer(
-    matrix: FeatureMatrix,
-    scope: FitScope = "full",
-    fit_rows: Sequence[int] | np.ndarray | None = None,
+    matrix: FeatureMatrix, fit_rows: Sequence[int] | np.ndarray | None = None
 ) -> StandardizationParams:
     """Fit per-column mean and population std over the given rows.
 
@@ -123,7 +117,7 @@ def fit_standardizer(
     if bad.size:
         names = [matrix.column_names[j] for j in bad]
         raise FitError(f"constant column(s) over fit rows: {names}")
-    return StandardizationParams(mean=mean, std=std, fit_scope=scope)
+    return StandardizationParams(mean=mean, std=std)
 
 
 def standardize(matrix: FeatureMatrix, params: StandardizationParams) -> FeatureMatrix:
@@ -152,22 +146,18 @@ def default_symmetry_vector(m: int) -> np.ndarray:
     return np.arange(5.0, m + 5.0)
 
 
-def symmetry_break(
-    matrix: FeatureMatrix,
-    vector: np.ndarray,
-    allow_unstandardized: bool = False,
-) -> FeatureMatrix:
-    """Add the fixed vector to every row; output is tagged ``symmetry-broken``.
+def symmetry_break(matrix: FeatureMatrix, vector: np.ndarray) -> FeatureMatrix:
+    """Add the fixed vector to every row of a standardized matrix.
 
-    The pipeline applies this only to standardized matrices; pass
-    ``allow_unstandardized=True`` to override that guard.
+    The output is tagged ``symmetry-broken``; any other input stage is a
+    ``ContractError``.
     """
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != (matrix.m,):
         raise ContractError(
             f"symmetry vector length {vector.shape} != matrix width {matrix.m}"
         )
-    if matrix.stage != "standardized" and not allow_unstandardized:
+    if matrix.stage != "standardized":
         raise ContractError(
             f"symmetry_break expects a standardized matrix, got stage {matrix.stage!r}"
         )

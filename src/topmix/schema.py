@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
-from .errors import ParseError, SchemaError
+from .errors import SchemaError
 
 AttributeKind = Literal["numeric", "categorical"]
 
@@ -77,15 +77,6 @@ class PositiveRule:
             # no finite token exceeds NaN or +inf, and every one exceeds -inf
             raise SchemaError(f"greater-than threshold must be a finite number, got {self.threshold!r}")
 
-    def matches(self, token: str) -> bool:
-        if self.kind == "one-of":
-            return token in self.tokens
-        try:
-            value = float(token)
-        except ValueError:
-            raise ParseError(f"target token {token!r} is not numeric") from None
-        return value > self.threshold
-
 
 @dataclass(frozen=True)
 class SchemaSpec:
@@ -130,22 +121,6 @@ class SchemaSpec:
             else:
                 names.extend(f"{a.name}={tok}" for tok in a.domain)
         return tuple(names)
-
-
-def schema_to_dict(spec: SchemaSpec) -> dict:
-    rule: dict = {"kind": spec.positive_rule.kind}
-    if spec.positive_rule.kind == "greater-than":
-        rule["threshold"] = spec.positive_rule.threshold
-    else:
-        rule["tokens"] = list(spec.positive_rule.tokens)
-    return {
-        "attributes": [
-            {"name": a.name, "kind": a.kind, **({"domain": list(a.domain)} if a.kind == "categorical" else {})}
-            for a in spec.attributes
-        ],
-        "target": {"name": spec.target, "positive_rule": rule},
-        "missing_token": spec.missing_token,
-    }
 
 
 def _token_list(doc: dict, key: str, where: str) -> tuple:
@@ -197,38 +172,3 @@ def load_schema(path: str | Path) -> SchemaSpec:
         return schema_from_dict(doc)
     except SchemaError as exc:
         raise SchemaError(f"schema {path}: {exc}") from None
-
-
-def save_schema(spec: SchemaSpec, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema_to_dict(spec), fh, indent=2, sort_keys=False)
-        fh.write("\n")
-
-
-def cleveland_schema() -> SchemaSpec:
-    """Schema of the processed Cleveland heart-disease table (UCI layout).
-
-    6 numeric and 7 categorical predictive attributes; the raw target is a
-    0-4 severity score binarized as "any disease present". Tokens match the
-    UCI file verbatim (categorical codes are float-formatted there).
-    """
-    return SchemaSpec(
-        attributes=(
-            Attribute("age", "numeric"),
-            Attribute("sex", "categorical", ("0.0", "1.0")),
-            Attribute("cp", "categorical", ("1.0", "2.0", "3.0", "4.0")),
-            Attribute("trestbps", "numeric"),
-            Attribute("chol", "numeric"),
-            Attribute("fbs", "categorical", ("0.0", "1.0")),
-            Attribute("restecg", "categorical", ("0.0", "1.0", "2.0")),
-            Attribute("thalach", "numeric"),
-            Attribute("exang", "categorical", ("0.0", "1.0")),
-            Attribute("oldpeak", "numeric"),
-            Attribute("slope", "categorical", ("1.0", "2.0", "3.0")),
-            Attribute("ca", "numeric"),
-            Attribute("thal", "categorical", ("3.0", "6.0", "7.0")),
-        ),
-        target="num",
-        positive_rule=PositiveRule(kind="greater-than", threshold=0.0),
-        missing_token="?",
-    )

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topmix.schema import cleveland_schema
+from topmix.schema import load_schema
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CLEVELAND_SCHEMA = REPO_ROOT / "configs" / "cleveland.schema.json"
@@ -26,7 +26,7 @@ def synthetic_cleveland_rows(n_total: int = 303, n_missing: int = 6, seed: int =
     are loosely coupled to the target so classifiers have signal.
     """
     rng = np.random.default_rng(seed)
-    schema = cleveland_schema()
+    schema = load_schema(CLEVELAND_SCHEMA)
     rows = []
     for _ in range(n_total):
         target = 0 if rng.random() < 0.54 else int(rng.integers(1, 5))

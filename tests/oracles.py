@@ -2,7 +2,8 @@
 
 These deliberately avoid the algorithms used by the package: dimension-0
 pairs come from recounting components by graph traversal at every
-threshold of a generic distance matrix instead of the closed form.
+threshold of a generic distance matrix of the explicit point cloud
+(``build_point_cloud``) instead of the closed form.
 Diagram distances come from two general-diagram references in place of
 the package's DP over sorted deaths: ``wasserstein`` solves the augmented
 assignment problem of any two ``PersistenceDiagram``s with scipy, and
@@ -12,8 +13,9 @@ the package ranks a block of queries once for a whole grid of k, and the
 cross-validation reference ranks one fold at a time against the rows of
 the other folds, where the package ranks every row in one call that
 excludes each row's own fold. The
-table references parse, validate and one-hot encode one row, and within
-it one field, at a time, where the package works on whole columns.
+table references parse, validate, binarize and one-hot encode one row,
+and within it one field, at a time, where the package works on whole
+columns.
 """
 
 from __future__ import annotations
@@ -27,10 +29,25 @@ from scipy.optimize import linear_sum_assignment
 
 from topmix.classify import knn_grid
 from topmix.errors import ContractError, EvaluationError, ParseError, SchemaError
-from topmix.ingest import ParseReport, RawDataset, binarize_target
+from topmix.ingest import ParseReport, RawDataset
 from topmix.persistence import PersistenceDiagram
 from topmix.preprocess import FeatureMatrix
-from topmix.schema import SchemaSpec
+from topmix.schema import PositiveRule, SchemaSpec
+
+
+def build_point_cloud(x) -> np.ndarray:
+    """The (m+1, m) points [x, p_1(x), ..., p_m(x)], p_i(x) being x with coordinate i zeroed."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.shape[0] < 1:
+        raise ContractError("point cloud input must be a non-empty 1-d vector")
+    if not np.isfinite(x).all():
+        raise ContractError("point cloud input must be finite")
+    points = [x.copy()]
+    for i in range(x.shape[0]):
+        projected = x.copy()
+        projected[i] = 0.0
+        points.append(projected)
+    return np.array(points)
 
 
 def euclidean_distances(points) -> np.ndarray:
@@ -249,6 +266,17 @@ def kfold_predictions_per_fold(
     return nearest, preds
 
 
+def binarize_target(token: str, rule: PositiveRule) -> int:
+    """One raw target token as 0 or 1 under the schema's positive rule."""
+    if rule.kind == "one-of":
+        return int(token in rule.tokens)
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"target token {token!r} is not numeric") from None
+    return int(value > rule.threshold)
+
+
 def parse_dataset_rowwise(
     source: str | Path,
     schema: SchemaSpec,
@@ -309,7 +337,7 @@ def parse_dataset_rowwise(
 
     dataset = RawDataset(
         schema=schema,
-        rows=tuple(rows),
+        columns=tuple(zip(*rows)) or ((),) * len(schema.attributes),
         labels=np.asarray(labels, dtype=np.int64),
     )
     report = ParseReport(
@@ -326,7 +354,7 @@ def one_hot_encode_rowwise(raw: RawDataset) -> FeatureMatrix:
     schema = raw.schema
     n, width = raw.n, schema.encoded_width
     values = np.zeros((n, width), dtype=np.float64)
-    for i, row in enumerate(raw.rows):
+    for i, row in enumerate(zip(*raw.columns)):
         col = 0
         for attr, value in zip(schema.attributes, row):
             if attr.kind == "numeric":

@@ -16,9 +16,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from topmix.classify import knn_predict
-from topmix.cloud import build_point_cloud
+from topmix.classify import knn_grid
 from topmix.errors import FitError
 from topmix.evaluate import SplitSpec, evaluate_split, holdout_indices, select_k_kfold
 from topmix.ingest import RawDataset, parse_dataset
@@ -33,7 +33,7 @@ from topmix.preprocess import (
     standardize,
     symmetry_break,
 )
-from topmix.schema import Attribute, PositiveRule, SchemaSpec, cleveland_schema
+from topmix.schema import Attribute, PositiveRule, SchemaSpec, load_schema
 
 from conftest import (
     CLEVELAND_DATA,
@@ -42,7 +42,7 @@ from conftest import (
     synthetic_cleveland_rows,
     write_config,
 )
-from oracles import brute_wasserstein, euclidean_distances, sweep_dim0_pairs, wasserstein
+from oracles import brute_wasserstein, build_point_cloud, euclidean_distances, sweep_dim0_pairs, wasserstein
 
 
 def _ok(criterion: str, detail: str) -> None:
@@ -99,7 +99,7 @@ def test_c1b_mirrored_rows_distance_multisets():
 def test_c1c_cleveland_encoding_width(tmp_path):
     path = tmp_path / "synth.csv"
     path.write_text("\n".join(synthetic_cleveland_rows(40, 0)) + "\n", encoding="utf-8")
-    raw, _ = parse_dataset(path, cleveland_schema())
+    raw, _ = parse_dataset(path, load_schema(CLEVELAND_SCHEMA))
     encoded = one_hot_encode(raw)
     assert encoded.m == 25
     cloud = build_point_cloud(encoded.values[0])
@@ -175,7 +175,7 @@ def test_c3_one_hot_block_sums_1000():
                 else:
                     row.append(float(rng.normal()))
             rows.append(tuple(row))
-        raw = RawDataset(schema=schema, rows=tuple(rows), labels=np.zeros(n, dtype=np.int64))
+        raw = RawDataset(schema=schema, columns=tuple(zip(*rows)), labels=np.zeros(n, dtype=np.int64))
         encoded = one_hot_encode(raw)
         col = 0
         for attr in schema.attributes:
@@ -237,6 +237,45 @@ def test_c3_diagram_permutation_isometry_invariance_1000():
     _ok("3.invariance", "1000 rows: coordinate permutations and sign flips leave the diagram bit-identical")
 
 
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def _feature_rows(draw, max_rows=8, max_width=8):
+    """Feature rows: continuous values, or values on a coarse grid (tied
+    magnitudes, zeros and mirrored signs), as under the zero symmetry vector."""
+    n, m = draw(st.integers(1, max_rows)), draw(st.integers(1, max_width))
+    cells = draw(st.lists(st.floats(-50.0, 50.0), min_size=n * m, max_size=n * m))
+    rows = np.array(cells).reshape(n, m)
+    return np.round(rows) / 2 if draw(st.booleans()) else rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_feature_rows(), st.randoms())
+def test_c3_invariance_property_coordinates(rows, random):
+    # each row gets its own coordinate permutation and sign flips
+    moved = rows.copy()
+    for i in range(rows.shape[0]):
+        order = list(range(rows.shape[1]))
+        random.shuffle(order)
+        moved[i] = rows[i, order] * [random.choice([-1.0, 1.0]) for _ in order]
+    (base, base_cap), (iso, iso_cap) = dim0_diagrams(rows), dim0_diagrams(moved)
+    assert np.array_equal(_bits(base), _bits(iso))
+    assert base_cap == iso_cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_feature_rows(), st.sampled_from([1.0, 1.5, 2.0]), st.randoms())
+def test_c3_invariance_property_rows(rows, p, random):
+    # permuting the rows permutes the distance matrix, bit for bit
+    order = list(range(rows.shape[0]))
+    random.shuffle(order)
+    out = distance_matrix(dim0_diagrams(rows)[0], p)
+    moved = distance_matrix(dim0_diagrams(rows[order])[0], p)
+    assert np.array_equal(_bits(moved), _bits(out[np.ix_(order, order)]))
+
+
 def test_c3_wasserstein_symmetry_and_triangle_1000():
     rng = np.random.default_rng(107)
     cap = 10.0
@@ -261,6 +300,11 @@ def test_c3_essential_pair_cancellation_1000():
     _ok("3.essential", "1000 pairs: appending (0, cap) to both diagrams changes nothing, exactly")
 
 
+def _vote(candidates, dist, labels, k) -> int:
+    """The prediction for row 0 at one k."""
+    return int(knn_grid([0], candidates, dist, labels, [k])[1][0, 0])
+
+
 def test_c3_knn_monotone_invariance_1000():
     rng = np.random.default_rng(109)
     nonlinear = (np.sqrt, lambda d: d**3, np.cbrt)
@@ -278,14 +322,10 @@ def test_c3_knn_monotone_invariance_1000():
         # (the summed-distance majority tie-break is affine-compatible)
         k_odd = int(rng.choice([1, 3, 5]))
         f = nonlinear[int(rng.integers(0, len(nonlinear)))]
-        assert knn_predict(0, candidates, dist, labels, k_odd) == knn_predict(
-            0, candidates, f(dist), labels, k_odd
-        )
+        assert _vote(candidates, dist, labels, k_odd) == _vote(candidates, f(dist), labels, k_odd)
         k_any = int(rng.integers(1, min(7, n)))
         affine = 2.5 * dist + 0.75 * (dist > 0)
-        assert knn_predict(0, candidates, dist, labels, k_any) == knn_predict(
-            0, candidates, affine, labels, k_any
-        )
+        assert _vote(candidates, dist, labels, k_any) == _vote(candidates, affine, labels, k_any)
         cases += 1
     _ok("3.knn", "1000 cases: predictions invariant under order-preserving distance transforms")
 
@@ -298,7 +338,7 @@ def cleveland_distances():
     """Diagrams + 1-Wasserstein matrix for the real 297-row Cleveland table."""
     if not CLEVELAND_DATA.exists():
         pytest.skip("real Cleveland data not present; run scripts/fetch_cleveland.py")
-    raw, report = parse_dataset(CLEVELAND_DATA, cleveland_schema())
+    raw, report = parse_dataset(CLEVELAND_DATA, load_schema(CLEVELAND_SCHEMA))
     assert (report.total_rows, raw.n) == (303, 297)
     encoded = one_hot_encode(raw)
     broken = symmetry_break(
@@ -316,7 +356,7 @@ def test_c4a_kfold_accuracy_window(cleveland_distances):
     in_window = 0
     accuracies = []
     for seed in range(10):
-        (report,) = select_k_kfold(distances, labels, 10, [16], seed=seed)[1]
+        report = select_k_kfold(distances, labels, 10, [16], seed=seed)[1]
         accuracies.append(report.accuracy)
         if 77.0 <= report.accuracy <= 88.0:
             in_window += 1

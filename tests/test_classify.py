@@ -3,10 +3,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import topmix.classify
-from topmix.classify import knn_grid, knn_predict
+from topmix.classify import knn_grid
 from topmix.errors import ContractError
 
 import oracles
+
+
+def _predict(query, candidates, dist, labels, k):
+    """``knn_grid``'s prediction for one query at one k."""
+    return int(knn_grid([query], candidates, dist, labels, [k])[1][0, 0])
 
 
 def _matrix(rows):
@@ -18,7 +23,7 @@ def _matrix(rows):
 def test_k1_returns_nearest_label():
     dist = _matrix([[0, 1, 9], [1, 0, 9], [9, 9, 0]])
     labels = np.array([0, 1, 0])
-    assert knn_predict(0, np.array([1, 2]), dist, labels, k=1) == 1
+    assert _predict(0, np.array([1, 2]), dist, labels, k=1) == 1
 
 
 def test_k3_strict_majority():
@@ -31,20 +36,20 @@ def test_k3_strict_majority():
         ]
     )
     labels = np.array([1, 0, 0, 1])
-    assert knn_predict(0, np.array([1, 2, 3]), dist, labels, k=3) == 0
+    assert _predict(0, np.array([1, 2, 3]), dist, labels, k=3) == 0
 
 
 def test_even_k_tie_broken_by_summed_distance():
     # neighbors: label 0 at 0.5, label 1 at 0.9 -> 1:1 vote, class 0 is closer
     dist = _matrix([[0, 0.5, 0.9], [0.5, 0, 9], [0.9, 9, 0]])
     labels = np.array([9, 0, 1])  # query label irrelevant
-    assert knn_predict(0, np.array([1, 2]), dist, labels, k=2) == 0
+    assert _predict(0, np.array([1, 2]), dist, labels, k=2) == 0
 
 
 def test_tied_vote_and_tied_sum_goes_to_smaller_label():
     dist = _matrix([[0, 0.7, 0.7], [0.7, 0, 9], [0.7, 9, 0]])
     labels = np.array([9, 1, 0])
-    assert knn_predict(0, np.array([1, 2]), dist, labels, k=2) == 0
+    assert _predict(0, np.array([1, 2]), dist, labels, k=2) == 0
 
 
 def test_rank_boundary_tie_broken_by_smaller_row_index():
@@ -58,18 +63,18 @@ def test_rank_boundary_tie_broken_by_smaller_row_index():
         ]
     )
     labels = np.array([9, 9, 1, 0])
-    assert knn_predict(0, np.array([2, 3]), dist, labels, k=1) == 1
+    assert _predict(0, np.array([2, 3]), dist, labels, k=1) == 1
 
 
 def test_contract_errors():
     dist = _matrix([[0, 1], [1, 0]])
     labels = np.array([0, 1])
     with pytest.raises(ContractError):
-        knn_predict(0, np.array([0, 1]), dist, labels, k=1)  # self as candidate
+        _predict(0, np.array([0, 1]), dist, labels, k=1)  # self as candidate
     with pytest.raises(ContractError):
-        knn_predict(0, np.array([1]), dist, labels, k=2)  # too few candidates
+        _predict(0, np.array([1]), dist, labels, k=2)  # too few candidates
     with pytest.raises(ContractError):
-        knn_predict(0, np.array([1]), dist, labels, k=0)
+        _predict(0, np.array([1]), dist, labels, k=0)
 
 
 def test_monotone_transform_invariance_odd_k():
@@ -84,7 +89,7 @@ def test_monotone_transform_invariance_odd_k():
         for transform in (np.sqrt, np.cbrt, lambda d: d**3, lambda d: 2.5 * d + 1.0 * (d > 0)):
             warped = transform(dist)
             for k in (1, 3, 5):
-                assert knn_predict(0, candidates, dist, labels, k) == knn_predict(
+                assert _predict(0, candidates, dist, labels, k) == _predict(
                     0, candidates, warped, labels, k
                 )
 
@@ -100,7 +105,7 @@ def test_affine_transform_invariance_any_k():
         candidates = np.arange(1, n)
         warped = 3.0 * dist + 0.25 * (dist > 0)
         for k in range(1, 7):
-            assert knn_predict(0, candidates, dist, labels, k) == knn_predict(
+            assert _predict(0, candidates, dist, labels, k) == _predict(
                 0, candidates, warped, labels, k
             )
 
@@ -140,7 +145,7 @@ def test_grid_matches_per_query_oracle_3000_tables():
         cases += predictions.size
         for i, q in enumerate(queries):
             k = int(rng.integers(1, candidates.size + 1))
-            assert knn_predict(int(q), candidates, dist, labels, k) == predictions[i, k - 1]
+            assert _predict(int(q), candidates, dist, labels, k) == predictions[i, k - 1]
     assert cases >= 30_000
 
 

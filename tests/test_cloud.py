@@ -1,13 +1,20 @@
+"""The projection cloud that the closed-form diagram rests on.
+
+No stage builds the cloud: ``persistence`` works from its distances in
+closed form, and ``inspect`` prints it for display. These tests pin the
+cloud's definition, in the oracle that the diagram tests sweep, and its
+distances.
+"""
+
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from topmix.cloud import build_point_cloud
 from topmix.errors import ContractError
 
-from oracles import closed_form_cloud_distances, euclidean_distances
+from oracles import build_point_cloud, closed_form_cloud_distances, euclidean_distances
 
 SQRT5 = math.sqrt(5.0)
 SQRT2 = math.sqrt(2.0)

@@ -24,8 +24,7 @@ from oracles import wasserstein
 
 def _kfold(distances, labels, folds, k, seed=0):
     """The pooled k-fold report at one k."""
-    (report,) = select_k_kfold(distances, labels, folds, [k], seed=seed)[1]
-    return report
+    return select_k_kfold(distances, labels, folds, [k], seed=seed)[1]
 
 
 class TestHoldout:
@@ -167,9 +166,12 @@ class TestEvaluateSplit:
     def test_partition_recorded(self):
         distances, labels = _duplicated_distance_set()
         result = evaluate_split(distances, labels, SplitSpec(seed=1), k_grid=[1])
-        rows = sorted(result.train_rows + result.val_rows + result.test_rows)
-        assert rows == list(range(10))
-        assert len(result.test_report.predictions) == len(result.test_rows)
+        rows = np.sort(np.concatenate([result.train_rows, result.val_rows, result.test_rows]))
+        assert rows.tolist() == list(range(10))
+        predictions = result.test_report.predictions
+        assert predictions.dtype == np.int64 and predictions.shape == (result.test_rows.size, 3)
+        assert np.array_equal(predictions[:, 0], result.test_rows)
+        assert np.array_equal(predictions[:, 1], labels[result.test_rows])
 
     def test_single_class_train_is_degenerate(self):
         deaths = np.arange(1.0, 11.0)[:, None]
@@ -195,7 +197,8 @@ class TestEvaluateSplit:
         pairwise = np.array([[wasserstein(a, b, 1.0) for b in diagrams] for a in diagrams])
         a = evaluate_split(pairwise, labels, SplitSpec(seed=2), k_grid=[1, 3])
         b = evaluate_split(distance_matrix(deaths, 1.0), labels, SplitSpec(seed=2), k_grid=[1, 3])
-        assert a == b
+        assert a == b  # the predictions arrays are not part of ==
+        assert np.array_equal(a.test_report.predictions, b.test_report.predictions)
 
     def test_one_ranking_matches_per_query_oracle_on_validation_and_test(self):
         # validation and test rows are ranked in one call; the test rows are
@@ -209,8 +212,10 @@ class TestEvaluateSplit:
             result = evaluate_split(distances, labels, SplitSpec(seed=seed), k_grid=range(1, 12))
             train = np.asarray(result.train_rows)
             for row in result.validation:
-                hits = [oracles.knn_predict(r, train, distances, labels, row.k) == labels[r] for r in result.val_rows]
-                assert row.accuracy == 100.0 * sum(hits) / len(hits), (seed, row.k)
+                pairs = [(labels[r], oracles.knn_predict(r, train, distances, labels, row.k)) for r in result.val_rows]
+                counts = ConfusionCounts(pairs.count((1, 1)), pairs.count((0, 0)), pairs.count((0, 1)), pairs.count((1, 0)))
+                assert row.counts == counts, (seed, row.k)
+                assert row.accuracy == 100.0 * (counts.tp + counts.tn) / len(pairs), (seed, row.k)
             for r, _, predicted in result.test_report.predictions:
                 assert predicted == oracles.knn_predict(r, train, distances, labels, result.chosen_k), (seed, r)
             chosen.add(result.chosen_k)
@@ -220,7 +225,9 @@ class TestEvaluateSplit:
         distances, labels = _duplicated_distance_set()
         result = evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[3, 1, 3])
         assert [row.k for row in result.validation] == [1, 3]
-        assert result == evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[1, 3])
+        again = evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[1, 3])
+        assert result == again
+        assert np.array_equal(result.test_report.predictions, again.test_report.predictions)
 
 
 class TestEvaluateKfold:
@@ -259,18 +266,19 @@ class TestEvaluateKfold:
         a = _kfold(distances, labels, folds=5, k=3, seed=7)
         b = _kfold(distances, labels, folds=5, k=3, seed=7)
         assert a == b
+        assert np.array_equal(a.predictions, b.predictions)
 
 
 class TestSelectKKfold:
     def test_returns_best_pooled_accuracy(self):
         distances, labels = _duplicated_distance_set()
-        chosen, reports = select_k_kfold(distances, labels, folds=5, k_grid=[1, 3, 5], seed=0)
-        accs = {r.k: r.accuracy for r in reports}
+        chosen, report = select_k_kfold(distances, labels, folds=5, k_grid=[1, 3, 5], seed=0)
+        accs = {k: _kfold(distances, labels, 5, k).accuracy for k in (1, 3, 5)}
         best = max(accs.values())
-        assert accs[chosen] == best
+        assert report.k == chosen and report.accuracy == accs[chosen] == best
         assert chosen == min(k for k, a in accs.items() if a == best)
 
-    def test_each_report_equals_evaluate_kfold_at_its_k(self):
+    def test_chosen_report_equals_the_run_at_its_k(self):
         rng = np.random.default_rng(31)
         for case in range(12):
             n = int(rng.integers(20, 60))
@@ -279,14 +287,17 @@ class TestSelectKKfold:
             labels = np.resize([0, 1], n)
             rng.shuffle(labels)
             folds, seed, stratified = int(rng.integers(2, 11)), case, case % 3 == 0
-            chosen, reports = select_k_kfold(
+            chosen, report = select_k_kfold(
                 distances, labels, folds, [7, 1, 4, 2, 4], seed=seed, stratified=stratified
             )
-            assert [r.k for r in reports] == [1, 2, 4, 7]
-            for report in reports:
-                assert [report] == select_k_kfold(
-                    distances, labels, folds, [report.k], seed=seed, stratified=stratified
-                )[1]
+            at_k = {
+                k: select_k_kfold(distances, labels, folds, [k], seed=seed, stratified=stratified)[1]
+                for k in (1, 2, 4, 7)
+            }
+            best = max(r.accuracy for r in at_k.values())
+            assert chosen == min(k for k, r in at_k.items() if r.accuracy == best)
+            assert report == at_k[chosen]
+            assert np.array_equal(report.predictions, at_k[chosen].predictions)
 
     def test_one_pass_matches_per_fold_oracle_2000_tables(self):
         # integer-valued distances: ties at the rank boundary, in votes and in sums;
@@ -316,9 +327,21 @@ class TestSelectKKfold:
             got_nearest, got_preds = knn_grid(every_row, every_row, distances, labels, k_grid, groups=fold_of)
             assert np.array_equal(got_nearest, nearest), table
             assert np.array_equal(got_preds, preds), table
-            _, reports = select_k_kfold(distances, labels, folds, k_grid, seed=table, stratified=stratified)
-            for j, report in enumerate(reports):
-                assert [p for _, _, p in report.predictions] == preds[:, j].tolist(), (table, report.k)
+            # the chosen k and its report, from the oracle's predictions
+            hits = [int((preds[:, j] == labels).sum()) for j in range(len(k_grid))]
+            j = max(range(len(k_grid)), key=lambda j: (hits[j], -k_grid[j]))
+            chosen, report = select_k_kfold(distances, labels, folds, k_grid, seed=table, stratified=stratified)
+            assert chosen == report.k == k_grid[j], table
+            assert report.predictions.tolist() == [[r, labels[r], preds[r, j]] for r in range(n)], table
+            truth, predicted = labels.tolist(), preds[:, j].tolist()
+            pairs = list(zip(truth, predicted))
+            counts = ConfusionCounts(pairs.count((1, 1)), pairs.count((0, 0)), pairs.count((0, 1)), pairs.count((1, 0)))
+            assert report.counts == counts, table
+            assert report.accuracy == 100.0 * hits[j] / n, table
+            assert list(report.fold_accuracies) == [
+                100.0 * int((preds[fold_of == f, j] == labels[fold_of == f]).sum()) / int((fold_of == f).sum())
+                for f in range(folds)
+            ], table
             checked += 1
             outside = np.where(fold_of[:, None] != fold_of, distances, np.inf)
             ranked = np.sort(outside, axis=1)
@@ -344,4 +367,4 @@ def test_monotone_distance_invariance_end_to_end():
         base = evaluate_split(distances, labels, SplitSpec(seed=seed), k_grid=[1, 3, 5])
         same = evaluate_split(warped, labels, SplitSpec(seed=seed), k_grid=[1, 3, 5])
         assert base.chosen_k == same.chosen_k
-        assert [p for p in base.test_report.predictions] == [p for p in same.test_report.predictions]
+        assert np.array_equal(base.test_report.predictions, same.test_report.predictions)

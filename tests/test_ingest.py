@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topmix.errors import ParseError, SchemaError, TopmixError
-from topmix.ingest import binarize_target, parse_dataset
+from topmix.ingest import parse_dataset
 from topmix.preprocess import one_hot_encode
-from topmix.schema import Attribute, PositiveRule, SchemaSpec, cleveland_schema
+from topmix.schema import Attribute, PositiveRule, SchemaSpec, load_schema
 
-from conftest import CLEVELAND_DATA, requires_cleveland
+from conftest import CLEVELAND_DATA, CLEVELAND_SCHEMA, requires_cleveland
 from oracles import one_hot_encode_rowwise, parse_dataset_rowwise
 
 
@@ -31,6 +31,10 @@ def _write(tmp_path, text):
     return path
 
 
+def _columns(dataset):
+    return [list(column) for column in dataset.columns]
+
+
 def test_drops_rows_with_missing_token(tmp_path, toy_schema):
     path = _write(tmp_path, "1.0,a,0\n2.0,?,1\n3.0,b,1\n")
     dataset, report = parse_dataset(path, toy_schema)
@@ -39,7 +43,7 @@ def test_drops_rows_with_missing_token(tmp_path, toy_schema):
     assert report.dropped_rows == 1
     assert report.dropped_indices == (1,)
     assert report.kept_rows + report.dropped_rows == report.total_rows
-    assert dataset.rows == ((1.0, "a"), (3.0, "b"))
+    assert _columns(dataset) == [[1.0, 3.0], ["a", "b"]]
     assert dataset.labels.tolist() == [0, 1]
 
 
@@ -88,28 +92,29 @@ def test_row_order_preserved_and_deterministic(tmp_path, toy_schema):
     path = _write(tmp_path, "3.0,b,1\n1.0,a,0\n2.0,a,4\n")
     d1, r1 = parse_dataset(path, toy_schema)
     d2, r2 = parse_dataset(path, toy_schema)
-    assert d1.rows == d2.rows == ((3.0, "b"), (1.0, "a"), (2.0, "a"))
+    assert _columns(d1) == _columns(d2) == [[3.0, 1.0, 2.0], ["b", "a", "a"]]
     assert np.array_equal(d1.labels, d2.labels)
     assert r1 == r2
 
 
 def test_alternate_delimiter(tmp_path, toy_schema):
     dataset, _ = parse_dataset(_write(tmp_path, "1.0;a;0\n"), toy_schema, delimiter=";")
-    assert dataset.rows == ((1.0, "a"),)
+    assert _columns(dataset) == [[1.0], ["a"]]
 
 
 @pytest.mark.parametrize(
     "token,expected",
     [("0", 0), ("1", 1), ("2", 1), ("3", 1), ("4", 1)],
 )
-def test_binarize_target_heart_rule(token, expected):
-    rule = PositiveRule(kind="greater-than", threshold=0.0)
-    assert binarize_target(token, rule) == expected
+def test_binarize_target_heart_rule(tmp_path, toy_schema, token, expected):
+    # the greater-than 0 rule: raw severity 1-4 all collapse to 1
+    dataset, _ = parse_dataset(_write(tmp_path, f"1.0,a,{token}\n"), toy_schema)
+    assert dataset.labels.tolist() == [expected]
 
 
 @requires_cleveland
 def test_cleveland_parses_to_297_complete_rows():
-    dataset, report = parse_dataset(CLEVELAND_DATA, cleveland_schema())
+    dataset, report = parse_dataset(CLEVELAND_DATA, load_schema(CLEVELAND_SCHEMA))
     assert report.total_rows == 303
     assert report.dropped_rows == 6
     assert dataset.n == 297
@@ -197,7 +202,7 @@ def _outcome(parse, encode, path, schema, delimiter, has_header):
     encoded = encode(dataset)
     return (
         "parsed",
-        repr(dataset.rows),
+        repr(_columns(dataset)),
         dataset.labels.dtype,
         dataset.labels.tolist(),
         report,
@@ -307,7 +312,7 @@ def test_missing_token_variants(tmp_path, toy_schema):
     # " ? " is the missing token once stripped; "?x" is not, and fails as a number.
     path = _write(tmp_path, "1.0, ? ,0\n2.0,a,1\n")
     dataset, report = parse_dataset(path, toy_schema)
-    assert report.dropped_indices == (0,) and dataset.rows == ((2.0, "a"),)
+    assert report.dropped_indices == (0,) and _columns(dataset) == [[2.0], ["a"]]
     path = _write(tmp_path, "?x,a,0\n")
     with pytest.raises(ParseError, match=r"row 0: attribute 'x': '\?x' is not numeric"):
         parse_dataset(path, toy_schema)

@@ -17,9 +17,9 @@ from topmix.preprocess import (
     standardize,
     symmetry_break,
 )
-from topmix.schema import cleveland_schema
+from topmix.schema import load_schema
 
-from conftest import synthetic_cleveland_rows
+from conftest import CLEVELAND_SCHEMA, synthetic_cleveland_rows
 from oracles import brute_bottleneck, brute_wasserstein, wasserstein
 
 CAP = 10.0
@@ -245,7 +245,7 @@ class TestDistanceMatrixAgainstOracles:
     def test_matches_assignment_solver_on_cleveland_shaped_table(self, tmp_path):
         path = tmp_path / "synth.csv"
         path.write_text("\n".join(synthetic_cleveland_rows()) + "\n", encoding="utf-8")
-        raw, _ = parse_dataset(path, cleveland_schema())
+        raw, _ = parse_dataset(path, load_schema(CLEVELAND_SCHEMA))
         encoded = one_hot_encode(raw)
         broken = symmetry_break(
             standardize(encoded, fit_standardizer(encoded)), default_symmetry_vector(encoded.m)
@@ -330,7 +330,7 @@ class TestSortedCertificate:
     def test_every_pair_settled_on_cleveland_shaped_table(self, tmp_path):
         path = tmp_path / "synth.csv"
         path.write_text("\n".join(synthetic_cleveland_rows()) + "\n", encoding="utf-8")
-        raw, _ = parse_dataset(path, cleveland_schema())
+        raw, _ = parse_dataset(path, load_schema(CLEVELAND_SCHEMA))
         encoded = one_hot_encode(raw)
         broken = symmetry_break(
             standardize(encoded, fit_standardizer(encoded)), default_symmetry_vector(encoded.m)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from topmix.cloud import build_point_cloud
 from topmix.errors import ContractError
 from topmix.metric import save_distance_matrix
 from topmix.persistence import PersistenceDiagram, dim0_diagrams
 
-from oracles import euclidean_distances, sweep_dim0_pairs
+from oracles import build_point_cloud, euclidean_distances, sweep_dim0_pairs
 
 
 def _pairs(deaths):
@@ -148,6 +147,15 @@ def test_cap_rules_exact():
 def test_non_finite_input_rejected():
     with pytest.raises(ContractError, match="finite"):
         dim0_diagrams(np.array([[1.0, np.nan]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_cap_settings_rejected(value):
+    # NaN passes every `<` test and an infinite cap leaves the essential pair at inf
+    with pytest.raises(ContractError, match=f"safety factor must be finite and >= 1, got {value!r}"):
+        dim0_diagrams(np.array([[1.0, 2.0]]), safety=value)
+    with pytest.raises(ContractError, match=f"maxscale must be positive and finite, got {value!r}"):
+        dim0_diagrams(np.array([[1.0, 2.0]]), maxscale=value)
 
 
 def test_sqrt_of_square_is_abs_bit_for_bit():

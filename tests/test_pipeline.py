@@ -23,6 +23,7 @@ from topmix.pipeline import (
 )
 
 from conftest import CLEVELAND_SCHEMA, REPO_ROOT, synthetic_cleveland_rows, write_config
+from oracles import build_point_cloud
 
 
 @pytest.fixture
@@ -199,6 +200,20 @@ class TestConfig:
             load_experiment_config(cfg)
         assert cli_main(["classify", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["maxscale", "maxscale_safety", "wasserstein_p"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, small_mixed_file, small_mixed_schema_file, key, value):
+        # Python's json writes and reads NaN, Infinity and -Infinity
+        cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, **{key: value})
+        with pytest.raises(ContractError, match=re.escape(f"{key} must be finite, got {value!r}")):
+            load_experiment_config(cfg)
+
+    def test_overflowing_literal_rejected(self, tmp_path, small_mixed_file, small_mixed_schema_file):
+        cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file)
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace('"maxscale": null', '"maxscale": 1e999'), encoding="utf-8")
+        with pytest.raises(ContractError, match="maxscale must be finite, got inf"):
+            load_experiment_config(cfg)
 
     def test_explicit_vector_wrong_length(self, tmp_path, small_mixed_file, small_mixed_schema_file):
         cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, symmetry_vector=[1.0, 2.0])
@@ -634,6 +649,45 @@ class TestCli:
         named = data if case == "non_utf8_data" else schema
         assert "error: [stage ingest] " in run.stderr and str(named) in run.stderr
         assert expected in run.stderr
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("diagrams", "--maxscale-safety", "nan"),
+            ("diagrams", "--maxscale-safety", "inf"),
+            ("classify", "--p", "nan"),
+            ("classify", "--p", "inf"),
+        ],
+        ids=["safety_nan", "safety_inf", "p_nan", "p_inf"],
+    )
+    def test_non_finite_override_exits_1_without_traceback(self, tmp_path, command, option, value):
+        key = {"--maxscale-safety": "maxscale_safety", "--p": "wasserstein_p"}[option]
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "topmix.cli", command, "--config", str(REPO_ROOT / "configs" / "example.json"),
+                "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out"), option, value,
+            ],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert f"error: {key} must be finite, got {float(value)!r}" in run.stderr
+        assert not (tmp_path / "cache").exists()
+
+    def test_inspect_prints_the_projection_cloud(self, tmp_path, capsys):
+        data, schema = _synth_files(tmp_path, n=30)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        features = compute_diagrams(load_experiment_config(cfg)).prepared.features.values
+        for row in (0, 17):
+            capsys.readouterr()
+            assert cli_main(["inspect", "--config", str(cfg), "--row", str(row)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            start = lines.index("point cloud (row vector, then one projection per coordinate):") + 1
+            printed = lines[start : lines.index("diagram (birth, death):")]
+            cloud = build_point_cloud(features[row])
+            assert printed == ["  " + " ".join(f"{v:.6g}" for v in point) for point in cloud]
+            assert len(printed) == features.shape[1] + 1
 
     def test_row_out_of_range(self, tmp_path, mirrored_pair_setup):
         data, schema = mirrored_pair_setup

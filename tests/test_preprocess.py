@@ -11,9 +11,9 @@ from topmix.preprocess import (
     standardize,
     symmetry_break,
 )
-from topmix.schema import Attribute, PositiveRule, SchemaSpec, cleveland_schema
+from topmix.schema import Attribute, PositiveRule, SchemaSpec, load_schema
 
-from conftest import synthetic_cleveland_rows
+from conftest import CLEVELAND_SCHEMA, synthetic_cleveland_rows
 from oracles import two_pass_mean_std
 
 
@@ -61,11 +61,11 @@ class TestOneHot:
     def test_cleveland_width_and_block_sums(self, tmp_path):
         path = tmp_path / "synth.csv"
         path.write_text("\n".join(synthetic_cleveland_rows(50, 0)) + "\n", encoding="utf-8")
-        raw, _ = parse_dataset(path, cleveland_schema())
+        raw, _ = parse_dataset(path, load_schema(CLEVELAND_SCHEMA))
         encoded = one_hot_encode(raw)
         assert encoded.m == 25
         col = 0
-        for attr in cleveland_schema().attributes:
+        for attr in raw.schema.attributes:
             if attr.kind == "categorical":
                 block = encoded.values[:, col : col + attr.width]
                 assert np.array_equal(block.sum(axis=1), np.ones(encoded.n))
@@ -112,7 +112,7 @@ class TestStandardize:
     def test_train_fit_applied_to_holdout(self):
         rng = np.random.default_rng(12)
         matrix = _matrix(rng.normal(3, 2, size=(50, 3)))
-        params = fit_standardizer(matrix, scope="train", fit_rows=np.arange(30))
+        params = fit_standardizer(matrix, fit_rows=np.arange(30))
         out = standardize(matrix, params)
         held = out.values[30:]
         assert np.isfinite(held).all()
@@ -146,12 +146,10 @@ class TestSymmetryBreak:
         with pytest.raises(ContractError):
             symmetry_break(matrix, np.zeros(3))
 
-    def test_stage_guard_overridable(self):
-        matrix = _matrix([[1.0, 2.0]], stage="encoded")
-        with pytest.raises(ContractError):
-            symmetry_break(matrix, np.zeros(2))
-        out = symmetry_break(matrix, np.zeros(2), allow_unstandardized=True)
-        assert out.stage == "symmetry-broken"
+    def test_stage_guard_rejects_other_stages(self):
+        for stage in ("encoded", "symmetry-broken"):
+            with pytest.raises(ContractError, match=f"got stage {stage!r}"):
+                symmetry_break(_matrix([[1.0, 2.0]], stage=stage), np.zeros(2))
 
     def test_subtraction_recovers_input_within_one_ulp(self):
         rng = np.random.default_rng(5)
@@ -185,7 +183,7 @@ def test_pipeline_determinism_bit_identical(tmp_path):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     def run():
-        raw, _ = parse_dataset(path, cleveland_schema())
+        raw, _ = parse_dataset(path, load_schema(CLEVELAND_SCHEMA))
         encoded = one_hot_encode(raw)
         out = standardize(encoded, fit_standardizer(encoded))
         return symmetry_break(out, default_symmetry_vector(out.m)).values

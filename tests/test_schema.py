@@ -1,15 +1,15 @@
+import json
 import re
 
 import pytest
 
 from topmix.errors import ParseError, SchemaError
+from topmix.ingest import parse_dataset
 from topmix.schema import (
     Attribute,
     PositiveRule,
     SchemaSpec,
-    cleveland_schema,
     load_schema,
-    save_schema,
     schema_from_dict,
 )
 
@@ -17,7 +17,7 @@ from conftest import CLEVELAND_SCHEMA
 
 
 def test_cleveland_schema_shape():
-    schema = cleveland_schema()
+    schema = load_schema(CLEVELAND_SCHEMA)
     assert len(schema.attributes) == 13
     kinds = [a.kind for a in schema.attributes]
     assert kinds.count("numeric") == 6
@@ -27,26 +27,58 @@ def test_cleveland_schema_shape():
     assert schema.n_fields == 14
 
 
-def test_bundled_schema_file_matches_builtin():
-    assert load_schema(CLEVELAND_SCHEMA) == cleveland_schema()
+def test_bundled_schema_file_declares_uci_layout():
+    # the processed UCI file's columns; its categorical codes are float-formatted
+    def codes(*values):
+        return tuple(f"{v:.1f}" for v in values)
 
-
-def test_schema_round_trip(tmp_path):
-    schema = cleveland_schema()
-    path = tmp_path / "schema.json"
-    save_schema(schema, path)
-    assert load_schema(path) == schema
-
-
-def test_one_of_rule_round_trip(tmp_path):
-    schema = SchemaSpec(
-        attributes=(Attribute("x", "numeric"),),
-        target="y",
-        positive_rule=PositiveRule(kind="one-of", tokens=("yes", "maybe")),
+    expected = SchemaSpec(
+        attributes=(
+            Attribute("age", "numeric"),
+            Attribute("sex", "categorical", codes(0, 1)),
+            Attribute("cp", "categorical", codes(1, 2, 3, 4)),
+            Attribute("trestbps", "numeric"),
+            Attribute("chol", "numeric"),
+            Attribute("fbs", "categorical", codes(0, 1)),
+            Attribute("restecg", "categorical", codes(0, 1, 2)),
+            Attribute("thalach", "numeric"),
+            Attribute("exang", "categorical", codes(0, 1)),
+            Attribute("oldpeak", "numeric"),
+            Attribute("slope", "categorical", codes(1, 2, 3)),
+            Attribute("ca", "numeric"),
+            Attribute("thal", "categorical", codes(3, 6, 7)),
+        ),
+        target="num",
+        positive_rule=PositiveRule(kind="greater-than", threshold=0.0),
+        missing_token="?",
     )
+    assert load_schema(CLEVELAND_SCHEMA) == expected
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [{"kind": "greater-than", "threshold": 2.5}, {"kind": "one-of", "tokens": ["yes", "maybe"]}],
+    ids=["greater-than", "one-of"],
+)
+def test_schema_document_loads(tmp_path, rule):
+    doc = {
+        "attributes": [
+            {"name": "x", "kind": "numeric"},
+            {"name": "c", "kind": "categorical", "domain": ["b", "a"]},
+        ],
+        "target": {"name": "y", "positive_rule": rule},
+        "missing_token": "NA",
+    }
     path = tmp_path / "schema.json"
-    save_schema(schema, path)
-    assert load_schema(path) == schema
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_schema(path) == SchemaSpec(
+        attributes=(Attribute("x", "numeric"), Attribute("c", "categorical", ("b", "a"))),
+        target="y",
+        positive_rule=PositiveRule(
+            kind=rule["kind"], threshold=rule.get("threshold", 0.0), tokens=tuple(rule.get("tokens", ()))
+        ),
+        missing_token="NA",
+    )
 
 
 def test_encoded_column_names_follow_domain_order():
@@ -147,19 +179,23 @@ def test_non_finite_threshold_rejected(threshold):
         schema_from_dict(doc)
 
 
-def test_positive_rule_greater_than():
+def _labels(tmp_path, rule: PositiveRule, targets: list[str]) -> list[int]:
+    """The labels ``parse_dataset`` gives a one-attribute table with these target tokens."""
+    schema = SchemaSpec(attributes=(Attribute("x", "numeric"),), target="y", positive_rule=rule)
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"1.0,{t}\n" for t in targets), encoding="utf-8")
+    return parse_dataset(path, schema)[0].labels.tolist()
+
+
+def test_positive_rule_greater_than(tmp_path):
     rule = PositiveRule(kind="greater-than", threshold=0.0)
-    assert rule.matches("3")
-    assert rule.matches("0.5")
-    assert not rule.matches("0")
-    assert not rule.matches("-1")
-    with pytest.raises(ParseError):
-        rule.matches("sick")
+    assert _labels(tmp_path, rule, ["3", "0.5", "0", "-1"]) == [1, 1, 0, 0]
+    with pytest.raises(ParseError, match="row 1: target token 'sick' is not numeric"):
+        _labels(tmp_path, rule, ["1", "sick"])
 
 
-def test_positive_rule_one_of():
+def test_positive_rule_one_of(tmp_path):
     rule = PositiveRule(kind="one-of", tokens=("yes",))
-    assert rule.matches("yes")
-    assert not rule.matches("no")
+    assert _labels(tmp_path, rule, ["yes", "no"]) == [1, 0]
     with pytest.raises(SchemaError):
         PositiveRule(kind="one-of", tokens=())
