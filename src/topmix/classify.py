@@ -3,14 +3,14 @@
 ``knn_grid`` is the only k-NN code. It votes a block of queries at every k
 of a grid in one vectorised pass:
 
-* Candidates. Each query's row of ``distances`` is gathered once, a copy
-  the caller never sees, and every column that is not one of its
-  candidates is set to +inf: the rows outside ``candidates`` and, with
-  ``groups``, the rows that share the query's group id. So columns stay
-  in row-index order, and a whole cross-validation protocol (queries =
-  candidates = every row, one group per fold) is one call. Queries are
-  ranked in blocks of at most ``BLOCK_ENTRIES`` entries, which bounds
-  memory at large n; at n = 297 a call is one block.
+* Candidates. Every row carries a group id, and a query's candidates are
+  the rows whose id differs from its own; that is the one rule. Hold-out
+  marks the training rows 1 and every other row 0; cross-validation gives
+  each row its fold id, so a whole protocol is one call. Each query's row
+  of ``distances`` is gathered once, a copy the caller never sees, and the
+  columns of its own group are set to +inf, so columns stay in row-index
+  order. Queries are ranked in blocks of at most ``BLOCK_ENTRIES``
+  entries, which bounds memory at large n; at n = 297 a call is one block.
 * Ranking. ``np.partition`` finds each query's K-th smallest distance,
   K = max(k), and the entries at or below it are admitted. Only a query
   with a tie at that boundary admits more than K; it keeps the ties of
@@ -45,15 +45,14 @@ BLOCK_ENTRIES = 1 << 17
 
 
 def knn_grid(
-    queries: np.ndarray, candidates: np.ndarray, distances: np.ndarray,
-    labels: np.ndarray, k_grid: Sequence[int], groups: np.ndarray | None = None,
+    queries: np.ndarray, distances: np.ndarray, labels: np.ndarray,
+    k_grid: Sequence[int], groups: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest candidates of each query row and its predicted label at every k.
 
-    ``candidates`` may come in any order. Without ``groups`` they must not
-    include a query. With ``groups``, one id per row of ``distances``, a
-    query's candidates are those with another id (so a query may appear in
-    ``candidates``). Candidate labels must be 0/1, every k must satisfy
+    ``groups`` holds one id per row of ``distances``; a query's candidates
+    are the rows whose id differs from its own, so a query is never its
+    own candidate. Candidate labels must be 0/1, every k must satisfy
     1 <= k <= the fewest candidates of a query, and the query-to-candidate
     distances must be finite; integer distances are ranked and summed as
     float64. Returns the max(k_grid) nearest candidate
@@ -61,34 +60,26 @@ def knn_grid(
     (len(queries), max(k_grid)) and (len(queries), len(k_grid)).
     """
     queries = np.asarray(queries, dtype=np.intp)
+    groups = np.asarray(groups)
     ks = np.asarray(k_grid)
     top = int(ks.max())
     if ks.min() < 1:
         raise ContractError(f"k must be >= 1, got {ks.min()}")
-    outside = np.ones(distances.shape[1], dtype=bool)
-    outside[candidates] = False  # every column that is not a candidate
-    pool = np.flatnonzero(~outside)  # the distinct candidates, ascending
-    if groups is None:
-        clash = queries[~outside[queries]]
-        if clash.size:
-            raise ContractError(f"query row {clash[0]} may not be its own candidate")
-        fewest = pool.size
-    else:
-        groups = np.asarray(groups)
-        shared, own = np.sort(groups[pool]), groups[queries]
-        same = np.searchsorted(shared, own, "right") - np.searchsorted(shared, own, "left")
-        fewest = pool.size - int(same.max(initial=0))
+    ids, sizes = np.unique(groups, return_counts=True)
+    own = np.unique(np.searchsorted(ids, groups[queries]))  # the queries' groups
+    fewest = groups.size - int(sizes[own].max(initial=0))
     if fewest < top:
         raise ContractError(f"need at least k={top} candidates, got {fewest}")
-    if not np.isin(labels[pool], (0, 1)).all():
+    candidates = groups != ids[own[0]] if own.size == 1 else slice(None)  # of any query
+    if not np.isin(labels[candidates], (0, 1)).all():
         raise ContractError("candidate labels must be 0 or 1")
-    rows = max(1, BLOCK_ENTRIES // outside.size)
+    rows = max(1, BLOCK_ENTRIES // groups.size)
     # One partition buffer serves every block: a fresh partitioned copy per
     # block made the allocator hand its pages back and fault them in again
     # (~33,000 minor faults per 10-fold call at n = 3000).
-    work = np.empty((min(rows, queries.size), outside.size))
+    work = np.empty((min(rows, queries.size), groups.size))
     blocks = [
-        _rank(queries[i : i + rows], distances, outside, groups, top, work)
+        _rank(queries[i : i + rows], distances, groups, top, work)
         for i in range(0, max(queries.size, 1), rows)
     ]
     nearest = np.concatenate([block[0] for block in blocks])
@@ -108,15 +99,14 @@ def knn_grid(
 
 
 def _rank(
-    queries: np.ndarray, distances: np.ndarray, outside: np.ndarray, groups: np.ndarray | None,
-    top: int, work: np.ndarray,
+    queries: np.ndarray, distances: np.ndarray, groups: np.ndarray, top: int, work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``top`` nearest candidate rows of each query, nearest first, and their distances.
 
     ``work`` is a float64 buffer of at least len(queries) rows that the
     block is copied into and partitioned in.
     """
-    excluded = outside if groups is None else outside | (groups[queries, None] == groups)
+    excluded = groups[queries, None] == groups
     dist = distances[queries]  # the one gather, a copy: the caller's matrix is never written
     if not np.isfinite(dist).all() and not (np.isfinite(dist) | excluded).all():
         raise ContractError("distances must be finite")

@@ -6,7 +6,9 @@ Subcommands run pipeline prefixes, honoring caches:
   distances  compute the pairwise distance matrix, cached as distances.npy
   inspect    print one row's point cloud (built only for this display),
              diagram, and the nearest neighbors and vote at the k that
-             classify uses, among the candidates classify used for that row
+             classify uses, among the rows of another group under the
+             groups classify ranked with (a training row is ranked against
+             the other training rows)
 """
 
 from __future__ import annotations
@@ -121,15 +123,15 @@ def _cmd_inspect(config, row: int) -> int:
     for death in diagram_set.deaths[row].tolist():
         print(f"  (0.0, {death!r})")
 
+    # the groups classify ranked with; a training row joins group 0, so its
+    # candidates are the other training rows
     if config.split.mode == "holdout":
-        train, _, _ = holdout_indices(labels, config.split)
-        pool, groups = train[train != row], None
-        pool_size, pool_name = pool.size, "training rows"
-    else:  # the candidate rule of cross-validation: every row outside the row's fold
-        pool, groups = np.arange(n), kfold_groups(labels, config.split)
-        pool_size, pool_name = int((groups != groups[row]).sum()), "rows outside its fold"
-    k = min(classify_stage(config, matrix, labels)[1].k, pool_size)
-    nearest, predicted = knn_grid([row], pool, matrix, labels, [k], groups=groups)
+        groups = np.isin(np.arange(n), holdout_indices(labels, config.split)[0])
+        groups[row], pool_name = False, "training rows"
+    else:
+        groups, pool_name = kfold_groups(labels, config.split), "rows outside its fold"
+    k = min(classify_stage(config, matrix, labels)[1].k, int((groups != groups[row]).sum()))
+    nearest, predicted = knn_grid([row], matrix, labels, [k], groups)
     print(f"{k} nearest {pool_name}:")
     for neighbor in nearest[0].tolist():
         print(

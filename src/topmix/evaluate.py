@@ -6,13 +6,15 @@ floor(test_frac*n) rows go to validation and test, the rest to training,
 which reproduces the 179/59/59 partition of 297 rows at 60:20:20; a split
 that leaves validation or test empty is an ``EvaluationError``.
 Predictions come from ``classify.knn_grid``, one call per protocol, as a
-(rows, ks) grid. Hold-out ranks the validation and test rows together
-against the training rows over the whole k grid, sweeps k on the
-validation rows and reads the test predictions from the column of the
-chosen k. Cross-validation draws the folds once per grid and keeps one
-fold id per row (``kfold_groups``); it ranks every row against every row
-with the fold ids as ``groups``, so each row's candidates are exactly the
-rows outside its fold. k is the first argmax of the hits per column, so
+(rows, ks) grid; each protocol states its candidates as one group id per
+row, a query's candidates being the rows of another group. Both
+protocols take the run's ``SplitSpec``. Hold-out gives the training rows
+group 1 and every other row group 0, ranks the validation and test rows
+together over the whole k grid, sweeps k on the validation rows and reads
+the test predictions from the column of the chosen k. Cross-validation
+draws the folds once per grid and gives each row its fold id
+(``kfold_groups``), so each row's candidates are exactly the rows outside
+its fold. k is the first argmax of the hits per column, so
 ties go to the smaller k, and only the chosen k gets a report: one
 bincount over the fold ids gives its per-fold hits. Confusion counts of a
 whole grid are one bincount over 2 * true + predicted + 4 * column.
@@ -26,6 +28,7 @@ None, never NaN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -48,6 +51,11 @@ class SplitSpec:
     folds: int = 10
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ContractError(f"split seed must be >= 0, got {self.seed}")
+        for key in ("train_frac", "val_frac", "test_frac"):
+            if not math.isfinite(getattr(self, key)):
+                raise ContractError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.mode == "holdout":
             total = self.train_frac + self.val_frac + self.test_frac
             if abs(total - 1.0) > 1e-9:
@@ -268,10 +276,9 @@ def evaluate_split(
             f"{val.size} validation and {test.size} test rows; each set needs at least one"
         )
     _require_both_classes(labels[train], "training set")
-    if max(k_grid) > train.size:
-        raise ContractError(f"k grid exceeds training size {train.size}")
 
-    _, grid_preds = knn_grid(np.concatenate([val, test]), train, distances, labels, k_grid)
+    in_train = np.isin(np.arange(labels.size), train)  # the candidates' group
+    _, grid_preds = knn_grid(np.concatenate([val, test]), distances, labels, k_grid, in_train)
     val_counts = _confusion(labels[val], grid_preds[: val.size])
     table = tuple(compute_metrics(counts, k=k) for counts, k in zip(val_counts, k_grid))
     j = int(np.argmax([counts.tp + counts.tn for counts in val_counts]))  # the first: ties to the smaller k
@@ -289,38 +296,35 @@ def evaluate_split(
 def select_k_kfold(
     distances: np.ndarray,
     labels: np.ndarray,
-    folds: int,
+    split: SplitSpec,
     k_grid: Sequence[int],
-    seed: int = 0,
-    stratified: bool = False,
 ) -> tuple[int, EvaluationReport]:
     """k-fold cross-validation; k chosen by pooled accuracy, ties to the smaller k.
 
-    Every row is classified exactly once per k, against all rows outside
-    its fold; the folds are drawn once for the grid. Returns the chosen k
-    and its report: pooled confusion counts, the per-fold accuracies and
-    every row's prediction.
+    ``split`` must be a k-fold spec. Every row is classified exactly once
+    per k, against all rows outside its fold; the folds are drawn once for
+    the grid. Returns the chosen k and its report: pooled confusion
+    counts, the per-fold accuracies and every row's prediction.
     """
     k_grid = _sorted_grid(k_grid)
     labels = np.asarray(labels)
     _check_distances(distances, labels)
     _require_both_classes(labels, "dataset")
-    spec = SplitSpec(mode="kfold", folds=folds, seed=seed, stratified=stratified)
-    fold_of = kfold_groups(labels, spec)
+    fold_of = kfold_groups(labels, split)
     fold_sizes = np.bincount(fold_of)
     short = np.flatnonzero(labels.size - fold_sizes < max(k_grid))
     if short.size:  # the first such fold, in fold order
         left = labels.size - fold_sizes[short[0]]
         raise EvaluationError(f"fold leaves only {left} candidates for k={max(k_grid)}")
     every_row = np.arange(labels.size)
-    preds = knn_grid(every_row, every_row, distances, labels, k_grid, groups=fold_of)[1]
+    preds = knn_grid(every_row, distances, labels, k_grid, fold_of)[1]
     hits = preds == labels[:, None]
     j = int(np.argmax(hits.sum(axis=0)))  # the first: ties to the smaller k
     fold_hits = np.bincount(fold_of, weights=hits[:, j], minlength=fold_sizes.size)
     return k_grid[j], compute_metrics(
         _confusion(labels, preds[:, j : j + 1])[0],
         k=k_grid[j],
-        seed=seed,
+        seed=split.seed,
         fold_accuracies=(100.0 * fold_hits / fold_sizes).tolist(),
         predictions=_with_rows(every_row, labels, preds[:, j]),
     )

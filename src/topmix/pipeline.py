@@ -15,6 +15,12 @@ never silently reused. The text file of the same stem that earlier
 versions wrote (``diagrams.csv``, ``distances.csv``) is removed.
 Every output is byte-deterministic, so identical configs produce
 byte-identical files.
+
+Each setting is declared once, as a field default of ``ExperimentConfig``
+or ``SplitSpec``. The loader only converts: ``CONFIG_KEYS`` and
+``SPLIT_KEYS`` map each JSON key to its converter, and a key the document
+leaves out keeps its field default. The one exception is ``out_dir``,
+whose loader default is ``out`` beside the config file.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -113,15 +119,7 @@ class ExperimentConfig:
             raise ContractError(f"k_grid must be non-empty with every k >= 1, got {self.k_grid}")
 
 
-CONFIG_KEYS = (
-    "data", "schema", "delimiter", "has_header", "symmetry_vector",
-    "standardize_scope", "maxscale", "maxscale_safety", "wasserstein_p",
-    "split", "k", "k_grid", "cache_dir", "out_dir",
-)
-SPLIT_KEYS = tuple(f.name for f in fields(SplitSpec))
-
-
-def _reject_unknown_keys(doc: Any, valid: tuple[str, ...], where: str) -> None:
+def _reject_unknown_keys(doc: Any, valid: dict[str, Any], where: str) -> None:
     """A misspelled key would otherwise silently leave its default in force."""
     if not isinstance(doc, dict):
         raise ContractError(f"{where} must be a JSON object")
@@ -151,18 +149,59 @@ def _nullable(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
     return lambda value: None if value is None else convert(value)
 
 
-def _value(doc: dict, key: str, convert: Callable[[Any], Any], default: Any, where: str = "config") -> Any:
-    """``convert(doc[key])``, or ``default`` when the key is absent."""
-    if key not in doc:
-        return default
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ContractError(f"invalid {where} value for {key!r}: {doc[key]!r} ({exc})") from None
+def _read(doc: dict, table: dict[str, Callable[[Any], Any]], where: str) -> dict[str, Any]:
+    """``table[key](value)`` for every key present in ``doc``; a failure names the key."""
+    values = {}
+    for key, value in doc.items():
+        try:
+            values[key] = table[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ContractError(f"invalid {where} value for {key!r}: {value!r} ({exc})") from None
+    return values
+
+
+def _same(value: Any) -> Any:
+    """Passed on as read; the dataclass that receives it checks it."""
+    return value
+
+
+# Key -> converter. A key the document leaves out keeps its dataclass default.
+SPLIT_KEYS: dict[str, Callable[[Any], Any]] = {
+    "mode": _same,
+    "seed": _integer,
+    "stratified": _flag,
+    "train_frac": float,
+    "val_frac": float,
+    "test_frac": float,
+    "folds": _integer,
+}
+CONFIG_KEYS: dict[str, Callable[[Any], Any]] = {
+    "data": Path,
+    "schema": Path,
+    "delimiter": _same,
+    "has_header": _flag,
+    "symmetry_vector": lambda v: v if isinstance(v, str) else tuple(float(x) for x in v),
+    "standardize_scope": _same,
+    "maxscale": _nullable(float),
+    "maxscale_safety": float,
+    "wasserstein_p": float,
+    "split": lambda v: SplitSpec(**_read(v, SPLIT_KEYS, "split")),
+    "k": _nullable(_integer),
+    "k_grid": lambda v: tuple(_integer(k) for k in v),
+    "cache_dir": _nullable(Path),
+    "out_dir": Path,
+}
 
 
 def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
     """Read a JSON experiment config; relative paths resolve against it.
+
+    Each key present is converted by its entry in ``CONFIG_KEYS`` or
+    ``SPLIT_KEYS``; ``data`` and ``schema`` fill ``data_path`` and
+    ``schema_path``. A key left out keeps its ``ExperimentConfig`` or
+    ``SplitSpec`` default, except ``out_dir``, which defaults to ``out``
+    beside the config file. ``split_seed`` in ``overrides`` sets the split's
+    seed; any other override replaces the top-level key of that name.
 
     Raises:
         ContractError: an unreadable or malformed JSON file; an unknown
@@ -178,58 +217,21 @@ def load_experiment_config(path: str | Path, overrides: dict[str, Any] | None = 
         raise ContractError(f"cannot read config {path}: {exc}") from None
     _reject_unknown_keys(doc, CONFIG_KEYS, "config")
     _reject_unknown_keys(doc.get("split", {}), SPLIT_KEYS, "split")
-    if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                if key in ("split_seed",):
-                    doc.setdefault("split", {})["seed"] = value
-                else:
-                    doc[key] = value
-    base = path.parent
-
-    def respath(key: str, default: str | None = None) -> Path | None:
-        raw = _value(doc, key, _nullable(Path), default)
-        if raw is None:
-            return None
-        p = Path(raw)
-        return p if p.is_absolute() else base / p
-
-    split_doc = doc.get("split", {})
-    split = SplitSpec(
-        mode=split_doc.get("mode", "holdout"),
-        seed=_value(split_doc, "seed", _integer, 0, "split"),
-        stratified=_value(split_doc, "stratified", _flag, False, "split"),
-        train_frac=_value(split_doc, "train_frac", float, 0.6, "split"),
-        val_frac=_value(split_doc, "val_frac", float, 0.2, "split"),
-        test_frac=_value(split_doc, "test_frac", float, 0.2, "split"),
-        folds=_value(split_doc, "folds", _integer, 10, "split"),
-    )
-    data_path = respath("data")
-    schema_path = respath("schema")
-    if data_path is None or schema_path is None:
+    for key, value in (overrides or {}).items():
+        if key == "split_seed" and value is not None:
+            doc.setdefault("split", {})["seed"] = value
+        elif value is not None:
+            doc[key] = value
+    values = {"out_dir": Path("out"), **_read(doc, CONFIG_KEYS, "config")}
+    for key in ("data", "schema", "cache_dir", "out_dir"):
+        if values.get(key) is not None:
+            values[key] = path.parent / values[key]  # an absolute path replaces the parent
+    if "data" not in values or "schema" not in values:
         raise ContractError("config must set 'data' and 'schema' paths")
-    for p, what in ((data_path, "data"), (schema_path, "schema")):
-        if not p.exists():
-            raise ContractError(f"{what} path does not exist: {p}")
-    return ExperimentConfig(
-        data_path=data_path,
-        schema_path=schema_path,
-        delimiter=doc.get("delimiter", ","),
-        has_header=_value(doc, "has_header", _flag, False),
-        symmetry_vector=_value(
-            doc, "symmetry_vector",
-            lambda v: v if isinstance(v, str) else tuple(float(x) for x in v), "default",
-        ),
-        standardize_scope=doc.get("standardize_scope", "full"),
-        maxscale=_value(doc, "maxscale", _nullable(float), None),
-        maxscale_safety=_value(doc, "maxscale_safety", float, 1.1),
-        wasserstein_p=_value(doc, "wasserstein_p", float, 1.0),
-        split=split,
-        k=_value(doc, "k", _nullable(_integer), None),
-        k_grid=_value(doc, "k_grid", lambda v: tuple(_integer(k) for k in v), tuple(range(1, 11))),
-        cache_dir=respath("cache_dir"),
-        out_dir=respath("out_dir", "out"),
-    )
+    for key in ("data", "schema"):
+        if not values[key].exists():
+            raise ContractError(f"{key} path does not exist: {values[key]}")
+    return ExperimentConfig(data_path=values.pop("data"), schema_path=values.pop("schema"), **values)
 
 
 @contextmanager
@@ -476,19 +478,15 @@ def classify_stage(
 ) -> tuple[SplitResult | None, EvaluationReport]:
     """The configured protocol: k from ``config.k`` or chosen over the grid.
 
-    Returns the hold-out result (None under k-fold) and the report of the
-    k that was used.
+    Both protocols take ``config.split`` whole. Returns the hold-out result
+    (None under k-fold) and the report of the k that was used.
     """
     with _stage("classify"):
         k_grid = [config.k] if config.k is not None else list(config.k_grid)
         if config.split.mode == "holdout":
             split_result = evaluate_split(distances, labels, config.split, k_grid)
             return split_result, split_result.test_report
-        _, report = select_k_kfold(
-            distances, labels, config.split.folds, k_grid,
-            seed=config.split.seed, stratified=config.split.stratified,
-        )
-        return None, report
+        return None, select_k_kfold(distances, labels, config.split, k_grid)[1]
 
 
 def run_pipeline(config: ExperimentConfig) -> RunResult:

@@ -262,7 +262,7 @@ def kfold_predictions_per_fold(
         candidates = np.flatnonzero(fold_of != f)
         if candidates.size < max(k_grid):
             raise EvaluationError(f"fold leaves only {candidates.size} candidates for k={max(k_grid)}")
-        nearest[fold], preds[fold] = knn_grid(fold, candidates, distances, labels, k_grid)
+        nearest[fold], preds[fold] = knn_grid(fold, distances, labels, k_grid, fold_of == f)
     return nearest, preds
 
 

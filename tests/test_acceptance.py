@@ -302,7 +302,7 @@ def test_c3_essential_pair_cancellation_1000():
 
 def _vote(candidates, dist, labels, k) -> int:
     """The prediction for row 0 at one k."""
-    return int(knn_grid([0], candidates, dist, labels, [k])[1][0, 0])
+    return int(knn_grid([0], dist, labels, [k], np.isin(np.arange(len(dist)), candidates))[1][0, 0])
 
 
 def test_c3_knn_monotone_invariance_1000():
@@ -356,7 +356,7 @@ def test_c4a_kfold_accuracy_window(cleveland_distances):
     in_window = 0
     accuracies = []
     for seed in range(10):
-        report = select_k_kfold(distances, labels, 10, [16], seed=seed)[1]
+        report = select_k_kfold(distances, labels, SplitSpec(mode="kfold", folds=10, seed=seed), [16])[1]
         accuracies.append(report.accuracy)
         if 77.0 <= report.accuracy <= 88.0:
             in_window += 1

@@ -9,9 +9,14 @@ from topmix.errors import ContractError
 import oracles
 
 
+def _groups(dist, candidates):
+    """Group ids under which ``candidates`` are the candidates of every other row."""
+    return np.isin(np.arange(len(dist)), candidates)
+
+
 def _predict(query, candidates, dist, labels, k):
     """``knn_grid``'s prediction for one query at one k."""
-    return int(knn_grid([query], candidates, dist, labels, [k])[1][0, 0])
+    return int(knn_grid([query], dist, labels, [k], _groups(dist, candidates))[1][0, 0])
 
 
 def _matrix(rows):
@@ -70,8 +75,6 @@ def test_contract_errors():
     dist = _matrix([[0, 1], [1, 0]])
     labels = np.array([0, 1])
     with pytest.raises(ContractError):
-        _predict(0, np.array([0, 1]), dist, labels, k=1)  # self as candidate
-    with pytest.raises(ContractError):
         _predict(0, np.array([1]), dist, labels, k=2)  # too few candidates
     with pytest.raises(ContractError):
         _predict(0, np.array([1]), dist, labels, k=0)
@@ -125,7 +128,7 @@ def _random_table(rng, integer_valued):
 
 def _assert_grid_matches_oracle(dist, labels, queries, candidates, k_grid, where):
     """knn_grid against the full lexsort ranking and the per-query oracle; returns the predictions."""
-    nearest, predictions = knn_grid(queries, candidates, dist, labels, k_grid)
+    nearest, predictions = knn_grid(queries, dist, labels, k_grid, _groups(dist, candidates))
     for i, q in enumerate(queries):
         ranked = candidates[np.lexsort((candidates, dist[q, candidates]))]
         assert nearest[i].tolist() == ranked[: max(k_grid)].tolist(), (where, int(q))
@@ -181,7 +184,7 @@ def test_tied_votes_at_large_k_match_oracle():
         queries, candidates = rows[:5], rows[5:]
         k_grid = list(range(16, 39, 2))
         _assert_grid_matches_oracle(dist, labels, queries, candidates, k_grid, table)
-        nearest, _ = knn_grid(queries, candidates, dist, labels, k_grid)
+        nearest, _ = knn_grid(queries, dist, labels, k_grid, _groups(dist, candidates))
         ones = np.cumsum(labels[nearest], axis=1)[:, np.asarray(k_grid) - 1]
         ties_at_16_or_more += int((2 * ones == np.asarray(k_grid)).sum())
     assert ties_at_16_or_more >= 50
@@ -190,20 +193,18 @@ def test_tied_votes_at_large_k_match_oracle():
 def test_grid_contract_errors():
     dist = _matrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
     with pytest.raises(ContractError, match="0 or 1"):
-        knn_grid([0], np.array([1, 2]), dist, np.array([0, 1, 2]), [1])
-    with pytest.raises(ContractError, match="own candidate"):
-        knn_grid([0, 2], np.array([1, 2]), dist, np.array([0, 1, 0]), [1])
+        knn_grid([0], dist, np.array([0, 1, 2]), [1], np.array([0, 1, 1]))
+    with pytest.raises(ContractError, match="0 or 1"):  # queries of two groups see every row
+        knn_grid([0, 1], dist, np.array([2, 1, 0]), [1], np.array([0, 1, 1]))
     with pytest.raises(ContractError, match="k=3"):
-        knn_grid([0], np.array([1, 2]), dist, np.array([0, 1, 0]), [1, 3])
+        knn_grid([0], dist, np.array([0, 1, 0]), [1, 3], np.array([0, 1, 1]))
     for bad in (np.nan, np.inf, -np.inf):
         broken = dist.copy()
         broken[0, 2] = bad  # beyond the single neighbour k = 1 keeps
         with pytest.raises(ContractError, match="finite"):
-            knn_grid([0], np.array([1, 2]), broken, np.array([0, 1, 0]), [1])
-        with pytest.raises(ContractError, match="finite"):
-            knn_grid([0], np.arange(3), broken, np.array([0, 1, 0]), [1], groups=np.array([0, 1, 2]))
+            knn_grid([0], broken, np.array([0, 1, 0]), [1], np.array([0, 1, 2]))
     with pytest.raises(ContractError, match="k=2 candidates, got 1"):  # row 0 sees row 2 only
-        knn_grid([0, 1], np.arange(3), dist, np.array([0, 1, 0]), [2], groups=np.array([0, 0, 1]))
+        knn_grid([0, 1], dist, np.array([0, 1, 0]), [2], np.array([0, 0, 1]))
 
 
 @st.composite
@@ -230,8 +231,8 @@ def test_far_candidate_changes_nothing(table, extra, far_label):
     grown[:n, :n] = dist
     grown[queries, n] = dist[queries].max(axis=1) + 1.0 + extra  # farther than every candidate
     grown_labels = np.append(labels, far_label)
-    before = knn_grid(queries, candidates, dist, labels, k_grid)
-    after = knn_grid(queries, np.append(candidates, n), grown, grown_labels, k_grid)
+    before = knn_grid(queries, dist, labels, k_grid, _groups(dist, candidates))
+    after = knn_grid(queries, grown, grown_labels, k_grid, _groups(grown, np.append(candidates, n)))
     assert np.array_equal(before[0], after[0])
     assert np.array_equal(before[1], after[1])
 
@@ -240,8 +241,9 @@ def test_far_candidate_changes_nothing(table, extra, far_label):
 @given(_knn_tables())
 def test_swapped_labels_mirror_every_untied_vote(table):
     dist, labels, queries, candidates, k_grid = table
-    nearest, predictions = knn_grid(queries, candidates, dist, labels, k_grid)
-    swapped_nearest, swapped = knn_grid(queries, candidates, dist, 1 - labels, k_grid)
+    groups = _groups(dist, candidates)
+    nearest, predictions = knn_grid(queries, dist, labels, k_grid, groups)
+    swapped_nearest, swapped = knn_grid(queries, dist, 1 - labels, k_grid, groups)
     assert np.array_equal(nearest, swapped_nearest)
     ks = np.asarray(k_grid)
     untied = 2 * np.cumsum(labels[nearest], axis=1)[:, ks - 1] != ks
@@ -250,7 +252,7 @@ def test_swapped_labels_mirror_every_untied_vote(table):
 
 @st.composite
 def _grouped_tables(draw):
-    """(distances, labels, groups, queries, candidates, k_grid); queries may be candidates."""
+    """(distances, labels, groups, queries, k_grid) with up to four groups."""
     n = draw(st.integers(3, 14))
     pool = draw(st.sampled_from([[0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.7], None]))
     cell = st.floats(0.0, 10.0) if pool is None else st.sampled_from(pool)
@@ -259,25 +261,24 @@ def _grouped_tables(draw):
     groups = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     if draw(st.booleans()):  # entries within a group are never read
         dist[groups[:, None] == groups] = draw(st.sampled_from([np.nan, np.inf]))
-    rows = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
-    queries, candidates = np.array(draw(rows)), np.array(draw(rows))
-    eligible = (groups[queries, None] != groups[candidates]).sum(axis=1)
+    queries = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+    eligible = (groups[queries, None] != groups).sum(axis=1)
     queries = queries[eligible > 0]
     assume(queries.size)
     fewest = int(eligible[eligible > 0].min())
     k_grid = draw(st.lists(st.integers(1, fewest), min_size=1, max_size=5))
-    return dist, labels, groups, queries, candidates, k_grid
+    return dist, labels, groups, queries, k_grid
 
 
 @settings(max_examples=300, deadline=None)
 @given(_grouped_tables())
 def test_groups_exclude_own_group_and_equal_per_group_calls(table):
-    dist, labels, groups, queries, candidates, k_grid = table
-    nearest, predictions = knn_grid(queries, candidates, dist, labels, k_grid, groups=groups)
+    dist, labels, groups, queries, k_grid = table
+    nearest, predictions = knn_grid(queries, dist, labels, k_grid, groups)
     assert (groups[nearest] != groups[queries, None]).all()
     for g in np.unique(groups[queries]):
         mine = groups[queries] == g
-        expected = knn_grid(queries[mine], candidates[groups[candidates] != g], dist, labels, k_grid)
+        expected = knn_grid(queries[mine], dist, labels, k_grid, groups != g)
         assert np.array_equal(nearest[mine], expected[0])
         assert np.array_equal(predictions[mine], expected[1])
 
@@ -292,19 +293,39 @@ def test_query_blocks_rank_as_one_block(monkeypatch):
         dist = np.triu(raw, 1) + np.triu(raw, 1).T
         labels = rng.integers(0, 2, size=n)
         if table % 2:  # a k-fold protocol: every row against every other group
-            queries = candidates = np.arange(n)
+            queries = np.arange(n)
             groups = rng.permutation(np.resize(np.arange(3), n))
             top = n - np.bincount(groups).max()
         else:
             rows = rng.permutation(n)
-            queries, candidates, groups = rows[: n // 2], rows[n // 2 :], None
-            top = candidates.size
+            queries, groups = rows[: n // 2], _groups(dist, rows[n // 2 :])
+            top = n - n // 2
         k_grid = sorted(set(rng.integers(1, top + 1, size=4).tolist()))
-        whole = knn_grid(queries, candidates, dist, labels, k_grid, groups=groups)
+        whole = knn_grid(queries, dist, labels, k_grid, groups)
         per_block = int(rng.integers(1, 6))
         monkeypatch.setattr(topmix.classify, "BLOCK_ENTRIES", n * per_block)
-        blocked = knn_grid(queries, candidates, dist, labels, k_grid, groups=groups)
+        blocked = knn_grid(queries, dist, labels, k_grid, groups)
         monkeypatch.undo()
         assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1]), table
         split += per_block < queries.size
     assert split >= 250
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_candidate_set_as_groups_matches_per_query_oracle(data):
+    # integer distances, asymmetric and with a non-zero diagonal: ties at the
+    # rank boundary, in votes and in sums
+    n = data.draw(st.integers(2, 16))
+    dist = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)))
+    dist = dist.reshape(n, n).astype(np.float64)
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    rows = np.arange(n)
+    candidates = np.array(data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=n - 1, unique=True)))
+    others = np.setdiff1d(rows, candidates)
+    queries = np.array(data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
+    k_grid = list(range(1, candidates.size + 1))
+    _, predictions = knn_grid(queries, dist, labels, k_grid, np.isin(rows, candidates))
+    for i, q in enumerate(queries.tolist()):
+        for j, k in enumerate(k_grid):
+            assert predictions[i, j] == oracles.knn_predict(q, candidates, dist, labels, k), (q, k)

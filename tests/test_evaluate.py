@@ -22,9 +22,13 @@ import oracles
 from oracles import wasserstein
 
 
+def _folds(folds, seed=0, stratified=False):
+    return SplitSpec(mode="kfold", folds=folds, seed=seed, stratified=stratified)
+
+
 def _kfold(distances, labels, folds, k, seed=0):
     """The pooled k-fold report at one k."""
-    return select_k_kfold(distances, labels, folds, [k], seed=seed)[1]
+    return select_k_kfold(distances, labels, _folds(folds, seed), [k])[1]
 
 
 class TestHoldout:
@@ -59,6 +63,19 @@ class TestHoldout:
     def test_fraction_validation(self):
         with pytest.raises(ContractError):
             SplitSpec(train_frac=0.5, val_frac=0.2, test_frac=0.2)
+
+    @pytest.mark.parametrize("mode", ["holdout", "kfold"])
+    @pytest.mark.parametrize("key", ["train_frac", "val_frac", "test_frac"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_fraction_rejected(self, mode, key, value):
+        # NaN fails every comparison, so the sum and sign checks alone let it through
+        with pytest.raises(ContractError, match=f"^{key} must be finite, got {value!r}$"):
+            SplitSpec(mode=mode, **{key: value})
+
+    @pytest.mark.parametrize("mode", ["holdout", "kfold"])
+    def test_negative_seed_rejected(self, mode):
+        with pytest.raises(ContractError, match="^split seed must be >= 0, got -1$"):
+            SplitSpec(mode=mode, seed=-1)
 
 
 class TestKfold:
@@ -189,7 +206,7 @@ class TestEvaluateSplit:
             evaluate_split(distances[:9, :9], labels, SplitSpec(seed=0), k_grid=[1])
         for k_grid in ([], [0, 1]):
             with pytest.raises(ContractError, match="k grid"):
-                select_k_kfold(distances, labels, 2, k_grid)
+                select_k_kfold(distances, labels, _folds(2), k_grid)
 
     def test_result_depends_only_on_the_matrix(self):
         deaths, labels = _duplicated_diagram_set()
@@ -259,7 +276,7 @@ class TestEvaluateKfold:
         distances, labels = _duplicated_distance_set()
         for k, stratified in ((8, False), (9, False), (8, True), (9, True)):
             with pytest.raises(EvaluationError, match=rf"^fold leaves only 7 candidates for k={k}$"):
-                select_k_kfold(distances, labels, 4, [1, k], stratified=stratified)
+                select_k_kfold(distances, labels, _folds(4, stratified=stratified), [1, k])
 
     def test_seed_determinism(self):
         distances, labels = _duplicated_distance_set()
@@ -272,7 +289,7 @@ class TestEvaluateKfold:
 class TestSelectKKfold:
     def test_returns_best_pooled_accuracy(self):
         distances, labels = _duplicated_distance_set()
-        chosen, report = select_k_kfold(distances, labels, folds=5, k_grid=[1, 3, 5], seed=0)
+        chosen, report = select_k_kfold(distances, labels, _folds(5), [1, 3, 5])
         accs = {k: _kfold(distances, labels, 5, k).accuracy for k in (1, 3, 5)}
         best = max(accs.values())
         assert report.k == chosen and report.accuracy == accs[chosen] == best
@@ -287,13 +304,9 @@ class TestSelectKKfold:
             labels = np.resize([0, 1], n)
             rng.shuffle(labels)
             folds, seed, stratified = int(rng.integers(2, 11)), case, case % 3 == 0
-            chosen, report = select_k_kfold(
-                distances, labels, folds, [7, 1, 4, 2, 4], seed=seed, stratified=stratified
-            )
-            at_k = {
-                k: select_k_kfold(distances, labels, folds, [k], seed=seed, stratified=stratified)[1]
-                for k in (1, 2, 4, 7)
-            }
+            split = _folds(folds, seed, stratified)
+            chosen, report = select_k_kfold(distances, labels, split, [7, 1, 4, 2, 4])
+            at_k = {k: select_k_kfold(distances, labels, split, [k])[1] for k in (1, 2, 4, 7)}
             best = max(r.accuracy for r in at_k.values())
             assert chosen == min(k for k, r in at_k.items() if r.accuracy == best)
             assert report == at_k[chosen]
@@ -312,25 +325,26 @@ class TestSelectKKfold:
                 distances = distances.astype(np.float64)
             labels = rng.permutation(np.resize([0, 1], n))
             folds, stratified = int(rng.integers(2, 6)), bool(rng.integers(2))
-            fold_of = kfold_groups(labels, SplitSpec(mode="kfold", folds=folds, seed=table, stratified=stratified))
+            split = _folds(folds, table, stratified)
+            fold_of = kfold_groups(labels, split)
             top = int(rng.integers(1, n - np.bincount(fold_of).max() + 2))  # sometimes one too many
             k_grid = sorted(set(rng.integers(1, top + 1, size=3).tolist()) | {top})
             try:
                 nearest, preds = oracles.kfold_predictions_per_fold(distances, labels, fold_of, k_grid)
             except EvaluationError as exc:
                 with pytest.raises(EvaluationError) as got:
-                    select_k_kfold(distances, labels, folds, k_grid, seed=table, stratified=stratified)
+                    select_k_kfold(distances, labels, split, k_grid)
                 assert str(got.value) == str(exc), table
                 raised += 1
                 continue
             every_row = np.arange(n)
-            got_nearest, got_preds = knn_grid(every_row, every_row, distances, labels, k_grid, groups=fold_of)
+            got_nearest, got_preds = knn_grid(every_row, distances, labels, k_grid, fold_of)
             assert np.array_equal(got_nearest, nearest), table
             assert np.array_equal(got_preds, preds), table
             # the chosen k and its report, from the oracle's predictions
             hits = [int((preds[:, j] == labels).sum()) for j in range(len(k_grid))]
             j = max(range(len(k_grid)), key=lambda j: (hits[j], -k_grid[j]))
-            chosen, report = select_k_kfold(distances, labels, folds, k_grid, seed=table, stratified=stratified)
+            chosen, report = select_k_kfold(distances, labels, split, k_grid)
             assert chosen == report.k == k_grid[j], table
             assert report.predictions.tolist() == [[r, labels[r], preds[r, j]] for r in range(n)], table
             truth, predicted = labels.tolist(), preds[:, j].tolist()
@@ -349,6 +363,11 @@ class TestSelectKKfold:
         assert checked >= 1500 and raised >= 50
         assert boundary_ties >= 10_000
 
+    def test_holdout_spec_rejected(self):
+        distances, labels = _duplicated_distance_set()
+        with pytest.raises(ContractError, match="kfold SplitSpec"):
+            select_k_kfold(distances, labels, SplitSpec(), [1])
+
     def test_folds_drawn_once_for_the_grid(self, monkeypatch):
         import topmix.evaluate as evaluate
 
@@ -356,7 +375,7 @@ class TestSelectKKfold:
         draw = evaluate.kfold_indices
         monkeypatch.setattr(evaluate, "kfold_indices", lambda *a: calls.append(a) or draw(*a))
         distances, labels = _duplicated_distance_set()
-        select_k_kfold(distances, labels, folds=5, k_grid=[1, 2, 3, 4], seed=0)
+        select_k_kfold(distances, labels, _folds(5), [1, 2, 3, 4])
         assert len(calls) == 1
 
 

@@ -4,16 +4,19 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from topmix.cli import main as cli_main
 from topmix.errors import ContractError, TopmixError
+from topmix.evaluate import SplitSpec, holdout_indices
 from topmix.metric import save_distance_matrix
 from topmix.pipeline import (
     CONFIG_KEYS,
     SPLIT_KEYS,
+    ExperimentConfig,
     compute_diagrams,
     compute_distances,
     features_fingerprint,
@@ -112,6 +115,39 @@ class TestConfig:
                 doc = json.loads(path.read_text(encoding="utf-8"))
                 assert set(doc) <= set(CONFIG_KEYS), path.name
                 assert set(doc["split"]) <= set(SPLIT_KEYS), path.name
+
+    def test_data_and_schema_alone_take_every_dataclass_default(
+        self, tmp_path, small_mixed_file, small_mixed_schema_file
+    ):
+        cfg = tmp_path / "minimal.json"
+        cfg.write_text(json.dumps({"data": str(small_mixed_file), "schema": str(small_mixed_schema_file)}))
+        config = load_experiment_config(cfg)
+        assert (config.data_path, config.schema_path) == (small_mixed_file, small_mixed_schema_file)
+        assert config.out_dir == tmp_path / "out"  # beside the config, not the dataclass's ./out
+        for field in fields(ExperimentConfig):
+            if field.name not in ("data_path", "schema_path", "out_dir"):
+                assert getattr(config, field.name) == field.default, field.name
+        assert set(CONFIG_KEYS) == {"data", "schema"} | {f.name for f in fields(ExperimentConfig)[2:]}
+        assert set(SPLIT_KEYS) == {f.name for f in fields(SplitSpec)}
+
+    @pytest.mark.parametrize(
+        "fields_, overrides, message",
+        [
+            ({"out_dir": None}, None, "invalid config value for 'out_dir': None"),
+            ({"split": {"mode": "holdout", "train_frac": float("nan")}}, None, "train_frac must be finite, got nan"),
+            ({"split": {"mode": "holdout", "val_frac": float("nan")}}, None, "val_frac must be finite, got nan"),
+            ({"split": {"mode": "holdout", "test_frac": float("nan")}}, None, "test_frac must be finite, got nan"),
+            ({"split": {"mode": "holdout", "seed": -1}}, None, "split seed must be >= 0, got -1"),
+            ({}, {"split_seed": -1}, "split seed must be >= 0, got -1"),
+        ],
+        ids=["out_dir_null", "train_frac_nan", "val_frac_nan", "test_frac_nan", "seed", "seed_override"],
+    )
+    def test_bad_value_named(
+        self, tmp_path, small_mixed_file, small_mixed_schema_file, fields_, overrides, message
+    ):
+        cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, **fields_)
+        with pytest.raises(ContractError, match=re.escape(message)):
+            load_experiment_config(cfg, overrides)
 
     def test_removed_worker_count_key_rejected(self, tmp_path, small_mixed_file, small_mixed_schema_file):
         cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, threads=4)
@@ -591,6 +627,24 @@ class TestCli:
             vote = capsys.readouterr().out.splitlines()[-1]
             assert vote.endswith(f"predicted {label}"), (row, vote)
 
+    def test_inspect_votes_as_classify_predicted_under_holdout(self, tmp_path, capsys):
+        data, schema = _synth_files(tmp_path)
+        cfg = _config_for(tmp_path, data, schema)
+        assert cli_main(["classify", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "out" / "predictions.csv").read_text(encoding="utf-8").splitlines()[1:]
+        predicted = {int(r): int(pr) for r, _, pr in (line.split(",") for line in lines)}
+        config = load_experiment_config(cfg)
+        train = set(holdout_indices(compute_diagrams(config).labels, config.split)[0].tolist())
+        assert len(predicted) == 12 and len(train) == 36
+        for row in range(60):
+            capsys.readouterr()
+            assert cli_main(["inspect", "--config", str(cfg), "--row", str(row)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            listed = {int(line.split()[1]) for line in out if line.startswith("  row ")}
+            assert listed and listed <= train - {row}, row
+            if row in predicted:
+                assert out[-1].endswith(f"predicted {predicted[row]}"), (row, out[-1])
+
     def test_cli_runs_without_scipy(self, tmp_path):
         program = (
             "import sys; sys.modules['scipy'] = None; "
@@ -673,6 +727,32 @@ class TestCli:
         assert run.returncode == 1
         assert "Traceback" not in run.stderr
         assert f"error: {key} must be finite, got {float(value)!r}" in run.stderr
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "fields_, seed, message",
+        [
+            ({"out_dir": None}, None, "invalid config value for 'out_dir': None"),
+            ({"split": {"mode": "holdout", "train_frac": float("nan")}}, None, "train_frac must be finite, got nan"),
+            ({"split": {"mode": "holdout", "val_frac": float("nan")}}, None, "val_frac must be finite, got nan"),
+            ({"split": {"mode": "holdout", "test_frac": float("nan")}}, None, "test_frac must be finite, got nan"),
+            ({"split": {"mode": "holdout", "seed": -1}}, None, "split seed must be >= 0, got -1"),
+            ({}, "-1", "split seed must be >= 0, got -1"),
+        ],
+        ids=["out_dir_null", "train_frac_nan", "val_frac_nan", "test_frac_nan", "seed", "seed_option"],
+    )
+    def test_bad_config_value_exits_1_without_traceback(self, tmp_path, fields_, seed, message):
+        data, schema = _synth_files(tmp_path, n=30)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3], **fields_)
+        run = subprocess.run(
+            [sys.executable, "-m", "topmix.cli", "classify", "--config", str(cfg)]
+            + (["--seed", seed] if seed else []),
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert f"error: {message}" in run.stderr
         assert not (tmp_path / "cache").exists()
 
     def test_inspect_prints_the_projection_cloud(self, tmp_path, capsys):
