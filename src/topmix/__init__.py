@@ -4,7 +4,8 @@ Each record becomes a small point cloud (the record plus its
 coordinate-zeroing projections), clouds become dimension-0 persistence
 diagrams, carried as one matrix of sorted deaths, diagrams are compared
 with the p-Wasserstein distance, and a k-nearest-neighbor vote classifies.
-The data travel as arrays throughout: the parsed table as columns, the
+The data travel as arrays throughout: the parsed table as typed columns
+(float64 values, and domain codes for a categorical attribute), the
 votes as a (rows, ks) grid and the predictions as (row, true, predicted)
 rows of one int64 array.
 """

@@ -5,19 +5,24 @@ in the parse report); everything retained is fully validated: numeric
 fields are finite reals, categorical tokens come from the declared
 domain, and the target is binarized by the schema's positive rule.
 
-Validation is column-wise: every line is split once, the kept rows are
-transposed, and each column is checked in one pass (``float`` over a
-numeric column and one ``np.isfinite``, one subset test of a categorical
-column against its domain). The dataset keeps those columns; nothing
-transposes them back to rows. The error raised is still the first one in
-row-major order, the one a row-by-row reader would meet: the lowest row,
-and within it the leftmost field, the target last. A row with the wrong
-field count is reported only when no earlier row fails.
+The table is parsed straight into typed columns. Field counts come from
+counting delimiters, only the lines that contain the missing token are
+split to decide whether to drop them, and the kept lines are split into
+one flat list of fields, of which column c is every n_fields-th entry
+from c. A numeric column becomes a float64 array (``float`` over the
+tokens, then one ``np.isfinite``); a categorical column becomes an intp
+array of codes into its attribute's domain, found while it is validated.
+The error raised is still the first one in row-major order, the one a
+row-by-row reader would meet: the lowest row, and within it the leftmost
+field, the target last. A row with the wrong field count is reported
+only when no earlier row fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import methodcaller
 from pathlib import Path
 from typing import Sequence
 
@@ -44,12 +49,13 @@ class ParseReport:
 class RawDataset:
     """Validated columns, one per schema attribute in schema order, plus 0/1 labels.
 
-    A numeric column holds floats, a categorical one domain tokens (str);
-    entry i of every column and of ``labels`` belongs to kept row i.
+    A numeric column is a float64 array of its values; a categorical one
+    is an intp array of codes, entry j standing for ``attr.domain[j]``.
+    Entry i of every column and of ``labels`` belongs to kept row i.
     """
 
     schema: SchemaSpec
-    columns: tuple[Sequence[float | str], ...]
+    columns: tuple[np.ndarray, ...]
     labels: np.ndarray
 
     @property
@@ -57,15 +63,31 @@ class RawDataset:
         return self.labels.size
 
 
-def _floats(tokens: Sequence[str]) -> list[float]:
-    """The tokens as floats, up to (not including) the first that is not numeric.
+def _fields(lines: list[str], delimiter: str) -> list[str]:
+    """Every field of every line in order, as ``line.split(delimiter)`` chained.
+
+    Joining the lines with the delimiter and splitting once gives the same
+    list, faster, when the delimiter cannot overlap itself (no proper
+    prefix of it is also a suffix): an occurrence crossing a joint would
+    overlap the delimiter put there. "||" can: the lines "1|" and "2" join
+    to "1|||2", which splits as "1", "|2".
+    """
+    if not lines:
+        return []
+    if all(delimiter[:k] != delimiter[-k:] for k in range(1, len(delimiter))):
+        return delimiter.join(lines).split(delimiter)
+    return list(chain.from_iterable(map(methodcaller("split", delimiter), lines)))
+
+
+def _floats(tokens: Sequence[str]) -> np.ndarray:
+    """The tokens as float64, up to (not including) the first that is not numeric.
 
     ``float`` ignores the surrounding whitespace it accepts, so when every
     raw token parses the values equal those of the stripped tokens; only
     a failure needs the stripped column.
     """
     try:
-        return list(map(float, tokens))
+        return np.fromiter(map(float, tokens), np.float64, count=len(tokens))
     except ValueError:
         pass
     values: list[float] = []
@@ -74,10 +96,10 @@ def _floats(tokens: Sequence[str]) -> list[float]:
             values.append(float(token))
         except ValueError:
             break
-    return values
+    return np.array(values, dtype=np.float64)
 
 
-def _numeric(attr: Attribute, tokens: Sequence[str]) -> tuple[list[float], Failure | None]:
+def _numeric(attr: Attribute, tokens: Sequence[str]) -> tuple[np.ndarray, Failure | None]:
     values = _floats(tokens)
     # Non-finite values before the first non-numeric token come first in row order.
     finite = np.isfinite(values)
@@ -91,20 +113,27 @@ def _numeric(attr: Attribute, tokens: Sequence[str]) -> tuple[list[float], Failu
     return values, None
 
 
-def _categorical(attr: Attribute, tokens: Sequence[str]) -> tuple[Sequence[str], Failure | None]:
+def _categorical(attr: Attribute, tokens: Sequence[str]) -> tuple[np.ndarray, Failure | None]:
+    """The domain code of every token, or the first token outside the domain."""
+    n = len(tokens)
     # A raw token equal to a strip-invariant domain token is its own stripped form.
-    if {t for t in attr.domain if t == t.strip()}.issuperset(tokens):
-        return tokens, None
+    fast = {token: j for j, token in enumerate(attr.domain) if token == token.strip()}
+    try:
+        return np.fromiter(map(fast.__getitem__, tokens), np.intp, count=n), None
+    except KeyError:
+        pass
+    code = {token: j for j, token in enumerate(attr.domain)}
     tokens = list(map(str.strip, tokens))
-    domain = set(attr.domain)
-    for pos, token in enumerate(tokens):
-        if token not in domain:
-            message = (
-                f"attribute {attr.name!r}: token {token!r} "
-                f"outside declared domain {list(attr.domain)}"
-            )
-            return tokens, (pos, SchemaError, message)
-    return tokens, None
+    codes = np.fromiter(map(code.get, tokens, repeat(-1, n)), np.intp, count=n)
+    outside = np.flatnonzero(codes < 0)
+    if outside.size:
+        pos = int(outside[0])
+        message = (
+            f"attribute {attr.name!r}: token {tokens[pos]!r} "
+            f"outside declared domain {list(attr.domain)}"
+        )
+        return codes, (pos, SchemaError, message)
+    return codes, None
 
 
 def _labels(rule: PositiveRule, tokens: Sequence[str]) -> tuple[np.ndarray, Failure | None]:
@@ -114,7 +143,7 @@ def _labels(rule: PositiveRule, tokens: Sequence[str]) -> tuple[np.ndarray, Fail
         hits = map(positive.__contains__, map(str.strip, tokens))
         return np.fromiter(hits, dtype=np.int64, count=len(tokens)), None
     values = _floats(tokens)
-    labels = (np.asarray(values, dtype=np.float64) > rule.threshold).astype(np.int64)
+    labels = (values > rule.threshold).astype(np.int64)
     if len(values) < len(tokens):
         pos = len(values)
         return labels, (pos, ParseError, f"target token {tokens[pos].strip()!r} is not numeric")
@@ -158,40 +187,37 @@ def parse_dataset(
         lines = lines[1:]
     total = len(lines)
     n_fields = schema.n_fields
-    rows = [line.split(delimiter) for line in lines]
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=total)
+    widths = np.fromiter(map(methodcaller("count", delimiter), lines), np.intp, count=total) + 1
     wrong = np.flatnonzero(widths != n_fields)
     stop = int(wrong[0]) if wrong.size else total  # rows before the first of the wrong width
+    del lines[stop:]
 
     missing = schema.missing_token
-    dropped = [i for i in range(stop) if missing in lines[i] and missing in map(str.strip, rows[i])]
+    holding = compress(range(stop), map(str.__contains__, lines, repeat(missing)))
+    dropped = [i for i in holding if missing in map(str.strip, lines[i].split(delimiter))]
+    kept_at = np.delete(np.arange(stop), dropped)
+    lines = list(map(lines.__getitem__, kept_at.tolist()))
+    fields = _fields(lines, delimiter)
     del lines
-    if dropped:
-        skip = set(dropped)
-        kept_at: Sequence[int] = [i for i in range(stop) if i not in skip]
-        rows = [rows[i] for i in kept_at]
-    else:
-        kept_at = range(stop)
-        del rows[stop:]
 
-    columns = list(zip(*rows)) or [()] * n_fields
-    del rows
-    parsed: list[Sequence[float | str]] = []
+    columns: list[np.ndarray] = []
     failures: list[Failure | None] = []
-    for attr, tokens in zip(schema.attributes, columns):
-        values, failure = (_numeric if attr.kind == "numeric" else _categorical)(attr, tokens)
-        parsed.append(values)
+    for c, attr in enumerate(schema.attributes):
+        check = _numeric if attr.kind == "numeric" else _categorical
+        column, failure = check(attr, fields[c::n_fields])
+        columns.append(column)
         failures.append(failure)
-    labels, failure = _labels(schema.positive_rule, columns[-1])
+    labels, failure = _labels(schema.positive_rule, fields[n_fields - 1 :: n_fields])
+    del fields
     failures = [f for f in failures + [failure] if f is not None]
     if failures:
         # min keeps the leftmost column among failures in the same row
         pos, error, message = min(failures, key=lambda f: f[0])
-        raise error(f"row {kept_at[pos]}: {message}")
+        raise error(f"row {int(kept_at[pos])}: {message}")
     if stop < total:
         raise ParseError(f"row {stop}: expected {n_fields} fields, got {int(widths[stop])}")
 
-    dataset = RawDataset(schema=schema, columns=tuple(parsed), labels=labels)
+    dataset = RawDataset(schema=schema, columns=tuple(columns), labels=labels)
     report = ParseReport(
         total_rows=total,
         kept_rows=dataset.n,

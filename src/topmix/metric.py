@@ -94,6 +94,10 @@ ALGORITHM = "zero-birth-dp"
 # for 26-point diagrams) without running faster.
 _BLOCK_PAIRS = 1024
 
+# The magic string, version, 2-byte length and the longest header that
+# ``.npy`` version 1.0 allows.
+_NPY_V1_HEADER_MAX = 10 + 0xFFFF
+
 
 def _dp_distances(a: np.ndarray, b_rev: np.ndarray, p: float) -> np.ndarray:
     """W_p for a block of pairs: column k compares a[:, k] with b[:, k].
@@ -253,5 +257,17 @@ def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> tuple[int, str
     return len(data), hashlib.sha256(data).hexdigest()
 
 
-def load_distance_matrix(path: str | Path) -> np.ndarray:
-    return np.load(path, allow_pickle=False)
+def load_distance_matrix(path: str | Path, data: bytearray | None = None) -> np.ndarray:
+    """The matrix that ``save_distance_matrix`` wrote to ``path``.
+
+    ``data`` is the file's content when the caller has already read it
+    (the cache reads it once, to hash it). The matrix is then a writable
+    view of those bytes, not a second copy.
+    """
+    if data is None:
+        return np.load(path, allow_pickle=False)
+    header = io.BytesIO(data[:_NPY_V1_HEADER_MAX])
+    np.lib.format.read_magic(header)  # np.save writes version 1.0 for a numeric matrix
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
+    matrix = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=header.tell())
+    return matrix.reshape(shape, order="F" if fortran_order else "C")

@@ -9,8 +9,9 @@ the batched dynamic programme of ``metric.distance_matrix``, is cached as
 ``distances.npy``. Each file is written before its manifest, which records
 a fingerprint of everything the file depends on and the file's size and
 sha256; each is written to a temporary file and renamed into place.
-``_cache_problem`` alone decides whether either file can be used; a
-missing, stale or damaged one is logged with that reason and rewritten,
+``_cache_hit`` alone decides whether either file can be used, and a hit
+reads the file once: the bytes it hashes are the bytes the run uses. A
+missing, stale or damaged file is logged with that reason and rewritten,
 never silently reused. The text file of the same stem that earlier
 versions wrote (``diagrams.csv``, ``distances.csv``) is removed.
 Every output is byte-deterministic, so identical configs produce
@@ -40,7 +41,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .errors import ContractError, TopmixError
+from .errors import ContractError, ParseError, TopmixError
 from .evaluate import (
     EvaluationReport,
     SplitResult,
@@ -297,7 +298,12 @@ class PreparedData:
 
 
 def prepare_features(config: ExperimentConfig) -> PreparedData:
-    """Ingest and transform up to the symmetry-broken feature matrix."""
+    """Ingest and transform up to the symmetry-broken feature matrix.
+
+    Raises:
+        ParseError: (in the ingest stage) a table with no kept rows, which
+            no later stage could fit.
+    """
     with _stage("ingest"):
         schema = load_schema(config.schema_path)
         raw, report = parse_dataset(
@@ -307,6 +313,11 @@ def prepare_features(config: ExperimentConfig) -> PreparedData:
             "parsed %d rows: kept %d, dropped %d incomplete",
             report.total_rows, report.kept_rows, report.dropped_rows,
         )
+        if report.kept_rows == 0:
+            raise ParseError(
+                f"data file {config.data_path} has no complete rows: "
+                f"read {report.total_rows}, dropped {report.dropped_rows} for the missing token"
+            )
     with _stage("encode"):
         encoded = one_hot_encode(raw)
     with _stage("standardize"):
@@ -342,13 +353,14 @@ def _write_manifest(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _cache_problem(data_file: Path, fingerprint: str, what: str) -> str | None:
-    """Log and return why ``data_file`` cannot be used, or None when it can.
+def _cache_hit(data_file: Path, fingerprint: str, what: str) -> bytearray | None:
+    """The content of ``data_file`` when it can be used; otherwise log why and return None.
 
     The one validity rule for every cache file: its manifest must carry
     ``fingerprint`` and the file's exact size and sha256. The reasons are
     "missing" (no readable manifest or no file), "stale" (the fingerprint
-    differs) and "damaged" (the size or sha256 differs). The text file of
+    differs) and "damaged" (the size or sha256 differs). The bytes hashed
+    are the bytes returned, so a hit reads the file once. The text file of
     the same stem that earlier versions wrote is deleted first: it is
     never read, and a file that is not a hit is rewritten right after.
     """
@@ -361,15 +373,18 @@ def _cache_problem(data_file: Path, fingerprint: str, what: str) -> str | None:
         reason = "missing"
     elif manifest.get("fingerprint") != fingerprint:
         reason = "stale"
-    elif data_file.stat().st_size != manifest.get("bytes") or (
-        _sha256_file(data_file) != manifest.get("sha256")
-    ):
+    elif (size := data_file.stat().st_size) != manifest.get("bytes"):
         reason = "damaged"
     else:
-        logger.info("%s hit: %s", what, data_file)
-        return None
+        data = bytearray(size)
+        with open(data_file, "rb") as fh:
+            fh.readinto(data)
+        if hashlib.sha256(data).hexdigest() == manifest.get("sha256"):
+            logger.info("%s hit: %s", what, data_file)
+            return data
+        reason = "damaged"
     logger.info("%s %s, rewriting", what, reason)
-    return reason
+    return None
 
 
 def _replace(path: Path, write: Callable[[Path], Any]) -> Any:
@@ -395,7 +410,7 @@ def _write_cache(
 
     ``save`` returns the size and sha256 of what it wrote. Each file is
     replaced whole, the manifest last, so an interrupted write leaves no
-    partial file and at worst a data file ``_cache_problem`` rejects.
+    partial file and at worst a data file ``_cache_hit`` rejects.
     """
     data_file.parent.mkdir(parents=True, exist_ok=True)
     size, sha256 = _replace(data_file, save)
@@ -423,7 +438,7 @@ def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
 
     The closed form is cheaper than reading any file, so diagrams are
     always recomputed. ``diagrams.npy`` and its manifest are rewritten only
-    when ``_cache_problem`` finds the export missing, stale or damaged. The
+    when ``_cache_hit`` finds the export missing, stale or damaged. The
     run's one ``features_fingerprint`` call is here; the result carries it.
     """
     prepared = prepare_features(config)
@@ -434,7 +449,7 @@ def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
         )
         if config.cache_dir is not None:
             cache_file = config.cache_dir / "diagrams.npy"
-            if _cache_problem(cache_file, fingerprint, "diagram export") is not None:
+            if _cache_hit(cache_file, fingerprint, "diagram export") is None:
                 _write_cache(
                     cache_file, fingerprint, lambda path: save_distance_matrix(deaths, path),
                     maxscale=maxscale, safety=config.maxscale_safety, version=__version__,
@@ -445,7 +460,7 @@ def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
 def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.ndarray:
     """Pairwise Wasserstein matrix over all rows, cache-aware.
 
-    ``distances.npy`` is served only when ``_cache_problem`` finds nothing
+    ``distances.npy`` is served only when ``_cache_hit`` finds nothing
     wrong with it; otherwise the matrix is recomputed and rewritten.
     """
     with _stage("distances"):
@@ -453,8 +468,9 @@ def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.n
             return distance_matrix(diagram_set.deaths, config.wasserstein_p)
         fingerprint = f"{diagram_set.fingerprint}:p={config.wasserstein_p!r}:{ALGORITHM}"
         cache_file = config.cache_dir / "distances.npy"
-        if _cache_problem(cache_file, fingerprint, "distance cache") is None:
-            return load_distance_matrix(cache_file)
+        data = _cache_hit(cache_file, fingerprint, "distance cache")
+        if data is not None:
+            return load_distance_matrix(cache_file, data)
         matrix = distance_matrix(diagram_set.deaths, config.wasserstein_p)
         _write_cache(
             cache_file, fingerprint, lambda path: save_distance_matrix(matrix, path),

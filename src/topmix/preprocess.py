@@ -2,11 +2,12 @@
 
 The three stages are pure functions from matrix to matrix and are tagged so
 the pipeline can enforce its ordering: ``encoded`` -> ``standardized`` ->
-``symmetry-broken``. Encoding works on the parsed columns, which
-``ingest`` has already validated (reporting the first fault in row-major
-order): each numeric column is copied with one
-slice assignment and each categorical block is filled with one scatter of
-its domain codes. Standardization uses the population convention
+``symmetry-broken``. Encoding works on the typed columns ``ingest`` has
+already validated (reporting the first fault in row-major order): each
+numeric float64 column is copied with one slice assignment, and each
+categorical block is filled with one scatter of its column's domain
+codes, ``values[rows, col + codes] = 1``; no token is looked up again.
+Standardization uses the population convention
 (divide by n), which makes the zero-mean/unit-variance invariant exact on
 the fit rows.
 """
@@ -73,19 +74,17 @@ def one_hot_encode(raw: RawDataset) -> FeatureMatrix:
     schema's attribute order, with each categorical attribute's columns in
     its declared domain order; every row carries exactly one 1 per
     categorical block. A numeric column is assigned as one slice, and a
-    categorical block is scattered from the domain codes of its column.
+    categorical block is one scatter of the domain codes ``ingest`` found.
     """
     schema = raw.schema
-    n = raw.n
-    values = np.zeros((n, schema.encoded_width), dtype=np.float64)
-    every_row = np.arange(n)
+    values = np.zeros((raw.n, schema.encoded_width), dtype=np.float64)
+    every_row = np.arange(raw.n)
     col = 0
     for attr, column in zip(schema.attributes, raw.columns):
         if attr.kind == "numeric":
             values[:, col] = column
         else:
-            code = {token: j for j, token in enumerate(attr.domain)}
-            values[every_row, col + np.fromiter(map(code.__getitem__, column), np.intp, n)] = 1.0
+            values[every_row, col + column] = 1.0
         col += attr.width
     return FeatureMatrix(
         values=values,

@@ -286,7 +286,8 @@ def parse_dataset_rowwise(
     """``ingest.parse_dataset`` one row, and within it one field, at a time.
 
     The first fault met in reading order is raised: a wrong field count,
-    then each attribute left to right, the target last.
+    then each attribute left to right, the target last. A categorical
+    field's code is the ``attr.domain.index`` of its stripped token.
     """
     with open(source, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
@@ -295,7 +296,7 @@ def parse_dataset_rowwise(
         data_lines = data_lines[1:]
 
     n_fields = schema.n_fields
-    rows: list[tuple[float | str, ...]] = []
+    rows: list[tuple[float | int, ...]] = []
     labels: list[int] = []
     dropped: list[int] = []
 
@@ -308,7 +309,7 @@ def parse_dataset_rowwise(
         if schema.missing_token in fields:
             dropped.append(idx)
             continue
-        parsed: list[float | str] = []
+        parsed: list[float | int] = []
         for attr, token in zip(schema.attributes, fields[:-1]):
             if attr.kind == "numeric":
                 try:
@@ -328,18 +329,18 @@ def parse_dataset_rowwise(
                         f"row {idx}: attribute {attr.name!r}: token {token!r} "
                         f"outside declared domain {list(attr.domain)}"
                     )
-                parsed.append(token)
+                parsed.append(attr.domain.index(token))
         try:
             labels.append(binarize_target(fields[-1], schema.positive_rule))
         except ParseError as exc:
             raise ParseError(f"row {idx}: {exc}") from None
         rows.append(tuple(parsed))
 
-    dataset = RawDataset(
-        schema=schema,
-        columns=tuple(zip(*rows)) or ((),) * len(schema.attributes),
-        labels=np.asarray(labels, dtype=np.int64),
+    columns = tuple(
+        np.array([row[c] for row in rows], dtype=np.float64 if attr.kind == "numeric" else np.intp)
+        for c, attr in enumerate(schema.attributes)
     )
+    dataset = RawDataset(schema=schema, columns=columns, labels=np.asarray(labels, dtype=np.int64))
     report = ParseReport(
         total_rows=len(data_lines),
         kept_rows=len(rows),
@@ -361,7 +362,7 @@ def one_hot_encode_rowwise(raw: RawDataset) -> FeatureMatrix:
                 values[i, col] = value
                 col += 1
             else:
-                values[i, col + attr.domain.index(value)] = 1.0
+                values[i, col + int(value)] = 1.0  # a domain code
                 col += len(attr.domain)
     return FeatureMatrix(
         values=values,

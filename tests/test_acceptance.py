@@ -171,11 +171,15 @@ def test_c3_one_hot_block_sums_1000():
             row = []
             for attr in schema.attributes:
                 if attr.kind == "categorical":
-                    row.append(str(rng.choice(attr.domain)))
+                    row.append(attr.domain.index(str(rng.choice(attr.domain))))
                 else:
                     row.append(float(rng.normal()))
             rows.append(tuple(row))
-        raw = RawDataset(schema=schema, columns=tuple(zip(*rows)), labels=np.zeros(n, dtype=np.int64))
+        columns = tuple(
+            np.array(column, dtype=np.intp if attr.kind == "categorical" else np.float64)
+            for attr, column in zip(schema.attributes, zip(*rows))
+        )
+        raw = RawDataset(schema=schema, columns=columns, labels=np.zeros(n, dtype=np.int64))
         encoded = one_hot_encode(raw)
         col = 0
         for attr in schema.attributes:

@@ -32,7 +32,11 @@ def _write(tmp_path, text):
 
 
 def _columns(dataset):
-    return [list(column) for column in dataset.columns]
+    """Each column as a list: numeric values, and categorical codes decoded through the domain."""
+    return [
+        column.tolist() if attr.kind == "numeric" else [attr.domain[j] for j in column.tolist()]
+        for attr, column in zip(dataset.schema.attributes, dataset.columns)
+    ]
 
 
 def test_drops_rows_with_missing_token(tmp_path, toy_schema):
@@ -203,6 +207,7 @@ def _outcome(parse, encode, path, schema, delimiter, has_header):
     return (
         "parsed",
         repr(_columns(dataset)),
+        [column.dtype for column in dataset.columns],
         dataset.labels.dtype,
         dataset.labels.tolist(),
         report,
@@ -323,3 +328,53 @@ def test_non_utf8_data_file_is_parse_error(tmp_path, toy_schema):
     path.write_bytes("1.0,a,0\n2.0,b,café\n".encode("latin-1"))
     with pytest.raises(ParseError, match=f"data file {re.escape(str(path))} is not UTF-8 text"):
         parse_dataset(path, toy_schema)
+
+
+def test_columns_are_typed(tmp_path, toy_schema):
+    dataset, _ = parse_dataset(_write(tmp_path, "1.5,b,0\n-2,a,1\n?,a,1\n"), toy_schema)
+    numeric, codes = dataset.columns
+    assert numeric.dtype == np.float64 and numeric.tolist() == [1.5, -2.0]
+    assert codes.dtype == np.intp and codes.tolist() == [1, 0]  # indices into ("a", "b")
+    empty, _ = parse_dataset(_write(tmp_path, ""), toy_schema)
+    assert [column.dtype for column in empty.columns] == [np.float64, np.intp]
+    assert [column.size for column in empty.columns] == [0, 0]
+
+
+def test_self_overlapping_delimiter_splits_each_line(tmp_path):
+    # Joined with "||", the lines "1.5||1|" and "2.5||0" read "1.5||1|||2.5||0",
+    # which splits as "1.5", "1", "|2.5", "0"; each line on its own gives
+    # "1.5", "1|" and "2.5", "0".
+    schema = SchemaSpec(
+        attributes=(Attribute("x", "numeric"),),
+        target="y",
+        positive_rule=PositiveRule(kind="one-of", tokens=("1|",)),
+    )
+    path = _write(tmp_path, "1.5||1|\n2.5||0\n")
+    dataset, report = parse_dataset(path, schema, delimiter="||")
+    assert _columns(dataset) == [[1.5, 2.5]] and dataset.labels.tolist() == [1, 0]
+    assert report.total_rows == report.kept_rows == 2
+    _assert_matches_oracle(path, schema, delimiter="||")
+
+
+@pytest.mark.parametrize("delimiter", ["||", "aba", "::", "|", "ab"])
+def test_delimiter_characters_beside_fields_match_rowwise_oracle(tmp_path, delimiter):
+    # Fields that start or end with part of the delimiter sit beside the joints,
+    # where joining the lines with a self-overlapping delimiter moves an occurrence.
+    schema = SchemaSpec(
+        attributes=(Attribute("x", "numeric"), Attribute("c", "categorical", ("u", "v"))),
+        target="y",
+        positive_rule=PositiveRule(kind="one-of", tokens=("y",)),
+    )
+    head, tail = delimiter[0], delimiter[-1]
+    cells = (
+        ["1.0", "2.5", f"{tail}3"],
+        ["u", "v", f"v{head}"],
+        ["y", f"y{head}", f"{tail}y", f"y{delimiter[:-1]}", f"{delimiter[1:]}y", "u", "1.0"],
+    )
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        lines = []
+        for _ in range(int(rng.integers(1, 5))):
+            lines.append(delimiter.join(str(rng.choice(tokens)) for tokens in cells))
+        path = _write(tmp_path, "\n".join(lines) + "\n")
+        _assert_matches_oracle(path, schema, delimiter=delimiter)

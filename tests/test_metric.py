@@ -214,6 +214,16 @@ class TestDistanceMatrix:
         save_distance_matrix(out, path)
         assert path.read_bytes() == first
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32])
+    def test_load_from_bytes_already_read(self, tmp_path, order, dtype):
+        matrix = np.asarray(np.arange(12).reshape(3, 4), dtype=dtype, order=order)
+        path = tmp_path / "distances.npy"
+        save_distance_matrix(matrix, path)
+        loaded = load_distance_matrix(path, bytearray(path.read_bytes()))
+        assert loaded.dtype == matrix.dtype and np.array_equal(loaded, matrix)
+        assert loaded.flags.writeable
+
 
 class TestDistanceMatrixAgainstOracles:
     def test_brute_force_500_pairs(self):

@@ -443,6 +443,26 @@ class TestRunPipeline:
             run_pipeline(load_experiment_config(cfg))  # the rewritten cache is served warm
             assert "distance cache hit" in caplog.text
 
+    def test_distance_cache_hit_reads_the_file_once(self, tmp_path, monkeypatch):
+        import builtins
+
+        data, schema = _synth_files(tmp_path, n=20)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        first = run_pipeline(load_experiment_config(cfg))
+        cache_file = tmp_path / "cache" / "distances.npy"
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(cache_file):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        second = compute_distances(load_experiment_config(cfg), first.diagram_set)
+        assert len(opened) == 1
+        assert second.flags.writeable and second.tobytes() == first.distances.tobytes()
+
     def test_interrupted_cache_write_leaves_no_partial_file(self, tmp_path):
         from topmix.pipeline import _write_cache
 
@@ -703,6 +723,26 @@ class TestCli:
         named = data if case == "non_utf8_data" else schema
         assert "error: [stage ingest] " in run.stderr and str(named) in run.stderr
         assert expected in run.stderr
+
+    @pytest.mark.parametrize("command", ["classify", "diagrams"])
+    @pytest.mark.parametrize("table", ["empty_file", "header_only", "only_row_missing"])
+    def test_table_with_no_kept_rows_exits_1_without_traceback(self, tmp_path, command, table):
+        text, has_header, counts = {
+            "empty_file": ("", False, "read 0, dropped 0"),
+            "header_only": ("age,sex,cp\n", True, "read 0, dropped 0"),
+            "only_row_missing": (synthetic_cleveland_rows(1, 1, 0)[0] + "\n", False, "read 1, dropped 1"),
+        }[table]
+        data = tmp_path / "data.csv"
+        data.write_text(text, encoding="utf-8")
+        cfg = _config_for(tmp_path, data, CLEVELAND_SCHEMA, has_header=has_header)
+        run = subprocess.run(
+            [sys.executable, "-m", "topmix.cli", command, "--config", str(cfg)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+        assert f"error: [stage ingest] data file {data} has no complete rows: {counts}" in run.stderr
 
     @pytest.mark.parametrize(
         "command, option, value",
