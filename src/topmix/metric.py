@@ -257,15 +257,12 @@ def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> tuple[int, str
     return len(data), hashlib.sha256(data).hexdigest()
 
 
-def load_distance_matrix(path: str | Path, data: bytearray | None = None) -> np.ndarray:
-    """The matrix that ``save_distance_matrix`` wrote to ``path``.
+def load_distance_matrix(path: str | Path, data: bytearray) -> np.ndarray:
+    """The matrix that ``save_distance_matrix`` wrote to ``path``, from its bytes ``data``.
 
-    ``data`` is the file's content when the caller has already read it
-    (the cache reads it once, to hash it). The matrix is then a writable
-    view of those bytes, not a second copy.
+    The caller has read the file once already (the cache hashes it), so
+    the matrix is a writable view of ``data``, not a second copy.
     """
-    if data is None:
-        return np.load(path, allow_pickle=False)
     header = io.BytesIO(data[:_NPY_V1_HEADER_MAX])
     np.lib.format.read_magic(header)  # np.save writes version 1.0 for a numeric matrix
     shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)

@@ -354,27 +354,3 @@ def test_self_overlapping_delimiter_splits_each_line(tmp_path):
     assert _columns(dataset) == [[1.5, 2.5]] and dataset.labels.tolist() == [1, 0]
     assert report.total_rows == report.kept_rows == 2
     _assert_matches_oracle(path, schema, delimiter="||")
-
-
-@pytest.mark.parametrize("delimiter", ["||", "aba", "::", "|", "ab"])
-def test_delimiter_characters_beside_fields_match_rowwise_oracle(tmp_path, delimiter):
-    # Fields that start or end with part of the delimiter sit beside the joints,
-    # where joining the lines with a self-overlapping delimiter moves an occurrence.
-    schema = SchemaSpec(
-        attributes=(Attribute("x", "numeric"), Attribute("c", "categorical", ("u", "v"))),
-        target="y",
-        positive_rule=PositiveRule(kind="one-of", tokens=("y",)),
-    )
-    head, tail = delimiter[0], delimiter[-1]
-    cells = (
-        ["1.0", "2.5", f"{tail}3"],
-        ["u", "v", f"v{head}"],
-        ["y", f"y{head}", f"{tail}y", f"y{delimiter[:-1]}", f"{delimiter[1:]}y", "u", "1.0"],
-    )
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        lines = []
-        for _ in range(int(rng.integers(1, 5))):
-            lines.append(delimiter.join(str(rng.choice(tokens)) for tokens in cells))
-        path = _write(tmp_path, "\n".join(lines) + "\n")
-        _assert_matches_oracle(path, schema, delimiter=delimiter)

@@ -209,7 +209,7 @@ class TestDistanceMatrix:
         out = distance_matrix(_deaths(diagrams), 1.0)
         path = tmp_path / "distances.npy"
         save_distance_matrix(out, path)
-        assert np.array_equal(load_distance_matrix(path), out)
+        assert np.array_equal(load_distance_matrix(path, bytearray(path.read_bytes())), out)
         first = path.read_bytes()
         save_distance_matrix(out, path)
         assert path.read_bytes() == first
