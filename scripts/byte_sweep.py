@@ -18,7 +18,8 @@ generator, and both trees read the same files:
   hold-out and 10-fold, each stratified or not; the k grid 1-10 or k fixed
   at 4 or 7; p in {1, 2}; split seeds 0-5;
 * the same four splits at seed 0 under the zero symmetry vector;
-* inspect at a handful of (config, row) cases;
+* inspect at a handful of (config, row) cases, stratified splits among
+  them;
 * diagrams at 3,000 kept rows.
 
 Each tree runs every command in one process through ``topmix.cli.main``,
@@ -99,9 +100,12 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
                             extra = ["--p", p, "--seed", str(seed)] + (["--k", k] if k else [])
                             command(name, config, f"{vector}-p{p}", "classify", *extra)
                     if not stratified:
-                        for row in ((0, 150, 296) if vector == "default" else (7,)):
-                            name = f"inspect-{tag}-p{p}-row{row}"
-                            command(name, config, f"{vector}-p{p}", "inspect", "--p", p, "--row", str(row))
+                        rows = (0, 150, 296) if vector == "default" else (7,)
+                    else:
+                        rows = (0, 150) if (vector, p) == ("default", "1") else ()
+                    for row in rows:
+                        name = f"inspect-{tag}-p{p}-row{row}"
+                        command(name, config, f"{vector}-p{p}", "inspect", "--p", p, "--row", str(row))
     command("inspect-holdout-k7-s3-row42", inputs / "holdout-plain-default.json", "default-p1",
             "inspect", "--k", "7", "--seed", "3", "--row", "42")
     config = write_config(inputs / "rows3000.json", data=str(inputs / "rows3000.csv"), schema=str(schema))

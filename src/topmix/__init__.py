@@ -28,9 +28,8 @@ from .evaluate import (
     SplitSpec,
     compute_metrics,
     evaluate_split,
-    holdout_indices,
-    kfold_indices,
     select_k_kfold,
+    split_groups,
 )
 from .ingest import ParseReport, RawDataset, parse_dataset
 from .metric import distance_matrix

@@ -22,7 +22,7 @@ import numpy as np
 
 from .classify import knn_grid
 from .errors import TopmixError
-from .evaluate import holdout_indices, kfold_groups
+from .evaluate import split_groups
 from .pipeline import (
     classify_stage,
     compute_diagrams,
@@ -123,13 +123,13 @@ def _cmd_inspect(config, row: int) -> int:
     for death in diagram_set.deaths[row].tolist():
         print(f"  (0.0, {death!r})")
 
-    # the groups classify ranked with; a training row joins group 0, so its
+    # the groups classify ranked with; under hold-out, the training rows
+    # against the rest, and the row joins the rest, so that a training row's
     # candidates are the other training rows
+    groups, pool_name = split_groups(labels, config.split), "rows outside its fold"
     if config.split.mode == "holdout":
-        groups = np.isin(np.arange(n), holdout_indices(labels, config.split)[0])
+        groups = groups == 0
         groups[row], pool_name = False, "training rows"
-    else:
-        groups, pool_name = kfold_groups(labels, config.split), "rows outside its fold"
     k = min(classify_stage(config, matrix, labels)[1].k, int((groups != groups[row]).sum()))
     nearest, predicted = knn_grid([row], matrix, labels, [k], groups)
     print(f"{k} nearest {pool_name}:")

@@ -1,6 +1,8 @@
 """Experiment harness: splits, k selection, cross-validation, and metrics.
 
-Splits are seeded shuffles (optionally stratified). Hold-out sizing puts
+A split is one group id per row (``split_groups``): 0/1/2 for the
+training, validation and test rows of a hold-out, or the row's fold. It
+is one seeded shuffle, per class when stratified. Hold-out sizing puts
 the rounding remainder in the training set: floor(val_frac*n) and
 floor(test_frac*n) rows go to validation and test, the rest to training,
 which reproduces the 179/59/59 partition of 297 rows at 60:20:20; a split
@@ -8,16 +10,16 @@ that leaves validation or test empty is an ``EvaluationError``.
 Predictions come from ``classify.knn_grid``, one call per protocol, as a
 (rows, ks) grid; each protocol states its candidates as one group id per
 row, a query's candidates being the rows of another group. Both
-protocols take the run's ``SplitSpec``. Hold-out gives the training rows
-group 1 and every other row group 0, ranks the validation and test rows
-together over the whole k grid, sweeps k on the validation rows and reads
-the test predictions from the column of the chosen k. Cross-validation
-draws the folds once per grid and gives each row its fold id
-(``kfold_groups``), so each row's candidates are exactly the rows outside
-its fold. k is the first argmax of the hits per column, so
-ties go to the smaller k, and only the chosen k gets a report: one
-bincount over the fold ids gives its per-fold hits. Confusion counts of a
-whole grid are one bincount over 2 * true + predicted + 4 * column.
+protocols take the run's ``SplitSpec``. Hold-out ranks the validation
+and test rows together against the training rows (``groups == 0``) over
+the whole k grid, sweeps k on the validation rows and reads the test
+predictions from the column of the chosen k. Cross-validation draws the
+folds once per grid and ranks with the fold ids themselves, so each
+row's candidates are exactly the rows outside its fold. k is the first
+argmax of the hits per column, so ties go to the smaller k, and only the
+chosen k gets a report: one bincount over the fold ids gives its
+per-fold hits. Confusion counts of a whole grid are one bincount over
+2 * true + predicted + 4 * column.
 Predictions travel as an int64 (rows, 3) array of [row, true, predicted].
 Both protocols sweep the distinct ks of a grid in ascending order, so a
 repeated k is evaluated and reported once.
@@ -69,64 +71,37 @@ class SplitSpec:
             raise ContractError(f"unknown split mode {self.mode!r}")
 
 
-def _per_class_indices(labels: np.ndarray) -> list[np.ndarray]:
-    return [np.flatnonzero(labels == cls) for cls in sorted(set(labels.tolist()))]
+def split_groups(labels: np.ndarray, spec: SplitSpec) -> np.ndarray:
+    """The intp group id of every row: 0/1/2 for hold-out train/validation/test, or the fold.
 
-
-def holdout_indices(
-    labels: np.ndarray, spec: SplitSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Disjoint (train, val, test) row-index arrays covering all rows."""
-    if spec.mode != "holdout":
-        raise ContractError("holdout_indices needs a holdout SplitSpec")
+    Each class (or, unstratified, the whole table) is shuffled once, classes
+    in ascending label order, and the ids are scattered over the shuffle:
+    hold-out ids in train/validation/test blocks sized per stratum;
+    stratified folds dealt round-robin, continuing across classes; plain
+    folds in ``np.array_split``'s blocks, the first n % folds one row longer.
+    """
     labels = np.asarray(labels)
+    n = labels.size
+    if spec.mode == "kfold" and spec.folds > n:
+        raise EvaluationError(f"cannot split {n} rows into {spec.folds} folds")
     rng = np.random.default_rng(spec.seed)
-
-    def carve(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        perm = rng.permutation(indices)
-        n = perm.size
-        n_val = int(np.floor(spec.val_frac * n))
-        n_test = int(np.floor(spec.test_frac * n))
-        n_train = n - n_val - n_test
-        return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
-
-    if spec.stratified:
-        parts = [carve(idx) for idx in _per_class_indices(labels)]
-        train = np.concatenate([p[0] for p in parts])
-        val = np.concatenate([p[1] for p in parts])
-        test = np.concatenate([p[2] for p in parts])
-    else:
-        train, val, test = carve(np.arange(labels.size))
-    return np.sort(train), np.sort(val), np.sort(test)
-
-
-def kfold_indices(labels: np.ndarray, spec: SplitSpec) -> list[np.ndarray]:
-    """Seeded fold assignment; every row lands in exactly one fold."""
-    if spec.mode != "kfold":
-        raise ContractError("kfold_indices needs a kfold SplitSpec")
-    labels = np.asarray(labels)
-    if spec.folds > labels.size:
-        raise EvaluationError(f"cannot split {labels.size} rows into {spec.folds} folds")
-    rng = np.random.default_rng(spec.seed)
-    if spec.stratified:
-        buckets: list[list[int]] = [[] for _ in range(spec.folds)]
-        offset = 0
-        for idx in _per_class_indices(labels):
-            for j, row in enumerate(rng.permutation(idx)):
-                buckets[(offset + j) % spec.folds].append(int(row))
-            offset += idx.size
-        folds = [np.asarray(b, dtype=np.intp) for b in buckets]
-    else:
-        folds = np.array_split(rng.permutation(labels.size), spec.folds)
-    return [np.sort(f) for f in folds]
-
-
-def kfold_groups(labels: np.ndarray, spec: SplitSpec) -> np.ndarray:
-    """The fold id of every row, in the fold order of ``kfold_indices``."""
-    fold_of = np.empty(np.size(labels), dtype=np.intp)
-    for f, fold in enumerate(kfold_indices(labels, spec)):
-        fold_of[fold] = f
-    return fold_of
+    strata = [np.flatnonzero(labels == cls) for cls in np.unique(labels)] if spec.stratified else [np.arange(n)]
+    groups = np.empty(n, dtype=np.intp)
+    offset = 0
+    for rows in strata:
+        perm = rng.permutation(rows)
+        size = perm.size
+        if spec.mode == "holdout":
+            n_val = int(np.floor(spec.val_frac * size))
+            n_test = int(np.floor(spec.test_frac * size))
+            groups[perm] = np.repeat([0, 1, 2], [size - n_val - n_test, n_val, n_test])
+        elif spec.stratified:
+            groups[perm] = (offset + np.arange(size)) % spec.folds
+        else:
+            q, r = divmod(size, spec.folds)
+            groups[perm] = np.repeat(np.arange(spec.folds), q + (np.arange(spec.folds) < r))
+        offset += size
+    return groups
 
 
 @dataclass(frozen=True)
@@ -269,7 +244,10 @@ def evaluate_split(
     _check_distances(distances, labels)
     k_grid = _sorted_grid(k_grid)
 
-    train, val, test = holdout_indices(labels, split)
+    if split.mode != "holdout":
+        raise ContractError("evaluate_split needs a holdout SplitSpec")
+    groups = split_groups(labels, split)
+    train, val, test = (np.flatnonzero(groups == g) for g in range(3))
     if not val.size or not test.size:
         raise EvaluationError(
             f"hold-out split of {labels.size} rows leaves {train.size} training, "
@@ -277,8 +255,7 @@ def evaluate_split(
         )
     _require_both_classes(labels[train], "training set")
 
-    in_train = np.isin(np.arange(labels.size), train)  # the candidates' group
-    _, grid_preds = knn_grid(np.concatenate([val, test]), distances, labels, k_grid, in_train)
+    _, grid_preds = knn_grid(np.concatenate([val, test]), distances, labels, k_grid, groups == 0)
     val_counts = _confusion(labels[val], grid_preds[: val.size])
     table = tuple(compute_metrics(counts, k=k) for counts, k in zip(val_counts, k_grid))
     j = int(np.argmax([counts.tp + counts.tn for counts in val_counts]))  # the first: ties to the smaller k
@@ -310,7 +287,9 @@ def select_k_kfold(
     labels = np.asarray(labels)
     _check_distances(distances, labels)
     _require_both_classes(labels, "dataset")
-    fold_of = kfold_groups(labels, split)
+    if split.mode != "kfold":
+        raise ContractError("select_k_kfold needs a kfold SplitSpec")
+    fold_of = split_groups(labels, split)
     fold_sizes = np.bincount(fold_of)
     short = np.flatnonzero(labels.size - fold_sizes < max(k_grid))
     if short.size:  # the first such fold, in fold order

@@ -12,8 +12,7 @@ sha256; each is written to a temporary file and renamed into place.
 ``_cache_hit`` alone decides whether either file can be used, and a hit
 reads the file once: the bytes it hashes are the bytes the run uses. A
 missing, stale or damaged file is logged with that reason and rewritten,
-never silently reused. The text file of the same stem that earlier
-versions wrote (``diagrams.csv``, ``distances.csv``) is removed.
+never silently reused.
 Every output is byte-deterministic, so identical configs produce
 byte-identical files.
 
@@ -50,8 +49,8 @@ from .evaluate import (
     format_report_kv,
     format_report_text,
     format_validation_table,
-    holdout_indices,
     select_k_kfold,
+    split_groups,
 )
 from .ingest import ParseReport, parse_dataset
 from .metric import ALGORITHM, distance_matrix, load_distance_matrix, save_distance_matrix
@@ -322,8 +321,7 @@ def prepare_features(config: ExperimentConfig) -> PreparedData:
         encoded = one_hot_encode(raw)
     with _stage("standardize"):
         if config.standardize_scope == "train":
-            train, _, _ = holdout_indices(encoded.labels, config.split)
-            params = fit_standardizer(encoded, train)
+            params = fit_standardizer(encoded, np.flatnonzero(split_groups(encoded.labels, config.split) == 0))
         else:
             params = fit_standardizer(encoded)
         standardized = standardize(encoded, params)
@@ -360,14 +358,8 @@ def _cache_hit(data_file: Path, fingerprint: str, what: str) -> bytearray | None
     ``fingerprint`` and the file's exact size and sha256. The reasons are
     "missing" (no readable manifest or no file), "stale" (the fingerprint
     differs) and "damaged" (the size or sha256 differs). The bytes hashed
-    are the bytes returned, so a hit reads the file once. The text file of
-    the same stem that earlier versions wrote is deleted first: it is
-    never read, and a file that is not a hit is rewritten right after.
+    are the bytes returned, so a hit reads the file once.
     """
-    legacy = data_file.with_suffix(".csv")
-    if legacy.is_file():
-        legacy.unlink()
-        logger.info("removed %s, replaced by %s", legacy, data_file.name)
     manifest = _read_manifest(data_file.with_suffix(".manifest.json"))
     if manifest is None or not data_file.is_file():
         reason = "missing"
@@ -557,9 +549,10 @@ def write_artifacts(
     (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     artifacts["predictions"] = out / "predictions.csv"
 
+    validation = out / "validation.csv"
     if split_result is not None:
-        (out / "validation.csv").write_text(
-            format_validation_table(split_result), encoding="utf-8"
-        )
-        artifacts["validation"] = out / "validation.csv"
+        validation.write_text(format_validation_table(split_result), encoding="utf-8")
+        artifacts["validation"] = validation
+    else:  # a hold-out run's table would not describe this run
+        validation.unlink(missing_ok=True)
     return artifacts

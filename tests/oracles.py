@@ -12,7 +12,9 @@ The k-NN reference classifies one query at one k with its own sort, where
 the package ranks a block of queries once for a whole grid of k, and the
 cross-validation reference ranks one fold at a time against the rows of
 the other folds, where the package ranks every row in one call that
-excludes each row's own fold. The
+excludes each row's own fold. The split references carve each class's
+shuffle into index lists (hold-out) or deal it row by row into folds,
+where the package scatters one group id per row. The
 table references parse, validate, binarize and one-hot encode one row,
 and within it one field, at a time, where the package works on whole
 columns.
@@ -29,6 +31,7 @@ from scipy.optimize import linear_sum_assignment
 
 from topmix.classify import knn_grid
 from topmix.errors import ContractError, EvaluationError, ParseError, SchemaError
+from topmix.evaluate import SplitSpec
 from topmix.ingest import ParseReport, RawDataset
 from topmix.persistence import PersistenceDiagram
 from topmix.preprocess import FeatureMatrix
@@ -264,6 +267,58 @@ def kfold_predictions_per_fold(
             raise EvaluationError(f"fold leaves only {candidates.size} candidates for k={max(k_grid)}")
         nearest[fold], preds[fold] = knn_grid(fold, distances, labels, k_grid, fold_of == f)
     return nearest, preds
+
+
+def _per_class_indices(labels: np.ndarray) -> list[np.ndarray]:
+    return [np.flatnonzero(labels == cls) for cls in sorted(set(labels.tolist()))]
+
+
+def holdout_indices(
+    labels: np.ndarray, spec: SplitSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Disjoint (train, val, test) row-index arrays covering all rows."""
+    if spec.mode != "holdout":
+        raise ContractError("holdout_indices needs a holdout SplitSpec")
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(spec.seed)
+
+    def carve(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        perm = rng.permutation(indices)
+        n = perm.size
+        n_val = int(np.floor(spec.val_frac * n))
+        n_test = int(np.floor(spec.test_frac * n))
+        n_train = n - n_val - n_test
+        return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
+
+    if spec.stratified:
+        parts = [carve(idx) for idx in _per_class_indices(labels)]
+        train = np.concatenate([p[0] for p in parts])
+        val = np.concatenate([p[1] for p in parts])
+        test = np.concatenate([p[2] for p in parts])
+    else:
+        train, val, test = carve(np.arange(labels.size))
+    return np.sort(train), np.sort(val), np.sort(test)
+
+
+def kfold_indices(labels: np.ndarray, spec: SplitSpec) -> list[np.ndarray]:
+    """Seeded fold assignment; every row lands in exactly one fold."""
+    if spec.mode != "kfold":
+        raise ContractError("kfold_indices needs a kfold SplitSpec")
+    labels = np.asarray(labels)
+    if spec.folds > labels.size:
+        raise EvaluationError(f"cannot split {labels.size} rows into {spec.folds} folds")
+    rng = np.random.default_rng(spec.seed)
+    if spec.stratified:
+        buckets: list[list[int]] = [[] for _ in range(spec.folds)]
+        offset = 0
+        for idx in _per_class_indices(labels):
+            for j, row in enumerate(rng.permutation(idx)):
+                buckets[(offset + j) % spec.folds].append(int(row))
+            offset += idx.size
+        folds = [np.asarray(b, dtype=np.intp) for b in buckets]
+    else:
+        folds = np.array_split(rng.permutation(labels.size), spec.folds)
+    return [np.sort(f) for f in folds]
 
 
 def binarize_target(token: str, rule: PositiveRule) -> int:

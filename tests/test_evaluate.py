@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,8 @@ from topmix.evaluate import (
     evaluate_split,
     format_report_kv,
     format_report_text,
-    holdout_indices,
-    kfold_groups,
-    kfold_indices,
     select_k_kfold,
+    split_groups,
 )
 from topmix.classify import knn_grid
 from topmix.metric import distance_matrix
@@ -26,6 +26,13 @@ def _folds(folds, seed=0, stratified=False):
     return SplitSpec(mode="kfold", folds=folds, seed=seed, stratified=stratified)
 
 
+def _sets(labels, spec):
+    """The rows of each group of ``split_groups``, in group order."""
+    groups = split_groups(labels, spec)
+    count = 3 if spec.mode == "holdout" else spec.folds
+    return [np.flatnonzero(groups == g) for g in range(count)]
+
+
 def _kfold(distances, labels, folds, k, seed=0):
     """The pooled k-fold report at one k."""
     return select_k_kfold(distances, labels, _folds(folds, seed), [k])[1]
@@ -36,26 +43,26 @@ class TestHoldout:
         labels = np.zeros(297, dtype=int)
         labels[150:] = 1
         for seed in range(5):
-            train, val, test = holdout_indices(labels, SplitSpec(seed=seed))
+            train, val, test = _sets(labels, SplitSpec(seed=seed))
             assert (train.size, val.size, test.size) == (179, 59, 59)
 
     def test_partition_covers_and_disjoint(self):
         labels = np.zeros(100, dtype=int)
-        train, val, test = holdout_indices(labels, SplitSpec(seed=3))
+        train, val, test = _sets(labels, SplitSpec(seed=3))
         combined = np.concatenate([train, val, test])
         assert sorted(combined.tolist()) == list(range(100))
 
     def test_seed_determinism(self):
         labels = np.zeros(50, dtype=int)
-        a = holdout_indices(labels, SplitSpec(seed=9))
-        b = holdout_indices(labels, SplitSpec(seed=9))
-        c = holdout_indices(labels, SplitSpec(seed=10))
+        a = _sets(labels, SplitSpec(seed=9))
+        b = _sets(labels, SplitSpec(seed=9))
+        c = _sets(labels, SplitSpec(seed=10))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
     def test_stratified_preserves_class_fractions(self):
         labels = np.array([0] * 160 + [1] * 137)
-        train, val, test = holdout_indices(labels, SplitSpec(seed=0, stratified=True))
+        train, val, test = _sets(labels, SplitSpec(seed=0, stratified=True))
         assert (train.size, val.size, test.size) == (179, 59, 59)
         assert (labels[val] == 0).sum() == 32 and (labels[val] == 1).sum() == 27
         assert (labels[test] == 0).sum() == 32 and (labels[test] == 1).sum() == 27
@@ -81,7 +88,7 @@ class TestHoldout:
 class TestKfold:
     def test_folds_partition_rows(self):
         labels = np.zeros(47, dtype=int)
-        folds = kfold_indices(labels, SplitSpec(mode="kfold", folds=10, seed=1))
+        folds = _sets(labels, SplitSpec(mode="kfold", folds=10, seed=1))
         combined = np.concatenate(folds)
         assert sorted(combined.tolist()) == list(range(47))
         sizes = sorted(f.size for f in folds)
@@ -89,14 +96,45 @@ class TestKfold:
 
     def test_stratified_folds(self):
         labels = np.array([0] * 30 + [1] * 20)
-        folds = kfold_indices(labels, SplitSpec(mode="kfold", folds=5, seed=2, stratified=True))
+        folds = _sets(labels, SplitSpec(mode="kfold", folds=5, seed=2, stratified=True))
         for fold in folds:
             assert (labels[fold] == 0).sum() == 6
             assert (labels[fold] == 1).sum() == 4
 
     def test_too_many_folds(self):
-        with pytest.raises(EvaluationError):
-            kfold_indices(np.zeros(3, dtype=int), SplitSpec(mode="kfold", folds=5))
+        with pytest.raises(EvaluationError, match="^cannot split 3 rows into 5 folds$"):
+            split_groups(np.zeros(3, dtype=int), SplitSpec(mode="kfold", folds=5))
+
+    def test_split_groups_match_index_oracles(self):
+        # one draw of group ids makes the same RNG calls as the index-list
+        # references, so every hold-out set and every fold is the same rows
+        rng = np.random.default_rng(14)
+        cases = 0
+        for n in (2, 3, 4, 5, 9, 10, 11, 19, 20, 21, 47, 99, 100, 101, 297, 303, 500, 999, 1000):
+            one_minority_row = np.eye(1, n, int(rng.integers(n)), dtype=int)[0]
+            vectors = (rng.integers(0, 2, size=n), one_minority_row)
+            for labels, seed, stratified in product(vectors, range(6), (False, True)):
+                for train_frac, val_frac, test_frac in ((0.6, 0.2, 0.2), (0.5, 0.2, 0.3)):
+                    fractions = dict(train_frac=train_frac, val_frac=val_frac, test_frac=test_frac)
+                    spec = SplitSpec(seed=seed, stratified=stratified, **fractions)
+                    groups = split_groups(labels, spec)
+                    assert groups.dtype == np.intp and groups.shape == (n,)
+                    for g, rows in enumerate(oracles.holdout_indices(labels, spec)):
+                        assert np.array_equal(np.flatnonzero(groups == g), rows), (n, spec)
+                    cases += 1
+                for folds in (2, 3, 10):
+                    spec = _folds(folds, seed, stratified)
+                    if folds > n:
+                        for draw in (split_groups, oracles.kfold_indices):
+                            with pytest.raises(EvaluationError, match=f"^cannot split {n} rows into {folds} folds$"):
+                                draw(labels, spec)
+                        continue
+                    fold_of = split_groups(labels, spec)
+                    assert fold_of.dtype == np.intp and fold_of.shape == (n,)
+                    for f, rows in enumerate(oracles.kfold_indices(labels, spec)):
+                        assert np.array_equal(np.flatnonzero(fold_of == f), rows), (n, spec)
+                    cases += 1
+        assert cases == 2_136
 
 
 class TestComputeMetrics:
@@ -326,7 +364,7 @@ class TestSelectKKfold:
             labels = rng.permutation(np.resize([0, 1], n))
             folds, stratified = int(rng.integers(2, 6)), bool(rng.integers(2))
             split = _folds(folds, table, stratified)
-            fold_of = kfold_groups(labels, split)
+            fold_of = split_groups(labels, split)
             top = int(rng.integers(1, n - np.bincount(fold_of).max() + 2))  # sometimes one too many
             k_grid = sorted(set(rng.integers(1, top + 1, size=3).tolist()) | {top})
             try:
@@ -367,13 +405,15 @@ class TestSelectKKfold:
         distances, labels = _duplicated_distance_set()
         with pytest.raises(ContractError, match="kfold SplitSpec"):
             select_k_kfold(distances, labels, SplitSpec(), [1])
+        with pytest.raises(ContractError, match="holdout SplitSpec"):
+            evaluate_split(distances, labels, _folds(5), [1])
 
     def test_folds_drawn_once_for_the_grid(self, monkeypatch):
         import topmix.evaluate as evaluate
 
         calls = []
-        draw = evaluate.kfold_indices
-        monkeypatch.setattr(evaluate, "kfold_indices", lambda *a: calls.append(a) or draw(*a))
+        draw = evaluate.split_groups
+        monkeypatch.setattr(evaluate, "split_groups", lambda *a: calls.append(a) or draw(*a))
         distances, labels = _duplicated_distance_set()
         select_k_kfold(distances, labels, _folds(5), [1, 2, 3, 4])
         assert len(calls) == 1

@@ -11,7 +11,7 @@ import pytest
 
 from topmix.cli import main as cli_main
 from topmix.errors import ContractError, TopmixError
-from topmix.evaluate import SplitSpec, holdout_indices
+from topmix.evaluate import SplitSpec
 from topmix.metric import save_distance_matrix
 from topmix.pipeline import (
     CONFIG_KEYS,
@@ -26,7 +26,7 @@ from topmix.pipeline import (
 )
 
 from conftest import CLEVELAND_SCHEMA, REPO_ROOT, synthetic_cleveland_rows, write_config
-from oracles import build_point_cloud
+from oracles import build_point_cloud, holdout_indices
 
 
 @pytest.fixture
@@ -302,6 +302,15 @@ class TestRunPipeline:
         assert len(result.report.fold_accuracies) == 5
         assert result.report.counts.total == 60
 
+    def test_kfold_run_removes_the_holdout_validation_table(self, tmp_path):
+        data, schema = _synth_files(tmp_path)
+        holdout = _config_for(tmp_path, data, schema, name="h.json", k_grid=[1, 3])
+        kfold = _config_for(tmp_path, data, schema, name="k.json", split={"mode": "kfold", "folds": 5}, k=3)
+        assert "validation" in run_pipeline(load_experiment_config(holdout)).artifacts
+        assert "validation" not in run_pipeline(load_experiment_config(kfold)).artifacts
+        assert json.loads((tmp_path / "out" / "run_manifest.json").read_text())["split_mode"] == "kfold"
+        assert not (tmp_path / "out" / "validation.csv").exists()
+
     def test_inputs_hashed_once_per_run(self, tmp_path, monkeypatch):
         import topmix.pipeline as pipeline
 
@@ -527,26 +536,26 @@ class TestRunPipeline:
         d_train = compute_diagrams(train)
         assert not np.array_equal(d_full.deaths, d_train.deaths)
 
-    def test_legacy_text_caches_removed(self, tmp_path, caplog):
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_train_scope_fits_on_the_training_rows(self, tmp_path, stratified):
+        data, schema = _synth_files(tmp_path)
+        config = load_experiment_config(_config_for(
+            tmp_path, data, schema, cache_dir=None, standardize_scope="train",
+            symmetry_vector="zero", split={"seed": 3, "stratified": stratified},
+        ))
+        values = prepare_features(config).features.values
+        train = holdout_indices(compute_diagrams(config).labels, config.split)[0]
+        assert np.allclose(values[train].mean(axis=0), 0.0)
+        assert np.allclose(values[train].std(axis=0), 1.0)
+
+    def test_run_leaves_exactly_the_four_cache_files(self, tmp_path):
+        # and no temporary file: each is written aside and renamed into place
         data, schema = _synth_files(tmp_path, n=20)
         config = load_experiment_config(_config_for(tmp_path, data, schema, k_grid=[1, 3]))
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        for name in ("diagrams.csv", "distances.csv"):
-            (cache / name).write_text("0,0,0.0,1.0\n", encoding="utf-8")
-        with caplog.at_level(logging.INFO, logger="topmix"):
-            run_pipeline(config)
-            assert sorted(p.name for p in cache.iterdir()) == [
-                "diagrams.manifest.json", "diagrams.npy", "distances.manifest.json", "distances.npy",
-            ]
-            for name in ("diagrams.csv", "distances.csv"):
-                assert f"removed {cache / name}" in caplog.text
-            # a text file left beside an .npy file that is already valid goes too
-            (cache / "distances.csv").write_text("0,0,0.0,1.0\n", encoding="utf-8")
-            caplog.clear()
-            run_pipeline(config)
-            assert "distance cache hit" in caplog.text
-            assert not (cache / "distances.csv").exists()
+        run_pipeline(config)
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+            "diagrams.manifest.json", "diagrams.npy", "distances.manifest.json", "distances.npy",
+        ]
 
     def test_run_builds_no_diagram_objects(self, tmp_path, monkeypatch, capsys):
         from topmix.persistence import PersistenceDiagram
@@ -610,8 +619,6 @@ class TestCli:
         matrix = compute_distances(config, diagram_set)
         assert cli_main(["inspect", "--config", str(cfg), "--row", "0", "--k", "5"]) == 0
         out = capsys.readouterr().out
-        from topmix.evaluate import holdout_indices
-
         train, _, _ = holdout_indices(diagram_set.labels, config.split)
         pool = train[train != 0]
         order = np.lexsort((pool, matrix[0, pool]))[:5]
@@ -634,9 +641,11 @@ class TestCli:
         votes = [1 - label, label]
         assert f"vote at k=1: {votes[0]} for class 0, {votes[1]} for class 1; predicted {label}" in out
 
-    def test_inspect_votes_as_classify_predicted_under_kfold(self, tmp_path, capsys):
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_inspect_votes_as_classify_predicted_under_kfold(self, tmp_path, capsys, stratified):
         data, schema = _synth_files(tmp_path)
-        cfg = _config_for(tmp_path, data, schema, split={"mode": "kfold", "folds": 10, "seed": 0})
+        split = {"mode": "kfold", "folds": 10, "seed": 0, "stratified": stratified}
+        cfg = _config_for(tmp_path, data, schema, split=split)
         assert cli_main(["classify", "--config", str(cfg)]) == 0
         lines = (tmp_path / "out" / "predictions.csv").read_text(encoding="utf-8").splitlines()[1:]
         predicted = {int(r): int(pr) for r, _, pr in (line.split(",") for line in lines)}
@@ -647,9 +656,10 @@ class TestCli:
             vote = capsys.readouterr().out.splitlines()[-1]
             assert vote.endswith(f"predicted {label}"), (row, vote)
 
-    def test_inspect_votes_as_classify_predicted_under_holdout(self, tmp_path, capsys):
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_inspect_votes_as_classify_predicted_under_holdout(self, tmp_path, capsys, stratified):
         data, schema = _synth_files(tmp_path)
-        cfg = _config_for(tmp_path, data, schema)
+        cfg = _config_for(tmp_path, data, schema, split={"stratified": stratified})
         assert cli_main(["classify", "--config", str(cfg)]) == 0
         lines = (tmp_path / "out" / "predictions.csv").read_text(encoding="utf-8").splitlines()[1:]
         predicted = {int(r): int(pr) for r, _, pr in (line.split(",") for line in lines)}
