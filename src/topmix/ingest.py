@@ -21,6 +21,7 @@ only when no earlier row fails.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import methodcaller
@@ -140,6 +141,7 @@ def parse_dataset(
     schema: SchemaSpec,
     delimiter: str = ",",
     has_header: bool = False,
+    data: bytes | None = None,
 ) -> tuple[RawDataset, ParseReport]:
     """Parse a delimiter-separated file into a validated RawDataset.
 
@@ -149,6 +151,9 @@ def parse_dataset(
         schema: the table declaration to validate against.
         delimiter: field separator (comma by default, per the UCI layout).
         has_header: skip the first non-blank line when true.
+        data: the file's bytes, when the caller has read them; ``source``
+            is then only named in errors, not opened. They are decoded as
+            reading the file in text mode would (universal newlines).
 
     Returns:
         (dataset, report) where report counts rows dropped for containing
@@ -160,14 +165,15 @@ def parse_dataset(
         SchemaError: categorical token outside its declared domain.
         Of several faults, the first in row-major order is raised.
     """
+    if data is None:
+        data = Path(source).read_bytes()
     try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"data file {source} is not UTF-8 text: {exc}") from None
     # Universal newlines leave only "\n"; str.splitlines would also split at \v, \f, ...
     lines = list(filter(str.strip, text.split("\n")))
-    del text
+    del text, data
     if has_header:
         lines = lines[1:]
     total = len(lines)

@@ -210,9 +210,10 @@ def distance_matrix(deaths: np.ndarray, p: float = 1.0) -> np.ndarray:
     one INFO line reports how many pairs each settled.
 
     Raises:
-        ContractError: an order p that is not finite and >= 1, or deaths
+        ContractError: an order p that is not finite and >= 1; deaths
             that are not a 2-d matrix of at least one row of finite,
-            non-negative, ascending values.
+            non-negative, ascending values; or a distance that is not
+            finite (at a large p the p-th powers overflow).
     """
     if not (math.isfinite(p) and p >= 1):
         raise ContractError(f"wasserstein order p must be finite and >= 1, got {p!r}")
@@ -225,19 +226,24 @@ def distance_matrix(deaths: np.ndarray, p: float = 1.0) -> np.ndarray:
     out = np.zeros((n, n), dtype=np.float64)
     rows, cols = np.triu_indices(n, k=1)
     pairs = rows.size
-    if p == 1.0:
-        left = _settle_sorted(deaths, rows, cols, out)
-        rows, cols = rows[left], cols[left]
-    for start in range(0, rows.size, _BLOCK_PAIRS):
-        i = rows[start : start + _BLOCK_PAIRS]
-        j = cols[start : start + _BLOCK_PAIRS]
-        a = np.ascontiguousarray(deaths[i].T)
-        b_rev = np.ascontiguousarray(deaths[j, ::-1].T)
-        out[i, j] = _dp_distances(a, b_rev, p)
+    with np.errstate(over="ignore"):  # an overflow is raised below, as an error
+        if p == 1.0:
+            left = _settle_sorted(deaths, rows, cols, out)
+            rows, cols = rows[left], cols[left]
+        for start in range(0, rows.size, _BLOCK_PAIRS):
+            i = rows[start : start + _BLOCK_PAIRS]
+            j = cols[start : start + _BLOCK_PAIRS]
+            a = np.ascontiguousarray(deaths[i].T)
+            b_rev = np.ascontiguousarray(deaths[j, ::-1].T)
+            out[i, j] = _dp_distances(a, b_rev, p)
     logger.info(
         "distances: %d pairs, %d settled by the sorted certificate, %d by the dynamic programme",
         pairs, pairs - rows.size, rows.size,
     )
+    if not math.isfinite(out.max()):  # every entry is >= 0 or NaN, and max propagates NaN
+        raise ContractError(
+            f"distances at p = {p!r} are not finite: the p-th powers of the deaths overflow float64"
+        )
     out += out.T
     return out
 

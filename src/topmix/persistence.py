@@ -72,7 +72,8 @@ def dim0_diagrams(
 
     Raises:
         ContractError: an empty or non-finite matrix, a safety below 1 or
-            not finite, a maxscale not positive and finite, or an explicit
+            not finite, a maxscale not positive and finite (a computed one
+            included: safety times the largest distance can overflow), or an explicit
             maxscale below some |x_i|
             (a cap that would truncate finite features is an error, never a
             silent clamp).
@@ -92,6 +93,11 @@ def dim0_diagrams(
             top = float(np.sqrt(mags[:, -1] ** 2 + mags[:, -2] ** 2).max())
         # all-zero rows still need a positive cap
         maxscale = float(safety * top) if top > 0 else float(safety)
+        if maxscale == np.inf:
+            raise ContractError(
+                f"maxscale overflows: safety factor {safety!r} times the largest "
+                f"cloud distance {top!r} is not finite"
+            )
     elif not 0 < maxscale < np.inf:
         raise ContractError(f"maxscale must be positive and finite, got {maxscale!r}")
     else:

@@ -12,9 +12,13 @@ sha256; each is written to a temporary file and renamed into place.
 ``_cache_hit`` alone decides whether either file can be used, and a hit
 reads the file once: the bytes it hashes are the bytes the run uses. A
 missing, stale or damaged file is logged with that reason and rewritten,
-never silently reused.
+never silently reused. The data and schema files are likewise read once
+per run, and the bytes parsed are the bytes fingerprinted.
 Every output is byte-deterministic, so identical configs produce
-byte-identical files.
+byte-identical files. The report files in ``out_dir`` are written by one
+rule: a file that already holds the bytes this run would write is left
+alone, so it keeps its mtime, and any other is replaced whole through a
+temporary file. A warm re-run of the same config writes nothing.
 
 Each setting is declared once, as a field default of ``ExperimentConfig``
 or ``SplitSpec``. The loader only converts: ``CONFIG_KEYS`` and
@@ -113,6 +117,8 @@ class ExperimentConfig:
             raise ContractError("explicit maxscale must be positive")
         if self.maxscale_safety < 1:
             raise ContractError("maxscale safety factor must be >= 1")
+        if self.wasserstein_p < 1:
+            raise ContractError(f"wasserstein_p must be >= 1, got {self.wasserstein_p!r}")
         if self.k is not None and self.k < 1:
             raise ContractError(f"k must be >= 1, got {self.k}")
         if not self.k_grid or min(self.k_grid) < 1:
@@ -247,24 +253,20 @@ def _stage(name: str):
     logger.info("stage %-12s %8.3fs", name, time.perf_counter() - start)
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def features_fingerprint(config: ExperimentConfig) -> str:
+def features_fingerprint(config: ExperimentConfig, data: bytes, schema: bytes) -> str:
     """Hash of everything that can change the diagrams.
+
+    ``data`` and ``schema`` are the bytes of the two input files, the ones
+    the run parsed: a file that changes after it was read cannot lend its
+    fingerprint to results computed from its old content.
 
     The split enters only under train-only standardization, where the fit
     rows depend on the seed; under full-dataset scope a seed change must
     not invalidate warm diagram caches.
     """
     doc: dict[str, Any] = {
-        "data_sha256": _sha256_file(config.data_path),
-        "schema_sha256": _sha256_file(config.schema_path),
+        "data_sha256": hashlib.sha256(data).hexdigest(),
+        "schema_sha256": hashlib.sha256(schema).hexdigest(),
         "delimiter": config.delimiter,
         "has_header": config.has_header,
         "symmetry_vector": (
@@ -294,19 +296,26 @@ def features_fingerprint(config: ExperimentConfig) -> str:
 class PreparedData:
     parse_report: ParseReport
     features: FeatureMatrix  # symmetry-broken
+    fingerprint: str  # features_fingerprint of the run's config and inputs
 
 
 def prepare_features(config: ExperimentConfig) -> PreparedData:
     """Ingest and transform up to the symmetry-broken feature matrix.
+
+    Each input file is read once; its bytes are both parsed and hashed
+    into the run's one ``features_fingerprint``.
 
     Raises:
         ParseError: (in the ingest stage) a table with no kept rows, which
             no later stage could fit.
     """
     with _stage("ingest"):
-        schema = load_schema(config.schema_path)
+        schema_bytes = config.schema_path.read_bytes()
+        schema = load_schema(config.schema_path, schema_bytes)
+        data_bytes = config.data_path.read_bytes()
         raw, report = parse_dataset(
-            config.data_path, schema, delimiter=config.delimiter, has_header=config.has_header
+            config.data_path, schema, delimiter=config.delimiter, has_header=config.has_header,
+            data=data_bytes,
         )
         logger.info(
             "parsed %d rows: kept %d, dropped %d incomplete",
@@ -317,6 +326,7 @@ def prepare_features(config: ExperimentConfig) -> PreparedData:
                 f"data file {config.data_path} has no complete rows: "
                 f"read {report.total_rows}, dropped {report.dropped_rows} for the missing token"
             )
+        fingerprint = features_fingerprint(config, data_bytes, schema_bytes)
     with _stage("encode"):
         encoded = one_hot_encode(raw)
     with _stage("standardize"):
@@ -333,7 +343,7 @@ def prepare_features(config: ExperimentConfig) -> PreparedData:
         else:
             vector = np.asarray(config.symmetry_vector, dtype=np.float64)
         broken = symmetry_break(standardized, vector)
-    return PreparedData(parse_report=report, features=broken)
+    return PreparedData(parse_report=report, features=broken, fingerprint=fingerprint)
 
 
 def _read_manifest(path: Path) -> dict | None:
@@ -345,10 +355,8 @@ def _read_manifest(path: Path) -> dict | None:
     return doc if isinstance(doc, dict) else None
 
 
-def _write_manifest(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _manifest_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _cache_hit(data_file: Path, fingerprint: str, what: str) -> bytearray | None:
@@ -407,7 +415,25 @@ def _write_cache(
     data_file.parent.mkdir(parents=True, exist_ok=True)
     size, sha256 = _replace(data_file, save)
     fields.update(bytes=size, fingerprint=fingerprint, sha256=sha256)
-    _replace(data_file.with_suffix(".manifest.json"), lambda path: _write_manifest(path, fields))
+    text = _manifest_text(fields)
+    _replace(data_file.with_suffix(".manifest.json"), lambda path: path.write_text(text, encoding="utf-8"))
+
+
+def _write_artifact(path: Path, text: str) -> None:
+    """Give ``path`` the content ``text``, writing only when it holds other bytes.
+
+    A file that already holds exactly ``text.encode("utf-8")`` is left
+    alone, mtime included; any other content, or no file, is replaced
+    through ``_replace``, so ``path`` never holds part of ``text``.
+    """
+    data = text.encode("utf-8")
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(data) + 1) == data:  # one byte more sees an extended file
+                return
+    except OSError:  # missing or unreadable: written below, or the write says why not
+        pass
+    _replace(path, lambda temporary: temporary.write_bytes(data))
 
 
 @dataclass
@@ -416,7 +442,7 @@ class DiagramSet:
     maxscale: float
     labels: np.ndarray
     prepared: PreparedData
-    fingerprint: str  # features_fingerprint of the run's config
+    fingerprint: str  # features_fingerprint of the run's config and inputs
 
     @property
     def diagrams(self) -> list[PersistenceDiagram]:
@@ -431,11 +457,11 @@ def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
     The closed form is cheaper than reading any file, so diagrams are
     always recomputed. ``diagrams.npy`` and its manifest are rewritten only
     when ``_cache_hit`` finds the export missing, stale or damaged. The
-    run's one ``features_fingerprint`` call is here; the result carries it.
+    result carries the fingerprint ``prepare_features`` computed.
     """
     prepared = prepare_features(config)
+    fingerprint = prepared.fingerprint
     with _stage("diagrams"):
-        fingerprint = features_fingerprint(config)
         deaths, maxscale = dim0_diagrams(
             prepared.features.values, config.maxscale, config.maxscale_safety
         )
@@ -513,6 +539,14 @@ def write_artifacts(
     split_result: SplitResult | None,
     report: EvaluationReport,
 ) -> dict[str, Path]:
+    """Write the run's report files to ``config.out_dir``; returns them by role.
+
+    Every file goes through ``_write_artifact``: one that already holds the
+    bytes this run would write is not touched, so a warm re-run of the same
+    config writes nothing and every file keeps its mtime, and a changed one
+    is replaced whole, never left truncated. A k-fold run removes the
+    ``validation.csv`` of an earlier hold-out run.
+    """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
@@ -530,7 +564,7 @@ def write_artifacts(
         "rows_kept": diagram_set.prepared.parse_report.kept_rows,
         "rows_dropped": diagram_set.prepared.parse_report.dropped_rows,
     }
-    _write_manifest(out / "run_manifest.json", manifest)
+    _write_artifact(out / "run_manifest.json", _manifest_text(manifest))
     artifacts["manifest"] = out / "run_manifest.json"
 
     title = "test set" if config.split.mode == "holdout" else f"{config.split.folds}-fold cross-validation"
@@ -538,20 +572,20 @@ def write_artifacts(
     if split_result is not None:
         text += "\nvalidation sweep (k chosen = %d):\n" % split_result.chosen_k
         text += format_validation_table(split_result)
-    (out / "report.txt").write_text(text, encoding="utf-8")
+    _write_artifact(out / "report.txt", text)
     artifacts["report"] = out / "report.txt"
 
-    (out / "report.kv").write_text(format_report_kv(report), encoding="utf-8")
+    _write_artifact(out / "report.kv", format_report_kv(report))
     artifacts["report_kv"] = out / "report.kv"
 
     lines = ["row,true,predicted"]
     lines += [f"{r},{t},{pr}" for r, t, pr in report.predictions.tolist()]
-    (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_artifact(out / "predictions.csv", "\n".join(lines) + "\n")
     artifacts["predictions"] = out / "predictions.csv"
 
     validation = out / "validation.csv"
     if split_result is not None:
-        validation.write_text(format_validation_table(split_result), encoding="utf-8")
+        _write_artifact(validation, format_validation_table(split_result))
         artifacts["validation"] = validation
     else:  # a hold-out run's table would not describe this run
         validation.unlink(missing_ok=True)

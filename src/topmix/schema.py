@@ -10,6 +10,7 @@ bytes alone cannot decide.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -156,16 +157,19 @@ def schema_from_dict(doc: dict) -> SchemaSpec:
         raise SchemaError(f"malformed schema document: {exc}") from None
 
 
-def load_schema(path: str | Path) -> SchemaSpec:
-    """Read a JSON schema file.
+def load_schema(path: str | Path, data: bytes | None = None) -> SchemaSpec:
+    """Read a JSON schema file, or its bytes ``data`` when the caller has read them.
+
+    With ``data``, ``path`` is only named in errors, not opened.
 
     Raises:
         SchemaError: the file is not UTF-8 JSON, or does not declare a
             valid schema; the message names the file.
     """
+    if data is None:
+        data = Path(path).read_bytes()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise SchemaError(f"cannot read schema {path}: {exc}") from None
     try:

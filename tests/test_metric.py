@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -202,6 +203,14 @@ class TestDistanceMatrix:
         for p in (0.5, 0.0, math.inf, math.nan):
             with pytest.raises(ContractError):
                 distance_matrix([[1.0, CAP]] * 2, p)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 1e308])
+    def test_overflowing_distance_rejected(self, p):
+        # at p = 1e308 every power above 1 overflows; at p <= 2 the deaths
+        # must come near the float64 limit first
+        deaths = [[1.0, 3.0], [1.0, 6.0]] if p == 1e308 else [[0.0] * 3, [1.7e308] * 3]
+        with pytest.raises(ContractError, match=re.escape(f"distances at p = {p!r} are not finite")):
+            distance_matrix(deaths, p)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)

@@ -158,6 +158,15 @@ def test_non_finite_cap_settings_rejected(value):
         dim0_diagrams(np.array([[1.0, 2.0]]), maxscale=value)
 
 
+@pytest.mark.parametrize("rows", [[[3.0, 4.0]], [[-3.0]]], ids=["two_coordinates", "one_coordinate"])
+def test_overflowing_cap_rejected(rows):
+    # 1e308 x 5 and 1e308 x 3 are inf in float64; the all-zero cap is the safety itself
+    with pytest.raises(ContractError, match="maxscale overflows: safety factor 1e\\+308 times"):
+        dim0_diagrams(np.array(rows), safety=1e308)
+    assert dim0_diagrams(np.zeros((1, 2)), safety=1e308)[1] == 1e308
+    assert dim0_diagrams(np.array([[0.5, 0.0]]), safety=1e308)[1] == 5e307
+
+
 def test_sqrt_of_square_is_abs_bit_for_bit():
     # the premise that makes the closed form equal to a generic distance
     # computation: d(x, p_i(x)) = sqrt(x_i * x_i) rounds to exactly |x_i|

@@ -245,6 +245,12 @@ class TestConfig:
         with pytest.raises(ContractError, match=re.escape(f"{key} must be finite, got {value!r}")):
             load_experiment_config(cfg)
 
+    @pytest.mark.parametrize("value", [0.5, 0.0, -1.0])
+    def test_order_below_one_rejected(self, tmp_path, small_mixed_file, small_mixed_schema_file, value):
+        cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, wasserstein_p=value)
+        with pytest.raises(ContractError, match=re.escape(f"wasserstein_p must be >= 1, got {value!r}")):
+            load_experiment_config(cfg)
+
     def test_overflowing_literal_rejected(self, tmp_path, small_mixed_file, small_mixed_schema_file):
         cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file)
         cfg.write_text(cfg.read_text(encoding="utf-8").replace('"maxscale": null', '"maxscale": 1e999'), encoding="utf-8")
@@ -276,6 +282,11 @@ def _synth_files(tmp_path, n=60, seed=13):
     data = tmp_path / "synth.csv"
     data.write_text("\n".join(synthetic_cleveland_rows(n, 0, seed=seed)) + "\n", encoding="utf-8")
     return data, CLEVELAND_SCHEMA
+
+
+def _tree(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestRunPipeline:
@@ -312,17 +323,57 @@ class TestRunPipeline:
         assert not (tmp_path / "out" / "validation.csv").exists()
 
     def test_inputs_hashed_once_per_run(self, tmp_path, monkeypatch):
+        # each input is opened once, and those bytes are both parsed and hashed
+        import io
+
         import topmix.pipeline as pipeline
 
-        hashed = []
-        sha256_file = pipeline._sha256_file
-        monkeypatch.setattr(pipeline, "_sha256_file", lambda path: hashed.append(path) or sha256_file(path))
+        opened, hashed = [], []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        fingerprint = pipeline.features_fingerprint
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(
+            pipeline, "features_fingerprint", lambda *args: hashed.append(args[1:]) or fingerprint(*args)
+        )
         data, schema = _synth_files(tmp_path)
         cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
         for warm in (False, True):
+            opened.clear()
             hashed.clear()
             run_pipeline(load_experiment_config(cfg))
-            assert [p for p in hashed if p in (data, schema)] == [data, schema], warm
+            assert [p for p in opened if p in (str(data), str(schema))] == [str(schema), str(data)], warm
+            assert hashed == [(data.read_bytes(), schema.read_bytes())], warm
+
+    def test_input_changed_after_parse_does_not_lend_its_fingerprint(self, tmp_path, monkeypatch, caplog):
+        import topmix.pipeline as pipeline
+
+        data, schema = _synth_files(tmp_path, n=20)
+        lines = data.read_text(encoding="utf-8").splitlines()
+        field = lines[0].split(",")
+        field[0] = str(float(field[0]) + 7.0)  # the age of row 0
+        edited = "\n".join([",".join(field)] + lines[1:]) + "\n"
+        parse = pipeline.parse_dataset
+
+        def parse_then_edit(*args, **kwargs):
+            result = parse(*args, **kwargs)
+            data.write_text(edited, encoding="utf-8")
+            return result
+
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        monkeypatch.setattr(pipeline, "parse_dataset", parse_then_edit)
+        run_pipeline(load_experiment_config(cfg))  # caches distances of the table it parsed
+        monkeypatch.undo()
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            second = run_pipeline(load_experiment_config(cfg))
+        assert "distance cache stale, rewriting" in caplog.text
+        uncached = _config_for(tmp_path, data, schema, name="uncached.json", cache_dir=None)
+        assert np.array_equal(second.distances, run_pipeline(load_experiment_config(uncached)).distances)
 
     def test_warm_cache_rerun_identical(self, tmp_path):
         data, schema = _synth_files(tmp_path)
@@ -334,6 +385,68 @@ class TestRunPipeline:
         artifacts_after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
         assert artifacts_before == artifacts_after
         assert np.array_equal(first.distances, second.distances)
+
+    @pytest.mark.parametrize("mode", ["holdout", "kfold"])
+    def test_warm_rerun_writes_nothing_to_out_dir(self, tmp_path, mode):
+        data, schema = _synth_files(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3], split={"mode": mode, "folds": 5})
+        run_pipeline(load_experiment_config(cfg))
+        out = tmp_path / "out"
+        before = _tree(out)
+        for path in [out, *out.iterdir()]:
+            os.utime(path, ns=(0, 0))
+        run_pipeline(load_experiment_config(cfg))
+        assert _tree(out) == before
+        # no file was rewritten, nor created and renamed into the directory
+        assert {p.name: p.stat().st_mtime_ns for p in [out, *out.iterdir()]} == dict.fromkeys(["out", *before], 0)
+
+    @pytest.mark.parametrize("change", [{"k": 3}, {"split_seed": 4}], ids=["k", "seed"])
+    @pytest.mark.parametrize("mode", ["holdout", "kfold"])
+    def test_changed_run_leaves_out_dir_as_a_fresh_run(self, tmp_path, mode, change):
+        data, schema = _synth_files(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3, 5], split={"mode": mode, "folds": 5})
+        run_pipeline(load_experiment_config(cfg))
+        before = _tree(tmp_path / "out")
+        run_pipeline(load_experiment_config(cfg, change))
+        run_pipeline(load_experiment_config(cfg, {**change, "out_dir": str(tmp_path / "fresh")}))
+        assert _tree(tmp_path / "out") == _tree(tmp_path / "fresh") != before
+
+    @pytest.mark.parametrize("damage", ["truncated", "extended", "same_size_edit"])
+    def test_damaged_artifacts_rewritten(self, tmp_path, damage):
+        data, schema = _synth_files(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        run_pipeline(load_experiment_config(cfg))
+        out = tmp_path / "out"
+        before = _tree(out)
+        for name, content in before.items():
+            (out / name).write_bytes({
+                "truncated": content[:-1],
+                "extended": content + b"\n",
+                "same_size_edit": content[:-2] + b"#\n",
+            }[damage])
+        run_pipeline(load_experiment_config(cfg))
+        assert _tree(out) == before
+
+    def test_failed_artifact_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        data, schema = _synth_files(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        run_pipeline(load_experiment_config(cfg))
+        out = tmp_path / "out"
+        before = _tree(out)
+        write_bytes = Path.write_bytes
+
+        def write_half(path, content):
+            write_bytes(path, content[: len(content) // 2])
+            raise OSError("no space left on device")
+
+        # k = 3 changes every report file; the caches are warm and not written
+        monkeypatch.setattr(Path, "write_bytes", write_half)
+        with pytest.raises(TopmixError, match="stage report.*no space"):
+            run_pipeline(load_experiment_config(cfg, {"k": 3}))
+        monkeypatch.undo()
+        assert _tree(out) == before  # and no temporary file beside them
 
     def test_two_cold_runs_byte_identical(self, tmp_path):
         data, schema = _synth_files(tmp_path)
@@ -356,15 +469,15 @@ class TestRunPipeline:
         data, schema = _synth_files(tmp_path)
         cfg = _config_for(tmp_path, data, schema)
         config = load_experiment_config(cfg)
-        compute_diagrams(config)
-        fp_before = features_fingerprint(config)
+        fp_before = compute_diagrams(config).fingerprint
 
         cfg2 = _config_for(tmp_path, data, schema, name="cfg2.json", symmetry_vector="zero")
         config2 = load_experiment_config(cfg2)
-        assert features_fingerprint(config2) != fp_before
+        inputs = (data.read_bytes(), schema.read_bytes())
+        assert features_fingerprint(config2, *inputs) != fp_before
         diagram_set = compute_diagrams(config2)  # same cache dir, stale manifest
         manifest = json.loads((tmp_path / "cache" / "diagrams.manifest.json").read_text())
-        assert manifest["fingerprint"] == features_fingerprint(config2)
+        assert manifest["fingerprint"] == features_fingerprint(config2, *inputs) == diagram_set.fingerprint
         assert diagram_set.deaths.shape[0] == 60
 
     def test_diagram_export_rewritten_only_when_missing(self, tmp_path):
@@ -408,7 +521,7 @@ class TestRunPipeline:
         manifest_file = tmp_path / "cache" / "distances.manifest.json"
         manifest = json.loads(manifest_file.read_text())
         # the tag-free fingerprint that assignment-solver caches were written with
-        manifest["fingerprint"] = f"{features_fingerprint(config)}:p={config.wasserstein_p!r}"
+        manifest["fingerprint"] = f"{first.diagram_set.fingerprint}:p={config.wasserstein_p!r}"
         # a well-formed matrix, vouched for by size and sha256, that must not be served
         size, sha256 = save_distance_matrix(2 * first.distances, tmp_path / "cache" / "distances.npy")
         manifest.update(bytes=size, sha256=sha256)
@@ -778,6 +891,35 @@ class TestCli:
         assert "Traceback" not in run.stderr
         assert f"error: {key} must be finite, got {float(value)!r}" in run.stderr
         assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "command, option, value, message, cached",
+        [
+            # p < 1 fails before the table is read
+            ("classify", "--p", "0.5", "error: wasserstein_p must be >= 1, got 0.5", []),
+            ("distances", "--p", "1e308", "error: [stage distances] distances at p = 1e+308 are not finite",
+             ["diagrams.manifest.json", "diagrams.npy"]),
+            ("diagrams", "--maxscale-safety", "1e308", "error: [stage diagrams] maxscale overflows", []),
+        ],
+        ids=["p_below_one", "p_overflows", "safety_overflows"],
+    )
+    def test_non_finite_result_exits_1_and_caches_nothing_non_finite(
+        self, tmp_path, command, option, value, message, cached
+    ):
+        cache = tmp_path / "cache"
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "topmix.cli", command, "--config", str(REPO_ROOT / "configs" / "example.json"),
+                "--cache-dir", str(cache), "--out-dir", str(tmp_path / "out"), option, value,
+            ],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+        assert message in run.stderr
+        assert sorted(p.name for p in cache.glob("*")) == cached
+        assert all(np.isfinite(np.load(path)).all() for path in cache.glob("*.npy"))
 
     @pytest.mark.parametrize(
         "fields_, seed, message",
