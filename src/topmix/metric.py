@@ -73,11 +73,8 @@ run the programme.
 
 from __future__ import annotations
 
-import hashlib
-import io
 import logging
 import math
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -93,10 +90,6 @@ ALGORITHM = "zero-birth-dp"
 # Pairs per vectorised DP step: larger blocks cost memory (~3 KB per pair
 # for 26-point diagrams) without running faster.
 _BLOCK_PAIRS = 1024
-
-# The magic string, version, 2-byte length and the longest header that
-# ``.npy`` version 1.0 allows.
-_NPY_V1_HEADER_MAX = 10 + 0xFFFF
 
 
 def _dp_distances(a: np.ndarray, b_rev: np.ndarray, p: float) -> np.ndarray:
@@ -247,30 +240,3 @@ def distance_matrix(deaths: np.ndarray, p: float = 1.0) -> np.ndarray:
     out += out.T
     return out
 
-
-def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> tuple[int, str]:
-    """Write ``matrix`` in ``.npy`` format: bit-exact and byte-deterministic.
-
-    The cache writes both of its arrays with it: the distance matrix and the
-    diagram deaths.
-
-    Returns the byte size and sha256 hex digest of what was written.
-    """
-    buffer = io.BytesIO()
-    np.save(buffer, matrix, allow_pickle=False)
-    data = buffer.getvalue()
-    Path(path).write_bytes(data)
-    return len(data), hashlib.sha256(data).hexdigest()
-
-
-def load_distance_matrix(path: str | Path, data: bytearray) -> np.ndarray:
-    """The matrix that ``save_distance_matrix`` wrote to ``path``, from its bytes ``data``.
-
-    The caller has read the file once already (the cache hashes it), so
-    the matrix is a writable view of ``data``, not a second copy.
-    """
-    header = io.BytesIO(data[:_NPY_V1_HEADER_MAX])
-    np.lib.format.read_magic(header)  # np.save writes version 1.0 for a numeric matrix
-    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
-    matrix = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=header.tell())
-    return matrix.reshape(shape, order="F" if fortran_order else "C")

@@ -3,22 +3,24 @@
 Stage order: ingest -> one-hot encode -> standardize -> symmetry break ->
 diagrams -> distance matrix -> k-NN evaluation. Diagrams are carried as
 one matrix of ascending deaths per run (see persistence.py), computed in
-closed form on every run; ``diagrams.npy`` in the cache directory is an
-export of that matrix, never read back. The distance matrix, computed by
-the batched dynamic programme of ``metric.distance_matrix``, is cached as
-``distances.npy``. Each file is written before its manifest, which records
-a fingerprint of everything the file depends on and the file's size and
-sha256; each is written to a temporary file and renamed into place.
-``_cache_hit`` alone decides whether either file can be used, and a hit
-reads the file once: the bytes it hashes are the bytes the run uses. A
-missing, stale or damaged file is logged with that reason and rewritten,
-never silently reused. The data and schema files are likewise read once
-per run, and the bytes parsed are the bytes fingerprinted.
-Every output is byte-deterministic, so identical configs produce
-byte-identical files. The report files in ``out_dir`` are written by one
-rule: a file that already holds the bytes this run would write is left
-alone, so it keeps its mtime, and any other is replaced whole through a
-temporary file. A warm re-run of the same config writes nothing.
+closed form on every run. Every output is byte-deterministic, so
+identical configs produce byte-identical files. The data and schema
+files are read once per run, and the bytes parsed are the bytes
+fingerprinted.
+
+This module alone reads and writes run files. ``_replace`` alone creates
+one: through a temporary file and a rename, so a file holds its old
+content or all of the new. A file written on every run goes through
+``_write_artifact``, which replaces it only when it holds other bytes, so
+a warm re-run writes nothing. Those are the report files in ``out_dir``
+and ``diagrams.npy`` with its manifest, an export never read back. The
+one file read back is the distance cache ``distances.npy``: its manifest
+records a fingerprint of everything the matrix depends on and the file's
+size and sha256, and ``_cache_hit`` alone decides whether it can be used,
+reading it once. A missing, stale or damaged cache is logged with that
+reason and rewritten, the matrix before its manifest, without comparing
+first: a stale matrix is 768 MB at 10,000 rows, and reading it back would
+hold a second copy.
 
 Each setting is declared once, as a field default of ``ExperimentConfig``
 or ``SplitSpec``. The loader only converts: ``CONFIG_KEYS`` and
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import io
 import json
 import logging
 import math
@@ -57,7 +60,7 @@ from .evaluate import (
     split_groups,
 )
 from .ingest import ParseReport, parse_dataset
-from .metric import ALGORITHM, distance_matrix, load_distance_matrix, save_distance_matrix
+from .metric import ALGORITHM, distance_matrix
 from .persistence import PersistenceDiagram, dim0_diagrams
 from .preprocess import (
     FeatureMatrix,
@@ -109,6 +112,8 @@ class ExperimentConfig:
                 )
         else:
             self.symmetry_vector = tuple(float(v) for v in self.symmetry_vector)
+            if not all(map(math.isfinite, self.symmetry_vector)):
+                raise ContractError(f"symmetry_vector must be finite, got {list(self.symmetry_vector)!r}")
         for key in ("maxscale", "maxscale_safety", "wasserstein_p"):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
@@ -151,6 +156,13 @@ def _integer(value: Any) -> int:
     return value
 
 
+def _real(value: Any) -> float:
+    """A JSON number, integer or not; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _nullable(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
     return lambda value: None if value is None else convert(value)
 
@@ -161,7 +173,7 @@ def _read(doc: dict, table: dict[str, Callable[[Any], Any]], where: str) -> dict
     for key, value in doc.items():
         try:
             values[key] = table[key](value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ContractError(f"invalid {where} value for {key!r}: {value!r} ({exc})") from None
     return values
 
@@ -176,9 +188,9 @@ SPLIT_KEYS: dict[str, Callable[[Any], Any]] = {
     "mode": _same,
     "seed": _integer,
     "stratified": _flag,
-    "train_frac": float,
-    "val_frac": float,
-    "test_frac": float,
+    "train_frac": _real,
+    "val_frac": _real,
+    "test_frac": _real,
     "folds": _integer,
 }
 CONFIG_KEYS: dict[str, Callable[[Any], Any]] = {
@@ -186,11 +198,11 @@ CONFIG_KEYS: dict[str, Callable[[Any], Any]] = {
     "schema": Path,
     "delimiter": _same,
     "has_header": _flag,
-    "symmetry_vector": lambda v: v if isinstance(v, str) else tuple(float(x) for x in v),
+    "symmetry_vector": lambda v: v if isinstance(v, str) else tuple(_real(x) for x in v),
     "standardize_scope": _same,
-    "maxscale": _nullable(float),
-    "maxscale_safety": float,
-    "wasserstein_p": float,
+    "maxscale": _nullable(_real),
+    "maxscale_safety": _real,
+    "wasserstein_p": _real,
     "split": lambda v: SplitSpec(**_read(v, SPLIT_KEYS, "split")),
     "k": _nullable(_integer),
     "k_grid": lambda v: tuple(_integer(k) for k in v),
@@ -359,14 +371,49 @@ def _manifest_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _cache_hit(data_file: Path, fingerprint: str, what: str) -> bytearray | None:
-    """The content of ``data_file`` when it can be used; otherwise log why and return None.
+def _npy_bytes(array: np.ndarray) -> bytes:
+    """``array`` in ``.npy`` format: bit-exact and byte-deterministic."""
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=False)
+    return buffer.getvalue()
 
-    The one validity rule for every cache file: its manifest must carry
-    ``fingerprint`` and the file's exact size and sha256. The reasons are
-    "missing" (no readable manifest or no file), "stale" (the fingerprint
-    differs) and "damaged" (the size or sha256 differs). The bytes hashed
-    are the bytes returned, so a hit reads the file once.
+
+# The magic string, version, 2-byte length and the longest header that
+# ``.npy`` version 1.0 allows.
+_NPY_V1_HEADER_MAX = 10 + 0xFFFF
+
+
+def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> tuple[int, str]:
+    """Write ``matrix`` to ``path`` in ``.npy`` format through ``_replace``.
+
+    Returns the byte size and sha256 hex digest of what was written.
+    """
+    data = _npy_bytes(matrix)
+    _replace(Path(path), data)
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
+def load_distance_matrix(path: str | Path, data: bytearray) -> np.ndarray:
+    """The matrix that ``save_distance_matrix`` wrote to ``path``, from its bytes ``data``.
+
+    The caller has read the file once already (the cache hashes it), so
+    the matrix is a writable view of ``data``, not a second copy.
+    """
+    header = io.BytesIO(data[:_NPY_V1_HEADER_MAX])
+    np.lib.format.read_magic(header)  # np.save writes version 1.0 for a numeric matrix
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
+    matrix = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=header.tell())
+    return matrix.reshape(shape, order="F" if fortran_order else "C")
+
+
+def _cache_hit(data_file: Path, fingerprint: str) -> bytearray | None:
+    """The bytes of the distance cache ``data_file`` if usable; else log why and return None.
+
+    Its manifest must carry ``fingerprint`` and the file's exact size and
+    sha256. The reasons are "missing" (no readable manifest or no file),
+    "stale" (the fingerprint differs) and "damaged" (the size or sha256
+    differs). The bytes hashed are the bytes returned, so a hit reads the
+    file once.
     """
     manifest = _read_manifest(data_file.with_suffix(".manifest.json"))
     if manifest is None or not data_file.is_file():
@@ -380,60 +427,44 @@ def _cache_hit(data_file: Path, fingerprint: str, what: str) -> bytearray | None
         with open(data_file, "rb") as fh:
             fh.readinto(data)
         if hashlib.sha256(data).hexdigest() == manifest.get("sha256"):
-            logger.info("%s hit: %s", what, data_file)
+            logger.info("distance cache hit: %s", data_file)
             return data
         reason = "damaged"
-    logger.info("%s %s, rewriting", what, reason)
+    logger.info("distance cache %s, rewriting", reason)
     return None
 
 
-def _replace(path: Path, write: Callable[[Path], Any]) -> Any:
-    """Run ``write`` on a temporary file beside ``path``, then rename it to ``path``.
+def _replace(path: Path, data: bytes) -> None:
+    """Give ``path`` the content ``data`` through a temporary file beside it and a rename.
 
-    ``path`` holds its old content or all of the new, never part of it; a
-    write that raises removes its temporary file. Returns what ``write`` does.
+    The only code that creates a file; it creates the parent directory too.
+    ``path`` holds its old content or all of ``data``, never part of it; a
+    write that raises removes its temporary file.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        result = write(temporary)
+        temporary.write_bytes(data)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
-    return result
 
 
-def _write_cache(
-    data_file: Path, fingerprint: str, save: Callable[[Path], tuple[int, str]], **fields: Any
-) -> None:
-    """Write ``data_file`` with ``save``, then the manifest that vouches for it.
+def _write_artifact(path: Path, data: bytes) -> None:
+    """Give ``path`` the content ``data``, writing only when it holds other bytes.
 
-    ``save`` returns the size and sha256 of what it wrote. Each file is
-    replaced whole, the manifest last, so an interrupted write leaves no
-    partial file and at worst a data file ``_cache_hit`` rejects.
+    A file that already holds exactly ``data`` is left alone, mtime
+    included; any other content, or no file, is replaced through
+    ``_replace``.
     """
-    data_file.parent.mkdir(parents=True, exist_ok=True)
-    size, sha256 = _replace(data_file, save)
-    fields.update(bytes=size, fingerprint=fingerprint, sha256=sha256)
-    text = _manifest_text(fields)
-    _replace(data_file.with_suffix(".manifest.json"), lambda path: path.write_text(text, encoding="utf-8"))
-
-
-def _write_artifact(path: Path, text: str) -> None:
-    """Give ``path`` the content ``text``, writing only when it holds other bytes.
-
-    A file that already holds exactly ``text.encode("utf-8")`` is left
-    alone, mtime included; any other content, or no file, is replaced
-    through ``_replace``, so ``path`` never holds part of ``text``.
-    """
-    data = text.encode("utf-8")
     try:
         with open(path, "rb") as fh:
             if fh.read(len(data) + 1) == data:  # one byte more sees an extended file
                 return
     except OSError:  # missing or unreadable: written below, or the write says why not
         pass
-    _replace(path, lambda temporary: temporary.write_bytes(data))
+    _replace(path, data)
 
 
 @dataclass
@@ -455,9 +486,9 @@ def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
     """Dimension-0 diagrams for every row, exported to the cache directory.
 
     The closed form is cheaper than reading any file, so diagrams are
-    always recomputed. ``diagrams.npy`` and its manifest are rewritten only
-    when ``_cache_hit`` finds the export missing, stale or damaged. The
-    result carries the fingerprint ``prepare_features`` computed.
+    always recomputed. ``diagrams.npy`` and its manifest go through
+    ``_write_artifact``, so a warm run leaves both alone. The result
+    carries the fingerprint ``prepare_features`` computed.
     """
     prepared = prepare_features(config)
     fingerprint = prepared.fingerprint
@@ -466,12 +497,14 @@ def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
             prepared.features.values, config.maxscale, config.maxscale_safety
         )
         if config.cache_dir is not None:
-            cache_file = config.cache_dir / "diagrams.npy"
-            if _cache_hit(cache_file, fingerprint, "diagram export") is None:
-                _write_cache(
-                    cache_file, fingerprint, lambda path: save_distance_matrix(deaths, path),
-                    maxscale=maxscale, safety=config.maxscale_safety, version=__version__,
-                )
+            export = config.cache_dir / "diagrams.npy"
+            data = _npy_bytes(deaths)
+            _write_artifact(export, data)
+            _write_artifact(export.with_suffix(".manifest.json"), _manifest_text({
+                "bytes": len(data), "fingerprint": fingerprint, "maxscale": maxscale,
+                "safety": config.maxscale_safety, "sha256": hashlib.sha256(data).hexdigest(),
+                "version": __version__,
+            }).encode())
     return DiagramSet(deaths, maxscale, prepared.features.labels, prepared, fingerprint)
 
 
@@ -479,22 +512,25 @@ def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.n
     """Pairwise Wasserstein matrix over all rows, cache-aware.
 
     ``distances.npy`` is served only when ``_cache_hit`` finds nothing
-    wrong with it; otherwise the matrix is recomputed and rewritten.
+    wrong with it; otherwise the matrix is recomputed and written, then
+    the manifest that vouches for it, so an interrupted write leaves at
+    worst a matrix that ``_cache_hit`` rejects.
     """
     with _stage("distances"):
         if config.cache_dir is None:
             return distance_matrix(diagram_set.deaths, config.wasserstein_p)
         fingerprint = f"{diagram_set.fingerprint}:p={config.wasserstein_p!r}:{ALGORITHM}"
         cache_file = config.cache_dir / "distances.npy"
-        data = _cache_hit(cache_file, fingerprint, "distance cache")
+        data = _cache_hit(cache_file, fingerprint)
         if data is not None:
             return load_distance_matrix(cache_file, data)
         matrix = distance_matrix(diagram_set.deaths, config.wasserstein_p)
-        _write_cache(
-            cache_file, fingerprint, lambda path: save_distance_matrix(matrix, path),
-            algorithm=ALGORITHM, maxscale=diagram_set.maxscale,
-            p=config.wasserstein_p, version=__version__,
-        )
+        size, sha256 = save_distance_matrix(matrix, cache_file)
+        _replace(cache_file.with_suffix(".manifest.json"), _manifest_text({
+            "algorithm": ALGORITHM, "bytes": size, "fingerprint": fingerprint,
+            "maxscale": diagram_set.maxscale, "p": config.wasserstein_p,
+            "sha256": sha256, "version": __version__,
+        }).encode())
     return matrix
 
 
@@ -539,18 +575,12 @@ def write_artifacts(
     split_result: SplitResult | None,
     report: EvaluationReport,
 ) -> dict[str, Path]:
-    """Write the run's report files to ``config.out_dir``; returns them by role.
+    """Write the run's report files to ``config.out_dir`` with ``_write_artifact``.
 
-    Every file goes through ``_write_artifact``: one that already holds the
-    bytes this run would write is not touched, so a warm re-run of the same
-    config writes nothing and every file keeps its mtime, and a changed one
-    is replaced whole, never left truncated. A k-fold run removes the
-    ``validation.csv`` of an earlier hold-out run.
+    Returns the files by role. A k-fold run removes the ``validation.csv``
+    of an earlier hold-out run.
     """
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, Path] = {}
-
     manifest = {
         "fingerprint": diagram_set.fingerprint,
         "version": __version__,
@@ -564,29 +594,25 @@ def write_artifacts(
         "rows_kept": diagram_set.prepared.parse_report.kept_rows,
         "rows_dropped": diagram_set.prepared.parse_report.dropped_rows,
     }
-    _write_artifact(out / "run_manifest.json", _manifest_text(manifest))
-    artifacts["manifest"] = out / "run_manifest.json"
-
     title = "test set" if config.split.mode == "holdout" else f"{config.split.folds}-fold cross-validation"
     text = format_report_text(report, title=title)
     if split_result is not None:
         text += "\nvalidation sweep (k chosen = %d):\n" % split_result.chosen_k
         text += format_validation_table(split_result)
-    _write_artifact(out / "report.txt", text)
-    artifacts["report"] = out / "report.txt"
-
-    _write_artifact(out / "report.kv", format_report_kv(report))
-    artifacts["report_kv"] = out / "report.kv"
-
     lines = ["row,true,predicted"]
     lines += [f"{r},{t},{pr}" for r, t, pr in report.predictions.tolist()]
-    _write_artifact(out / "predictions.csv", "\n".join(lines) + "\n")
-    artifacts["predictions"] = out / "predictions.csv"
-
-    validation = out / "validation.csv"
+    files = {
+        "manifest": ("run_manifest.json", _manifest_text(manifest)),
+        "report": ("report.txt", text),
+        "report_kv": ("report.kv", format_report_kv(report)),
+        "predictions": ("predictions.csv", "\n".join(lines) + "\n"),
+    }
     if split_result is not None:
-        _write_artifact(validation, format_validation_table(split_result))
-        artifacts["validation"] = validation
+        files["validation"] = ("validation.csv", format_validation_table(split_result))
     else:  # a hold-out run's table would not describe this run
-        validation.unlink(missing_ok=True)
+        (out / "validation.csv").unlink(missing_ok=True)
+    artifacts: dict[str, Path] = {}
+    for role, (name, text) in files.items():
+        artifacts[role] = out / name
+        _write_artifact(artifacts[role], text.encode("utf-8"))
     return artifacts

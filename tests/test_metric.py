@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from topmix import metric
 from topmix.errors import ContractError
 from topmix.ingest import parse_dataset
-from topmix.metric import distance_matrix, load_distance_matrix, save_distance_matrix
+from topmix.metric import distance_matrix
+from topmix.pipeline import load_distance_matrix, save_distance_matrix
 from topmix.persistence import PersistenceDiagram, dim0_diagrams
 from topmix.preprocess import (
     default_symmetry_vector,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from topmix.errors import ContractError
-from topmix.metric import save_distance_matrix
+from topmix.pipeline import save_distance_matrix
 from topmix.persistence import PersistenceDiagram, dim0_diagrams
 
 from oracles import build_point_cloud, euclidean_distances, sweep_dim0_pairs

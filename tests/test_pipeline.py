@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ import pytest
 from topmix.cli import main as cli_main
 from topmix.errors import ContractError, TopmixError
 from topmix.evaluate import SplitSpec
-from topmix.metric import save_distance_matrix
 from topmix.pipeline import (
     CONFIG_KEYS,
     SPLIT_KEYS,
@@ -23,6 +24,7 @@ from topmix.pipeline import (
     load_experiment_config,
     prepare_features,
     run_pipeline,
+    save_distance_matrix,
 )
 
 from conftest import CLEVELAND_SCHEMA, REPO_ROOT, synthetic_cleveland_rows, write_config
@@ -165,6 +167,15 @@ class TestConfig:
             ("empty_delimiter", "delimiter must be a non-empty string, got ''"),
             ("numeric_delimiter", "delimiter must be a non-empty string, got 5"),
             ("split_list_with_seed", "split must be a JSON object"),
+            ("p_bool", "invalid config value for 'wasserstein_p': True"),
+            ("p_string", "invalid config value for 'wasserstein_p': '2'"),
+            ("safety_string", "invalid config value for 'maxscale_safety': ' 1.5 '"),
+            ("maxscale_string", "invalid config value for 'maxscale': '40'"),
+            ("train_frac_string", "invalid split value for 'train_frac': '0.6'"),
+            ("vector_string", "invalid config value for 'symmetry_vector': [1.0, '2']"),
+            ("vector_bool", "invalid config value for 'symmetry_vector': [1.0, False]"),
+            ("vector_nan", "symmetry_vector must be finite, got [1.0, nan]"),
+            ("vector_inf", "symmetry_vector must be finite, got [-inf, 1.0]"),
         ],
     )
     def test_malformed_config_exits_1(
@@ -188,6 +199,15 @@ class TestConfig:
                 "wasserstein_p": ("wasserstein_p", "two"),
                 "empty_delimiter": ("delimiter", ""),
                 "numeric_delimiter": ("delimiter", 5),
+                "p_bool": ("wasserstein_p", True),  # float(True) would run at p = 1
+                "p_string": ("wasserstein_p", "2"),
+                "safety_string": ("maxscale_safety", " 1.5 "),
+                "maxscale_string": ("maxscale", "40"),
+                "train_frac_string": ("split", {"train_frac": "0.6"}),
+                "vector_string": ("symmetry_vector", [1.0, "2"]),
+                "vector_bool": ("symmetry_vector", [1.0, False]),
+                "vector_nan": ("symmetry_vector", [1.0, float("nan")]),
+                "vector_inf": ("symmetry_vector", [float("-inf"), 1.0]),
             }[damage]
             cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, **{key: value})
         with pytest.raises(ContractError, match=re.escape(message)):
@@ -244,6 +264,15 @@ class TestConfig:
         cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, **{key: value})
         with pytest.raises(ContractError, match=re.escape(f"{key} must be finite, got {value!r}")):
             load_experiment_config(cfg)
+
+    def test_integer_number_accepted(self, tmp_path, small_mixed_file, small_mixed_schema_file):
+        cfg = _config_for(
+            tmp_path, small_mixed_file, small_mixed_schema_file,
+            wasserstein_p=2, maxscale=40, symmetry_vector=[1, 2.5],
+        )
+        config = load_experiment_config(cfg)
+        assert (config.wasserstein_p, config.maxscale, config.symmetry_vector) == (2.0, 40.0, (1.0, 2.5))
+        assert type(config.wasserstein_p) is float and type(config.maxscale) is float
 
     @pytest.mark.parametrize("value", [0.5, 0.0, -1.0])
     def test_order_below_one_rejected(self, tmp_path, small_mixed_file, small_mixed_schema_file, value):
@@ -428,8 +457,6 @@ class TestRunPipeline:
         assert _tree(out) == before
 
     def test_failed_artifact_write_keeps_the_old_file(self, tmp_path, monkeypatch):
-        from pathlib import Path
-
         data, schema = _synth_files(tmp_path)
         cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
         run_pipeline(load_experiment_config(cfg))
@@ -493,26 +520,45 @@ class TestRunPipeline:
         compute_diagrams(config)
         assert export.read_bytes() == first
 
-    def test_damaged_diagram_export_rewritten(self, tmp_path, caplog):
+    def test_damaged_diagram_export_rewritten(self, tmp_path):
         data, schema = _synth_files(tmp_path, n=60)
         config = load_experiment_config(_config_for(tmp_path, data, schema))
         compute_diagrams(config)
         export = tmp_path / "cache" / "diagrams.npy"
-        first = export.read_bytes()
+        manifest = export.with_suffix(".manifest.json")
+        first, first_manifest = export.read_bytes(), manifest.read_bytes()
         assert len(first) > 1000
         export.write_bytes(first[:1000])
-        with caplog.at_level(logging.INFO, logger="topmix"):
-            compute_diagrams(config)
-        assert "diagram export damaged, rewriting" in caplog.text
+        compute_diagrams(config)
         assert export.read_bytes() == first
-        caplog.clear()
+        assert manifest.read_bytes() == first_manifest
         edited = first[:-1] + bytes([first[-1] ^ 1])  # same size, one bit of one death flipped
         assert len(edited) == len(first)
         export.write_bytes(edited)
-        with caplog.at_level(logging.INFO, logger="topmix"):
-            compute_diagrams(config)
-        assert "diagram export damaged, rewriting" in caplog.text
+        compute_diagrams(config)
         assert export.read_bytes() == first
+        assert manifest.read_bytes() == first_manifest
+
+    @pytest.mark.parametrize("damage", ["edited", "truncated", "deleted"])
+    def test_damaged_diagram_manifest_rewritten_alone(self, tmp_path, damage):
+        data, schema = _synth_files(tmp_path, n=20)
+        config = load_experiment_config(_config_for(tmp_path, data, schema))
+        compute_diagrams(config)
+        export = tmp_path / "cache" / "diagrams.npy"
+        manifest = export.with_suffix(".manifest.json")
+        first = manifest.read_bytes()
+        doc, content = json.loads(first), export.read_bytes()
+        assert (doc["bytes"], doc["sha256"]) == (len(content), hashlib.sha256(content).hexdigest())
+        if damage == "edited":
+            manifest.write_bytes(first.replace(b'"safety"', b'"safetY"'))
+        elif damage == "truncated":
+            manifest.write_bytes(first[: len(first) // 2])
+        else:
+            manifest.unlink()
+        os.utime(export, ns=(0, 0))
+        compute_diagrams(config)
+        assert manifest.read_bytes() == first
+        assert export.stat().st_mtime_ns == 0
 
     def test_distance_cache_of_another_algorithm_is_stale(self, tmp_path, caplog):
         data, schema = _synth_files(tmp_path, n=20)
@@ -585,38 +631,47 @@ class TestRunPipeline:
         assert len(opened) == 1
         assert second.flags.writeable and second.tobytes() == first.distances.tobytes()
 
-    def test_interrupted_cache_write_leaves_no_partial_file(self, tmp_path):
-        from topmix.pipeline import _write_cache
+    def test_interrupted_cache_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        data, schema = _synth_files(tmp_path, n=20)
+        config = load_experiment_config(_config_for(tmp_path, data, schema, k_grid=[1, 3]))
+        diagram_set = compute_diagrams(config)
+        cache = tmp_path / "cache"
+        files = {path.name: path.read_bytes() for path in cache.iterdir()}
+        write_bytes = Path.write_bytes
 
-        def save_half(path):
-            path.write_bytes(b"\x93NUMPY" + bytes(100))
+        def write_half(path, data):  # the matrix's temporary file only; its manifest comes after it
+            if not path.name.startswith(".distances.npy."):
+                return write_bytes(path, data)
+            write_bytes(path, data[: len(data) // 2])
             raise OSError("no space left on device")
 
-        cache = tmp_path / "cache"
-        with pytest.raises(OSError, match="no space"):
-            _write_cache(cache / "distances.npy", "fingerprint", save_half)
-        assert list(cache.iterdir()) == []
+        monkeypatch.setattr(Path, "write_bytes", write_half)
+        with pytest.raises(TopmixError, match="stage distances.*no space"):
+            compute_distances(config, diagram_set)
+        monkeypatch.undo()
+        assert {path.name: path.read_bytes() for path in cache.iterdir()} == files
 
     def test_failed_rewrite_keeps_the_earlier_cache(self, tmp_path, caplog, monkeypatch):
-        import topmix.pipeline as pipeline
-
         data, schema = _synth_files(tmp_path, n=20)
         config = load_experiment_config(_config_for(tmp_path, data, schema, k_grid=[1, 3]))
         first = run_pipeline(config)
         cache = tmp_path / "cache"
         files = {path.name: path.read_bytes() for path in cache.iterdir()}
-        save = pipeline.save_distance_matrix
+        other = load_experiment_config(_config_for(tmp_path, data, schema, name="p2.json", wasserstein_p=2.0))
+        other_diagrams = compute_diagrams(other)  # the export is p-free: nothing to write
+        assert {path.name: path.read_bytes() for path in cache.iterdir()} == files
+        write_bytes = Path.write_bytes
 
-        def save_half(matrix, path):
-            save(matrix, path)
-            path.write_bytes(path.read_bytes()[:100])
+        def write_half(path, data):
+            if not path.name.startswith(".distances.npy."):
+                return write_bytes(path, data)
+            write_bytes(path, data[:100])
             raise OSError("no space left on device")
 
         # at p = 2 the distance cache is stale; rewriting it fails halfway
-        monkeypatch.setattr(pipeline, "save_distance_matrix", save_half)
-        other = load_experiment_config(_config_for(tmp_path, data, schema, name="p2.json", wasserstein_p=2.0))
+        monkeypatch.setattr(Path, "write_bytes", write_half)
         with pytest.raises(TopmixError, match="stage distances"):
-            run_pipeline(other)
+            compute_distances(other, other_diagrams)
         monkeypatch.undo()
         assert {path.name: path.read_bytes() for path in cache.iterdir()} == files
         with caplog.at_level(logging.INFO, logger="topmix"):
