@@ -1,9 +1,12 @@
 """Command-line entry points.
 
 Subcommands run pipeline prefixes, honoring caches:
-  classify   full experiment (splits, k selection, report artifacts)
+  classify   full experiment (splits, k selection, report artifacts), served
+             from the distance cache without parsing the table when it holds
+             this table and config
   diagrams   compute every row's diagram deaths, exported to diagrams.npy
   distances  compute the pairwise distance matrix, cached as distances.npy
+             with rows.npy, or read it from that cache
   inspect    print one row's point cloud (built only for this display),
              diagram, and the nearest neighbors and vote at the k that
              classify uses, among the rows of another group under the
@@ -83,24 +86,46 @@ def _cmd_classify(config) -> int:
     return 0
 
 
+def _cache_file_identity(config, name: str) -> tuple[int, int] | None:
+    """The inode and mtime of cache file ``name``; None without it or without a cache dir."""
+    if config.cache_dir is None:
+        return None
+    try:
+        stat = (config.cache_dir / name).stat()
+    except OSError:
+        return None
+    return stat.st_ino, stat.st_mtime_ns
+
+
+def _print_cache_file(config, name: str, before: tuple[int, int] | None) -> None:
+    """Say whether the command wrote cache file ``name``: a written file was renamed in, a new inode."""
+    if config.cache_dir is None:
+        return
+    path = config.cache_dir / name
+    if _cache_file_identity(config, name) != before:
+        print(f"written to {path}")
+    else:
+        print(f"{path} is up to date")
+
+
 def _cmd_diagrams(config) -> int:
+    before = _cache_file_identity(config, "diagrams.npy")
     diagram_set = compute_diagrams(config)
     deaths = diagram_set.deaths
     print(
         f"{deaths.shape[0]} diagrams, {deaths.size} pairs, "
         f"maxscale {diagram_set.maxscale!r}"
     )
-    if config.cache_dir is not None:
-        print(f"written to {config.cache_dir / 'diagrams.npy'}")
+    _print_cache_file(config, "diagrams.npy", before)
     return 0
 
 
 def _cmd_distances(config) -> int:
+    before = _cache_file_identity(config, "distances.npy")
     diagram_set = compute_diagrams(config)
     matrix = compute_distances(config, diagram_set)
     print(f"{matrix.shape[0]}x{matrix.shape[1]} distance matrix")
-    if config.cache_dir is not None:
-        print(f"written to {config.cache_dir / 'distances.npy'}")
+    _print_cache_file(config, "distances.npy", before)
     return 0
 
 

@@ -3,24 +3,28 @@
 Stage order: ingest -> one-hot encode -> standardize -> symmetry break ->
 diagrams -> distance matrix -> k-NN evaluation. Diagrams are carried as
 one matrix of ascending deaths per run (see persistence.py), computed in
-closed form on every run. Every output is byte-deterministic, so
-identical configs produce byte-identical files. The data and schema
-files are read once per run, and the bytes parsed are the bytes
-fingerprinted.
+closed form whenever the table is parsed. Every output is
+byte-deterministic, so identical configs produce byte-identical files.
+The data and schema files are read once per run, and the bytes
+fingerprinted are the bytes parsed.
 
 This module alone reads and writes run files. ``_replace`` alone creates
 one: through a temporary file and a rename, so a file holds its old
 content or all of the new. A file written on every run goes through
 ``_write_artifact``, which replaces it only when it holds other bytes, so
 a warm re-run writes nothing. Those are the report files in ``out_dir``
-and ``diagrams.npy`` with its manifest, an export never read back. The
-one file read back is the distance cache ``distances.npy``: its manifest
-records a fingerprint of everything the matrix depends on and the file's
-size and sha256, and ``_cache_hit`` alone decides whether it can be used,
-reading it once. A missing, stale or damaged cache is logged with that
-reason and rewritten, the matrix before its manifest, without comparing
-first: a stale matrix is 768 MB at 10,000 rows, and reading it back would
-hold a second copy.
+and ``diagrams.npy`` with its manifest, an export never read back.
+
+The files read back are the distance cache, ``CACHE_FILES``:
+``distances.npy``, the matrix, and ``rows.npy``, each kept row's deaths
+with its label as one more column. One manifest records a fingerprint of
+everything they depend on, each file's size and sha256, and the kept and
+dropped row counts; ``_cache_hit`` alone decides whether they can be used,
+reading each once. A hit serves ``run_pipeline`` whole: the inputs are
+read and fingerprinted but not parsed, and no diagram is computed. A
+missing, stale or damaged cache is logged with that reason and rewritten,
+the files before their manifest, without comparing first: a stale matrix
+is 768 MB at 10,000 rows, and reading it back would hold a second copy.
 
 Each setting is declared once, as a field default of ``ExperimentConfig``
 or ``SplitSpec``. The loader only converts: ``CONFIG_KEYS`` and
@@ -304,6 +308,22 @@ def features_fingerprint(config: ExperimentConfig, data: bytes, schema: bytes) -
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+@dataclass(frozen=True)
+class RunInputs:
+    """The bytes of the two input files, each read once, and their fingerprint."""
+
+    data: bytes
+    schema: bytes
+    fingerprint: str  # features_fingerprint of the run's config and these bytes
+
+
+def read_inputs(config: ExperimentConfig) -> RunInputs:
+    """Read the schema and data files once and fingerprint the bytes read."""
+    schema = config.schema_path.read_bytes()
+    data = config.data_path.read_bytes()
+    return RunInputs(data, schema, features_fingerprint(config, data, schema))
+
+
 @dataclass
 class PreparedData:
     parse_report: ParseReport
@@ -311,23 +331,23 @@ class PreparedData:
     fingerprint: str  # features_fingerprint of the run's config and inputs
 
 
-def prepare_features(config: ExperimentConfig) -> PreparedData:
+def prepare_features(config: ExperimentConfig, inputs: RunInputs | None = None) -> PreparedData:
     """Ingest and transform up to the symmetry-broken feature matrix.
 
-    Each input file is read once; its bytes are both parsed and hashed
-    into the run's one ``features_fingerprint``.
+    ``inputs`` are the files as the caller read them; without them each
+    file is read here, once. The bytes parsed are the bytes fingerprinted.
 
     Raises:
         ParseError: (in the ingest stage) a table with no kept rows, which
             no later stage could fit.
     """
     with _stage("ingest"):
-        schema_bytes = config.schema_path.read_bytes()
-        schema = load_schema(config.schema_path, schema_bytes)
-        data_bytes = config.data_path.read_bytes()
+        if inputs is None:
+            inputs = read_inputs(config)
+        schema = load_schema(config.schema_path, inputs.schema)
         raw, report = parse_dataset(
             config.data_path, schema, delimiter=config.delimiter, has_header=config.has_header,
-            data=data_bytes,
+            data=inputs.data,
         )
         logger.info(
             "parsed %d rows: kept %d, dropped %d incomplete",
@@ -338,7 +358,6 @@ def prepare_features(config: ExperimentConfig) -> PreparedData:
                 f"data file {config.data_path} has no complete rows: "
                 f"read {report.total_rows}, dropped {report.dropped_rows} for the missing token"
             )
-        fingerprint = features_fingerprint(config, data_bytes, schema_bytes)
     with _stage("encode"):
         encoded = one_hot_encode(raw)
     with _stage("standardize"):
@@ -355,7 +374,7 @@ def prepare_features(config: ExperimentConfig) -> PreparedData:
         else:
             vector = np.asarray(config.symmetry_vector, dtype=np.float64)
         broken = symmetry_break(standardized, vector)
-    return PreparedData(parse_report=report, features=broken, fingerprint=fingerprint)
+    return PreparedData(parse_report=report, features=broken, fingerprint=inputs.fingerprint)
 
 
 def _read_manifest(path: Path) -> dict | None:
@@ -406,29 +425,51 @@ def load_distance_matrix(path: str | Path, data: bytearray) -> np.ndarray:
     return matrix.reshape(shape, order="F" if fortran_order else "C")
 
 
-def _cache_hit(data_file: Path, fingerprint: str) -> bytearray | None:
-    """The bytes of the distance cache ``data_file`` if usable; else log why and return None.
+# The files of the distance cache, each written before the manifest that
+# vouches for them: the matrix, then the deaths of every kept row with its
+# label as one more column. Their names enter the cache's fingerprint, so a
+# manifest written for another set of files is stale.
+CACHE_FILES = ("distances.npy", "rows.npy")
 
-    Its manifest must carry ``fingerprint`` and the file's exact size and
-    sha256. The reasons are "missing" (no readable manifest or no file),
-    "stale" (the fingerprint differs) and "damaged" (the size or sha256
-    differs). The bytes hashed are the bytes returned, so a hit reads the
-    file once.
+
+def _cache_fingerprint(config: ExperimentConfig, features: str) -> str:
+    """The distance cache's fingerprint: the diagrams' ``features``, p, the algorithm, the files."""
+    return f"{features}:p={config.wasserstein_p!r}:{ALGORITHM}:{'+'.join(CACHE_FILES)}"
+
+
+def _vouched_bytes(path: Path, manifest: dict) -> bytearray | None:
+    """The bytes of cache file ``path`` if their size and sha256 are those ``manifest`` records."""
+    entry = manifest.get("files")
+    entry = entry.get(path.name) if isinstance(entry, dict) else None
+    if not isinstance(entry, dict) or (size := path.stat().st_size) != entry.get("bytes"):
+        return None
+    data = bytearray(size)
+    with open(path, "rb") as fh:
+        fh.readinto(data)
+    return data if hashlib.sha256(data).hexdigest() == entry.get("sha256") else None
+
+
+def _cache_hit(cache_dir: Path, fingerprint: str) -> tuple[list[bytearray], int] | None:
+    """The bytes of each of ``CACHE_FILES`` and the dropped-row count, or None after logging why.
+
+    The manifest must carry ``fingerprint``, each file's exact size and
+    sha256, and a dropped-row count. The reasons are "missing" (no readable
+    manifest or a file absent), "stale" (the fingerprint differs) and
+    "damaged" (a size, a sha256 or the count is wrong). The bytes hashed
+    are the bytes returned, so a hit reads each file once.
     """
-    manifest = _read_manifest(data_file.with_suffix(".manifest.json"))
-    if manifest is None or not data_file.is_file():
+    manifest = _read_manifest(cache_dir / "distances.manifest.json")
+    paths = [cache_dir / name for name in CACHE_FILES]
+    if manifest is None or not all(path.is_file() for path in paths):
         reason = "missing"
     elif manifest.get("fingerprint") != fingerprint:
         reason = "stale"
-    elif (size := data_file.stat().st_size) != manifest.get("bytes"):
-        reason = "damaged"
     else:
-        data = bytearray(size)
-        with open(data_file, "rb") as fh:
-            fh.readinto(data)
-        if hashlib.sha256(data).hexdigest() == manifest.get("sha256"):
-            logger.info("distance cache hit: %s", data_file)
-            return data
+        contents = [_vouched_bytes(path, manifest) for path in paths]
+        dropped = manifest.get("rows_dropped")
+        if None not in contents and type(dropped) is int and dropped >= 0:
+            logger.info("distance cache hit: %s", paths[0])
+            return contents, dropped
         reason = "damaged"
     logger.info("distance cache %s, rewriting", reason)
     return None
@@ -472,8 +513,13 @@ class DiagramSet:
     deaths: np.ndarray  # (rows, m+1) ascending, the shared cap last
     maxscale: float
     labels: np.ndarray
-    prepared: PreparedData
+    prepared: PreparedData | None  # None when served from the distance cache
     fingerprint: str  # features_fingerprint of the run's config and inputs
+    rows_dropped: int  # incomplete rows the parser skipped
+
+    @property
+    def rows_kept(self) -> int:
+        return self.labels.size
 
     @property
     def diagrams(self) -> list[PersistenceDiagram]:
@@ -482,56 +528,95 @@ class DiagramSet:
         return [PersistenceDiagram(np.column_stack([births, row]), self.maxscale) for row in self.deaths]
 
 
-def compute_diagrams(config: ExperimentConfig) -> DiagramSet:
-    """Dimension-0 diagrams for every row, exported to the cache directory.
+def _export_diagrams(config: ExperimentConfig, diagram_set: DiagramSet) -> None:
+    """Export the deaths of ``diagram_set`` to ``diagrams.npy`` with its manifest, via ``_write_artifact``."""
+    if config.cache_dir is None:
+        return
+    export = config.cache_dir / "diagrams.npy"
+    data = _npy_bytes(diagram_set.deaths)
+    _write_artifact(export, data)
+    _write_artifact(export.with_suffix(".manifest.json"), _manifest_text({
+        "bytes": len(data), "fingerprint": diagram_set.fingerprint, "maxscale": diagram_set.maxscale,
+        "safety": config.maxscale_safety, "sha256": hashlib.sha256(data).hexdigest(),
+        "version": __version__,
+    }).encode())
 
-    The closed form is cheaper than reading any file, so diagrams are
-    always recomputed. ``diagrams.npy`` and its manifest go through
-    ``_write_artifact``, so a warm run leaves both alone. The result
-    carries the fingerprint ``prepare_features`` computed.
+
+def compute_diagrams(config: ExperimentConfig, inputs: RunInputs | None = None) -> DiagramSet:
+    """Dimension-0 diagrams of every kept row, in closed form, exported to the cache directory.
+
+    Parses and transforms the table (``prepare_features``, given the
+    caller's ``inputs`` if any) and takes each row's deaths from
+    ``dim0_diagrams``. The export goes through ``_write_artifact``, so a
+    run with the same diagrams leaves it alone. ``run_pipeline`` calls this
+    only when the distance cache cannot serve the run; ``inspect`` and the
+    ``diagrams`` and ``distances`` commands always do.
     """
-    prepared = prepare_features(config)
-    fingerprint = prepared.fingerprint
+    prepared = prepare_features(config, inputs)
     with _stage("diagrams"):
         deaths, maxscale = dim0_diagrams(
             prepared.features.values, config.maxscale, config.maxscale_safety
         )
-        if config.cache_dir is not None:
-            export = config.cache_dir / "diagrams.npy"
-            data = _npy_bytes(deaths)
-            _write_artifact(export, data)
-            _write_artifact(export.with_suffix(".manifest.json"), _manifest_text({
-                "bytes": len(data), "fingerprint": fingerprint, "maxscale": maxscale,
-                "safety": config.maxscale_safety, "sha256": hashlib.sha256(data).hexdigest(),
-                "version": __version__,
-            }).encode())
-    return DiagramSet(deaths, maxscale, prepared.features.labels, prepared, fingerprint)
+        diagram_set = DiagramSet(
+            deaths, maxscale, prepared.features.labels, prepared, prepared.fingerprint,
+            prepared.parse_report.dropped_rows,
+        )
+        _export_diagrams(config, diagram_set)
+    return diagram_set
 
 
-def compute_distances(config: ExperimentConfig, diagram_set: DiagramSet) -> np.ndarray:
+def compute_distances(
+    config: ExperimentConfig, diagram_set: DiagramSet, cache_missed: bool = False
+) -> np.ndarray:
     """Pairwise Wasserstein matrix over all rows, cache-aware.
 
     ``distances.npy`` is served only when ``_cache_hit`` finds nothing
-    wrong with it; otherwise the matrix is recomputed and written, then
-    the manifest that vouches for it, so an interrupted write leaves at
-    worst a matrix that ``_cache_hit`` rejects.
+    wrong with the cache; ``cache_missed`` says the caller already asked
+    and was refused. Otherwise the matrix is recomputed and every file of
+    ``CACHE_FILES`` written, then the manifest that vouches for them, so
+    an interrupted write leaves at worst files that ``_cache_hit`` rejects.
     """
     with _stage("distances"):
         if config.cache_dir is None:
             return distance_matrix(diagram_set.deaths, config.wasserstein_p)
-        fingerprint = f"{diagram_set.fingerprint}:p={config.wasserstein_p!r}:{ALGORITHM}"
-        cache_file = config.cache_dir / "distances.npy"
-        data = _cache_hit(cache_file, fingerprint)
-        if data is not None:
-            return load_distance_matrix(cache_file, data)
+        fingerprint = _cache_fingerprint(config, diagram_set.fingerprint)
+        if not cache_missed and (hit := _cache_hit(config.cache_dir, fingerprint)) is not None:
+            return load_distance_matrix(config.cache_dir / CACHE_FILES[0], hit[0][0])
         matrix = distance_matrix(diagram_set.deaths, config.wasserstein_p)
-        size, sha256 = save_distance_matrix(matrix, cache_file)
-        _replace(cache_file.with_suffix(".manifest.json"), _manifest_text({
-            "algorithm": ALGORITHM, "bytes": size, "fingerprint": fingerprint,
+        rows = np.column_stack([diagram_set.deaths, diagram_set.labels])
+        files = {
+            name: dict(zip(("bytes", "sha256"), save_distance_matrix(array, config.cache_dir / name)))
+            for name, array in zip(CACHE_FILES, (matrix, rows))
+        }
+        _replace(config.cache_dir / "distances.manifest.json", _manifest_text({
+            "algorithm": ALGORITHM, "files": files, "fingerprint": fingerprint,
             "maxscale": diagram_set.maxscale, "p": config.wasserstein_p,
-            "sha256": sha256, "version": __version__,
+            "rows_dropped": diagram_set.rows_dropped, "rows_kept": diagram_set.rows_kept,
+            "version": __version__,
         }).encode())
     return matrix
+
+
+def _served(config: ExperimentConfig, inputs: RunInputs) -> tuple[DiagramSet, np.ndarray] | None:
+    """The run's diagrams and distances from the distance cache; None when it cannot serve them.
+
+    Nothing is parsed or computed: the deaths and labels are the columns
+    of ``rows.npy``, and the cap is the deaths' last column.
+    """
+    if config.cache_dir is None:
+        return None
+    hit = _cache_hit(config.cache_dir, _cache_fingerprint(config, inputs.fingerprint))
+    if hit is None:
+        return None
+    (matrix_bytes, rows_bytes), dropped = hit
+    distances = load_distance_matrix(config.cache_dir / CACHE_FILES[0], matrix_bytes)
+    rows = load_distance_matrix(config.cache_dir / CACHE_FILES[1], rows_bytes)
+    deaths, labels = np.ascontiguousarray(rows[:, :-1]), rows[:, -1].astype(np.int64)
+    logger.info(
+        "served %d rows from the distance cache: kept %d, dropped %d incomplete",
+        labels.size + dropped, labels.size, dropped,
+    )
+    return DiagramSet(deaths, float(deaths[0, -1]), labels, None, inputs.fingerprint, dropped), distances
 
 
 @dataclass
@@ -560,9 +645,22 @@ def classify_stage(
 
 
 def run_pipeline(config: ExperimentConfig) -> RunResult:
-    """Execute the full experiment and write report artifacts."""
-    diagram_set = compute_diagrams(config)
-    distances = compute_distances(config, diagram_set)
+    """Execute the full experiment and write report artifacts.
+
+    The inputs are read and fingerprinted first. When the distance cache
+    holds this fingerprint, it serves the run: the table is not parsed and
+    no diagram is computed, and only the diagram export is refreshed.
+    """
+    with _stage("read"):
+        inputs = read_inputs(config)
+        served = _served(config, inputs)
+    if served is None:
+        diagram_set = compute_diagrams(config, inputs)
+        distances = compute_distances(config, diagram_set, cache_missed=True)
+    else:
+        diagram_set, distances = served
+        with _stage("diagrams"):
+            _export_diagrams(config, diagram_set)
     split_result, report = classify_stage(config, distances, diagram_set.labels)
     with _stage("report"):
         artifacts = write_artifacts(config, diagram_set, split_result, report)
@@ -591,8 +689,8 @@ def write_artifacts(
         "seed": config.split.seed,
         "stratified": config.split.stratified,
         "k": report.k,
-        "rows_kept": diagram_set.prepared.parse_report.kept_rows,
-        "rows_dropped": diagram_set.prepared.parse_report.dropped_rows,
+        "rows_kept": diagram_set.rows_kept,
+        "rows_dropped": diagram_set.rows_dropped,
     }
     title = "test set" if config.split.mode == "holdout" else f"{config.split.folds}-fold cross-validation"
     text = format_report_text(report, title=title)

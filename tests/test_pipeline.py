@@ -352,7 +352,8 @@ class TestRunPipeline:
         assert not (tmp_path / "out" / "validation.csv").exists()
 
     def test_inputs_hashed_once_per_run(self, tmp_path, monkeypatch):
-        # each input is opened once, and those bytes are both parsed and hashed
+        # each input is opened once, schema first, and those bytes are hashed;
+        # the cold run parses them, the warm one is served from the cache
         import io
 
         import topmix.pipeline as pipeline
@@ -716,13 +717,13 @@ class TestRunPipeline:
         assert np.allclose(values[train].mean(axis=0), 0.0)
         assert np.allclose(values[train].std(axis=0), 1.0)
 
-    def test_run_leaves_exactly_the_four_cache_files(self, tmp_path):
+    def test_run_leaves_exactly_the_five_cache_files(self, tmp_path):
         # and no temporary file: each is written aside and renamed into place
         data, schema = _synth_files(tmp_path, n=20)
         config = load_experiment_config(_config_for(tmp_path, data, schema, k_grid=[1, 3]))
         run_pipeline(config)
         assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
-            "diagrams.manifest.json", "diagrams.npy", "distances.manifest.json", "distances.npy",
+            "diagrams.manifest.json", "diagrams.npy", "distances.manifest.json", "distances.npy", "rows.npy",
         ]
 
     def test_run_builds_no_diagram_objects(self, tmp_path, monkeypatch, capsys):
@@ -738,6 +739,134 @@ class TestRunPipeline:
             assert cli_main([command, "--config", str(cfg)] + ["--row", "0"] * (command == "inspect")) == 0
         with pytest.raises(AssertionError, match="PersistenceDiagram"):
             compute_diagrams(load_experiment_config(cfg)).diagrams
+
+
+def _table_with_dropped_rows(tmp_path, n=64, n_missing=4):
+    data = tmp_path / "table.csv"
+    data.write_text("\n".join(synthetic_cleveland_rows(n, n_missing, seed=13)) + "\n", encoding="utf-8")
+    return data, CLEVELAND_SCHEMA
+
+
+class TestServedRun:
+    """A run whose distance cache holds its fingerprint is served from the cache alone."""
+
+    def test_warm_result_equals_the_cold_one(self, tmp_path):
+        data, schema = _table_with_dropped_rows(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3, 5])
+        cold = run_pipeline(load_experiment_config(cfg))
+        cache = _tree(tmp_path / "cache")
+        warm = run_pipeline(load_experiment_config(cfg, {"out_dir": str(tmp_path / "warm")}))
+        assert cold.diagram_set.prepared is not None and warm.diagram_set.prepared is None
+        for result in (cold, warm):
+            ds = result.diagram_set
+            assert (ds.rows_kept, ds.rows_dropped) == (60, 4)
+        c, w = cold.diagram_set, warm.diagram_set
+        assert w.deaths.dtype == c.deaths.dtype and w.deaths.shape == c.deaths.shape
+        assert w.deaths.tobytes() == c.deaths.tobytes()
+        assert w.labels.dtype == c.labels.dtype and np.array_equal(w.labels, c.labels)
+        assert w.maxscale == c.maxscale and w.fingerprint == c.fingerprint
+        assert warm.distances.tobytes() == cold.distances.tobytes()
+        assert warm.report == cold.report
+        assert np.array_equal(warm.report.predictions, cold.report.predictions)
+        assert warm.split_result == cold.split_result
+        assert _tree(tmp_path / "warm") == _tree(tmp_path / "out")
+        assert _tree(tmp_path / "cache") == cache
+
+    def test_warm_run_parses_nothing_and_computes_no_diagram(self, tmp_path, monkeypatch, caplog):
+        import topmix.pipeline as pipeline
+
+        data, schema = _table_with_dropped_rows(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        cold = run_pipeline(load_experiment_config(cfg))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a served run parsed the table or computed diagrams")
+
+        monkeypatch.setattr(pipeline, "parse_dataset", refuse)
+        monkeypatch.setattr(pipeline, "dim0_diagrams", refuse)
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            warm = run_pipeline(load_experiment_config(cfg))
+        assert warm.distances.tobytes() == cold.distances.tobytes()
+        assert "served 64 rows from the distance cache: kept 60, dropped 4 incomplete" in caplog.text
+        assert "parsed" not in caplog.text
+
+    def test_served_run_restores_a_damaged_diagram_export(self, tmp_path):
+        data, schema = _synth_files(tmp_path, n=20)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        run_pipeline(load_experiment_config(cfg))
+        cache = _tree(tmp_path / "cache")
+        (tmp_path / "cache" / "diagrams.npy").write_bytes(b"damaged")
+        (tmp_path / "cache" / "diagrams.manifest.json").unlink()
+        run_pipeline(load_experiment_config(cfg))
+        assert _tree(tmp_path / "cache") == cache
+
+    @pytest.mark.parametrize(
+        "damage, reason", [("truncated", "damaged"), ("bit_flipped", "damaged"), ("deleted", "missing")]
+    )
+    def test_damaged_rows_file_recomputed(self, tmp_path, caplog, damage, reason):
+        data, schema = _table_with_dropped_rows(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        run_pipeline(load_experiment_config(cfg))
+        rows_file = tmp_path / "cache" / "rows.npy"
+        cache, out = _tree(tmp_path / "cache"), _tree(tmp_path / "out")
+        good = rows_file.read_bytes()
+        if damage == "truncated":
+            rows_file.write_bytes(good[:-8])
+        elif damage == "bit_flipped":
+            rows_file.write_bytes(good[:-1] + bytes([good[-1] ^ 1]))  # one bit of the last label
+        else:
+            rows_file.unlink()
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            run_pipeline(load_experiment_config(cfg))
+        assert f"distance cache {reason}, rewriting" in caplog.text
+        assert "parsed 64 rows: kept 60, dropped 4 incomplete" in caplog.text
+        assert _tree(tmp_path / "cache") == cache and _tree(tmp_path / "out") == out
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            run_pipeline(load_experiment_config(cfg))  # the rewritten cache serves the next run
+        assert "distance cache hit" in caplog.text
+
+    @pytest.mark.parametrize("rows_file", ["present", "absent"])
+    def test_manifest_without_the_rows_file_is_not_served(self, tmp_path, caplog, rows_file):
+        from topmix.metric import ALGORITHM
+
+        data, schema = _synth_files(tmp_path, n=20)
+        config = load_experiment_config(_config_for(tmp_path, data, schema, k_grid=[1, 3]))
+        first = run_pipeline(config)
+        cache = tmp_path / "cache"
+        # the manifest of a cache that held only the matrix, vouching for it by size and sha256
+        matrix = (cache / "distances.npy").read_bytes()
+        (cache / "distances.manifest.json").write_text(json.dumps({
+            "algorithm": ALGORITHM, "bytes": len(matrix),
+            "fingerprint": f"{first.diagram_set.fingerprint}:p={config.wasserstein_p!r}:{ALGORITHM}",
+            "maxscale": first.diagram_set.maxscale, "p": config.wasserstein_p,
+            "sha256": hashlib.sha256(matrix).hexdigest(), "version": "0.1.0",
+        }))
+        if rows_file == "absent":
+            (cache / "rows.npy").unlink()
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            second = run_pipeline(config)
+        reason = "stale" if rows_file == "present" else "missing"
+        assert f"distance cache {reason}, rewriting" in caplog.text
+        assert "distance cache hit" not in caplog.text
+        assert second.diagram_set.prepared is not None
+        assert np.array_equal(first.distances, second.distances)
+
+    def test_table_edited_between_runs_is_stale(self, tmp_path, caplog):
+        data, schema = _synth_files(tmp_path, n=20)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        first = run_pipeline(load_experiment_config(cfg))
+        lines = data.read_text(encoding="utf-8").splitlines()
+        fields_ = lines[0].split(",")
+        fields_[0] = str(float(fields_[0]) + 7.0)  # the age of row 0
+        data.write_text("\n".join([",".join(fields_)] + lines[1:]) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            second = run_pipeline(load_experiment_config(cfg))
+        assert "distance cache stale, rewriting" in caplog.text
+        assert second.diagram_set.prepared is not None
+        assert not np.array_equal(first.distances, second.distances)
+        uncached = _config_for(tmp_path, data, schema, name="uncached.json", cache_dir=None)
+        assert np.array_equal(second.distances, run_pipeline(load_experiment_config(uncached)).distances)
 
 
 class TestCli:
@@ -767,6 +896,20 @@ class TestCli:
         assert "2 diagrams, 6 pairs" in out  # m+1 = 3 pairs per row
         assert f"written to {tmp_path / 'cache' / 'diagrams.npy'}" in out
         assert np.load(tmp_path / "cache" / "diagrams.npy").shape == (2, 3)
+
+    @pytest.mark.parametrize("command, name", [("diagrams", "diagrams.npy"), ("distances", "distances.npy")])
+    def test_second_run_reports_the_cache_file_up_to_date(self, tmp_path, capsys, command, name):
+        data, schema = _synth_files(tmp_path, n=20)
+        cfg = _config_for(tmp_path, data, schema)
+        path = tmp_path / "cache" / name
+        assert cli_main([command, "--config", str(cfg)]) == 0
+        first = capsys.readouterr().out
+        assert first.endswith(f"written to {path}\n")
+        assert cli_main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == first.replace(f"written to {path}", f"{path} is up to date")
+        path.write_bytes(b"damaged")
+        assert cli_main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == first
 
     def test_distances_deterministic_bytes(self, tmp_path, capsys):
         data, schema = _synth_files(tmp_path, n=20)
