@@ -9,7 +9,8 @@ sources of each tree, and compares every file the sweep leaves in its
 ``out_dir``s and cache directories, and the stdout of every command, byte
 for byte. The worktree is removed afterwards. Prints one summary line and
 exits 0 when nothing differs, 1 on any difference, 2 when a tree cannot
-run the sweep.
+run the sweep. Each differing file is named on a line of its own, up to
+50 of them.
 
 The inputs are generated once, from this tree's ``tests/conftest.py``
 generator, and both trees read the same files:
@@ -20,6 +21,8 @@ generator, and both trees read the same files:
 * the same four splits at seed 0 under the zero symmetry vector;
 * inspect at a handful of (config, row) cases, stratified splits among
   them;
+* distances on 297 kept rows, on a fresh cache directory and on the cache
+  that classify filled;
 * diagrams at 3,000 kept rows.
 
 Each tree runs every command in one process through ``topmix.cli.main``,
@@ -38,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+SHOWN = 50  # differing files named, at most
 
 # Runs the cases of a JSON file with the topmix under argv[1]; one stdout file per case.
 RUNNER = r"""
@@ -108,6 +112,8 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
                         command(name, config, f"{vector}-p{p}", "inspect", "--p", p, "--row", str(row))
     command("inspect-holdout-k7-s3-row42", inputs / "holdout-plain-default.json", "default-p1",
             "inspect", "--k", "7", "--seed", "3", "--row", "42")
+    for name, cache in (("distances-cold", "distances-cold"), ("distances-warm", "default-p1")):
+        command(name, inputs / "holdout-plain-default.json", cache, "distances", "--p", "1")
     config = write_config(inputs / "rows3000.json", data=str(inputs / "rows3000.csv"), schema=str(schema))
     command("diagrams-3000", config, "rows3000", "diagrams")
     return cases
@@ -165,7 +171,11 @@ def main(argv: list[str] | None = None) -> int:
             if name not in this or name not in that or this[name].read_bytes() != that[name].read_bytes()
         ]
     summary = f"byte_sweep: {len(names)} files compared against {args.against} ({sha[:12]}), {len(differ)} differ"
-    print(summary + (f"; first: {differ[0]}" if differ else ""))
+    print(summary)
+    for name in differ[:SHOWN]:
+        print(f"  {name}")
+    if len(differ) > SHOWN:
+        print(f"  … and {len(differ) - SHOWN} more")
     return 1 if differ else 0
 
 

@@ -6,12 +6,15 @@ Subcommands run pipeline prefixes, honoring caches:
              this table and config
   diagrams   compute every row's diagram deaths, exported to diagrams.npy
   distances  compute the pairwise distance matrix, cached as distances.npy
-             with rows.npy, or read it from that cache
+             with rows.npy, or serve it from that cache without parsing the
+             table
   inspect    print one row's point cloud (built only for this display),
              diagram, and the nearest neighbors and vote at the k that
              classify uses, among the rows of another group under the
              groups classify ranked with (a training row is ranked against
-             the other training rows)
+             the other training rows); the diagrams and distances are served
+             from the distance cache as for classify, and the table is
+             parsed once, for the row's features
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .pipeline import (
     compute_diagrams,
     compute_distances,
     load_experiment_config,
+    prepare_features,
+    read_inputs,
     run_pipeline,
 )
 
@@ -122,22 +127,21 @@ def _cmd_diagrams(config) -> int:
 
 def _cmd_distances(config) -> int:
     before = _cache_file_identity(config, "distances.npy")
-    diagram_set = compute_diagrams(config)
-    matrix = compute_distances(config, diagram_set)
+    matrix = compute_distances(config)[1]
     print(f"{matrix.shape[0]}x{matrix.shape[1]} distance matrix")
     _print_cache_file(config, "distances.npy", before)
     return 0
 
 
 def _cmd_inspect(config, row: int) -> int:
-    diagram_set = compute_diagrams(config)
-    matrix = compute_distances(config, diagram_set)
+    inputs = read_inputs(config)
+    diagram_set, matrix = compute_distances(config, inputs)
     labels = diagram_set.labels
     n = labels.size
     if not 0 <= row < n:
         raise TopmixError(f"row {row} out of range 0..{n - 1}")
 
-    x = diagram_set.prepared.features.values[row]
+    x = (diagram_set.prepared or prepare_features(config, inputs)).features.values[row]
     cloud = np.tile(x, (x.size + 1, 1))  # x, then p_i(x): x with coordinate i zeroed
     cloud[np.arange(1, x.size + 1), np.arange(x.size)] = 0.0
     print(f"row {row}: label {int(labels[row])}")

@@ -19,12 +19,15 @@ The files read back are the distance cache, ``CACHE_FILES``:
 ``distances.npy``, the matrix, and ``rows.npy``, each kept row's deaths
 with its label as one more column. One manifest records a fingerprint of
 everything they depend on, each file's size and sha256, and the kept and
-dropped row counts; ``_cache_hit`` alone decides whether they can be used,
-reading each once. A hit serves ``run_pipeline`` whole: the inputs are
-read and fingerprinted but not parsed, and no diagram is computed. A
-missing, stale or damaged cache is logged with that reason and rewritten,
-the files before their manifest, without comparing first: a stale matrix
-is 768 MB at 10,000 rows, and reading it back would hold a second copy.
+dropped row counts. ``compute_distances`` alone reads and fills them, and
+every command but ``diagrams`` goes through it. Its one call to
+``_cache_hit`` decides whether they can be used, reading each once. A hit
+serves the run whole: the inputs are read and fingerprinted but not
+parsed, and no diagram is computed (``inspect`` then parses the same bytes
+for the one feature row it prints). A missing, stale or damaged cache is
+logged with that reason and rewritten, the files before their manifest,
+without comparing first: a stale matrix is 768 MB at 10,000 rows, and
+reading it back would hold a second copy.
 
 Each setting is declared once, as a field default of ``ExperimentConfig``
 or ``SplitSpec``. The loader only converts: ``CONFIG_KEYS`` and
@@ -318,17 +321,17 @@ class RunInputs:
 
 
 def read_inputs(config: ExperimentConfig) -> RunInputs:
-    """Read the schema and data files once and fingerprint the bytes read."""
-    schema = config.schema_path.read_bytes()
-    data = config.data_path.read_bytes()
-    return RunInputs(data, schema, features_fingerprint(config, data, schema))
+    """Read the schema and data files once, in the read stage, and fingerprint the bytes read."""
+    with _stage("read"):
+        schema = config.schema_path.read_bytes()
+        data = config.data_path.read_bytes()
+        return RunInputs(data, schema, features_fingerprint(config, data, schema))
 
 
 @dataclass
 class PreparedData:
     parse_report: ParseReport
     features: FeatureMatrix  # symmetry-broken
-    fingerprint: str  # features_fingerprint of the run's config and inputs
 
 
 def prepare_features(config: ExperimentConfig, inputs: RunInputs | None = None) -> PreparedData:
@@ -341,9 +344,9 @@ def prepare_features(config: ExperimentConfig, inputs: RunInputs | None = None) 
         ParseError: (in the ingest stage) a table with no kept rows, which
             no later stage could fit.
     """
+    if inputs is None:
+        inputs = read_inputs(config)
     with _stage("ingest"):
-        if inputs is None:
-            inputs = read_inputs(config)
         schema = load_schema(config.schema_path, inputs.schema)
         raw, report = parse_dataset(
             config.data_path, schema, delimiter=config.delimiter, has_header=config.has_header,
@@ -374,7 +377,7 @@ def prepare_features(config: ExperimentConfig, inputs: RunInputs | None = None) 
         else:
             vector = np.asarray(config.symmetry_vector, dtype=np.float64)
         broken = symmetry_break(standardized, vector)
-    return PreparedData(parse_report=report, features=broken, fingerprint=inputs.fingerprint)
+    return PreparedData(parse_report=report, features=broken)
 
 
 def _read_manifest(path: Path) -> dict | None:
@@ -405,7 +408,9 @@ _NPY_V1_HEADER_MAX = 10 + 0xFFFF
 def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> tuple[int, str]:
     """Write ``matrix`` to ``path`` in ``.npy`` format through ``_replace``.
 
-    Returns the byte size and sha256 hex digest of what was written.
+    Writes either file of ``CACHE_FILES``: the distance matrix or the rows
+    with their labels. Returns the byte size and sha256 hex digest of what
+    was written.
     """
     data = _npy_bytes(matrix)
     _replace(Path(path), data)
@@ -413,10 +418,11 @@ def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> tuple[int, str
 
 
 def load_distance_matrix(path: str | Path, data: bytearray) -> np.ndarray:
-    """The matrix that ``save_distance_matrix`` wrote to ``path``, from its bytes ``data``.
+    """The array that ``save_distance_matrix`` wrote to ``path``, from its bytes ``data``.
 
-    The caller has read the file once already (the cache hashes it), so
-    the matrix is a writable view of ``data``, not a second copy.
+    Reads either file of ``CACHE_FILES``. The caller has read the file once
+    already (the cache hashes it), so the array is a writable view of
+    ``data``, not a second copy.
     """
     header = io.BytesIO(data[:_NPY_V1_HEADER_MAX])
     np.lib.format.read_magic(header)  # np.save writes version 1.0 for a numeric matrix
@@ -548,41 +554,56 @@ def compute_diagrams(config: ExperimentConfig, inputs: RunInputs | None = None) 
     Parses and transforms the table (``prepare_features``, given the
     caller's ``inputs`` if any) and takes each row's deaths from
     ``dim0_diagrams``. The export goes through ``_write_artifact``, so a
-    run with the same diagrams leaves it alone. ``run_pipeline`` calls this
-    only when the distance cache cannot serve the run; ``inspect`` and the
-    ``diagrams`` and ``distances`` commands always do.
+    run with the same diagrams leaves it alone. ``compute_distances`` calls
+    this only when the distance cache cannot serve the run; the
+    ``diagrams`` command always does.
     """
+    if inputs is None:
+        inputs = read_inputs(config)
     prepared = prepare_features(config, inputs)
     with _stage("diagrams"):
-        deaths, maxscale = dim0_diagrams(
-            prepared.features.values, config.maxscale, config.maxscale_safety
-        )
-        diagram_set = DiagramSet(
-            deaths, maxscale, prepared.features.labels, prepared, prepared.fingerprint,
-            prepared.parse_report.dropped_rows,
-        )
+        deaths, maxscale = dim0_diagrams(prepared.features.values, config.maxscale, config.maxscale_safety)
+        labels, dropped = prepared.features.labels, prepared.parse_report.dropped_rows
+        diagram_set = DiagramSet(deaths, maxscale, labels, prepared, inputs.fingerprint, dropped)
         _export_diagrams(config, diagram_set)
     return diagram_set
 
 
-def compute_distances(
-    config: ExperimentConfig, diagram_set: DiagramSet, cache_missed: bool = False
-) -> np.ndarray:
-    """Pairwise Wasserstein matrix over all rows, cache-aware.
+def compute_distances(config: ExperimentConfig, inputs: RunInputs | None = None) -> tuple[DiagramSet, np.ndarray]:
+    """Every kept row's diagram and the pairwise Wasserstein matrix, from the distance cache or computed.
 
-    ``distances.npy`` is served only when ``_cache_hit`` finds nothing
-    wrong with the cache; ``cache_missed`` says the caller already asked
-    and was refused. Otherwise the matrix is recomputed and every file of
-    ``CACHE_FILES`` written, then the manifest that vouches for them, so
-    an interrupted write leaves at worst files that ``_cache_hit`` rejects.
+    ``inputs`` are the files as the caller read them; without them each
+    file is read here, once. A hit (``_cache_hit``) serves the run: the
+    deaths and labels are the columns of ``rows.npy`` and the cap is the
+    deaths' last column; only the diagram export is refreshed. Otherwise
+    ``compute_diagrams`` runs and the matrix is computed; with a cache
+    directory each file of ``CACHE_FILES`` is written, then the manifest
+    that vouches for them, so an interrupted write leaves at worst files
+    that ``_cache_hit`` rejects.
     """
+    if inputs is None:
+        inputs = read_inputs(config)
+    fingerprint = _cache_fingerprint(config, inputs.fingerprint)
+    with _stage("cache"):
+        hit = None if config.cache_dir is None else _cache_hit(config.cache_dir, fingerprint)
+    if hit is not None:
+        (matrix_bytes, rows_bytes), dropped = hit
+        matrix = load_distance_matrix(config.cache_dir / CACHE_FILES[0], matrix_bytes)
+        rows = load_distance_matrix(config.cache_dir / CACHE_FILES[1], rows_bytes)
+        deaths, labels = np.ascontiguousarray(rows[:, :-1]), rows[:, -1].astype(np.int64)
+        logger.info(
+            "served %d rows from the distance cache: kept %d, dropped %d incomplete",
+            labels.size + dropped, labels.size, dropped,
+        )
+        diagram_set = DiagramSet(deaths, float(deaths[0, -1]), labels, None, inputs.fingerprint, dropped)
+        with _stage("diagrams"):
+            _export_diagrams(config, diagram_set)
+        return diagram_set, matrix
+    diagram_set = compute_diagrams(config, inputs)
     with _stage("distances"):
-        if config.cache_dir is None:
-            return distance_matrix(diagram_set.deaths, config.wasserstein_p)
-        fingerprint = _cache_fingerprint(config, diagram_set.fingerprint)
-        if not cache_missed and (hit := _cache_hit(config.cache_dir, fingerprint)) is not None:
-            return load_distance_matrix(config.cache_dir / CACHE_FILES[0], hit[0][0])
         matrix = distance_matrix(diagram_set.deaths, config.wasserstein_p)
+        if config.cache_dir is None:
+            return diagram_set, matrix
         rows = np.column_stack([diagram_set.deaths, diagram_set.labels])
         files = {
             name: dict(zip(("bytes", "sha256"), save_distance_matrix(array, config.cache_dir / name)))
@@ -594,29 +615,7 @@ def compute_distances(
             "rows_dropped": diagram_set.rows_dropped, "rows_kept": diagram_set.rows_kept,
             "version": __version__,
         }).encode())
-    return matrix
-
-
-def _served(config: ExperimentConfig, inputs: RunInputs) -> tuple[DiagramSet, np.ndarray] | None:
-    """The run's diagrams and distances from the distance cache; None when it cannot serve them.
-
-    Nothing is parsed or computed: the deaths and labels are the columns
-    of ``rows.npy``, and the cap is the deaths' last column.
-    """
-    if config.cache_dir is None:
-        return None
-    hit = _cache_hit(config.cache_dir, _cache_fingerprint(config, inputs.fingerprint))
-    if hit is None:
-        return None
-    (matrix_bytes, rows_bytes), dropped = hit
-    distances = load_distance_matrix(config.cache_dir / CACHE_FILES[0], matrix_bytes)
-    rows = load_distance_matrix(config.cache_dir / CACHE_FILES[1], rows_bytes)
-    deaths, labels = np.ascontiguousarray(rows[:, :-1]), rows[:, -1].astype(np.int64)
-    logger.info(
-        "served %d rows from the distance cache: kept %d, dropped %d incomplete",
-        labels.size + dropped, labels.size, dropped,
-    )
-    return DiagramSet(deaths, float(deaths[0, -1]), labels, None, inputs.fingerprint, dropped), distances
+    return diagram_set, matrix
 
 
 @dataclass
@@ -647,20 +646,10 @@ def classify_stage(
 def run_pipeline(config: ExperimentConfig) -> RunResult:
     """Execute the full experiment and write report artifacts.
 
-    The inputs are read and fingerprinted first. When the distance cache
-    holds this fingerprint, it serves the run: the table is not parsed and
-    no diagram is computed, and only the diagram export is refreshed.
+    The diagrams and distances come from ``compute_distances``, served
+    from the distance cache whenever it holds this run's fingerprint.
     """
-    with _stage("read"):
-        inputs = read_inputs(config)
-        served = _served(config, inputs)
-    if served is None:
-        diagram_set = compute_diagrams(config, inputs)
-        distances = compute_distances(config, diagram_set, cache_missed=True)
-    else:
-        diagram_set, distances = served
-        with _stage("diagrams"):
-            _export_diagrams(config, diagram_set)
+    diagram_set, distances = compute_distances(config)
     split_result, report = classify_stage(config, distances, diagram_set.labels)
     with _stage("report"):
         artifacts = write_artifacts(config, diagram_set, split_result, report)

@@ -628,14 +628,14 @@ class TestRunPipeline:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", counting_open)
-        second = compute_distances(load_experiment_config(cfg), first.diagram_set)
+        second = compute_distances(load_experiment_config(cfg))[1]
         assert len(opened) == 1
         assert second.flags.writeable and second.tobytes() == first.distances.tobytes()
 
     def test_interrupted_cache_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         data, schema = _synth_files(tmp_path, n=20)
         config = load_experiment_config(_config_for(tmp_path, data, schema, k_grid=[1, 3]))
-        diagram_set = compute_diagrams(config)
+        compute_diagrams(config)
         cache = tmp_path / "cache"
         files = {path.name: path.read_bytes() for path in cache.iterdir()}
         write_bytes = Path.write_bytes
@@ -648,7 +648,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(Path, "write_bytes", write_half)
         with pytest.raises(TopmixError, match="stage distances.*no space"):
-            compute_distances(config, diagram_set)
+            compute_distances(config)
         monkeypatch.undo()
         assert {path.name: path.read_bytes() for path in cache.iterdir()} == files
 
@@ -659,7 +659,7 @@ class TestRunPipeline:
         cache = tmp_path / "cache"
         files = {path.name: path.read_bytes() for path in cache.iterdir()}
         other = load_experiment_config(_config_for(tmp_path, data, schema, name="p2.json", wasserstein_p=2.0))
-        other_diagrams = compute_diagrams(other)  # the export is p-free: nothing to write
+        compute_diagrams(other)  # the export is p-free: nothing to write
         assert {path.name: path.read_bytes() for path in cache.iterdir()} == files
         write_bytes = Path.write_bytes
 
@@ -672,7 +672,7 @@ class TestRunPipeline:
         # at p = 2 the distance cache is stale; rewriting it fails halfway
         monkeypatch.setattr(Path, "write_bytes", write_half)
         with pytest.raises(TopmixError, match="stage distances"):
-            compute_distances(other, other_diagrams)
+            compute_distances(other)
         monkeypatch.undo()
         assert {path.name: path.read_bytes() for path in cache.iterdir()} == files
         with caplog.at_level(logging.INFO, logger="topmix"):
@@ -686,7 +686,7 @@ class TestRunPipeline:
             _config_for(tmp_path, synthetic_cleveland_file, CLEVELAND_SCHEMA, cache_dir=None, wasserstein_p=p)
         )
         with caplog.at_level(logging.INFO, logger="topmix"):
-            compute_distances(config, compute_diagrams(config))
+            compute_distances(config)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("distances: ")]
         pairs = 297 * 296 // 2
         settled = pairs if p == 1.0 else 0
@@ -772,23 +772,34 @@ class TestServedRun:
         assert _tree(tmp_path / "warm") == _tree(tmp_path / "out")
         assert _tree(tmp_path / "cache") == cache
 
-    def test_warm_run_parses_nothing_and_computes_no_diagram(self, tmp_path, monkeypatch, caplog):
+    @pytest.mark.parametrize("command", ["classify", "distances", "inspect"])
+    def test_warm_run_parses_nothing_and_computes_no_diagram(self, tmp_path, monkeypatch, caplog, capsys, command):
         import topmix.pipeline as pipeline
 
         data, schema = _table_with_dropped_rows(tmp_path)
         cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
-        cold = run_pipeline(load_experiment_config(cfg))
+        argv = [command, "--config", str(cfg)] + ["--row", "0"] * (command == "inspect")
+        assert cli_main(["classify", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert cli_main(argv + ["--cache-dir", str(tmp_path / "fresh")]) == 0  # a cold run of the command
+        cold = capsys.readouterr().out.splitlines()
 
         def refuse(*args, **kwargs):
             raise AssertionError("a served run parsed the table or computed diagrams")
 
-        monkeypatch.setattr(pipeline, "parse_dataset", refuse)
         monkeypatch.setattr(pipeline, "dim0_diagrams", refuse)
+        if command != "inspect":  # inspect parses the table once, for the row it prints
+            monkeypatch.setattr(pipeline, "parse_dataset", refuse)
         with caplog.at_level(logging.INFO, logger="topmix"):
-            warm = run_pipeline(load_experiment_config(cfg))
-        assert warm.distances.tobytes() == cold.distances.tobytes()
+            assert cli_main(argv) == 0
+        warm = capsys.readouterr().out.splitlines()
         assert "served 64 rows from the distance cache: kept 60, dropped 4 incomplete" in caplog.text
-        assert "parsed" not in caplog.text
+        assert caplog.text.count("parsed ") == (command == "inspect")
+        if command == "distances":  # the last line says where the matrix was written or that it was up to date
+            assert cold[-1] == f"written to {tmp_path / 'fresh' / 'distances.npy'}"
+            assert warm[-1] == f"{tmp_path / 'cache' / 'distances.npy'} is up to date"
+            cold, warm = cold[:-1], warm[:-1]
+        assert warm == cold
 
     def test_served_run_restores_a_damaged_diagram_export(self, tmp_path):
         data, schema = _synth_files(tmp_path, n=20)
@@ -926,8 +937,7 @@ class TestCli:
         data, schema = _synth_files(tmp_path, n=30)
         cfg = _config_for(tmp_path, data, schema)
         config = load_experiment_config(cfg)
-        diagram_set = compute_diagrams(config)
-        matrix = compute_distances(config, diagram_set)
+        diagram_set, matrix = compute_distances(config)
         assert cli_main(["inspect", "--config", str(cfg), "--row", "0", "--k", "5"]) == 0
         out = capsys.readouterr().out
         train, _, _ = holdout_indices(diagram_set.labels, config.split)
@@ -1044,6 +1054,24 @@ class TestCli:
         named = data if case == "non_utf8_data" else schema
         assert "error: [stage ingest] " in run.stderr and str(named) in run.stderr
         assert expected in run.stderr
+
+    @pytest.mark.parametrize("command", ["classify", "diagrams", "distances", "inspect"])
+    @pytest.mark.parametrize("unreadable", ["data", "schema"])
+    def test_input_path_that_is_a_directory_exits_1_without_traceback(self, tmp_path, command, unreadable):
+        data, schema = _synth_files(tmp_path, n=20)
+        directory = tmp_path / f"{unreadable}-directory"
+        directory.mkdir()
+        paths = {"data": data, "schema": schema, unreadable: directory}
+        cfg = _config_for(tmp_path, paths["data"], paths["schema"])
+        run = subprocess.run(
+            [sys.executable, "-m", "topmix.cli", command, "--config", str(cfg)]
+            + ["--row", "0"] * (command == "inspect"),
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert "error: [stage read] " in run.stderr and str(directory) in run.stderr
 
     @pytest.mark.parametrize("command", ["classify", "diagrams"])
     @pytest.mark.parametrize("table", ["empty_file", "header_only", "only_row_missing"])
