@@ -23,6 +23,9 @@ generator, and both trees read the same files:
   them;
 * distances on 297 kept rows, on a fresh cache directory and on the cache
   that classify filled;
+* classify on 296 kept rows (302 generated), hold-out, p = 1, under the
+  default and the zero symmetry vector: an even row count, where the
+  distance pairs at offset n/2 are met twice;
 * diagrams at 3,000 kept rows.
 
 Each tree runs every command in one process through ``topmix.cli.main``,
@@ -74,7 +77,8 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
     inputs.mkdir(parents=True)
     schema = inputs / "cleveland.schema.json"
     shutil.copyfile(CLEVELAND_SCHEMA, schema)
-    for name, n_total, n_missing in (("rows297.csv", 303, 6), ("rows3000.csv", 3030, 30)):
+    tables = (("rows297.csv", 303, 6), ("rows296.csv", 302, 6), ("rows3000.csv", 3030, 30))
+    for name, n_total, n_missing in tables:
         rows = synthetic_cleveland_rows(n_total, n_missing)
         (inputs / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
@@ -114,6 +118,12 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
             "inspect", "--k", "7", "--seed", "3", "--row", "42")
     for name, cache in (("distances-cold", "distances-cold"), ("distances-warm", "default-p1")):
         command(name, inputs / "holdout-plain-default.json", cache, "distances", "--p", "1")
+    for vector in ("default", "zero"):
+        config = write_config(
+            inputs / f"rows296-{vector}.json", data=str(inputs / "rows296.csv"), schema=str(schema),
+            split={"mode": "holdout", "seed": 0}, symmetry_vector=vector,
+        )
+        command(f"rows296-holdout-{vector}-p1", config, f"rows296-{vector}-p1", "classify", "--p", "1")
     config = write_config(inputs / "rows3000.json", data=str(inputs / "rows3000.csv"), schema=str(schema))
     command("diagrams-3000", config, "rows3000", "diagrams")
     return cases

@@ -69,15 +69,33 @@ On the 297-row Cleveland-shaped tables this settles every pair under the
 default symmetry vector and about a quarter under the zero vector; the
 programme runs, in full blocks, on the pairs left. Other orders p always
 run the programme.
+
+Pairs are enumerated by cyclic offset, so the certificate reads views of
+the deaths, not gathered copies. Offset delta pairs row i with row
+(i + delta) % n, and offsets 1..n//2 meet every unordered pair once;
+at even n the offset n/2 meets each of its pairs twice, so only i < n/2
+counts there. With the deaths stored twice side by side, row
+(i + delta) % n is column i + delta, so a block of offsets over a run of
+rows is a sliding-window view, and the row-only terms (halves and rises)
+are computed once per row. A settled cost goes straight into the upper
+triangle, which is then mirrored. A wrapped pair (i + delta >= n) reaches
+the certificate with a = the larger row index. Its cost has the same bits
+in either orientation: |a_k - b_k| is exact in both, and the sum runs in
+the same order. Its computed gap can differ from the other orientation's
+in the last bits, but in exact arithmetic swapping the sides negates f
+and swaps the two extremes, so G is the same, and the margin argument
+above covers either computation. The pairs left for the programme are
+gathered with the smaller row index as a, in blocks of _BLOCK_PAIRS.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError
 
@@ -88,8 +106,16 @@ logger = logging.getLogger("topmix")
 ALGORITHM = "zero-birth-dp"
 
 # Pairs per vectorised DP step: larger blocks cost memory (~3 KB per pair
-# for 26-point diagrams) without running faster.
+# for 26-point diagrams) without running faster. A block of the sorted
+# certificate spans at most _BLOCK_PAIRS / 2 rows (n split evenly) and as
+# many whole offsets as 2 * _BLOCK_PAIRS pairs hold, at least one. So its
+# three work arrays hold at most 6 * _BLOCK_PAIRS diagrams' worth of
+# values, and the row terms a block reads stay cache-sized at any n.
 _BLOCK_PAIRS = 1024
+
+# Rows per step when the upper triangle is mirrored into the lower: each
+# step copies between small blocks, never a full-size temporary.
+_MIRROR_ROWS = 64
 
 
 def _dp_distances(a: np.ndarray, b_rev: np.ndarray, p: float) -> np.ndarray:
@@ -131,68 +157,110 @@ def _dp_distances(a: np.ndarray, b_rev: np.ndarray, p: float) -> np.ndarray:
 
 
 def _sorted_certificate(
-    a: np.ndarray, b: np.ndarray, margin: float, scratch: Sequence[np.ndarray]
+    a: Sequence[np.ndarray], b: Sequence[np.ndarray], margin: float, scratch: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """At p = 1: which pairs the sorted full matching settles, and its cost.
 
-    ``a`` and ``b`` hold ascending deaths, both (n, block); column k
-    compares a[:, k] with b[:, k]. ``scratch`` is four arrays of that
-    shape, overwritten. A pair is settled when the canonical potential f
-    proves every other path of the programme at least ``margin`` dearer
-    (see the module docstring). The cost is the diagonal path of
-    ``_dp_distances``, summed in its order.
+    ``a`` is one side as (deaths, deaths / 2, rise, -rise), with rise[k] =
+    deaths[k + 1] - deaths[k]; ``b`` is the other as (deaths, deaths / 2).
+    Each is indexed [k, ...] by death and broadcasts against the other
+    (rise one k shorter), so the row-only terms are computed once per row,
+    not once per pair. ``scratch`` is three arrays of the broadcast shape,
+    overwritten. A pair is settled when the canonical potential f proves
+    every other path of the programme at least ``margin`` dearer (see the
+    module docstring). The cost is the diagonal path of ``_dp_distances``,
+    summed in its order.
     """
-    s, d, f, rise = scratch
-    rise = rise[1:]
+    a, half_a, rise, fall = a
+    b, half_b = b
+    s, d, f = scratch
     np.subtract(a, b, out=s)
     np.abs(s, out=d)
-    np.subtract(a[1:], a[:-1], out=rise)
     np.maximum(s[:1], 0.0, out=f[:1])  # f(a_1) = (a_1 - b_1)+
     np.minimum(s[1:], rise, out=f[1:])
     np.maximum(f[1:], 0.0, out=f[1:])  # (a_{k+1} - max(a_k, b_{k+1}))+
-    np.negative(rise, out=rise)
-    np.maximum(s[:-1], rise, out=rise)
-    np.minimum(rise, 0.0, out=rise)  # -(min(b_k, a_{k+1}) - a_k)+
-    f[1:] += rise
+    step = s[:-1]  # a_k - b_k, no longer needed above
+    np.maximum(step, fall, out=step)
+    np.minimum(step, 0.0, out=step)  # -(min(b_k, a_{k+1}) - a_k)+
+    f[1:] += step
     for k in range(1, len(f)):
         f[k] += f[k - 1]
-    np.multiply(b, 0.5, out=s)
-    s -= d
+    np.subtract(half_b, d, out=s)
     s += f  # f(b_k) + b_k/2, as f(b_k) = f(a_k) - |a_k - b_k|
     hi = np.min(s, axis=0, initial=np.inf)
-    np.multiply(a, 0.5, out=s)
-    np.subtract(f, s, out=s)  # f(a_k) - a_k/2
+    np.subtract(f, half_a, out=s)  # f(a_k) - a_k/2
     lo = np.max(s, axis=0, initial=-np.inf)
-    cost = np.zeros(a.shape[1])
+    cost = np.zeros(s.shape[1:])
     for row in d:
         cost += row
     return hi - lo >= margin, cost
 
 
-def _settle_sorted(deaths: np.ndarray, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """At p = 1: fill in ``out`` every pair (rows[t], cols[t]) the certificate settles.
+def _settle_by_offset(
+    deaths: np.ndarray, p: float, out: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair of rows once, by cyclic offset; at p = 1 the certificate's share goes into ``out``.
 
-    Returns the positions t of the pairs left for the programme, ascending.
-    The gathered rows and the scratch live in one buffer, reused by every
-    block: fresh arrays of that size cost more in page faults than in
-    arithmetic.
+    Offset delta pairs row i with row (i + delta) % n. Offsets 1..n//2
+    meet each unordered pair once, except delta = n/2 at even n, which
+    meets each of its pairs twice and keeps i < n/2. A settled cost goes
+    into the upper triangle of ``out``, and so does an unsettled one, for
+    the programme to overwrite. Yields, block by block, the pairs (rows,
+    cols), rows < cols, left for the programme: every pair when p != 1.
+    The scratch lives in one buffer reused by every block: fresh arrays of
+    that size cost more in page faults than in arithmetic.
     """
-    width = deaths.shape[1]
-    columns = np.ascontiguousarray(deaths.T)
+    n, width = deaths.shape
+    offsets = n // 2
+    runs = -(-n // max(1, _BLOCK_PAIRS // 2))
+    span = -(-n // runs)  # rows per block: n split evenly into runs of at most _BLOCK_PAIRS / 2
+    per_block = max(1, min(offsets, 2 * _BLOCK_PAIRS // span))
+    twice = np.concatenate([deaths.T, deaths.T], axis=1)
+    halves = twice * 0.5
+    rise = np.subtract(twice[1:, :n], twice[:-1, :n])[:, None, :]
+    a = (twice[:, None, :n], halves[:, None, :n], rise, np.negative(rise))
+    # window delta, column i of twice is row (i + delta) % n: a view, no gather
+    windows = [sliding_window_view(side, n, axis=1) for side in (twice, halves)]
     margin = 32 * width * width * float(np.spacing(deaths.max(initial=0.0)))
-    work = np.empty((6, width * _BLOCK_PAIRS))
-    left = []
-    for start in range(0, rows.size, _BLOCK_PAIRS):
-        i = rows[start : start + _BLOCK_PAIRS]
-        j = cols[start : start + _BLOCK_PAIRS]
-        a, b, *scratch = (buffer[: width * i.size].reshape(width, i.size) for buffer in work)
-        # the indices are in range; "clip" lets take write into ``out`` unbuffered
-        columns.take(i, axis=1, out=a, mode="clip")
-        columns.take(j, axis=1, out=b, mode="clip")
-        settled, cost = _sorted_certificate(a, b, margin, scratch)
-        out[i[settled], j[settled]] = cost[settled]
-        left.append(start + np.flatnonzero(~settled))
-    return np.concatenate(left) if left else np.zeros(0, dtype=np.intp)
+    # Sized to the bound, not to this n: glibc raises its mmap threshold to
+    # the largest block freed, and a smaller buffer here left later warm runs
+    # in the same process ~20% slower (k-fold on 297 rows, measured).
+    work = np.empty((3, width * 2 * _BLOCK_PAIRS))
+    flat = out.reshape(-1)
+    for first in range(1, offsets + 1, per_block):
+        stop = min(first + per_block, offsets + 1)
+        settled = np.zeros((stop - first, n), dtype=bool)
+        if p == 1.0:
+            cost = np.empty((stop - first, n))
+            for i0 in range(0, n, span):
+                i1 = min(i0 + span, n)
+                shape = (width, stop - first, i1 - i0)
+                scratch = [buffer[: math.prod(shape)].reshape(shape) for buffer in work]
+                run_a = [term[..., i0:i1] for term in a]
+                run_b = [w[:, first:stop, i0:i1] for w in windows]
+                settled[:, i0:i1], cost[:, i0:i1] = _sorted_certificate(run_a, run_b, margin, scratch)
+            for delta, costs in zip(range(first, stop), cost):
+                keep = n - delta  # i < keep pairs (i, i + delta); the rest wrap to (i + delta - n, i)
+                flat[delta : keep * (n + 1) : n + 1] = costs[:keep]
+                flat[keep : keep + delta * (n + 1) : n + 1] = costs[keep:]
+        if not settled.all():
+            offset, i = np.nonzero(~settled)
+            delta = offset + first
+            j = (i + delta) % n
+            kept = (2 * delta < n) | (i < j)
+            yield np.minimum(i, j)[kept], np.maximum(i, j)[kept]
+
+
+def _full_blocks(batches: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batches of pairs (rows, cols) regrouped into blocks of _BLOCK_PAIRS, the last one shorter."""
+    rows = cols = np.zeros(0, dtype=np.intp)
+    for more_rows, more_cols in batches:
+        rows, cols = np.concatenate([rows, more_rows]), np.concatenate([cols, more_cols])
+        while rows.size >= _BLOCK_PAIRS:
+            yield rows[:_BLOCK_PAIRS], cols[:_BLOCK_PAIRS]
+            rows, cols = rows[_BLOCK_PAIRS:], cols[_BLOCK_PAIRS:]
+    if rows.size:
+        yield rows, cols
 
 
 def distance_matrix(deaths: np.ndarray, p: float = 1.0) -> np.ndarray:
@@ -217,26 +285,24 @@ def distance_matrix(deaths: np.ndarray, p: float = 1.0) -> np.ndarray:
         raise ContractError("diagram deaths must be finite, non-negative and ascending in each row")
     n = deaths.shape[0]
     out = np.zeros((n, n), dtype=np.float64)
-    rows, cols = np.triu_indices(n, k=1)
-    pairs = rows.size
+    pairs, programmed = n * (n - 1) // 2, 0
     with np.errstate(over="ignore"):  # an overflow is raised below, as an error
-        if p == 1.0:
-            left = _settle_sorted(deaths, rows, cols, out)
-            rows, cols = rows[left], cols[left]
-        for start in range(0, rows.size, _BLOCK_PAIRS):
-            i = rows[start : start + _BLOCK_PAIRS]
-            j = cols[start : start + _BLOCK_PAIRS]
+        for i, j in _full_blocks(_settle_by_offset(deaths, p, out)):
             a = np.ascontiguousarray(deaths[i].T)
             b_rev = np.ascontiguousarray(deaths[j, ::-1].T)
             out[i, j] = _dp_distances(a, b_rev, p)
+            programmed += i.size
     logger.info(
         "distances: %d pairs, %d settled by the sorted certificate, %d by the dynamic programme",
-        pairs, pairs - rows.size, rows.size,
+        pairs, pairs - programmed, programmed,
     )
     if not math.isfinite(out.max()):  # every entry is >= 0 or NaN, and max propagates NaN
         raise ContractError(
             f"distances at p = {p!r} are not finite: the p-th powers of the deaths overflow float64"
         )
-    out += out.T
+    for r0 in range(0, n, _MIRROR_ROWS):  # the lower triangle is still +0, so x + 0 = x bit for bit
+        r1 = min(r0 + _MIRROR_ROWS, n)
+        out[r0:r1, :r0] = out[:r0, r0:r1].T
+        corner = out[r0:r1, r0:r1]
+        corner += corner.T
     return out
-

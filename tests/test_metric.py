@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 from unittest import mock
@@ -322,27 +323,30 @@ class TestSortedCertificate:
         assert np.array_equal(_bits(out[rows, cols]), _bits(_programme(deaths)))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 10), st.lists(st.floats(0.0, 40.0), max_size=12), st.randoms())
+    @given(st.integers(1, 10), st.lists(st.floats(0.0, 40.0), min_size=2, max_size=14), st.randoms())
     def test_mixed_blocks_land_in_their_cells(self, block, extra, random):
         # (1, 10) against (10, 30) is not settled, (1, 10) against (2, 11) is
         fixed = [[1.0, 10.0, 40.0], [10.0, 30.0, 40.0], [2.0, 11.0, 40.0]]
         drawn = np.sort(np.array(extra[: len(extra) // 2 * 2]).reshape(-1, 2), axis=1)
+        drawn = drawn[: (len(drawn) - 1) // 2 * 2 + 1]  # an even row count: offset n/2 meets its pairs twice
         deaths = np.vstack([fixed, np.column_stack([drawn, np.full(len(drawn), 40.0)])])
         order = list(range(len(deaths)))
         random.shuffle(order)
         deaths = deaths[order]
         rows, cols = np.triu_indices(len(deaths), k=1)
-        with mock.patch.object(metric, "_BLOCK_PAIRS", block):
-            left = metric._settle_sorted(deaths, rows, cols, np.zeros((len(deaths),) * 2))
+        with mock.patch.object(metric, "_BLOCK_PAIRS", block):  # blocks of one or more offsets
+            left = sum(i.size for i, _ in metric._settle_by_offset(deaths, 1.0, np.zeros((len(deaths),) * 2)))
             out = distance_matrix(deaths, 1.0)
-        assert 0 < left.size < rows.size
+        assert len(deaths) % 2 == 0
+        assert 0 < left < rows.size
         assert np.array_equal(_bits(out[rows, cols]), _bits(_programme(deaths)))
         assert np.array_equal(out, out.T)
 
     def test_non_optimal_sorted_matching_rejected(self):
         # sorted: |1 - 10| + |10 - 30| = 29; optimal: 10 with 10, 1/2 + 30/2 = 15.5
         a, b = np.array([[1.0], [10.0]]), np.array([[10.0], [30.0]])
-        settled, cost = metric._sorted_certificate(a, b, 0.0, np.empty((4, 2, 1)))
+        rise = a[1:] - a[:-1]
+        settled, cost = metric._sorted_certificate((a, a / 2, rise, -rise), (b, b / 2), 0.0, np.empty((3, 2, 1)))
         assert not settled[0]
         assert cost[0] == 29.0
         assert distance_matrix([[1.0, 10.0], [10.0, 30.0]], 1.0)[0, 1] == 15.5
@@ -358,8 +362,29 @@ class TestSortedCertificate:
         deaths, _ = dim0_diagrams(broken.values, safety=1.1)
         rows, cols = np.triu_indices(len(deaths), k=1)
         out = np.zeros((len(deaths),) * 2)
-        assert metric._settle_sorted(deaths, rows, cols, out).size == 0
+        assert not list(metric._settle_by_offset(deaths, 1.0, out))
         assert np.array_equal(_bits(out[rows, cols]), _bits(_programme(deaths)))
+
+    @pytest.mark.parametrize(
+        "vector, p, settled",
+        [("default", 1.0, 43956), ("zero", 1.0, 12725), ("default", 2.0, 0)],
+    )
+    def test_pair_counts_match_the_triangle_enumeration(self, tmp_path, caplog, vector, p, settled):
+        # the counts of the row-major pair order: the offset order settles the same pairs
+        path = tmp_path / "synth.csv"
+        path.write_text("\n".join(synthetic_cleveland_rows()) + "\n", encoding="utf-8")
+        raw, _ = parse_dataset(path, load_schema(CLEVELAND_SCHEMA))
+        encoded = one_hot_encode(raw)
+        weights = default_symmetry_vector(encoded.m) if vector == "default" else np.zeros(encoded.m)
+        broken = symmetry_break(standardize(encoded, fit_standardizer(encoded)), weights)
+        deaths, _ = dim0_diagrams(broken.values, safety=1.1)
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            distance_matrix(deaths, p)
+        pairs = 297 * 296 // 2
+        assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("distances: ")] == [
+            f"distances: {pairs} pairs, {settled} settled by the sorted certificate, "
+            f"{pairs - settled} by the dynamic programme"
+        ]
 
 
 class TestDistanceMatrixProperties:
