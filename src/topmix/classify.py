@@ -44,6 +44,14 @@ from .errors import ContractError
 BLOCK_ENTRIES = 1 << 17
 
 
+def check_k_grid(k_grid: Sequence[int]) -> np.ndarray:
+    """``k_grid`` as an int64 array, in order; ContractError unless it is non-empty ints >= 1 (no bool)."""
+    bad = [k for k in k_grid if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1]
+    if bad or not len(k_grid):
+        raise ContractError(f"k grid must be non-empty positive integers, got {repr(bad[0]) if bad else 'none'}")
+    return np.asarray(k_grid, dtype=np.int64)
+
+
 def knn_grid(
     queries: np.ndarray, distances: np.ndarray, labels: np.ndarray,
     k_grid: Sequence[int], groups: np.ndarray,
@@ -52,19 +60,17 @@ def knn_grid(
 
     ``groups`` holds one id per row of ``distances``; a query's candidates
     are the rows whose id differs from its own, so a query is never its
-    own candidate. Candidate labels must be 0/1, every k must satisfy
-    1 <= k <= the fewest candidates of a query, and the query-to-candidate
-    distances must be finite; integer distances are ranked and summed as
-    float64. Returns the max(k_grid) nearest candidate
+    own candidate. Candidate labels must be 0/1, every k an integer
+    (``check_k_grid``) with 1 <= k <= the fewest candidates of a query,
+    and the query-to-candidate distances finite; integer distances are
+    ranked and summed as float64. Returns the max(k_grid) nearest candidate
     rows of each query, nearest first, and the predictions, shaped
     (len(queries), max(k_grid)) and (len(queries), len(k_grid)).
     """
     queries = np.asarray(queries, dtype=np.intp)
     groups = np.asarray(groups)
-    ks = np.asarray(k_grid)
+    ks = check_k_grid(k_grid)
     top = int(ks.max())
-    if ks.min() < 1:
-        raise ContractError(f"k must be >= 1, got {ks.min()}")
     ids, sizes = np.unique(groups, return_counts=True)
     own = np.unique(np.searchsorted(ids, groups[queries]))  # the queries' groups
     fewest = groups.size - int(sizes[own].max(initial=0))

@@ -36,7 +36,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .classify import knn_grid
+from .classify import check_k_grid, knn_grid
 from .errors import ContractError, EvaluationError
 
 
@@ -200,11 +200,8 @@ def _check_distances(distances: np.ndarray, labels: np.ndarray) -> None:
 
 
 def _sorted_grid(k_grid: Sequence[int]) -> list[int]:
-    """The distinct ks in ascending order, each a positive integer."""
-    k_grid = sorted(set(int(k) for k in k_grid))
-    if not k_grid or k_grid[0] < 1:
-        raise ContractError("k grid must be non-empty positive integers")
-    return k_grid
+    """The distinct ks in ascending order, each a positive integer (``check_k_grid``)."""
+    return sorted(set(check_k_grid(k_grid).tolist()))
 
 
 def _require_both_classes(labels: np.ndarray, where: str) -> None:

@@ -10,10 +10,10 @@ fingerprinted are the bytes parsed.
 
 This module alone reads and writes run files. ``_replace`` alone creates
 one: through a temporary file and a rename, so a file holds its old
-content or all of the new. A file written on every run goes through
-``_write_artifact``, which replaces it only when it holds other bytes, so
-a warm re-run writes nothing. Those are the report files in ``out_dir``
-and ``diagrams.npy`` with its manifest, an export never read back.
+content or all of the new. ``_write_artifact`` replaces a file only when
+it holds other bytes, so a warm re-run writes nothing. It writes the
+report files in ``out_dir`` and, from ``compute_diagrams`` alone,
+``diagrams.npy`` with its manifest, an export never read back.
 
 The files read back are the distance cache, ``CACHE_FILES``:
 ``distances.npy``, the matrix, and ``rows.npy``, each kept row's deaths
@@ -23,11 +23,12 @@ dropped row counts. ``compute_distances`` alone reads and fills them, and
 every command but ``diagrams`` goes through it. Its one call to
 ``_cache_hit`` decides whether they can be used, reading each once. A hit
 serves the run whole: the inputs are read and fingerprinted but not
-parsed, and no diagram is computed (``inspect`` then parses the same bytes
-for the one feature row it prints). A missing, stale or damaged cache is
-logged with that reason and rewritten, the files before their manifest,
-without comparing first: a stale matrix is 768 MB at 10,000 rows, and
-reading it back would hold a second copy.
+parsed, no diagram is computed and only ``out_dir`` is written
+(``inspect`` then parses the same bytes for the one feature row it
+prints). A missing, stale or damaged cache is logged with that reason and
+rewritten, the files before their manifest, without comparing first: a
+stale matrix is 768 MB at 10,000 rows, and reading it back would hold a
+second copy.
 
 Each setting is declared once, as a field default of ``ExperimentConfig``
 or ``SplitSpec``. The loader only converts: ``CONFIG_KEYS`` and
@@ -393,11 +394,11 @@ def _manifest_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _npy_bytes(array: np.ndarray) -> bytes:
-    """``array`` in ``.npy`` format: bit-exact and byte-deterministic."""
-    buffer = io.BytesIO()
-    np.save(buffer, array, allow_pickle=False)
-    return buffer.getvalue()
+def _npy_parts(array: np.ndarray) -> tuple[bytes, memoryview]:
+    """``array`` as ``np.save`` writes it: the v1.0 header, then the data (a view if contiguous)."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
+    return header.getvalue(), memoryview(array.reshape(-1, order="A")).cast("B")
 
 
 # The magic string, version, 2-byte length and the longest header that
@@ -409,12 +410,15 @@ def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> tuple[int, str
     """Write ``matrix`` to ``path`` in ``.npy`` format through ``_replace``.
 
     Writes either file of ``CACHE_FILES``: the distance matrix or the rows
-    with their labels. Returns the byte size and sha256 hex digest of what
-    was written.
+    with their labels. The header and a view of the matrix's data are
+    written and hashed in turn, so no copy of the file is held in memory.
+    Returns the byte size and sha256 hex digest of what was written.
     """
-    data = _npy_bytes(matrix)
-    _replace(Path(path), data)
-    return len(data), hashlib.sha256(data).hexdigest()
+    header, data = _npy_parts(matrix)
+    _replace(Path(path), header, data)
+    digest = hashlib.sha256(header)
+    digest.update(data)
+    return len(header) + len(data), digest.hexdigest()
 
 
 def load_distance_matrix(path: str | Path, data: bytearray) -> np.ndarray:
@@ -481,17 +485,19 @@ def _cache_hit(cache_dir: Path, fingerprint: str) -> tuple[list[bytearray], int]
     return None
 
 
-def _replace(path: Path, data: bytes) -> None:
-    """Give ``path`` the content ``data`` through a temporary file beside it and a rename.
+def _replace(path: Path, *parts: bytes | memoryview) -> None:
+    """Give ``path`` the content ``parts``, joined, through a temporary file beside it and a rename.
 
     The only code that creates a file; it creates the parent directory too.
-    ``path`` holds its old content or all of ``data``, never part of it; a
+    ``path`` holds its old content or all of the new, never part of it; a
     write that raises removes its temporary file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temporary.write_bytes(data)
+        with open(temporary, "wb") as fh:
+            for part in parts:
+                fh.write(part)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
@@ -534,29 +540,15 @@ class DiagramSet:
         return [PersistenceDiagram(np.column_stack([births, row]), self.maxscale) for row in self.deaths]
 
 
-def _export_diagrams(config: ExperimentConfig, diagram_set: DiagramSet) -> None:
-    """Export the deaths of ``diagram_set`` to ``diagrams.npy`` with its manifest, via ``_write_artifact``."""
-    if config.cache_dir is None:
-        return
-    export = config.cache_dir / "diagrams.npy"
-    data = _npy_bytes(diagram_set.deaths)
-    _write_artifact(export, data)
-    _write_artifact(export.with_suffix(".manifest.json"), _manifest_text({
-        "bytes": len(data), "fingerprint": diagram_set.fingerprint, "maxscale": diagram_set.maxscale,
-        "safety": config.maxscale_safety, "sha256": hashlib.sha256(data).hexdigest(),
-        "version": __version__,
-    }).encode())
-
-
 def compute_diagrams(config: ExperimentConfig, inputs: RunInputs | None = None) -> DiagramSet:
     """Dimension-0 diagrams of every kept row, in closed form, exported to the cache directory.
 
     Parses and transforms the table (``prepare_features``, given the
     caller's ``inputs`` if any) and takes each row's deaths from
-    ``dim0_diagrams``. The export goes through ``_write_artifact``, so a
-    run with the same diagrams leaves it alone. ``compute_distances`` calls
-    this only when the distance cache cannot serve the run; the
-    ``diagrams`` command always does.
+    ``dim0_diagrams``. This alone writes the export, ``diagrams.npy`` with
+    its manifest, through ``_write_artifact``: a run with the same diagrams
+    leaves it alone. ``compute_distances`` calls this only when the
+    distance cache cannot serve the run; the ``diagrams`` command always does.
     """
     if inputs is None:
         inputs = read_inputs(config)
@@ -564,9 +556,16 @@ def compute_diagrams(config: ExperimentConfig, inputs: RunInputs | None = None) 
     with _stage("diagrams"):
         deaths, maxscale = dim0_diagrams(prepared.features.values, config.maxscale, config.maxscale_safety)
         labels, dropped = prepared.features.labels, prepared.parse_report.dropped_rows
-        diagram_set = DiagramSet(deaths, maxscale, labels, prepared, inputs.fingerprint, dropped)
-        _export_diagrams(config, diagram_set)
-    return diagram_set
+        if config.cache_dir is not None:
+            export = config.cache_dir / "diagrams.npy"
+            data = b"".join(_npy_parts(deaths))
+            _write_artifact(export, data)
+            _write_artifact(export.with_suffix(".manifest.json"), _manifest_text({
+                "bytes": len(data), "fingerprint": inputs.fingerprint, "maxscale": maxscale,
+                "safety": config.maxscale_safety, "sha256": hashlib.sha256(data).hexdigest(),
+                "version": __version__,
+            }).encode())
+    return DiagramSet(deaths, maxscale, labels, prepared, inputs.fingerprint, dropped)
 
 
 def compute_distances(config: ExperimentConfig, inputs: RunInputs | None = None) -> tuple[DiagramSet, np.ndarray]:
@@ -574,8 +573,8 @@ def compute_distances(config: ExperimentConfig, inputs: RunInputs | None = None)
 
     ``inputs`` are the files as the caller read them; without them each
     file is read here, once. A hit (``_cache_hit``) serves the run: the
-    deaths and labels are the columns of ``rows.npy`` and the cap is the
-    deaths' last column; only the diagram export is refreshed. Otherwise
+    deaths (a view) and labels are the columns of ``rows.npy`` and the cap
+    is the deaths' last column; nothing is written. Otherwise
     ``compute_diagrams`` runs and the matrix is computed; with a cache
     directory each file of ``CACHE_FILES`` is written, then the manifest
     that vouches for them, so an interrupted write leaves at worst files
@@ -590,15 +589,12 @@ def compute_distances(config: ExperimentConfig, inputs: RunInputs | None = None)
         (matrix_bytes, rows_bytes), dropped = hit
         matrix = load_distance_matrix(config.cache_dir / CACHE_FILES[0], matrix_bytes)
         rows = load_distance_matrix(config.cache_dir / CACHE_FILES[1], rows_bytes)
-        deaths, labels = np.ascontiguousarray(rows[:, :-1]), rows[:, -1].astype(np.int64)
+        deaths, labels = rows[:, :-1], rows[:, -1].astype(np.int64)
         logger.info(
             "served %d rows from the distance cache: kept %d, dropped %d incomplete",
             labels.size + dropped, labels.size, dropped,
         )
-        diagram_set = DiagramSet(deaths, float(deaths[0, -1]), labels, None, inputs.fingerprint, dropped)
-        with _stage("diagrams"):
-            _export_diagrams(config, diagram_set)
-        return diagram_set, matrix
+        return DiagramSet(deaths, float(deaths[0, -1]), labels, None, inputs.fingerprint, dropped), matrix
     diagram_set = compute_diagrams(config, inputs)
     with _stage("distances"):
         matrix = distance_matrix(diagram_set.deaths, config.wasserstein_p)

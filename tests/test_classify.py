@@ -207,6 +207,13 @@ def test_grid_contract_errors():
         knn_grid([0, 1], dist, np.array([0, 1, 0]), [2], np.array([0, 0, 1]))
 
 
+@pytest.mark.parametrize("k_grid", [[], [1.5], [1, 2.0], [True], np.array([True]), [0], ["1"]])
+def test_grid_of_no_positive_integer_k_rejected(k_grid):
+    dist = _matrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    with pytest.raises(ContractError, match="k grid"):
+        knn_grid([0], dist, np.array([0, 1, 0]), k_grid, np.array([0, 1, 2]))
+
+
 @st.composite
 def _knn_tables(draw):
     """(distances, labels, queries, candidates, k_grid) with ties in ranks, votes and sums."""

@@ -246,6 +246,14 @@ class TestEvaluateSplit:
             with pytest.raises(ContractError, match="k grid"):
                 select_k_kfold(distances, labels, _folds(2), k_grid)
 
+    @pytest.mark.parametrize("k_grid", [[], [2.5], [1, 2.0], [True], [np.True_], ["3"]])
+    def test_k_grid_of_non_integers_rejected(self, k_grid):
+        distances, labels = _duplicated_distance_set()
+        with pytest.raises(ContractError, match="k grid"):
+            evaluate_split(distances, labels, SplitSpec(seed=0), k_grid)
+        with pytest.raises(ContractError, match="k grid"):
+            select_k_kfold(distances, labels, _folds(2), k_grid)
+
     def test_result_depends_only_on_the_matrix(self):
         deaths, labels = _duplicated_diagram_set()
         diagrams = [PersistenceDiagram(np.column_stack([[0.0, 0.0], row]), maxscale=50.0) for row in deaths]

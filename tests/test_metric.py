@@ -1,6 +1,8 @@
+import io
 import logging
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -224,6 +226,20 @@ class TestDistanceMatrix:
         first = path.read_bytes()
         save_distance_matrix(out, path)
         assert path.read_bytes() == first
+
+    def test_save_holds_no_copy_of_the_matrix(self, tmp_path):
+        matrix = np.random.default_rng(3).random((2000, 2000))  # 32 MB
+        path = tmp_path / "distances.npy"
+        tracemalloc.start()
+        try:
+            save_distance_matrix(matrix, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        expected = io.BytesIO()
+        np.save(expected, matrix)
+        assert path.read_bytes() == expected.getvalue()
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("dtype", [np.float64, np.int32])

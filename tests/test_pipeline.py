@@ -313,6 +313,32 @@ def _synth_files(tmp_path, n=60, seed=13):
     return data, CLEVELAND_SCHEMA
 
 
+def _fail_temporary_writes(monkeypatch, prefix=""):
+    """The first write to a temporary file named ``.{prefix}...`` writes half its bytes, then fails."""
+    import builtins
+    import topmix.pipeline as pipeline
+
+    class HalfWritten:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(bytes(data)[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return HalfWritten(fh) if "w" in mode and Path(file).name.startswith(f".{prefix}") else fh
+
+    monkeypatch.setattr(pipeline, "open", failing_open, raising=False)
+
+
 def _tree(root):
     """Every file under ``root`` by relative path, with its bytes."""
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -463,14 +489,8 @@ class TestRunPipeline:
         run_pipeline(load_experiment_config(cfg))
         out = tmp_path / "out"
         before = _tree(out)
-        write_bytes = Path.write_bytes
-
-        def write_half(path, content):
-            write_bytes(path, content[: len(content) // 2])
-            raise OSError("no space left on device")
-
         # k = 3 changes every report file; the caches are warm and not written
-        monkeypatch.setattr(Path, "write_bytes", write_half)
+        _fail_temporary_writes(monkeypatch)
         with pytest.raises(TopmixError, match="stage report.*no space"):
             run_pipeline(load_experiment_config(cfg, {"k": 3}))
         monkeypatch.undo()
@@ -638,15 +658,7 @@ class TestRunPipeline:
         compute_diagrams(config)
         cache = tmp_path / "cache"
         files = {path.name: path.read_bytes() for path in cache.iterdir()}
-        write_bytes = Path.write_bytes
-
-        def write_half(path, data):  # the matrix's temporary file only; its manifest comes after it
-            if not path.name.startswith(".distances.npy."):
-                return write_bytes(path, data)
-            write_bytes(path, data[: len(data) // 2])
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(Path, "write_bytes", write_half)
+        _fail_temporary_writes(monkeypatch, "distances.npy.")  # the matrix only; its manifest comes after it
         with pytest.raises(TopmixError, match="stage distances.*no space"):
             compute_distances(config)
         monkeypatch.undo()
@@ -661,16 +673,8 @@ class TestRunPipeline:
         other = load_experiment_config(_config_for(tmp_path, data, schema, name="p2.json", wasserstein_p=2.0))
         compute_diagrams(other)  # the export is p-free: nothing to write
         assert {path.name: path.read_bytes() for path in cache.iterdir()} == files
-        write_bytes = Path.write_bytes
-
-        def write_half(path, data):
-            if not path.name.startswith(".distances.npy."):
-                return write_bytes(path, data)
-            write_bytes(path, data[:100])
-            raise OSError("no space left on device")
-
         # at p = 2 the distance cache is stale; rewriting it fails halfway
-        monkeypatch.setattr(Path, "write_bytes", write_half)
+        _fail_temporary_writes(monkeypatch, "distances.npy.")
         with pytest.raises(TopmixError, match="stage distances"):
             compute_distances(other)
         monkeypatch.undo()
@@ -801,15 +805,40 @@ class TestServedRun:
             cold, warm = cold[:-1], warm[:-1]
         assert warm == cold
 
-    def test_served_run_restores_a_damaged_diagram_export(self, tmp_path):
+    def test_served_run_leaves_the_diagram_export_alone(self, tmp_path, monkeypatch, caplog, capsys):
+        import builtins
+        import io
+
         data, schema = _synth_files(tmp_path, n=20)
         cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
-        run_pipeline(load_experiment_config(cfg))
-        cache = _tree(tmp_path / "cache")
-        (tmp_path / "cache" / "diagrams.npy").write_bytes(b"damaged")
-        (tmp_path / "cache" / "diagrams.manifest.json").unlink()
-        run_pipeline(load_experiment_config(cfg))
-        assert _tree(tmp_path / "cache") == cache
+        assert cli_main(["classify", "--config", str(cfg)]) == 0
+        cold = _tree(tmp_path / "out")
+        export = tmp_path / "cache" / "diagrams.npy"
+        manifest = export.with_suffix(".manifest.json")
+        first, first_manifest = export.read_bytes(), manifest.read_bytes()
+        export.write_bytes(b"damaged")
+        manifest.unlink()
+        opened = []
+
+        def recording(real_open):
+            def recording_open(file, *args, **kwargs):
+                opened.append(os.path.basename(str(file)))
+                return real_open(file, *args, **kwargs)
+
+            return recording_open
+
+        monkeypatch.setattr(builtins, "open", recording(builtins.open))
+        monkeypatch.setattr(io, "open", recording(io.open))
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            assert cli_main(["classify", "--config", str(cfg), "--out-dir", str(tmp_path / "warm")]) == 0
+        monkeypatch.undo()
+        assert "distance cache hit" in caplog.text
+        assert {"distances.npy", "rows.npy"} <= set(opened)  # the recording saw the cache read
+        assert [name for name in opened if name.lstrip(".").startswith("diagrams.")] == []
+        assert export.read_bytes() == b"damaged" and not manifest.exists()
+        assert _tree(tmp_path / "warm") == cold
+        compute_diagrams(load_experiment_config(cfg))
+        assert export.read_bytes() == first and manifest.read_bytes() == first_manifest
 
     @pytest.mark.parametrize(
         "damage, reason", [("truncated", "damaged"), ("bit_flipped", "damaged"), ("deleted", "missing")]
