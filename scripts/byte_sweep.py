@@ -26,7 +26,9 @@ generator, and both trees read the same files:
 * classify on 296 kept rows (302 generated), hold-out, p = 1, under the
   default and the zero symmetry vector: an even row count, where the
   distance pairs at offset n/2 are met twice;
-* diagrams at 3,000 kept rows.
+* diagrams at 3,000 kept rows, from the comma-delimited table (read by
+  numpy's text reader) and from a tab-delimited copy (read by the column
+  parser).
 
 Each tree runs every command in one process through ``topmix.cli.main``,
 with its log lines (which carry timings) discarded. Absolute paths in
@@ -81,6 +83,8 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
     for name, n_total, n_missing in tables:
         rows = synthetic_cleveland_rows(n_total, n_missing)
         (inputs / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    tab_rows = [row.replace(",", "\t") for row in synthetic_cleveland_rows(3030, 30)]
+    (inputs / "rows3000.tsv").write_text("\n".join(tab_rows) + "\n", encoding="utf-8")
 
     cases: list[tuple[str, list[str]]] = []
 
@@ -126,6 +130,10 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
         command(f"rows296-holdout-{vector}-p1", config, f"rows296-{vector}-p1", "classify", "--p", "1")
     config = write_config(inputs / "rows3000.json", data=str(inputs / "rows3000.csv"), schema=str(schema))
     command("diagrams-3000", config, "rows3000", "diagrams")
+    config = write_config(
+        inputs / "rows3000-tab.json", data=str(inputs / "rows3000.tsv"), schema=str(schema), delimiter="\t"
+    )
+    command("diagrams-3000-tab", config, "rows3000-tab", "diagrams")
     return cases
 
 

@@ -5,23 +5,33 @@ in the parse report); everything retained is fully validated: numeric
 fields are finite reals, categorical tokens come from the declared
 domain, and the target is binarized by the schema's positive rule.
 
-The table is parsed straight into typed columns. Field counts come from
-counting delimiters, only the lines that contain the missing token are
-split to decide whether to drop them, and the kept lines are split one
-by one into one flat list of fields, of which column c is every
-n_fields-th entry from c. A numeric column becomes a float64 array
-(``float`` over the tokens, then one ``np.isfinite``); a categorical
-column becomes an intp array of codes into its attribute's domain,
-found while it is validated.
-The error raised is still the first one in row-major order, the one a
-row-by-row reader would meet: the lowest row, and within it the leftmost
-field, the target last. A row with the wrong field count is reported
-only when no earlier row fails.
+Only the lines holding the missing token are split to decide whether to
+drop them. The kept lines go to the numpy text reader (``np.loadtxt``, in
+C), which reads numbers and a greater-than target as float64, and a
+categorical field as a string one character longer than its longest
+domain token, coded by ``searchsorted``. Each value it returns is the
+column parser's: both strip the same whitespace (``Py_UNICODE_ISSPACE``)
+and then call ``PyOS_string_to_double`` (``float`` also takes underscores
+and non-ASCII digits, which numpy rejects); a truncated field equals no
+domain token; and since numpy's strings drop trailing NULs ("a\\x00"
+would read as "a"), a NUL in the text or in a domain token sends the
+table to the column parser, as does anything else the text reader
+declines (see ``_read_text``).
+
+The column parser counts delimiters for the field counts and splits the
+kept lines into one flat list of fields, of which column c is every
+n_fields-th entry from c: ``float`` and one ``np.isfinite`` make a numeric
+column, domain codes found while validating make a categorical one. Its
+error is the first in row-major order, the one a row-by-row reader would
+meet: the lowest row, and within it the leftmost field, the target last.
+A row with the wrong field count is reported only when no earlier row
+fails.
 """
 
 from __future__ import annotations
 
 import io
+import logging
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import methodcaller
@@ -33,6 +43,9 @@ import numpy as np
 from .errors import ParseError, SchemaError, TopmixError
 from .schema import Attribute, PositiveRule, SchemaSpec
 
+logger = logging.getLogger("topmix")
+
+Columns = tuple[list[np.ndarray], np.ndarray]
 # A column's first bad position, the error type and the message without its row prefix.
 Failure = tuple[int, type[TopmixError], str]
 
@@ -130,10 +143,80 @@ def _labels(rule: PositiveRule, tokens: Sequence[str]) -> tuple[np.ndarray, Fail
         return np.fromiter(hits, dtype=np.int64, count=len(tokens)), None
     values = _floats(tokens)
     labels = (values > rule.threshold).astype(np.int64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        pos = int(finite.argmin())
+        return labels, (pos, ParseError, f"target token {tokens[pos].strip()!r} is not finite")
     if len(values) < len(tokens):
         pos = len(values)
         return labels, (pos, ParseError, f"target token {tokens[pos].strip()!r} is not numeric")
     return labels, None
+
+
+def _read_text(lines: list[str], schema: SchemaSpec, delimiter: str) -> Columns | None:
+    """The kept lines read by numpy's text reader, or None where it declines: on a
+    delimiter that is not one non-whitespace character, a one-of target, no line, a line
+    ``np.loadtxt`` rejects, a non-finite value, or a categorical field that is not a NUL-free
+    domain token that ``strip`` leaves unchanged. No line may hold a NUL.
+    """
+    if len(delimiter) != 1 or delimiter.isspace() or schema.positive_rule.kind != "greater-than" or not lines:
+        return None
+    attributes = schema.attributes + (Attribute("target", "numeric"),)
+    # fields f0, f1, ...: float64, or a string one character longer than the longest domain token
+    dtype = ",".join("f8" if a.kind == "numeric" else f"U{max(map(len, a.domain)) + 1}" for a in attributes)
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    columns: list[np.ndarray] = []
+    for field, attr in zip(table.dtype.names, attributes):
+        if attr.kind == "numeric":
+            column = table[field].copy()
+            valid = np.isfinite(column)
+        else:
+            domain = np.array(attr.domain)
+            order = np.argsort(domain)
+            column = order[np.searchsorted(domain, table[field], sorter=order).clip(max=domain.size - 1)]
+            readable = np.array([t == t.strip() and "\x00" not in t for t in attr.domain])
+            valid = readable[column] & (domain[column] == table[field])
+        if not valid.all():
+            return None
+        columns.append(column)
+    return columns[:-1], (columns[-1] > schema.positive_rule.threshold).astype(np.int64)
+
+
+def _parse_columns(
+    lines: list[str], kept: list[str], kept_at: np.ndarray, schema: SchemaSpec, delimiter: str
+) -> Columns:
+    """The column parser: ``kept``, the ``lines`` at ``kept_at``, read, or its first fault raised."""
+    n_fields = schema.n_fields
+    widths = np.fromiter(map(methodcaller("count", delimiter), lines), np.intp, count=len(lines)) + 1
+    wrong = np.flatnonzero(widths != n_fields)
+    stop = int(wrong[0]) if wrong.size else len(lines)  # rows before the first of the wrong width
+    # Line by line: the lines joined would split wrongly where the delimiter
+    # can overlap itself ("1|" and "2" joined by "||" split as "1", "|2").
+    # Extending one list is faster than chaining the per-line lists.
+    fields: list[str] = []
+    for line in kept[: int(np.searchsorted(kept_at, stop))]:
+        fields += line.split(delimiter)
+
+    columns: list[np.ndarray] = []
+    failures: list[Failure | None] = []
+    for c, attr in enumerate(schema.attributes):
+        check = _numeric if attr.kind == "numeric" else _categorical
+        column, failure = check(attr, fields[c::n_fields])
+        columns.append(column)
+        failures.append(failure)
+    labels, failure = _labels(schema.positive_rule, fields[n_fields - 1 :: n_fields])
+    del fields
+    failures = [f for f in failures + [failure] if f is not None]
+    if failures:
+        # min keeps the leftmost column among failures in the same row
+        pos, error, message = min(failures, key=lambda f: f[0])
+        raise error(f"row {int(kept_at[pos])}: {message}")
+    if stop < len(lines):
+        raise ParseError(f"row {stop}: expected {n_fields} fields, got {int(widths[stop])}")
+    return columns, labels
 
 
 def parse_dataset(
@@ -171,47 +254,24 @@ def parse_dataset(
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"data file {source} is not UTF-8 text: {exc}") from None
+    nul_free = "\x00" not in text  # numpy's fixed-width strings would drop trailing NULs
     # Universal newlines leave only "\n"; str.splitlines would also split at \v, \f, ...
     lines = list(filter(str.strip, text.split("\n")))
     del text, data
     if has_header:
         lines = lines[1:]
     total = len(lines)
-    n_fields = schema.n_fields
-    widths = np.fromiter(map(methodcaller("count", delimiter), lines), np.intp, count=total) + 1
-    wrong = np.flatnonzero(widths != n_fields)
-    stop = int(wrong[0]) if wrong.size else total  # rows before the first of the wrong width
-    del lines[stop:]
 
     missing = schema.missing_token
-    holding = compress(range(stop), map(str.__contains__, lines, repeat(missing)))
+    holding = compress(range(total), map(str.__contains__, lines, repeat(missing)))
     dropped = [i for i in holding if missing in map(str.strip, lines[i].split(delimiter))]
-    kept_at = np.delete(np.arange(stop), dropped)
-    lines = list(map(lines.__getitem__, kept_at.tolist()))
-    # Line by line: the lines joined would split wrongly where the delimiter
-    # can overlap itself ("1|" and "2" joined by "||" split as "1", "|2").
-    # Extending one list is faster than chaining the per-line lists.
-    fields: list[str] = []
-    for line in lines:
-        fields += line.split(delimiter)
-    del lines
-
-    columns: list[np.ndarray] = []
-    failures: list[Failure | None] = []
-    for c, attr in enumerate(schema.attributes):
-        check = _numeric if attr.kind == "numeric" else _categorical
-        column, failure = check(attr, fields[c::n_fields])
-        columns.append(column)
-        failures.append(failure)
-    labels, failure = _labels(schema.positive_rule, fields[n_fields - 1 :: n_fields])
-    del fields
-    failures = [f for f in failures + [failure] if f is not None]
-    if failures:
-        # min keeps the leftmost column among failures in the same row
-        pos, error, message = min(failures, key=lambda f: f[0])
-        raise error(f"row {int(kept_at[pos])}: {message}")
-    if stop < total:
-        raise ParseError(f"row {stop}: expected {n_fields} fields, got {int(widths[stop])}")
+    kept_at = np.delete(np.arange(total), dropped)
+    kept = list(map(lines.__getitem__, kept_at.tolist()))
+    read = _read_text(kept, schema, delimiter) if nul_free else None
+    # The text reader sees only the kept lines; a dropped line of the wrong width still fails.
+    served = read is not None and all(lines[i].count(delimiter) == schema.n_fields - 1 for i in dropped)
+    logger.info("columns read by the %s", "numpy text reader" if served else "column parser")
+    columns, labels = read if served else _parse_columns(lines, kept, kept_at, schema, delimiter)
 
     dataset = RawDataset(schema=schema, columns=tuple(columns), labels=labels)
     report = ParseReport(

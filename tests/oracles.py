@@ -329,6 +329,8 @@ def binarize_target(token: str, rule: PositiveRule) -> int:
         value = float(token)
     except ValueError:
         raise ParseError(f"target token {token!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise ParseError(f"target token {token!r} is not finite")
     return int(value > rule.threshold)
 
 

@@ -1,3 +1,4 @@
+import logging
 import re
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topmix.errors import ParseError, SchemaError, TopmixError
+from topmix import ingest
 from topmix.ingest import parse_dataset
 from topmix.preprocess import one_hot_encode
 from topmix.schema import Attribute, PositiveRule, SchemaSpec, load_schema
 
-from conftest import CLEVELAND_DATA, CLEVELAND_SCHEMA, requires_cleveland
+from conftest import CLEVELAND_DATA, CLEVELAND_SCHEMA, requires_cleveland, synthetic_cleveland_rows
 from oracles import one_hot_encode_rowwise, parse_dataset_rowwise
 
 
@@ -51,6 +53,7 @@ def test_drops_rows_with_missing_token(tmp_path, toy_schema):
     assert dataset.labels.tolist() == [0, 1]
 
 
+@pytest.mark.filterwarnings("error")  # numpy's reader warns on an empty input
 def test_empty_file(tmp_path, toy_schema):
     dataset, report = parse_dataset(_write(tmp_path, ""), toy_schema)
     assert dataset.n == 0
@@ -131,13 +134,16 @@ def test_cleveland_parses_to_297_complete_rows():
 # Field tokens by the fault they carry. Each list mixes clean tokens with
 # near misses, so a table is sometimes valid and sometimes fails at a
 # random (row, field).
+# NULs and Unicode whitespace: numpy's fixed-width strings drop trailing
+# NULs, and the two readers must strip the same whitespace.
+ODD_CHAR_TOKENS = ("\x00", "a\x00", "1.5\x00", "\x0b", "\x0c", "\x85", "\xa0", "\u3000", "\ufeff")
 NUMERIC_TOKENS = (
     "1.5", "-2", "0", " 3.25 ", "7e-3", "\t4\t", "1_0", " 5 ", "٣",
     "inf", "-inf", "nan", "1e999", "abc", "", "1.2.3", "\x1c6\x1c",
-)
-CATEGORICAL_TOKENS = ("a", "b", "0.0", "1.0", " a ", "zz", "", "A", "x y", " a")
+) + ODD_CHAR_TOKENS
+CATEGORICAL_TOKENS = ("a", "b", "0.0", "1.0", " a ", "zz", "", "A", "x y", " a") + ODD_CHAR_TOKENS
 DOMAIN_TOKENS = ("a", "b", "0.0", "1.0", "x y", " a")
-GT_TARGET_TOKENS = ("0", "1", "2", " 3 ", "0.5", "-1", "nan", "inf", "huh", "")
+GT_TARGET_TOKENS = ("0", "1", "2", " 3 ", "0.5", "-1", "nan", "inf", "huh", "") + ODD_CHAR_TOKENS
 ONE_OF_TARGET_TOKENS = ("yes", "no", " yes ", "1", "maybe", "")
 MISSING_VARIANTS = ("{m}", " {m} ", "{m}x", "x{m}")
 DELIMITERS = (",", ";", "\t", "::")
@@ -257,7 +263,7 @@ def _tables(draw):
         rule = PositiveRule(kind="one-of", tokens=("yes",))
         target = st.sampled_from(ONE_OF_TARGET_TOKENS)
     schema = SchemaSpec(attributes=attributes, target="y", positive_rule=rule, missing_token="?")
-    odd = st.text(alphabet="ab?.1e \t\x1c ٣-", max_size=4)
+    odd = st.text(alphabet="ab?.1e \t\x1c ٣-\x00\x0b\x0c\x85\u3000\ufeff", max_size=4)
     finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
     cell = {
         # clean tokens twice, so that many tables parse
@@ -299,6 +305,14 @@ def test_parse_and_encode_match_rowwise_oracle(tmp_path_factory, table):
         ),
         pytest.param("nan,zz,huh\n", "row 0: attribute 'x': non-finite value 'nan'", id="left_field_first"),
         pytest.param("1.0,a,huh\n2.0,zz,0\n", "row 0: target token 'huh' is not numeric", id="target_in_lower_row"),
+        pytest.param(
+            "1.0,a,nan\n1.0,a,huh\n", "row 0: target token 'nan' is not finite",
+            id="non_finite_target_before_later_non_numeric",
+        ),
+        pytest.param(
+            "1.0,a,huh\n1.0,a,inf\n", "row 0: target token 'huh' is not numeric",
+            id="non_numeric_target_before_later_non_finite",
+        ),
         pytest.param("1.0,a,0\n1.0,a\nabc,a,0\n", "row 1: expected 3 fields, got 2", id="field_count"),
         pytest.param("abc,a,0\n1.0,a\n", "row 0: attribute 'x': 'abc' is not numeric", id="fault_before_field_count"),
         # Dropped rows are not validated, and row numbers count them.
@@ -354,3 +368,63 @@ def test_self_overlapping_delimiter_splits_each_line(tmp_path):
     assert _columns(dataset) == [[1.5, 2.5]] and dataset.labels.tolist() == [1, 0]
     assert report.total_rows == report.kept_rows == 2
     _assert_matches_oracle(path, schema, delimiter="||")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_target_is_parse_error(tmp_path, token):
+    # Under the greater-than rule, nan would be labelled 0 and inf 1 without a word.
+    good, bad = synthetic_cleveland_rows(2, 0)
+    bad = bad.rsplit(",", 1)[0] + f",{token}"
+    path = _write(tmp_path, f"{good}\n{bad}\n")
+    with pytest.raises(ParseError) as excinfo:
+        parse_dataset(path, load_schema(CLEVELAND_SCHEMA))
+    assert str(excinfo.value) == f"row 1: target token {token!r} is not finite"
+    _assert_matches_oracle(path, load_schema(CLEVELAND_SCHEMA))
+
+
+def test_text_reader_serves_cleveland_shaped_table(tmp_path, monkeypatch, caplog):
+    path = _write(tmp_path, "\n".join(synthetic_cleveland_rows(3030, 30)) + "\n")
+    schema = load_schema(CLEVELAND_SCHEMA)
+    want = _outcome(parse_dataset_rowwise, one_hot_encode_rowwise, path, schema, ",", False)
+
+    def refuse(*args):
+        raise AssertionError("the column parser ran")
+
+    for name in ("_numeric", "_categorical", "_labels"):
+        monkeypatch.setattr(ingest, name, refuse)
+    with caplog.at_level(logging.INFO, logger="topmix"):
+        got = _outcome(parse_dataset, one_hot_encode, path, schema, ",", False)
+    assert got == want and got[0] == "parsed"
+    assert caplog.messages == ["columns read by the numpy text reader"]
+
+
+@pytest.mark.parametrize(
+    "text,delimiter,domain,rule",
+    [
+        pytest.param("1.0\ta\t0\n2.5\tb\t3\n", "\t", ("a", "b"), None, id="tab_delimiter"),
+        pytest.param("1.0::a::0\n2.5::b::3\n", "::", ("a", "b"), None, id="two_character_delimiter"),
+        # numeric targets, which "greater than 0" would label 1, 1, 0
+        pytest.param(
+            "1.0,a,1\n2.5,b,2\n3.5,b,0\n", ",", ("a", "b"), PositiveRule(kind="one-of", tokens=("1",)),
+            id="one_of_target",
+        ),
+        # read one character wider than "a", "ab" stays "ab" and falls outside the domain
+        pytest.param("1.0,a,0\n2.5,ab,1\n", ",", ("a", "b"), None, id="field_longer_than_domain_tokens"),
+        # numpy's fixed-width strings would read "a\x00" as "a", a domain token
+        pytest.param("1.0,a,0\n2.5,a\x00,1\n", ",", ("a", "b"), None, id="nul_in_field"),
+        pytest.param("1.0,a,0\n2.5,b,1\n", ",", ("a\x00", "b"), None, id="nul_in_domain_token"),
+        # the text reader reads the kept lines only
+        pytest.param("1.0,a,0\n?,b\n", ",", ("a", "b"), None, id="dropped_row_of_wrong_width"),
+    ],
+)
+def test_column_parser_reads_what_text_reader_declines(tmp_path, caplog, text, delimiter, domain, rule):
+    schema = SchemaSpec(
+        attributes=(Attribute("x", "numeric"), Attribute("c", "categorical", domain)),
+        target="y",
+        positive_rule=rule or PositiveRule(kind="greater-than", threshold=0.0),
+    )
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with caplog.at_level(logging.INFO, logger="topmix"):
+        _assert_matches_oracle(path, schema, delimiter=delimiter)
+    assert caplog.messages[0] == "columns read by the column parser"
