@@ -6,11 +6,11 @@
 Checks ``<rev>`` out with ``git worktree add`` under a temporary directory
 (local history only), runs one sweep of ``topmix`` commands against the
 sources of each tree, and compares every file the sweep leaves in its
-``out_dir``s and cache directories, and the stdout of every command, byte
-for byte. The worktree is removed afterwards. Prints one summary line and
-exits 0 when nothing differs, 1 on any difference, 2 when a tree cannot
-run the sweep. Each differing file is named on a line of its own, up to
-50 of them.
+``out_dir``s and cache directories, and the stdout and stderr of every
+command, byte for byte. The worktree is removed afterwards. Prints one
+summary line and exits 0 when nothing differs, 1 on any difference, 2
+when a tree cannot run the sweep. Each differing file is named on a line
+of its own, up to 50 of them.
 
 The inputs are generated once, from this tree's ``tests/conftest.py``
 generator, and both trees read the same files:
@@ -28,11 +28,19 @@ generator, and both trees read the same files:
   distance pairs at offset n/2 are met twice;
 * diagrams at 3,000 kept rows, from the comma-delimited table (read by
   numpy's text reader) and from a tab-delimited copy (read by the column
-  parser).
+  parser);
+* diagrams on faulty copies of the 297-row table, comma- and
+  tab-delimited, each exiting 1 with its first fault on stderr: a
+  non-numeric field, a non-finite field, an out-of-domain token with a
+  bad token in the next row's first column, a bad target, a row of the
+  wrong width after an earlier fault, a dropped row of the wrong width,
+  and a bad token before a dropped row of the wrong width.
 
 Each tree runs every command in one process through ``topmix.cli.main``,
-with its log lines (which carry timings) discarded. Absolute paths in
-stdout are replaced by ``<root>`` before the comparison.
+with its log lines (which carry timings) discarded. A command's stderr
+(its ``error:`` line, or a warning) follows its stdout in the file
+compared. Absolute paths in both are replaced by ``<root>`` before the
+comparison.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SHOWN = 50  # differing files named, at most
 
-# Runs the cases of a JSON file with the topmix under argv[1]; one stdout file per case.
+# Runs the cases of a JSON file with the topmix under argv[1]; one output file per case.
 RUNNER = r"""
 import contextlib, io, json, logging, os, sys
 from pathlib import Path
@@ -62,12 +70,13 @@ if Path(topmix.__file__).resolve().parent != Path(src).resolve() / "topmix":
 logging.basicConfig(stream=open(os.devnull, "w"), level=logging.INFO)
 for name, argv in json.loads(Path(cases_file).read_text()):
     argv = [a.replace("<root>", root) for a in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     path = Path(root, "stdout", name)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"exit {code}\n" + out.getvalue().replace(root, "<root>"), encoding="utf-8")
+    text = f"exit {code}\n{out.getvalue()}stderr:\n{err.getvalue()}"
+    path.write_text(text.replace(root, "<root>"), encoding="utf-8")
 """
 
 
@@ -134,6 +143,29 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
         inputs / "rows3000-tab.json", data=str(inputs / "rows3000.tsv"), schema=str(schema), delimiter="\t"
     )
     command("diagrams-3000-tab", config, "rows3000-tab", "diagrams")
+
+    rows = [row.split(",") for row in synthetic_cleveland_rows(303, 6)]
+    clean = [i for i, row in enumerate(rows) if "?" not in row]
+    faults = {  # (row among the rows without a missing field, field, token); token None cuts the target
+        "non-numeric": [(20, 0, "abc")],
+        "non-finite": [(40, 4, "inf")],
+        "outside-domain": [(60, 12, "5.0"), (61, 0, "abc")],
+        "bad-target": [(80, 13, "huh")],
+        "width-after-fault": [(30, 7, "x"), (31, 13, None)],
+        "dropped-width": [(70, 11, "?"), (70, 13, None)],
+        "before-dropped-width": [(90, 2, "9.0"), (91, 11, "?"), (91, 13, None)],
+    }
+    for fault, edits in faults.items():
+        table = [row.copy() for row in rows]
+        for i, field, token in edits:
+            table[clean[i]][field] = token
+        for delimiter, suffix in ((",", "csv"), ("\t", "tsv")):
+            data = inputs / f"fault-{fault}.{suffix}"
+            lines = (delimiter.join(t for t in row if t is not None) for row in table)
+            data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            name = f"fault-{fault}-{suffix}"
+            config = write_config(inputs / f"{name}.json", data=str(data), schema=str(schema), delimiter=delimiter)
+            command(name, config, name, "diagrams")
     return cases
 
 

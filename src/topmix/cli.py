@@ -141,17 +141,6 @@ def _cmd_inspect(config, row: int) -> int:
     if not 0 <= row < n:
         raise TopmixError(f"row {row} out of range 0..{n - 1}")
 
-    x = (diagram_set.prepared or prepare_features(config, inputs)).features.values[row]
-    cloud = np.tile(x, (x.size + 1, 1))  # x, then p_i(x): x with coordinate i zeroed
-    cloud[np.arange(1, x.size + 1), np.arange(x.size)] = 0.0
-    print(f"row {row}: label {int(labels[row])}")
-    print("point cloud (row vector, then one projection per coordinate):")
-    for point in cloud:
-        print("  " + " ".join(f"{v:.6g}" for v in point))
-    print("diagram (birth, death):")
-    for death in diagram_set.deaths[row].tolist():
-        print(f"  (0.0, {death!r})")
-
     # the groups classify ranked with; under hold-out, the training rows
     # against the rest, and the row joins the rest, so that a training row's
     # candidates are the other training rows
@@ -159,8 +148,20 @@ def _cmd_inspect(config, row: int) -> int:
     if config.split.mode == "holdout":
         groups = groups == 0
         groups[row], pool_name = False, "training rows"
+    # all that can fail runs before the first line is printed
     k = min(classify_stage(config, matrix, labels)[1].k, int((groups != groups[row]).sum()))
     nearest, predicted = knn_grid([row], matrix, labels, [k], groups)
+    x = (diagram_set.prepared or prepare_features(config, inputs)).features.values[row]
+    cloud = np.tile(x, (x.size + 1, 1))  # x, then p_i(x): x with coordinate i zeroed
+    cloud[np.arange(1, x.size + 1), np.arange(x.size)] = 0.0
+
+    print(f"row {row}: label {int(labels[row])}")
+    print("point cloud (row vector, then one projection per coordinate):")
+    for point in cloud:
+        print("  " + " ".join(f"{v:.6g}" for v in point))
+    print("diagram (birth, death):")
+    for death in diagram_set.deaths[row].tolist():
+        print(f"  (0.0, {death!r})")
     print(f"{k} nearest {pool_name}:")
     for neighbor in nearest[0].tolist():
         print(

@@ -18,36 +18,33 @@ would read as "a"), a NUL in the text or in a domain token sends the
 table to the column parser, as does anything else the text reader
 declines (see ``_read_text``).
 
-The column parser counts delimiters for the field counts and splits the
-kept lines into one flat list of fields, of which column c is every
-n_fields-th entry from c: ``float`` and one ``np.isfinite`` make a numeric
-column, domain codes found while validating make a categorical one. Its
-error is the first in row-major order, the one a row-by-row reader would
-meet: the lowest row, and within it the leftmost field, the target last.
-A row with the wrong field count is reported only when no earlier row
-fails.
+Both readers read or decline, and neither names a fault. The column
+parser splits the kept lines into one flat list of fields, of which column
+c is every n_fields-th entry from c, and declines at the first sign of a
+fault. When neither reads the table, or a dropped line has the wrong
+width, one row-by-row pass names the fault: each row's field count, then
+its fields left to right, the target last. The first fault it meets is
+the first in row-major order, and it builds a message only for that one.
 """
 
 from __future__ import annotations
 
 import io
 import logging
+import math
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import methodcaller
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, TopmixError
+from .errors import ContractError, ParseError, SchemaError, TopmixError
 from .schema import Attribute, PositiveRule, SchemaSpec
 
 logger = logging.getLogger("topmix")
 
 Columns = tuple[list[np.ndarray], np.ndarray]
-# A column's first bad position, the error type and the message without its row prefix.
-Failure = tuple[int, type[TopmixError], str]
 
 
 @dataclass(frozen=True)
@@ -78,79 +75,24 @@ class RawDataset:
         return self.labels.size
 
 
-def _floats(tokens: Sequence[str]) -> np.ndarray:
-    """The tokens as float64, up to (not including) the first that is not numeric.
+def _convert(convert: Callable[[str], object], tokens: Sequence[str], dtype: type) -> np.ndarray | None:
+    """``convert`` of every token, or None where a stripped token fails (ValueError, KeyError).
 
-    ``float`` ignores the surrounding whitespace it accepts, so when every
-    raw token parses the values equal those of the stripped tokens; only
-    a failure needs the stripped column.
+    The raw tokens go first, so ``convert`` must give for a raw token it accepts what it gives for
+    the stripped one. ``float`` rejects some whitespace that ``strip`` removes ("\\x1c").
     """
-    try:
-        return np.fromiter(map(float, tokens), np.float64, count=len(tokens))
-    except ValueError:
-        pass
-    values: list[float] = []
-    for token in map(str.strip, tokens):
+    for column in (tokens, map(str.strip, tokens)):
         try:
-            values.append(float(token))
-        except ValueError:
-            break
-    return np.array(values, dtype=np.float64)
+            return np.fromiter(map(convert, column), dtype, count=len(tokens))
+        except (ValueError, KeyError):
+            pass
+    return None
 
 
-def _numeric(attr: Attribute, tokens: Sequence[str]) -> tuple[np.ndarray, Failure | None]:
-    values = _floats(tokens)
-    # Non-finite values before the first non-numeric token come first in row order.
-    finite = np.isfinite(values)
-    if not finite.all():
-        pos = int(finite.argmin())
-        message = f"attribute {attr.name!r}: non-finite value {tokens[pos].strip()!r}"
-        return values, (pos, ParseError, message)
-    if len(values) < len(tokens):
-        pos = len(values)
-        return values, (pos, ParseError, f"attribute {attr.name!r}: {tokens[pos].strip()!r} is not numeric")
-    return values, None
-
-
-def _categorical(attr: Attribute, tokens: Sequence[str]) -> tuple[np.ndarray, Failure | None]:
-    """The domain code of every token, or the first token outside the domain."""
-    n = len(tokens)
-    # A raw token equal to a strip-invariant domain token is its own stripped form.
-    fast = {token: j for j, token in enumerate(attr.domain) if token == token.strip()}
-    try:
-        return np.fromiter(map(fast.__getitem__, tokens), np.intp, count=n), None
-    except KeyError:
-        pass
-    code = {token: j for j, token in enumerate(attr.domain)}
-    tokens = list(map(str.strip, tokens))
-    codes = np.fromiter(map(code.get, tokens, repeat(-1, n)), np.intp, count=n)
-    outside = np.flatnonzero(codes < 0)
-    if outside.size:
-        pos = int(outside[0])
-        message = (
-            f"attribute {attr.name!r}: token {tokens[pos]!r} "
-            f"outside declared domain {list(attr.domain)}"
-        )
-        return codes, (pos, SchemaError, message)
-    return codes, None
-
-
-def _labels(rule: PositiveRule, tokens: Sequence[str]) -> tuple[np.ndarray, Failure | None]:
-    """The 0/1 label of every target token under the schema's positive rule."""
-    if rule.kind == "one-of":
-        positive = set(rule.tokens)
-        hits = map(positive.__contains__, map(str.strip, tokens))
-        return np.fromiter(hits, dtype=np.int64, count=len(tokens)), None
-    values = _floats(tokens)
-    labels = (values > rule.threshold).astype(np.int64)
-    finite = np.isfinite(values)
-    if not finite.all():
-        pos = int(finite.argmin())
-        return labels, (pos, ParseError, f"target token {tokens[pos].strip()!r} is not finite")
-    if len(values) < len(tokens):
-        pos = len(values)
-        return labels, (pos, ParseError, f"target token {tokens[pos].strip()!r} is not numeric")
-    return labels, None
+def _floats(tokens: Sequence[str]) -> np.ndarray | None:
+    """The tokens as float64, or None where one is not a finite number."""
+    values = _convert(float, tokens, np.float64)
+    return values if values is not None and np.isfinite(values).all() else None
 
 
 def _read_text(lines: list[str], schema: SchemaSpec, delimiter: str) -> Columns | None:
@@ -185,38 +127,72 @@ def _read_text(lines: list[str], schema: SchemaSpec, delimiter: str) -> Columns 
     return columns[:-1], (columns[-1] > schema.positive_rule.threshold).astype(np.int64)
 
 
-def _parse_columns(
-    lines: list[str], kept: list[str], kept_at: np.ndarray, schema: SchemaSpec, delimiter: str
-) -> Columns:
-    """The column parser: ``kept``, the ``lines`` at ``kept_at``, read, or its first fault raised."""
+def _read_columns(kept: list[str], schema: SchemaSpec, delimiter: str) -> Columns | None:
+    """The kept lines read column by column, or None at the first sign of a fault: a line of the
+    wrong width, a number or target that is not finite, a stripped token outside its domain."""
     n_fields = schema.n_fields
-    widths = np.fromiter(map(methodcaller("count", delimiter), lines), np.intp, count=len(lines)) + 1
-    wrong = np.flatnonzero(widths != n_fields)
-    stop = int(wrong[0]) if wrong.size else len(lines)  # rows before the first of the wrong width
+    if any(line.count(delimiter) != n_fields - 1 for line in kept):
+        return None
     # Line by line: the lines joined would split wrongly where the delimiter
     # can overlap itself ("1|" and "2" joined by "||" split as "1", "|2").
     # Extending one list is faster than chaining the per-line lists.
     fields: list[str] = []
-    for line in kept[: int(np.searchsorted(kept_at, stop))]:
+    for line in kept:
         fields += line.split(delimiter)
-
     columns: list[np.ndarray] = []
-    failures: list[Failure | None] = []
     for c, attr in enumerate(schema.attributes):
-        check = _numeric if attr.kind == "numeric" else _categorical
-        column, failure = check(attr, fields[c::n_fields])
+        if attr.kind == "numeric":
+            column = _floats(fields[c::n_fields])
+        else:
+            # Only a strip-invariant domain token can equal a stripped token, or a raw token that strip keeps.
+            code = {token: j for j, token in enumerate(attr.domain) if token == token.strip()}
+            column = _convert(code.__getitem__, fields[c::n_fields], np.intp)
+        if column is None:
+            return None
         columns.append(column)
-        failures.append(failure)
-    labels, failure = _labels(schema.positive_rule, fields[n_fields - 1 :: n_fields])
-    del fields
-    failures = [f for f in failures + [failure] if f is not None]
-    if failures:
-        # min keeps the leftmost column among failures in the same row
-        pos, error, message = min(failures, key=lambda f: f[0])
-        raise error(f"row {int(kept_at[pos])}: {message}")
-    if stop < len(lines):
-        raise ParseError(f"row {stop}: expected {n_fields} fields, got {int(widths[stop])}")
-    return columns, labels
+    rule, target = schema.positive_rule, fields[n_fields - 1 :: n_fields]
+    if rule.kind == "one-of":
+        hits = map(set(rule.tokens).__contains__, map(str.strip, target))
+        return columns, np.fromiter(hits, np.int64, count=len(target))
+    values = _floats(target)
+    return None if values is None else (columns, (values > rule.threshold).astype(np.int64))
+
+
+def _number_fault(token: str) -> str | None:
+    """What the token is not, "numeric" or "finite", or None for a finite number."""
+    try:
+        return None if math.isfinite(float(token)) else "finite"
+    except ValueError:
+        return "numeric"
+
+
+def _first_fault(lines: list[str], dropped: list[int], schema: SchemaSpec, delimiter: str) -> TopmixError:
+    """The first fault of a table that neither reader read, met row by row: the row's field
+    count, then (unless the row is dropped) its stripped fields left to right, the target last.
+    """
+    n_fields = schema.n_fields
+    skip = set(dropped)
+    for row, line in enumerate(lines):
+        tokens = line.split(delimiter)
+        if len(tokens) != n_fields:
+            return ParseError(f"row {row}: expected {n_fields} fields, got {len(tokens)}")
+        if row in skip:
+            continue
+        *fields, target = map(str.strip, tokens)
+        for attr, token in zip(schema.attributes, fields):
+            if attr.kind == "categorical":
+                if token not in attr.domain:
+                    return SchemaError(
+                        f"row {row}: attribute {attr.name!r}: token {token!r} "
+                        f"outside declared domain {list(attr.domain)}"
+                    )
+            elif (fault := _number_fault(token)) == "numeric":
+                return ParseError(f"row {row}: attribute {attr.name!r}: {token!r} is not numeric")
+            elif fault:
+                return ParseError(f"row {row}: attribute {attr.name!r}: non-finite value {token!r}")
+        if schema.positive_rule.kind == "greater-than" and (fault := _number_fault(target)):
+            return ParseError(f"row {row}: target token {target!r} is not {fault}")
+    return ContractError("a reader declined a table with no faulty field")
 
 
 def parse_dataset(
@@ -236,7 +212,8 @@ def parse_dataset(
         has_header: skip the first non-blank line when true.
         data: the file's bytes, when the caller has read them; ``source``
             is then only named in errors, not opened. They are decoded as
-            reading the file in text mode would (universal newlines).
+            reading the file in text mode would (universal newlines), a
+            leading UTF-8 byte-order mark dropped.
 
     Returns:
         (dataset, report) where report counts rows dropped for containing
@@ -251,7 +228,7 @@ def parse_dataset(
     if data is None:
         data = Path(source).read_bytes()
     try:
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"data file {source} is not UTF-8 text: {exc}") from None
     nul_free = "\x00" not in text  # numpy's fixed-width strings would drop trailing NULs
@@ -265,13 +242,17 @@ def parse_dataset(
     missing = schema.missing_token
     holding = compress(range(total), map(str.__contains__, lines, repeat(missing)))
     dropped = [i for i in holding if missing in map(str.strip, lines[i].split(delimiter))]
-    kept_at = np.delete(np.arange(total), dropped)
-    kept = list(map(lines.__getitem__, kept_at.tolist()))
+    # The readers see only the kept lines: a dropped line of the wrong width goes to the fault pass.
+    if any(lines[i].count(delimiter) != schema.n_fields - 1 for i in dropped):
+        raise _first_fault(lines, dropped, schema, delimiter)
+    kept = list(map(lines.__getitem__, np.delete(np.arange(total), dropped).tolist()))
     read = _read_text(kept, schema, delimiter) if nul_free else None
-    # The text reader sees only the kept lines; a dropped line of the wrong width still fails.
-    served = read is not None and all(lines[i].count(delimiter) == schema.n_fields - 1 for i in dropped)
-    logger.info("columns read by the %s", "numpy text reader" if served else "column parser")
-    columns, labels = read if served else _parse_columns(lines, kept, kept_at, schema, delimiter)
+    logger.info("columns read by the %s", "column parser" if read is None else "numpy text reader")
+    if read is None:
+        read = _read_columns(kept, schema, delimiter)
+    if read is None:
+        raise _first_fault(lines, dropped, schema, delimiter)
+    columns, labels = read
 
     dataset = RawDataset(schema=schema, columns=tuple(columns), labels=labels)
     report = ParseReport(

@@ -169,7 +169,7 @@ def load_schema(path: str | Path, data: bytes | None = None) -> SchemaSpec:
     if data is None:
         data = Path(path).read_bytes()
     try:
-        doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read())
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise SchemaError(f"cannot read schema {path}: {exc}") from None
     try:

@@ -346,7 +346,7 @@ def parse_dataset_rowwise(
     then each attribute left to right, the target last. A categorical
     field's code is the ``attr.domain.index`` of its stripped token.
     """
-    with open(source, "r", encoding="utf-8") as fh:
+    with open(source, "r", encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     data_lines = [ln for ln in lines if ln.strip() != ""]
     if has_header and data_lines:

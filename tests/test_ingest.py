@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topmix.errors import ParseError, SchemaError, TopmixError
+from topmix.errors import ContractError, ParseError, SchemaError, TopmixError
 from topmix import ingest
 from topmix.ingest import parse_dataset
 from topmix.preprocess import one_hot_encode
@@ -143,7 +143,7 @@ NUMERIC_TOKENS = (
 ) + ODD_CHAR_TOKENS
 CATEGORICAL_TOKENS = ("a", "b", "0.0", "1.0", " a ", "zz", "", "A", "x y", " a") + ODD_CHAR_TOKENS
 DOMAIN_TOKENS = ("a", "b", "0.0", "1.0", "x y", " a")
-GT_TARGET_TOKENS = ("0", "1", "2", " 3 ", "0.5", "-1", "nan", "inf", "huh", "") + ODD_CHAR_TOKENS
+GT_TARGET_TOKENS = ("0", "1", "2", " 3 ", "0.5", "-1", "nan", "inf", "huh", "", "\x1c6\x1c") + ODD_CHAR_TOKENS
 ONE_OF_TARGET_TOKENS = ("yes", "no", " yes ", "1", "maybe", "")
 MISSING_VARIANTS = ("{m}", " {m} ", "{m}x", "x{m}")
 DELIMITERS = (",", ";", "\t", "::")
@@ -317,14 +317,27 @@ def test_parse_and_encode_match_rowwise_oracle(tmp_path_factory, table):
         pytest.param("abc,a,0\n1.0,a\n", "row 0: attribute 'x': 'abc' is not numeric", id="fault_before_field_count"),
         # Dropped rows are not validated, and row numbers count them.
         pytest.param("?,zz,huh\n1.0,a,0\n2.0,a,x\n", "row 2: target token 'x' is not numeric", id="after_dropped_row"),
+        # A dropped row of the wrong width is a fault, but not the first one here.
+        pytest.param(
+            "abc,a,0\n?,b\n", "row 0: attribute 'x': 'abc' is not numeric", id="fault_before_dropped_row_of_wrong_width"
+        ),
     ],
 )
 def test_first_fault_in_row_major_order(tmp_path, toy_schema, text, expected):
-    path = _write(tmp_path, text)
-    with pytest.raises(TopmixError) as excinfo:
-        parse_dataset(path, toy_schema)
-    assert str(excinfo.value) == expected
-    _assert_matches_oracle(path, toy_schema)
+    # The tab copy goes to the column parser before the fault pass, as the text reader declines tabs.
+    for delimiter in (",", "\t"):
+        path = _write(tmp_path, text.replace(",", delimiter))
+        with pytest.raises(TopmixError) as excinfo:
+            parse_dataset(path, toy_schema, delimiter=delimiter)
+        assert str(excinfo.value) == expected
+        _assert_matches_oracle(path, toy_schema, delimiter=delimiter)
+
+
+def test_fault_pass_on_a_table_with_no_fault_is_a_contract_error(toy_schema):
+    # Only a reader that declines a faultless table sends it to the fault pass: a program fault.
+    fault = ingest._first_fault(["1.0,a,0", "?,b,1"], [1], toy_schema, ",")
+    assert type(fault) is ContractError
+    assert str(fault) == "a reader declined a table with no faulty field"
 
 
 def test_missing_token_variants(tmp_path, toy_schema):
@@ -335,6 +348,18 @@ def test_missing_token_variants(tmp_path, toy_schema):
     path = _write(tmp_path, "?x,a,0\n")
     with pytest.raises(ParseError, match=r"row 0: attribute 'x': '\?x' is not numeric"):
         parse_dataset(path, toy_schema)
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+def test_byte_order_mark_is_not_data(tmp_path, delimiter):
+    schema = load_schema(CLEVELAND_SCHEMA)
+    text = "\n".join(row.replace(",", delimiter) for row in synthetic_cleveland_rows(40, 2)) + "\n"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    got = _outcome(parse_dataset, one_hot_encode, marked, schema, delimiter, False)
+    assert got == _outcome(parse_dataset, one_hot_encode, _write(tmp_path, text), schema, delimiter, False)
+    assert got[0] == "parsed"
+    _assert_matches_oracle(marked, schema, delimiter=delimiter)
 
 
 def test_non_utf8_data_file_is_parse_error(tmp_path, toy_schema):
@@ -390,7 +415,7 @@ def test_text_reader_serves_cleveland_shaped_table(tmp_path, monkeypatch, caplog
     def refuse(*args):
         raise AssertionError("the column parser ran")
 
-    for name in ("_numeric", "_categorical", "_labels"):
+    for name in ("_read_columns", "_first_fault"):
         monkeypatch.setattr(ingest, name, refuse)
     with caplog.at_level(logging.INFO, logger="topmix"):
         got = _outcome(parse_dataset, one_hot_encode, path, schema, ",", False)
@@ -427,4 +452,5 @@ def test_column_parser_reads_what_text_reader_declines(tmp_path, caplog, text, d
     path.write_text(text, encoding="utf-8")
     with caplog.at_level(logging.INFO, logger="topmix"):
         _assert_matches_oracle(path, schema, delimiter=delimiter)
-    assert caplog.messages[0] == "columns read by the column parser"
+    # a dropped row of the wrong width (the only "?" here) is a fault found before either reader runs
+    assert caplog.messages == ([] if "?" in text else ["columns read by the column parser"])

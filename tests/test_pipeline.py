@@ -991,6 +991,15 @@ class TestCli:
         votes = [1 - label, label]
         assert f"vote at k=1: {votes[0]} for class 0, {votes[1]} for class 1; predicted {label}" in out
 
+    def test_failing_inspect_prints_nothing(self, tmp_path, capsys):
+        # k = 300 fails in the classify stage, after the row, its cloud and its diagram are known
+        config = REPO_ROOT / "configs" / "example.json"
+        dirs = ["--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")]
+        assert cli_main(["inspect", "--config", str(config), "--row", "0", "--k", "300"] + dirs) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: [stage classify] need at least k=300 candidates, got 24\n" in captured.err
+
     @pytest.mark.parametrize("stratified", [False, True])
     def test_inspect_votes_as_classify_predicted_under_kfold(self, tmp_path, capsys, stratified):
         data, schema = _synth_files(tmp_path)

@@ -81,6 +81,12 @@ def test_schema_document_loads(tmp_path, rule):
     )
 
 
+def test_schema_with_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_bytes(b"\xef\xbb\xbf" + CLEVELAND_SCHEMA.read_bytes())
+    assert load_schema(path) == load_schema(CLEVELAND_SCHEMA)
+
+
 def test_encoded_column_names_follow_domain_order():
     schema = SchemaSpec(
         attributes=(
