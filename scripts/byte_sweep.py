@@ -26,9 +26,11 @@ generator, and both trees read the same files:
 * classify on 296 kept rows (302 generated), hold-out, p = 1, under the
   default and the zero symmetry vector: an even row count, where the
   distance pairs at offset n/2 are met twice;
-* diagrams at 3,000 kept rows, from the comma-delimited table (read by
-  numpy's text reader) and from a tab-delimited copy (read by the column
-  parser);
+* classify on 297 kept rows, hold-out, p = 1, under a copy of the schema
+  whose target rule is one-of "1", "2", "3", "4";
+* diagrams at 3,000 kept rows, from the comma-delimited table and a
+  tab-delimited copy (both read by numpy's text reader) and from a
+  "::"-delimited copy (read by the row reader);
 * diagrams on faulty copies of the 297-row table, comma- and
   tab-delimited, each exiting 1 with its first fault on stderr: a
   non-numeric field, a non-finite field, an out-of-domain token with a
@@ -92,8 +94,13 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
     for name, n_total, n_missing in tables:
         rows = synthetic_cleveland_rows(n_total, n_missing)
         (inputs / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
-    tab_rows = [row.replace(",", "\t") for row in synthetic_cleveland_rows(3030, 30)]
-    (inputs / "rows3000.tsv").write_text("\n".join(tab_rows) + "\n", encoding="utf-8")
+    for delimiter, suffix in (("\t", "tsv"), ("::", "colons")):
+        rows = [row.replace(",", delimiter) for row in synthetic_cleveland_rows(3030, 30)]
+        (inputs / f"rows3000.{suffix}").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    one_of = json.loads(schema.read_text(encoding="utf-8"))
+    one_of["target"]["positive_rule"] = {"kind": "one-of", "tokens": ["1", "2", "3", "4"]}
+    one_of_schema = inputs / "cleveland-one-of.schema.json"
+    one_of_schema.write_text(json.dumps(one_of), encoding="utf-8")
 
     cases: list[tuple[str, list[str]]] = []
 
@@ -137,12 +144,16 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
             split={"mode": "holdout", "seed": 0}, symmetry_vector=vector,
         )
         command(f"rows296-holdout-{vector}-p1", config, f"rows296-{vector}-p1", "classify", "--p", "1")
+    config = write_config(inputs / "one-of.json", data=str(inputs / "rows297.csv"), schema=str(one_of_schema))
+    command("one-of-holdout-p1", config, "one-of-p1", "classify", "--p", "1")
     config = write_config(inputs / "rows3000.json", data=str(inputs / "rows3000.csv"), schema=str(schema))
     command("diagrams-3000", config, "rows3000", "diagrams")
-    config = write_config(
-        inputs / "rows3000-tab.json", data=str(inputs / "rows3000.tsv"), schema=str(schema), delimiter="\t"
-    )
-    command("diagrams-3000-tab", config, "rows3000-tab", "diagrams")
+    for delimiter, suffix, tag in (("\t", "tsv", "tab"), ("::", "colons", "colons")):
+        config = write_config(
+            inputs / f"rows3000-{tag}.json", data=str(inputs / f"rows3000.{suffix}"), schema=str(schema),
+            delimiter=delimiter,
+        )
+        command(f"diagrams-3000-{tag}", config, f"rows3000-{tag}", "diagrams")
 
     rows = [row.split(",") for row in synthetic_cleveland_rows(303, 6)]
     clean = [i for i, row in enumerate(rows) if "?" not in row]

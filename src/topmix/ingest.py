@@ -6,25 +6,23 @@ fields are finite reals, categorical tokens come from the declared
 domain, and the target is binarized by the schema's positive rule.
 
 Only the lines holding the missing token are split to decide whether to
-drop them. The kept lines go to the numpy text reader (``np.loadtxt``, in
-C), which reads numbers and a greater-than target as float64, and a
-categorical field as a string one character longer than its longest
-domain token, coded by ``searchsorted``. Each value it returns is the
-column parser's: both strip the same whitespace (``Py_UNICODE_ISSPACE``)
-and then call ``PyOS_string_to_double`` (``float`` also takes underscores
-and non-ASCII digits, which numpy rejects); a truncated field equals no
-domain token; and since numpy's strings drop trailing NULs ("a\\x00"
-would read as "a"), a NUL in the text or in a domain token sends the
-table to the column parser, as does anything else the text reader
-declines (see ``_read_text``).
+drop them. Two readers follow. The numpy text reader (``np.loadtxt``, in
+C) reads the kept lines or declines them: numbers and a greater-than
+target as float64, a categorical field or a one-of target as a string
+one character longer than its longest domain or positive token. Each
+value it returns is the row reader's: both strip the same whitespace
+(``Py_UNICODE_ISSPACE``) around a number and then call
+``PyOS_string_to_double`` (``float`` also takes underscores and
+non-ASCII digits, which numpy rejects); numpy keeps the whitespace around
+a string, and a truncated string equals no token, so neither matches;
+and numpy's strings drop trailing NULs ("a\\x00" would read as "a"), so a
+NUL in the text or in a token makes it decline (see ``_read_text``).
 
-Both readers read or decline, and neither names a fault. The column
-parser splits the kept lines into one flat list of fields, of which column
-c is every n_fields-th entry from c, and declines at the first sign of a
-fault. When neither reads the table, or a dropped line has the wrong
-width, one row-by-row pass names the fault: each row's field count, then
-its fields left to right, the target last. The first fault it meets is
-the first in row-major order, and it builds a message only for that one.
+The row reader reads what the text reader declines, and any table with a
+dropped line of the wrong width, or raises the first fault: row by row,
+the field count, then (unless the row is dropped) the stripped fields
+left to right, the target last. So its fault is the first in row-major
+order, and it builds a message only for that one.
 """
 
 from __future__ import annotations
@@ -35,12 +33,12 @@ import math
 from dataclasses import dataclass
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, ParseError, SchemaError, TopmixError
-from .schema import Attribute, PositiveRule, SchemaSpec
+from .errors import ParseError, SchemaError
+from .schema import SchemaSpec
 
 logger = logging.getLogger("topmix")
 
@@ -75,87 +73,47 @@ class RawDataset:
         return self.labels.size
 
 
-def _convert(convert: Callable[[str], object], tokens: Sequence[str], dtype: type) -> np.ndarray | None:
-    """``convert`` of every token, or None where a stripped token fails (ValueError, KeyError).
-
-    The raw tokens go first, so ``convert`` must give for a raw token it accepts what it gives for
-    the stripped one. ``float`` rejects some whitespace that ``strip`` removes ("\\x1c").
-    """
-    for column in (tokens, map(str.strip, tokens)):
-        try:
-            return np.fromiter(map(convert, column), dtype, count=len(tokens))
-        except (ValueError, KeyError):
-            pass
-    return None
-
-
-def _floats(tokens: Sequence[str]) -> np.ndarray | None:
-    """The tokens as float64, or None where one is not a finite number."""
-    values = _convert(float, tokens, np.float64)
-    return values if values is not None and np.isfinite(values).all() else None
-
-
 def _read_text(lines: list[str], schema: SchemaSpec, delimiter: str) -> Columns | None:
-    """The kept lines read by numpy's text reader, or None where it declines: on a
-    delimiter that is not one non-whitespace character, a one-of target, no line, a line
-    ``np.loadtxt`` rejects, a non-finite value, or a categorical field that is not a NUL-free
-    domain token that ``strip`` leaves unchanged. No line may hold a NUL.
+    """The kept lines read by numpy's text reader, or None where it declines: on a delimiter
+    that is neither one non-whitespace character nor a tab, no line, a line ``np.loadtxt``
+    rejects, a non-finite number or greater-than target, a categorical field that is not a
+    NUL-free domain token that ``strip`` leaves unchanged, a one-of target that ``strip``
+    changes, or a positive token holding a NUL. No line may hold a NUL.
     """
-    if len(delimiter) != 1 or delimiter.isspace() or schema.positive_rule.kind != "greater-than" or not lines:
+    rule = schema.positive_rule
+    whitespace = delimiter.isspace() and delimiter != "\t"
+    if len(delimiter) != 1 or whitespace or not lines or "\x00" in "".join(rule.tokens):
         return None
-    attributes = schema.attributes + (Attribute("target", "numeric"),)
-    # fields f0, f1, ...: float64, or a string one character longer than the longest domain token
-    dtype = ",".join("f8" if a.kind == "numeric" else f"U{max(map(len, a.domain)) + 1}" for a in attributes)
+    # fields f0, f1, ...: float64, or a string one character longer than the longest domain or positive token
+    widths = [max(map(len, a.domain)) + 1 if a.kind == "categorical" else 0 for a in schema.attributes]
+    widths.append(max(map(len, rule.tokens)) + 1 if rule.kind == "one-of" else 0)
+    dtype = ",".join(f"U{width}" if width else "f8" for width in widths)
     try:
         table = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
     except ValueError:
         return None
+    *fields, target = (table[field] for field in table.dtype.names)
     columns: list[np.ndarray] = []
-    for field, attr in zip(table.dtype.names, attributes):
+    for field, attr in zip(fields, schema.attributes):
         if attr.kind == "numeric":
-            column = table[field].copy()
+            column = field.copy()
             valid = np.isfinite(column)
         else:
             domain = np.array(attr.domain)
             order = np.argsort(domain)
-            column = order[np.searchsorted(domain, table[field], sorter=order).clip(max=domain.size - 1)]
+            column = order[np.searchsorted(domain, field, sorter=order).clip(max=domain.size - 1)]
             readable = np.array([t == t.strip() and "\x00" not in t for t in attr.domain])
-            valid = readable[column] & (domain[column] == table[field])
+            valid = readable[column] & (domain[column] == field)
         if not valid.all():
             return None
         columns.append(column)
-    return columns[:-1], (columns[-1] > schema.positive_rule.threshold).astype(np.int64)
-
-
-def _read_columns(kept: list[str], schema: SchemaSpec, delimiter: str) -> Columns | None:
-    """The kept lines read column by column, or None at the first sign of a fault: a line of the
-    wrong width, a number or target that is not finite, a stripped token outside its domain."""
-    n_fields = schema.n_fields
-    if any(line.count(delimiter) != n_fields - 1 for line in kept):
-        return None
-    # Line by line: the lines joined would split wrongly where the delimiter
-    # can overlap itself ("1|" and "2" joined by "||" split as "1", "|2").
-    # Extending one list is faster than chaining the per-line lists.
-    fields: list[str] = []
-    for line in kept:
-        fields += line.split(delimiter)
-    columns: list[np.ndarray] = []
-    for c, attr in enumerate(schema.attributes):
-        if attr.kind == "numeric":
-            column = _floats(fields[c::n_fields])
-        else:
-            # Only a strip-invariant domain token can equal a stripped token, or a raw token that strip keeps.
-            code = {token: j for j, token in enumerate(attr.domain) if token == token.strip()}
-            column = _convert(code.__getitem__, fields[c::n_fields], np.intp)
-        if column is None:
-            return None
-        columns.append(column)
-    rule, target = schema.positive_rule, fields[n_fields - 1 :: n_fields]
     if rule.kind == "one-of":
-        hits = map(set(rule.tokens).__contains__, map(str.strip, target))
-        return columns, np.fromiter(hits, np.int64, count=len(target))
-    values = _floats(target)
-    return None if values is None else (columns, (values > rule.threshold).astype(np.int64))
+        if any(token != token.strip() for token in set(target.tolist())):
+            return None
+        return columns, np.isin(target, rule.tokens).astype(np.int64)
+    if not np.isfinite(target).all():
+        return None
+    return columns, (target > rule.threshold).astype(np.int64)
 
 
 def _number_fault(token: str) -> str | None:
@@ -166,33 +124,52 @@ def _number_fault(token: str) -> str | None:
         return "numeric"
 
 
-def _first_fault(lines: list[str], dropped: list[int], schema: SchemaSpec, delimiter: str) -> TopmixError:
-    """The first fault of a table that neither reader read, met row by row: the row's field
+def _read_rows(lines: list[str], dropped: list[int], schema: SchemaSpec, delimiter: str) -> Columns:
+    """Every line that is not dropped read row by row, or the first fault raised: the row's field
     count, then (unless the row is dropped) its stripped fields left to right, the target last.
     """
-    n_fields = schema.n_fields
+    n_fields, rule = schema.n_fields, schema.positive_rule
     skip = set(dropped)
+    # per field: a number, a domain code, or for a one-of target whether it is positive
+    convert: list[Callable[[str], object]] = [
+        float if a.kind == "numeric" else {token: j for j, token in enumerate(a.domain)}.__getitem__
+        for a in schema.attributes
+    ]
+    convert.append(float if rule.kind == "greater-than" else set(rule.tokens).__contains__)
+    flat: list[object] = []  # the values of the kept rows, row after row
     for row, line in enumerate(lines):
         tokens = line.split(delimiter)
         if len(tokens) != n_fields:
-            return ParseError(f"row {row}: expected {n_fields} fields, got {len(tokens)}")
+            raise ParseError(f"row {row}: expected {n_fields} fields, got {len(tokens)}")
         if row in skip:
             continue
-        *fields, target = map(str.strip, tokens)
-        for attr, token in zip(schema.attributes, fields):
-            if attr.kind == "categorical":
-                if token not in attr.domain:
-                    return SchemaError(
-                        f"row {row}: attribute {attr.name!r}: token {token!r} "
-                        f"outside declared domain {list(attr.domain)}"
-                    )
-            elif (fault := _number_fault(token)) == "numeric":
-                return ParseError(f"row {row}: attribute {attr.name!r}: {token!r} is not numeric")
-            elif fault:
-                return ParseError(f"row {row}: attribute {attr.name!r}: non-finite value {token!r}")
-        if schema.positive_rule.kind == "greater-than" and (fault := _number_fault(target)):
-            return ParseError(f"row {row}: target token {target!r} is not {fault}")
-    return ContractError("a reader declined a table with no faulty field")
+        try:
+            values = [f(token.strip()) for f, token in zip(convert, tokens)]
+        except (ValueError, KeyError):
+            values = None
+        # A field that does not convert, or a nan or inf (the sum is then not finite), is a fault,
+        # named below. Finite values whose sum overflows name none, and the row is kept.
+        if values is None or not math.isfinite(sum(values)):
+            *fields, target = map(str.strip, tokens)
+            for attr, token in zip(schema.attributes, fields):
+                if attr.kind == "categorical":
+                    if token not in attr.domain:
+                        raise SchemaError(
+                            f"row {row}: attribute {attr.name!r}: token {token!r} "
+                            f"outside declared domain {list(attr.domain)}"
+                        )
+                elif (fault := _number_fault(token)) == "numeric":
+                    raise ParseError(f"row {row}: attribute {attr.name!r}: {token!r} is not numeric")
+                elif fault:
+                    raise ParseError(f"row {row}: attribute {attr.name!r}: non-finite value {token!r}")
+            if rule.kind == "greater-than" and (fault := _number_fault(target)):
+                raise ParseError(f"row {row}: target token {target!r} is not {fault}")
+        flat += values
+    table = np.fromiter(flat, np.float64, count=len(flat)).reshape(-1, n_fields)
+    *fields, target = table.T
+    columns = [f.copy() if a.kind == "numeric" else f.astype(np.intp) for f, a in zip(fields, schema.attributes)]
+    labels = target > rule.threshold if rule.kind == "greater-than" else target
+    return columns, labels.astype(np.int64)
 
 
 def parse_dataset(
@@ -242,16 +219,14 @@ def parse_dataset(
     missing = schema.missing_token
     holding = compress(range(total), map(str.__contains__, lines, repeat(missing)))
     dropped = [i for i in holding if missing in map(str.strip, lines[i].split(delimiter))]
-    # The readers see only the kept lines: a dropped line of the wrong width goes to the fault pass.
-    if any(lines[i].count(delimiter) != schema.n_fields - 1 for i in dropped):
-        raise _first_fault(lines, dropped, schema, delimiter)
+    # A dropped line of the wrong width is a fault, which only the row reader names.
+    widths = all(lines[i].count(delimiter) == schema.n_fields - 1 for i in dropped)
     kept = list(map(lines.__getitem__, np.delete(np.arange(total), dropped).tolist()))
-    read = _read_text(kept, schema, delimiter) if nul_free else None
-    logger.info("columns read by the %s", "column parser" if read is None else "numpy text reader")
+    read = _read_text(kept, schema, delimiter) if nul_free and widths else None
+    reader = "numpy text reader"
     if read is None:
-        read = _read_columns(kept, schema, delimiter)
-    if read is None:
-        raise _first_fault(lines, dropped, schema, delimiter)
+        read, reader = _read_rows(lines, dropped, schema, delimiter), "row reader"
+    logger.info("columns read by the %s", reader)
     columns, labels = read
 
     dataset = RawDataset(schema=schema, columns=tuple(columns), labels=labels)

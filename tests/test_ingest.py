@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topmix.errors import ContractError, ParseError, SchemaError, TopmixError
+from topmix.errors import ParseError, SchemaError, TopmixError
 from topmix import ingest
 from topmix.ingest import parse_dataset
 from topmix.preprocess import one_hot_encode
@@ -273,18 +274,19 @@ def _tables(draw):
     row = st.tuples(*(cell[kind] for kind in kinds), target).map(list)
     rows = draw(st.lists(st.one_of(row, row.map(lambda r: r[:-1]), st.just(["?"] * (len(kinds) + 1))), max_size=8))
     newline = draw(st.sampled_from(NEWLINES))
-    text = "".join(",".join(r) + newline for r in rows)
-    return schema, text, draw(st.booleans())
+    delimiter = draw(st.sampled_from([",", "\t", "::"]))
+    text = "".join(delimiter.join(r) + newline for r in rows)
+    return schema, text, delimiter, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tables())
 def test_parse_and_encode_match_rowwise_oracle(tmp_path_factory, table):
-    schema, text, has_header = table
+    schema, text, delimiter, has_header = table
     path = tmp_path_factory.mktemp("hyp") / "table.txt"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    _assert_matches_oracle(path, schema, has_header=has_header)
+    _assert_matches_oracle(path, schema, delimiter=delimiter, has_header=has_header)
 
 
 @pytest.mark.parametrize(
@@ -324,20 +326,13 @@ def test_parse_and_encode_match_rowwise_oracle(tmp_path_factory, table):
     ],
 )
 def test_first_fault_in_row_major_order(tmp_path, toy_schema, text, expected):
-    # The tab copy goes to the column parser before the fault pass, as the text reader declines tabs.
-    for delimiter in (",", "\t"):
+    # The text reader declines the comma copy before the row reader raises; it never sees the "::" copy.
+    for delimiter in (",", "::"):
         path = _write(tmp_path, text.replace(",", delimiter))
         with pytest.raises(TopmixError) as excinfo:
             parse_dataset(path, toy_schema, delimiter=delimiter)
         assert str(excinfo.value) == expected
         _assert_matches_oracle(path, toy_schema, delimiter=delimiter)
-
-
-def test_fault_pass_on_a_table_with_no_fault_is_a_contract_error(toy_schema):
-    # Only a reader that declines a faultless table sends it to the fault pass: a program fault.
-    fault = ingest._first_fault(["1.0,a,0", "?,b,1"], [1], toy_schema, ",")
-    assert type(fault) is ContractError
-    assert str(fault) == "a reader declined a table with no faulty field"
 
 
 def test_missing_token_variants(tmp_path, toy_schema):
@@ -407,18 +402,28 @@ def test_non_finite_target_is_parse_error(tmp_path, token):
     _assert_matches_oracle(path, load_schema(CLEVELAND_SCHEMA))
 
 
-def test_text_reader_serves_cleveland_shaped_table(tmp_path, monkeypatch, caplog):
-    path = _write(tmp_path, "\n".join(synthetic_cleveland_rows(3030, 30)) + "\n")
+@pytest.mark.parametrize(
+    "delimiter,rule",
+    [
+        pytest.param(",", None, id="comma"),
+        pytest.param("\t", None, id="tab_delimiter"),
+        pytest.param(",", PositiveRule(kind="one-of", tokens=("1", "2", "3", "4")), id="one_of_target"),
+    ],
+)
+def test_text_reader_serves_cleveland_shaped_table(tmp_path, monkeypatch, caplog, delimiter, rule):
+    rows = synthetic_cleveland_rows(3030, 30)
+    path = _write(tmp_path, "\n".join(row.replace(",", delimiter) for row in rows) + "\n")
     schema = load_schema(CLEVELAND_SCHEMA)
-    want = _outcome(parse_dataset_rowwise, one_hot_encode_rowwise, path, schema, ",", False)
+    if rule is not None:
+        schema = dataclasses.replace(schema, positive_rule=rule)
+    want = _outcome(parse_dataset_rowwise, one_hot_encode_rowwise, path, schema, delimiter, False)
 
     def refuse(*args):
-        raise AssertionError("the column parser ran")
+        raise AssertionError("the row reader ran")
 
-    for name in ("_read_columns", "_first_fault"):
-        monkeypatch.setattr(ingest, name, refuse)
+    monkeypatch.setattr(ingest, "_read_rows", refuse)
     with caplog.at_level(logging.INFO, logger="topmix"):
-        got = _outcome(parse_dataset, one_hot_encode, path, schema, ",", False)
+        got = _outcome(parse_dataset, one_hot_encode, path, schema, delimiter, False)
     assert got == want and got[0] == "parsed"
     assert caplog.messages == ["columns read by the numpy text reader"]
 
@@ -426,23 +431,29 @@ def test_text_reader_serves_cleveland_shaped_table(tmp_path, monkeypatch, caplog
 @pytest.mark.parametrize(
     "text,delimiter,domain,rule",
     [
-        pytest.param("1.0\ta\t0\n2.5\tb\t3\n", "\t", ("a", "b"), None, id="tab_delimiter"),
         pytest.param("1.0::a::0\n2.5::b::3\n", "::", ("a", "b"), None, id="two_character_delimiter"),
-        # numeric targets, which "greater than 0" would label 1, 1, 0
-        pytest.param(
-            "1.0,a,1\n2.5,b,2\n3.5,b,0\n", ",", ("a", "b"), PositiveRule(kind="one-of", tokens=("1",)),
-            id="one_of_target",
-        ),
+        pytest.param("1.0 a 0\n2.5 b 3\n", " ", ("a", "b"), None, id="space_delimiter"),
         # read one character wider than "a", "ab" stays "ab" and falls outside the domain
         pytest.param("1.0,a,0\n2.5,ab,1\n", ",", ("a", "b"), None, id="field_longer_than_domain_tokens"),
+        # numpy keeps the spaces that the row reader strips
+        pytest.param("1.0, a ,0\n2.5,b , 3\n", ",", ("a", "b"), None, id="padded_fields"),
+        pytest.param(
+            "1.0,a, 1\n2.5,b,1 \n3.5,b,0\n", ",", ("a", "b"), PositiveRule(kind="one-of", tokens=("1",)),
+            id="padded_one_of_target",
+        ),
         # numpy's fixed-width strings would read "a\x00" as "a", a domain token
         pytest.param("1.0,a,0\n2.5,a\x00,1\n", ",", ("a", "b"), None, id="nul_in_field"),
         pytest.param("1.0,a,0\n2.5,b,1\n", ",", ("a\x00", "b"), None, id="nul_in_domain_token"),
+        # and would label "1" positive under "1\x00": the token is no field's
+        pytest.param(
+            "1.0,a,1\n2.5,b,0\n", ",", ("a", "b"), PositiveRule(kind="one-of", tokens=("1\x00",)),
+            id="nul_in_positive_token",
+        ),
         # the text reader reads the kept lines only
         pytest.param("1.0,a,0\n?,b\n", ",", ("a", "b"), None, id="dropped_row_of_wrong_width"),
     ],
 )
-def test_column_parser_reads_what_text_reader_declines(tmp_path, caplog, text, delimiter, domain, rule):
+def test_row_reader_reads_what_text_reader_declines(tmp_path, caplog, text, delimiter, domain, rule):
     schema = SchemaSpec(
         attributes=(Attribute("x", "numeric"), Attribute("c", "categorical", domain)),
         target="y",
@@ -451,6 +462,17 @@ def test_column_parser_reads_what_text_reader_declines(tmp_path, caplog, text, d
     path = tmp_path / "data.csv"
     path.write_text(text, encoding="utf-8")
     with caplog.at_level(logging.INFO, logger="topmix"):
-        _assert_matches_oracle(path, schema, delimiter=delimiter)
-    # a dropped row of the wrong width (the only "?" here) is a fault found before either reader runs
-    assert caplog.messages == ([] if "?" in text else ["columns read by the column parser"])
+        outcome = _assert_matches_oracle(path, schema, delimiter=delimiter)
+    # a table with a fault (a field outside the domain, a dropped row of the wrong width) is read by no reader
+    assert caplog.messages == (["columns read by the row reader"] if outcome == "parsed" else [])
+
+
+@pytest.mark.parametrize("delimiter", ["\t", "::"])
+def test_faulty_table_logs_no_reader(tmp_path, toy_schema, caplog, delimiter):
+    # one table the text reader declines, one it never reads: the row reader raises, and no reader read it
+    text = "".join(f"{x}{delimiter}a{delimiter}0\n" for x in ("1.0", "2.0", "3.0", "4.0", "5.0", "abc"))
+    path = _write(tmp_path, text)
+    with caplog.at_level(logging.INFO, logger="topmix"):
+        with pytest.raises(ParseError, match="^row 5: attribute 'x': 'abc' is not numeric$"):
+            parse_dataset(path, toy_schema, delimiter=delimiter)
+    assert not [message for message in caplog.messages if message.startswith("columns read")]
