@@ -28,6 +28,10 @@ generator, and both trees read the same files:
   distance pairs at offset n/2 are met twice;
 * classify on 297 kept rows, hold-out, p = 1, under a copy of the schema
   whose target rule is one-of "1", "2", "3", "4";
+* distances on 1,000 kept rows (1,010 generated), p = 1, under the
+  default and the zero symmetry vector: more rows than one block of the
+  sorted certificate spans, so each block of offsets runs over two row
+  runs;
 * diagrams at 3,000 kept rows, from the comma-delimited table and a
   tab-delimited copy (both read by numpy's text reader) and from a
   "::"-delimited copy (read by the row reader);
@@ -90,7 +94,9 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
     inputs.mkdir(parents=True)
     schema = inputs / "cleveland.schema.json"
     shutil.copyfile(CLEVELAND_SCHEMA, schema)
-    tables = (("rows297.csv", 303, 6), ("rows296.csv", 302, 6), ("rows3000.csv", 3030, 30))
+    tables = (
+        ("rows297.csv", 303, 6), ("rows296.csv", 302, 6), ("rows1000.csv", 1010, 10), ("rows3000.csv", 3030, 30),
+    )
     for name, n_total, n_missing in tables:
         rows = synthetic_cleveland_rows(n_total, n_missing)
         (inputs / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -146,6 +152,12 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
         command(f"rows296-holdout-{vector}-p1", config, f"rows296-{vector}-p1", "classify", "--p", "1")
     config = write_config(inputs / "one-of.json", data=str(inputs / "rows297.csv"), schema=str(one_of_schema))
     command("one-of-holdout-p1", config, "one-of-p1", "classify", "--p", "1")
+    for vector in ("default", "zero"):
+        config = write_config(
+            inputs / f"rows1000-{vector}.json", data=str(inputs / "rows1000.csv"), schema=str(schema),
+            symmetry_vector=vector,
+        )
+        command(f"distances-1000-{vector}", config, f"rows1000-{vector}", "distances", "--p", "1")
     config = write_config(inputs / "rows3000.json", data=str(inputs / "rows3000.csv"), schema=str(schema))
     command("diagrams-3000", config, "rows3000", "diagrams")
     for delimiter, suffix, tag in (("\t", "tsv", "tab"), ("::", "colons", "colons")):

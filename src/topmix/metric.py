@@ -65,10 +65,22 @@ n * cap, and the computed gap is within (8n + 8) u * cap of G. So a
 computed gap of at least the margin 32 n^2 ulp(cap), with cap the largest
 death, leaves every other path's float sum at or above the diagonal's.
 ``ALGORITHM`` is therefore unchanged, and caches tagged with it stay valid.
-On the 297-row Cleveland-shaped tables this settles every pair under the
-default symmetry vector and about a quarter under the zero vector; the
-programme runs, in full blocks, on the pairs left. Other orders p always
-run the programme.
+On the 297-row Cleveland-shaped table of the tests this settles 43,956 of
+the 43,956 pairs under the default symmetry vector and 12,725 under the
+zero vector; the programme runs, in full blocks, on the pairs left. Other
+orders p always run the programme.
+
+When every row's last death is the same cap c, a_{m+1} = b_{m+1} = c,
+the certificate reads only the first m deaths of each row. The pair
+(c, c) adds |c - c| = +0 to the cost, which leaves its bits unchanged,
+and it never decides the gap. Beyond max(a_m, b_m) both sides count m
+deaths until c, so f is constant there: f(c) = f(max(a_m, b_m)). If
+a_m <= b_m, then f(c) + c/2 = f(b_m) + c/2 >= f(b_m) + b_m/2; if
+a_m > b_m, f rises with slope +1 from b_m to a_m, so f(c) >= f(b_m) and
+the same holds. Likewise f(c) - c/2 <= f(a_m) - a_m/2. The cap's two gap
+terms are thus dominated by the m-th ones, and G is the same with or
+without them. The margin is still computed from the full width and the
+largest death, so it covers the computed gap over m columns as well.
 
 Pairs are enumerated by cyclic offset, so the certificate reads views of
 the deaths, not gathered copies. Offset delta pairs row i with row
@@ -86,6 +98,19 @@ in the last bits, but in exact arithmetic swapping the sides negates f
 and swaps the two extremes, so G is the same, and the margin argument
 above covers either computation. The pairs left for the programme are
 gathered with the smaller row index as a, in blocks of _BLOCK_PAIRS.
+
+Every array the certificate reads or writes is row-major, indexed
+[k, offset, row], so its last axis, the rows, is contiguous and every
+operation streams through memory at unit stride. The deaths stored twice
+are therefore one C-order array of m rows by 2n columns, filled half by
+half. Concatenated from transposes, as it once was, that array was
+Fortran-ordered: every window then stepped 8 (m + 1) bytes (208 at the
+Cleveland width) from one row to the next. A block's cost is one
+reduction over its outer axis k, which numpy adds row by row, the
+programme's path order, when the block holds two or more pairs; every
+block does at _BLOCK_PAIRS = 1024 for any n up to 300,000. Over a
+contiguous k axis, or for a lone pair, numpy would add pairwise and round
+differently.
 """
 
 from __future__ import annotations
@@ -169,7 +194,8 @@ def _sorted_certificate(
     overwritten. A pair is settled when the canonical potential f proves
     every other path of the programme at least ``margin`` dearer (see the
     module docstring). The cost is the diagonal path of ``_dp_distances``,
-    summed in its order.
+    summed in its order, which holds while k is the outer axis of a block
+    of two or more pairs (see the module docstring).
     """
     a, half_a, rise, fall = a
     b, half_b = b
@@ -185,14 +211,12 @@ def _sorted_certificate(
     f[1:] += step
     for k in range(1, len(f)):
         f[k] += f[k - 1]
-    np.subtract(half_b, d, out=s)
-    s += f  # f(b_k) + b_k/2, as f(b_k) = f(a_k) - |a_k - b_k|
-    hi = np.min(s, axis=0, initial=np.inf)
-    np.subtract(f, half_a, out=s)  # f(a_k) - a_k/2
-    lo = np.max(s, axis=0, initial=-np.inf)
-    cost = np.zeros(s.shape[1:])
-    for row in d:
-        cost += row
+    cost = np.add.reduce(d, axis=0, initial=0.0)  # row by row over k, the path order
+    np.subtract(half_b, d, out=d)
+    d += f  # f(b_k) + b_k/2, as f(b_k) = f(a_k) - |a_k - b_k|
+    hi = np.minimum.reduce(d, axis=0, initial=np.inf)
+    f -= half_a  # f(a_k) - a_k/2
+    lo = np.maximum.reduce(f, axis=0, initial=-np.inf)
     return hi - lo >= margin, cost
 
 
@@ -215,14 +239,19 @@ def _settle_by_offset(
     runs = -(-n // max(1, _BLOCK_PAIRS // 2))
     span = -(-n // runs)  # rows per block: n split evenly into runs of at most _BLOCK_PAIRS / 2
     per_block = max(1, min(offsets, 2 * _BLOCK_PAIRS // span))
-    twice = np.concatenate([deaths.T, deaths.T], axis=1)
+    # a cap every row shares adds +0 to each cost and never decides a gap
+    cols = width - 1 if width and (deaths[:, -1] == deaths[0, -1]).all() else width
+    twice = np.empty((cols, 2 * n))  # row-major: every window steps through memory at unit stride
+    twice[:, :n] = deaths[:, :cols].T
+    twice[:, n:] = twice[:, :n]
     halves = twice * 0.5
     rise = np.subtract(twice[1:, :n], twice[:-1, :n])[:, None, :]
     a = (twice[:, None, :n], halves[:, None, :n], rise, np.negative(rise))
     # window delta, column i of twice is row (i + delta) % n: a view, no gather
     windows = [sliding_window_view(side, n, axis=1) for side in (twice, halves)]
     margin = 32 * width * width * float(np.spacing(deaths.max(initial=0.0)))
-    # Sized to the bound, not to this n: glibc raises its mmap threshold to
+    # Sized to the bound and the full width, not to this n or the columns
+    # read (a shared cap is skipped): glibc raises its mmap threshold to
     # the largest block freed, and a smaller buffer here left later warm runs
     # in the same process ~20% slower (k-fold on 297 rows, measured).
     work = np.empty((3, width * 2 * _BLOCK_PAIRS))
@@ -234,7 +263,7 @@ def _settle_by_offset(
             cost = np.empty((stop - first, n))
             for i0 in range(0, n, span):
                 i1 = min(i0 + span, n)
-                shape = (width, stop - first, i1 - i0)
+                shape = (cols, stop - first, i1 - i0)
                 scratch = [buffer[: math.prod(shape)].reshape(shape) for buffer in work]
                 run_a = [term[..., i0:i1] for term in a]
                 run_b = [w[:, first:stop, i0:i1] for w in windows]

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from topmix import metric
 from topmix.errors import ContractError
@@ -333,6 +333,7 @@ def _deaths_matrices(draw, max_rows=7, max_width=6):
 class TestSortedCertificate:
     @settings(max_examples=300, deadline=None)
     @given(_deaths_matrices())
+    @example(np.array([[1.0, 10.0], [1.1, 30.0]]))  # a last column the rows do not share is never skipped
     def test_every_entry_is_the_programmes(self, deaths):
         out = distance_matrix(deaths, 1.0)
         rows, cols = np.triu_indices(len(deaths), k=1)
@@ -366,6 +367,47 @@ class TestSortedCertificate:
         assert not settled[0]
         assert cost[0] == 29.0
         assert distance_matrix([[1.0, 10.0], [10.0, 30.0]], 1.0)[0, 1] == 15.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(_deaths_matrices())
+    def test_shared_cap_is_skipped_exactly(self, deaths):
+        # rows without a shared last column, then the same rows with a shared cap appended
+        assume(not deaths.shape[1] or (deaths[:, -1] != deaths[0, -1]).any())
+        n, width = deaths.shape
+        capped = np.column_stack([deaths, np.full(n, 11.0)])
+        # the margin grows with the width and the largest death: hold both runs to the capped one's
+        margin = 32 * (width + 1) ** 2 * float(np.spacing(11.0))
+        certificate, calls, left, outs = metric._sorted_certificate, [], [], []
+
+        def at_capped_margin(a, b, given_margin, scratch):
+            calls[-1].append((len(a[0]), given_margin))  # death columns, margin
+            return certificate(a, b, margin, scratch)
+
+        with mock.patch.object(metric, "_sorted_certificate", at_capped_margin):
+            for matrix in (capped, deaths):
+                calls.append([])
+                out = np.zeros((n, n))
+                left.append([(i.tolist(), j.tolist()) for i, j in metric._settle_by_offset(matrix, 1.0, out)])
+                outs.append(out)
+        assert all(call == (width, margin) for call in calls[0])  # the cap never reaches the certificate
+        assert left[0] == left[1]
+        rows, cols = np.triu_indices(n, k=1)
+        assert np.array_equal(_bits(outs[0][rows, cols]), _bits(outs[1][rows, cols]))
+
+    def test_cost_is_summed_in_path_order(self):
+        # after 0.75 + 0.75 each 2^-53 is half an ulp and rounds away in path order, as in
+        # _dp_distances; numpy's pairwise sum over a contiguous k axis would keep them
+        tiny = 2.0**-53
+        a = np.repeat([[0.0], [0.0]] + [[0.75]] * 14, 2, axis=1)  # two pairs: k is a block's outer axis
+        b = np.repeat([[0.75], [0.75]] + [[0.75 + tiny]] * 14, 2, axis=1)
+        rise = a[1:] - a[:-1]
+        _, cost = metric._sorted_certificate((a, a / 2, rise, -rise), (b, b / 2), 0.0, np.empty((3, 16, 2)))
+        terms = np.abs(a[:, 0] - b[:, 0])
+        in_order = 0.0
+        for term in terms:
+            in_order += term
+        assert np.sum(terms) != in_order  # the two orders round differently here
+        assert np.array_equal(_bits(cost), _bits([in_order, in_order]))
 
     def test_every_pair_settled_on_cleveland_shaped_table(self, tmp_path):
         path = tmp_path / "synth.csv"
