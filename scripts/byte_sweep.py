@@ -26,6 +26,9 @@ generator, and both trees read the same files:
 * classify on 296 kept rows (302 generated), hold-out, p = 1, under the
   default and the zero symmetry vector: an even row count, where the
   distance pairs at offset n/2 are met twice;
+* classify on 297 kept rows, hold-out and 10-fold, p = 1, under the k
+  grid 1-20: tied votes at k >= 16, where each class sums eight or more
+  distances, in numpy's order, not a running sum's;
 * classify on 297 kept rows, hold-out, p = 1, under a copy of the schema
   whose target rule is one-of "1", "2", "3", "4";
 * distances on 1,000 kept rows (1,010 generated), p = 1, under the
@@ -150,6 +153,13 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
             split={"mode": "holdout", "seed": 0}, symmetry_vector=vector,
         )
         command(f"rows296-holdout-{vector}-p1", config, f"rows296-{vector}-p1", "classify", "--p", "1")
+    for mode in ("holdout", "kfold"):
+        split = {"mode": mode, "seed": 0, **({"folds": 10} if mode == "kfold" else {})}
+        config = write_config(
+            inputs / f"{mode}-grid20.json", data=str(inputs / "rows297.csv"), schema=str(schema),
+            split=split, k_grid=list(range(1, 21)),
+        )
+        command(f"{mode}-grid20-p1", config, "default-p1", "classify", "--p", "1")
     config = write_config(inputs / "one-of.json", data=str(inputs / "rows297.csv"), schema=str(one_of_schema))
     command("one-of-holdout-p1", config, "one-of-p1", "classify", "--p", "1")
     for vector in ("default", "zero"):

@@ -21,7 +21,8 @@ with its label as one more column. One manifest records a fingerprint of
 everything they depend on, each file's size and sha256, and the kept and
 dropped row counts. ``compute_distances`` alone reads and fills them, and
 every command but ``diagrams`` goes through it. Its one call to
-``_cache_hit`` decides whether they can be used, reading each once. A hit
+``_cache_hit`` decides whether they can be used, reading each once and
+comparing its header with the one written for the recorded shape. A hit
 serves the run whole: the inputs are read and fingerprinted but not
 parsed, no diagram is computed and only ``out_dir`` is written
 (``inspect`` then parses the same bytes for the one feature row it
@@ -394,16 +395,17 @@ def _manifest_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _npy_header(shape: tuple[int, ...], descr: str = "<f8", fortran_order: bool = False) -> bytes:
+    """The ``.npy`` v1.0 header that ``np.save`` writes for an array of ``shape`` and dtype ``descr``."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": descr, "fortran_order": fortran_order, "shape": shape})
+    return header.getvalue()
+
+
 def _npy_parts(array: np.ndarray) -> tuple[bytes, memoryview]:
     """``array`` as ``np.save`` writes it: the v1.0 header, then the data (a view if contiguous)."""
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
-    return header.getvalue(), memoryview(array.reshape(-1, order="A")).cast("B")
-
-
-# The magic string, version, 2-byte length and the longest header that
-# ``.npy`` version 1.0 allows.
-_NPY_V1_HEADER_MAX = 10 + 0xFFFF
+    header = _npy_header(**np.lib.format.header_data_from_array_1_0(array))
+    return header, memoryview(array.reshape(-1, order="A")).cast("B")
 
 
 def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> tuple[int, str]:
@@ -421,18 +423,20 @@ def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> tuple[int, str
     return len(header) + len(data), digest.hexdigest()
 
 
-def load_distance_matrix(path: str | Path, data: bytearray) -> np.ndarray:
-    """The array that ``save_distance_matrix`` wrote to ``path``, from its bytes ``data``.
+def load_distance_matrix(path: str | Path, data: bytearray, rows: int) -> np.ndarray | None:
+    """The array of ``rows`` rows that ``save_distance_matrix`` wrote to ``path``, from its bytes ``data``.
 
-    Reads either file of ``CACHE_FILES``. The caller has read the file once
+    Reads either file of ``CACHE_FILES``, a float64 matrix, or returns None
+    unless ``data`` holds the header written for the shape its size implies,
+    compared byte for byte, not parsed. The caller has read the file once
     already (the cache hashes it), so the array is a writable view of
     ``data``, not a second copy.
     """
-    header = io.BytesIO(data[:_NPY_V1_HEADER_MAX])
-    np.lib.format.read_magic(header)  # np.save writes version 1.0 for a numeric matrix
-    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
-    matrix = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=header.tell())
-    return matrix.reshape(shape, order="F" if fortran_order else "C")
+    columns = (len(data) - 128) // 8 // rows  # np.save pads every 2-D header to 128 bytes
+    header = _npy_header((rows, columns))
+    if len(data) != len(header) + 8 * rows * columns or not data.startswith(header):
+        return None
+    return np.frombuffer(data, offset=len(header)).reshape(rows, columns)
 
 
 # The files of the distance cache, each written before the manifest that
@@ -447,8 +451,12 @@ def _cache_fingerprint(config: ExperimentConfig, features: str) -> str:
     return f"{features}:p={config.wasserstein_p!r}:{ALGORITHM}:{'+'.join(CACHE_FILES)}"
 
 
-def _vouched_bytes(path: Path, manifest: dict) -> bytearray | None:
-    """The bytes of cache file ``path`` if their size and sha256 are those ``manifest`` records."""
+def _vouched_array(path: Path, manifest: dict, rows: int) -> np.ndarray | None:
+    """Cache file ``path`` as an array of ``rows`` rows, if it is the file ``manifest`` vouches for.
+
+    Its size and sha256 must be those ``manifest`` records, and its header
+    the one ``load_distance_matrix`` expects for ``rows`` rows.
+    """
     entry = manifest.get("files")
     entry = entry.get(path.name) if isinstance(entry, dict) else None
     if not isinstance(entry, dict) or (size := path.stat().st_size) != entry.get("bytes"):
@@ -456,17 +464,20 @@ def _vouched_bytes(path: Path, manifest: dict) -> bytearray | None:
     data = bytearray(size)
     with open(path, "rb") as fh:
         fh.readinto(data)
-    return data if hashlib.sha256(data).hexdigest() == entry.get("sha256") else None
+    if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
+        return None
+    return load_distance_matrix(path, data, rows)
 
 
-def _cache_hit(cache_dir: Path, fingerprint: str) -> tuple[list[bytearray], int] | None:
-    """The bytes of each of ``CACHE_FILES`` and the dropped-row count, or None after logging why.
+def _cache_hit(cache_dir: Path, fingerprint: str) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The distance matrix, the rows with their labels and the dropped-row count, or None after logging why.
 
-    The manifest must carry ``fingerprint``, each file's exact size and
-    sha256, and a dropped-row count. The reasons are "missing" (no readable
-    manifest or a file absent), "stale" (the fingerprint differs) and
-    "damaged" (a size, a sha256 or the count is wrong). The bytes hashed
-    are the bytes returned, so a hit reads each file once.
+    The manifest must carry ``fingerprint``, the kept and dropped row
+    counts, and each file's exact size and sha256 (``_vouched_array``); the
+    matrix must be square. The reasons are "missing" (no readable manifest
+    or a file absent), "stale" (the fingerprint differs) and "damaged"
+    (anything else wrong). The bytes hashed are the bytes served, so a hit
+    reads each file once.
     """
     manifest = _read_manifest(cache_dir / "distances.manifest.json")
     paths = [cache_dir / name for name in CACHE_FILES]
@@ -475,11 +486,12 @@ def _cache_hit(cache_dir: Path, fingerprint: str) -> tuple[list[bytearray], int]
     elif manifest.get("fingerprint") != fingerprint:
         reason = "stale"
     else:
-        contents = [_vouched_bytes(path, manifest) for path in paths]
-        dropped = manifest.get("rows_dropped")
-        if None not in contents and type(dropped) is int and dropped >= 0:
-            logger.info("distance cache hit: %s", paths[0])
-            return contents, dropped
+        kept, dropped = manifest.get("rows_kept"), manifest.get("rows_dropped")
+        if type(kept) is int and kept > 0 and type(dropped) is int and dropped >= 0:
+            matrix, rows = (_vouched_array(path, manifest, kept) for path in paths)
+            if matrix is not None and rows is not None and matrix.shape == (kept, kept):
+                logger.info("distance cache hit: %s", paths[0])
+                return matrix, rows, dropped
         reason = "damaged"
     logger.info("distance cache %s, rewriting", reason)
     return None
@@ -586,9 +598,7 @@ def compute_distances(config: ExperimentConfig, inputs: RunInputs | None = None)
     with _stage("cache"):
         hit = None if config.cache_dir is None else _cache_hit(config.cache_dir, fingerprint)
     if hit is not None:
-        (matrix_bytes, rows_bytes), dropped = hit
-        matrix = load_distance_matrix(config.cache_dir / CACHE_FILES[0], matrix_bytes)
-        rows = load_distance_matrix(config.cache_dir / CACHE_FILES[1], rows_bytes)
+        matrix, rows, dropped = hit
         deaths, labels = rows[:, :-1], rows[:, -1].astype(np.int64)
         logger.info(
             "served %d rows from the distance cache: kept %d, dropped %d incomplete",
@@ -682,13 +692,13 @@ def write_artifacts(
     if split_result is not None:
         text += "\nvalidation sweep (k chosen = %d):\n" % split_result.chosen_k
         text += format_validation_table(split_result)
-    lines = ["row,true,predicted"]
-    lines += [f"{r},{t},{pr}" for r, t, pr in report.predictions.tolist()]
+    rows = report.predictions
+    predictions = "row,true,predicted\n" + "%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
     files = {
         "manifest": ("run_manifest.json", _manifest_text(manifest)),
         "report": ("report.txt", text),
         "report_kv": ("report.kv", format_report_kv(report)),
-        "predictions": ("predictions.csv", "\n".join(lines) + "\n"),
+        "predictions": ("predictions.csv", predictions),
     }
     if split_result is not None:
         files["validation"] = ("validation.csv", format_validation_table(split_result))

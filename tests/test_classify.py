@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -188,6 +191,25 @@ def test_tied_votes_at_large_k_match_oracle():
         ones = np.cumsum(labels[nearest], axis=1)[:, np.asarray(k_grid) - 1]
         ties_at_16_or_more += int((2 * ones == np.asarray(k_grid)).sum())
     assert ties_at_16_or_more >= 50
+
+
+def test_tie_break_sums_each_class_as_numpy_sums_it():
+    # a tie at k = 18, nine neighbours of each class: numpy's pairwise sum of
+    # class 1 is an ulp below class 0's, a running sum over ranks makes them
+    # equal, and the two sums give different votes
+    ones = [0.1] * 4 + [0.2] * 2 + [0.3] * 2 + [0.7]
+    zeros = [j / 1024 for j in range(1, 9)] + [2.1 - 36 / 1024]
+    running = lambda d: functools.reduce(operator.add, d)
+    assert np.sum(zeros) == running(zeros) == 2.1
+    assert np.sum(ones) < running(ones) == 2.1
+    row = np.array(zeros[:8] + ones + zeros[8:])  # ascending: rank order is row order
+    dist = np.zeros((19, 19))
+    dist[0, 1:] = dist[1:, 0] = row
+    labels = np.array([0] * 9 + [1] * 9 + [0])
+    groups = np.arange(19) == 0
+    assert knn_grid([0], dist, labels, [18], groups)[1].tolist() == [[1]]
+    assert knn_grid([0], dist, labels, range(1, 19), groups)[1][0, -1] == 1  # beside a tie at k = 16
+    assert oracles.knn_predict(0, np.arange(1, 19), dist, labels, 18) == 1
 
 
 def test_grid_contract_errors():

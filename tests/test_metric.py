@@ -222,7 +222,9 @@ class TestDistanceMatrix:
         out = distance_matrix(_deaths(diagrams), 1.0)
         path = tmp_path / "distances.npy"
         save_distance_matrix(out, path)
-        assert np.array_equal(load_distance_matrix(path, bytearray(path.read_bytes())), out)
+        assert np.array_equal(load_distance_matrix(path, bytearray(path.read_bytes()), len(out)), out)
+        for rows in (1, len(out) - 1, len(out) + 1):  # the header names another shape
+            assert load_distance_matrix(path, bytearray(path.read_bytes()), rows) is None
         first = path.read_bytes()
         save_distance_matrix(out, path)
         assert path.read_bytes() == first
@@ -247,9 +249,12 @@ class TestDistanceMatrix:
         matrix = np.asarray(np.arange(12).reshape(3, 4), dtype=dtype, order=order)
         path = tmp_path / "distances.npy"
         save_distance_matrix(matrix, path)
-        loaded = load_distance_matrix(path, bytearray(path.read_bytes()))
-        assert loaded.dtype == matrix.dtype and np.array_equal(loaded, matrix)
-        assert loaded.flags.writeable
+        loaded = load_distance_matrix(path, bytearray(path.read_bytes()), 3)
+        if dtype is np.float64 and order == "C":  # the one layout the cache writes
+            assert loaded.dtype == matrix.dtype and np.array_equal(loaded, matrix)
+            assert loaded.flags.writeable
+        else:  # another header than the expected one is refused, not parsed
+            assert loaded is None
 
 
 class TestDistanceMatrixAgainstOracles:

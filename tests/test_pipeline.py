@@ -866,6 +866,39 @@ class TestServedRun:
             run_pipeline(load_experiment_config(cfg))  # the rewritten cache serves the next run
         assert "distance cache hit" in caplog.text
 
+    @pytest.mark.parametrize(
+        "name, reshape",
+        [
+            ("distances.npy", lambda a: a.T),  # the same bytes of data, fortran_order in the header
+            ("distances.npy", lambda a: a.reshape(-1)),
+            ("rows.npy", lambda a: a.reshape(a.shape[1], -1)),
+        ],
+        ids=["matrix-fortran-order", "matrix-flat", "rows-other-shape"],
+    )
+    def test_cache_file_with_another_header_recomputed(self, tmp_path, caplog, name, reshape):
+        # the manifest vouches for the file by size and sha256, but its header
+        # is not the one written for the shape the manifest's kept rows imply
+        data, schema = _table_with_dropped_rows(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
+        run_pipeline(load_experiment_config(cfg))
+        cache_dir = tmp_path / "cache"
+        cache, out = _tree(cache_dir), _tree(tmp_path / "out")
+        manifest_file = cache_dir / "distances.manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        size, sha256 = save_distance_matrix(reshape(np.load(cache_dir / name)), cache_dir / name)
+        assert size == manifest["files"][name]["bytes"] and sha256 != manifest["files"][name]["sha256"]
+        manifest["files"][name]["sha256"] = sha256
+        manifest_file.write_text(json.dumps(manifest))
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            run_pipeline(load_experiment_config(cfg))
+        assert "distance cache damaged, rewriting" in caplog.text
+        assert "distance cache hit" not in caplog.text
+        assert _tree(cache_dir) == cache and _tree(tmp_path / "out") == out
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="topmix"):
+            run_pipeline(load_experiment_config(cfg))  # the rewritten cache serves the next run
+        assert "distance cache hit" in caplog.text
+
     @pytest.mark.parametrize("rows_file", ["present", "absent"])
     def test_manifest_without_the_rows_file_is_not_served(self, tmp_path, caplog, rows_file):
         from topmix.metric import ALGORITHM
