@@ -38,6 +38,9 @@ generator, and both trees read the same files:
 * diagrams at 3,000 kept rows, from the comma-delimited table and a
   tab-delimited copy (both read by numpy's text reader) and from a
   "::"-delimited copy (read by the row reader);
+* diagrams at 3,000 kept rows from a table with no missing-token line,
+  and from one whose dropped lines are the first, two adjacent ones and
+  the last;
 * diagrams on faulty copies of the 297-row table, comma- and
   tab-delimited, each exiting 1 with its first fault on stderr: a
   non-numeric field, a non-finite field, an out-of-domain token with a
@@ -106,6 +109,11 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
     for delimiter, suffix in (("\t", "tsv"), ("::", "colons")):
         rows = [row.replace(",", delimiter) for row in synthetic_cleveland_rows(3030, 30)]
         (inputs / f"rows3000.{suffix}").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    edges = [row.split(",") for row in synthetic_cleveland_rows(3004, 0)]
+    for i in (0, 1500, 1501, 3003):  # the first line, two adjacent lines and the last line dropped
+        edges[i][11] = "?"
+    for tag, rows in (("complete", synthetic_cleveland_rows(3000, 0)), ("edges", map(",".join, edges))):
+        (inputs / f"rows3000-{tag}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     one_of = json.loads(schema.read_text(encoding="utf-8"))
     one_of["target"]["positive_rule"] = {"kind": "one-of", "tokens": ["1", "2", "3", "4"]}
     one_of_schema = inputs / "cleveland-one-of.schema.json"
@@ -175,6 +183,10 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
             inputs / f"rows3000-{tag}.json", data=str(inputs / f"rows3000.{suffix}"), schema=str(schema),
             delimiter=delimiter,
         )
+        command(f"diagrams-3000-{tag}", config, f"rows3000-{tag}", "diagrams")
+    for tag in ("complete", "edges"):
+        data = str(inputs / f"rows3000-{tag}.csv")
+        config = write_config(inputs / f"rows3000-{tag}.json", data=data, schema=str(schema))
         command(f"diagrams-3000-{tag}", config, f"rows3000-{tag}", "diagrams")
 
     rows = [row.split(",") for row in synthetic_cleveland_rows(303, 6)]

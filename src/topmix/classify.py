@@ -63,34 +63,35 @@ def knn_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest candidates of each query row and its predicted label at every k.
 
-    ``groups`` holds one id per row of ``distances``; a query's candidates
-    are the rows whose id differs from its own, so a query is never its
-    own candidate. Candidate labels must be 0/1, every k an integer
-    (``check_k_grid``) with 1 <= k <= the fewest candidates of a query,
-    and the query-to-candidate distances finite; integer distances are
-    ranked and summed as float64. Returns the max(k_grid) nearest candidate
-    rows of each query, nearest first, and the predictions, shaped
-    (len(queries), max(k_grid)) and (len(queries), len(k_grid)).
+    ``groups`` holds one id per row of ``distances``, a bool mask or small
+    non-negative integers (ContractError on a negative id); a query's
+    candidates are the rows whose id differs from its own. Candidate labels
+    must be 0/1, every k an integer (``check_k_grid``) with 1 <= k <= the
+    fewest candidates of a query, and the query-to-candidate distances
+    finite; integer distances are ranked and summed as float64. Returns the
+    max(k_grid) nearest candidate rows of each query, nearest first, and
+    the predictions, shaped (len(queries), max(k_grid)) and (len(queries), len(k_grid)).
     """
     queries = np.asarray(queries, dtype=np.intp)
     ks = check_k_grid(k_grid)
     top = int(ks.max())
-    ids = np.unique(groups)
-    inverse = np.searchsorted(ids, groups)  # each row's group, as an index into ids
-    own = inverse[queries]
-    fewest = inverse.size - int(np.bincount(inverse)[own].max(initial=0))
+    groups = np.asarray(groups).astype(np.intp, casting="safe")  # bool or integer ids
+    if (groups < 0).any():
+        raise ContractError("group ids must be non-negative")
+    own = groups[queries]
+    fewest = groups.size - int(np.bincount(groups)[own].max(initial=0))  # np.unique would import numpy.ma
     if fewest < top:
         raise ContractError(f"need at least k={top} candidates, got {fewest}")
-    members = inverse == np.arange(ids.size)[:, None]  # row g: the rows of group g
+    members = groups == np.arange(groups.max(initial=0) + 1)[:, None]  # row g: the rows of group id g
     one_group = own.size and (own == own[0]).all()
     candidates = labels[~members[own[0]]] if one_group else labels  # of any query
     if not ((candidates == 0) | (candidates == 1)).all():
         raise ContractError("candidate labels must be 0 or 1")
-    rows = max(1, BLOCK_ENTRIES // inverse.size)
+    rows = max(1, BLOCK_ENTRIES // groups.size)
     # One partition buffer serves every block: a fresh partitioned copy per
     # block made the allocator hand its pages back and fault them in again
     # (~33,000 minor faults per 10-fold call at n = 3000).
-    work = np.empty((min(rows, queries.size), inverse.size))
+    work = np.empty((min(rows, queries.size), groups.size))
     blocks = [
         _rank(queries[i : i + rows], members[own[i : i + rows]], distances, top, work)
         for i in range(0, max(queries.size, 1), rows)

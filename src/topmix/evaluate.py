@@ -79,13 +79,17 @@ def split_groups(labels: np.ndarray, spec: SplitSpec) -> np.ndarray:
     hold-out ids in train/validation/test blocks sized per stratum;
     stratified folds dealt round-robin, continuing across classes; plain
     folds in ``np.array_split``'s blocks, the first n % folds one row longer.
+    Stratified labels must be non-negative integers (else a ContractError).
     """
     labels = np.asarray(labels)
     n = labels.size
     if spec.mode == "kfold" and spec.folds > n:
         raise EvaluationError(f"cannot split {n} rows into {spec.folds} folds")
+    if spec.stratified and (labels < 0).any():
+        raise ContractError("stratified labels must be non-negative")
     rng = np.random.default_rng(spec.seed)
-    strata = [np.flatnonzero(labels == cls) for cls in np.unique(labels)] if spec.stratified else [np.arange(n)]
+    classes = np.flatnonzero(np.bincount(labels)) if spec.stratified else ()  # np.unique imports numpy.ma
+    strata = [np.flatnonzero(labels == cls) for cls in classes] if spec.stratified else [np.arange(n)]
     groups = np.empty(n, dtype=np.intp)
     offset = 0
     for rows in strata:

@@ -5,18 +5,19 @@ in the parse report); everything retained is fully validated: numeric
 fields are finite reals, categorical tokens come from the declared
 domain, and the target is binarized by the schema's positive rule.
 
-Only the lines holding the missing token are split to decide whether to
-drop them. Two readers follow. The numpy text reader (``np.loadtxt``, in
-C) reads the kept lines or declines them: numbers and a greater-than
-target as float64, a categorical field or a one-of target as a string
-one character longer than its longest domain or positive token. Each
-value it returns is the row reader's: both strip the same whitespace
-(``Py_UNICODE_ISSPACE``) around a number and then call
-``PyOS_string_to_double`` (``float`` also takes underscores and
-non-ASCII digits, which numpy rejects); numpy keeps the whitespace around
-a string, and a truncated string equals no token, so neither matches;
-and numpy's strings drop trailing NULs ("a\\x00" would read as "a"), so a
-NUL in the text or in a token makes it decline (see ``_read_text``).
+One pass finds the lines holding the missing token; only those are split
+to decide whether to drop them, and the kept lines are sliced out between
+them. Two readers follow. The numpy text reader (``np.loadtxt``, in C)
+reads them or declines: numbers and a greater-than target as float64, a
+categorical field or a one-of target as a string one character longer
+than its longest domain or positive token. Each value it returns is the
+row reader's: both strip the same whitespace (``Py_UNICODE_ISSPACE``)
+around a number and then call ``PyOS_string_to_double`` (``float`` also
+takes underscores and non-ASCII digits, which numpy rejects); numpy keeps
+the whitespace around a string, and a truncated string equals no token,
+so neither matches; and numpy's strings drop trailing NULs ("a\\x00"
+would read as "a"), so a NUL in the text or in a token makes it decline
+(see ``_read_text``).
 
 The row reader reads what the text reader declines, and any table with a
 dropped line of the wrong width, or raises the first fault: row by row,
@@ -31,7 +32,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -217,11 +218,11 @@ def parse_dataset(
     total = len(lines)
 
     missing = schema.missing_token
-    holding = compress(range(total), map(str.__contains__, lines, repeat(missing)))
+    holding = [i for i, line in enumerate(lines) if missing in line]
     dropped = [i for i in holding if missing in map(str.strip, lines[i].split(delimiter))]
     # A dropped line of the wrong width is a fault, which only the row reader names.
     widths = all(lines[i].count(delimiter) == schema.n_fields - 1 for i in dropped)
-    kept = list(map(lines.__getitem__, np.delete(np.arange(total), dropped).tolist()))
+    kept = list(chain.from_iterable(lines[a + 1 : b] for a, b in zip([-1, *dropped], [*dropped, total])))
     read = _read_text(kept, schema, delimiter) if nul_free and widths else None
     reader = "numpy text reader"
     if read is None:

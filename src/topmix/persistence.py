@@ -11,10 +11,10 @@ component that never dies. That essential component is recorded with
 death equal to a filtration cap shared by all rows, so diagrams stay
 mutually comparable.
 
-A family of diagrams is therefore carried as one (n, m+1) matrix of
-ascending deaths, the cap in its last column; every birth is 0.
-``PersistenceDiagram`` is the general (birth, death) form, built only as a
-view of one such row and as the input type of the test oracles.
+A family of diagrams is therefore one (n, m+1) matrix of ascending
+deaths, allocated once (|x| sorted in place, the cap in the last column);
+every birth is 0. ``PersistenceDiagram`` is the general (birth, death)
+form, built only as a view of one such row and as the oracles' input.
 """
 
 from __future__ import annotations
@@ -83,7 +83,9 @@ def dim0_diagrams(
         raise ContractError("diagram input must be a non-empty 2-d matrix")
     if not np.isfinite(x).all():
         raise ContractError("diagram input must be finite")
-    mags = np.sort(np.abs(x), axis=1)
+    deaths = np.empty((x.shape[0], x.shape[1] + 1))
+    mags = np.abs(x, out=deaths[:, :-1])
+    mags.sort(axis=1)
     if maxscale is None:
         if not 1 <= safety < np.inf:  # NaN fails every comparison
             raise ContractError(f"safety factor must be finite and >= 1, got {safety!r}")
@@ -108,4 +110,5 @@ def dim0_diagrams(
                 f"maxscale too small: components merge at distance {largest!r} "
                 f"> maxscale {maxscale!r}"
             )
-    return np.column_stack([mags, np.full(x.shape[0], maxscale)]), maxscale
+    deaths[:, -1] = maxscale
+    return deaths, maxscale

@@ -13,7 +13,7 @@ one: through a temporary file and a rename, so a file holds its old
 content or all of the new. ``_write_artifact`` replaces a file only when
 it holds other bytes, so a warm re-run writes nothing. It writes the
 report files in ``out_dir`` and, from ``compute_diagrams`` alone,
-``diagrams.npy`` with its manifest, an export never read back.
+``diagrams.npy`` (never read back; hashed in parts) and its manifest.
 
 The files read back are the distance cache, ``CACHE_FILES``:
 ``distances.npy``, the matrix, and ``rows.npy``, each kept row's deaths
@@ -363,23 +363,24 @@ def prepare_features(config: ExperimentConfig, inputs: RunInputs | None = None) 
                 f"data file {config.data_path} has no complete rows: "
                 f"read {report.total_rows}, dropped {report.dropped_rows} for the missing token"
             )
+    # One name for every stage's matrix: each input is freed once the next is made, and its pages reused
     with _stage("encode"):
-        encoded = one_hot_encode(raw)
+        features = one_hot_encode(raw)
     with _stage("standardize"):
         if config.standardize_scope == "train":
-            params = fit_standardizer(encoded, np.flatnonzero(split_groups(encoded.labels, config.split) == 0))
+            params = fit_standardizer(features, np.flatnonzero(split_groups(features.labels, config.split) == 0))
         else:
-            params = fit_standardizer(encoded)
-        standardized = standardize(encoded, params)
+            params = fit_standardizer(features)
+        features = standardize(features, params)
     with _stage("symmetry-break"):
         if config.symmetry_vector == "default":
-            vector = default_symmetry_vector(standardized.m)
+            vector = default_symmetry_vector(features.m)
         elif config.symmetry_vector == "zero":
-            vector = np.zeros(standardized.m)
+            vector = np.zeros(features.m)
         else:
             vector = np.asarray(config.symmetry_vector, dtype=np.float64)
-        broken = symmetry_break(standardized, vector)
-    return PreparedData(parse_report=report, features=broken)
+        features = symmetry_break(features, vector)
+    return PreparedData(parse_report=report, features=features)
 
 
 def _read_manifest(path: Path) -> dict | None:
@@ -516,20 +517,20 @@ def _replace(path: Path, *parts: bytes | memoryview) -> None:
         raise
 
 
-def _write_artifact(path: Path, data: bytes) -> None:
-    """Give ``path`` the content ``data``, writing only when it holds other bytes.
+def _write_artifact(path: Path, *parts: bytes | memoryview) -> None:
+    """Give ``path`` the content ``parts``, joined, writing only when it holds other bytes.
 
-    A file that already holds exactly ``data`` is left alone, mtime
+    A file that already holds exactly that content is left alone, mtime
     included; any other content, or no file, is replaced through
-    ``_replace``.
+    ``_replace``. Parts are compared by ``bytes.startswith``, a memcmp.
     """
     try:
         with open(path, "rb") as fh:
-            if fh.read(len(data) + 1) == data:  # one byte more sees an extended file
+            if all(fh.read(len(part)).startswith(part) for part in parts) and not fh.read(1):  # not extended
                 return
     except OSError:  # missing or unreadable: written below, or the write says why not
         pass
-    _replace(path, data)
+    _replace(path, *parts)
 
 
 @dataclass
@@ -570,12 +571,13 @@ def compute_diagrams(config: ExperimentConfig, inputs: RunInputs | None = None) 
         labels, dropped = prepared.features.labels, prepared.parse_report.dropped_rows
         if config.cache_dir is not None:
             export = config.cache_dir / "diagrams.npy"
-            data = b"".join(_npy_parts(deaths))
-            _write_artifact(export, data)
+            header, data = _npy_parts(deaths)  # written and hashed in turn, as save_distance_matrix does
+            _write_artifact(export, header, data)
+            digest = hashlib.sha256(header)
+            digest.update(data)
             _write_artifact(export.with_suffix(".manifest.json"), _manifest_text({
-                "bytes": len(data), "fingerprint": inputs.fingerprint, "maxscale": maxscale,
-                "safety": config.maxscale_safety, "sha256": hashlib.sha256(data).hexdigest(),
-                "version": __version__,
+                "bytes": len(header) + len(data), "fingerprint": inputs.fingerprint, "maxscale": maxscale,
+                "safety": config.maxscale_safety, "sha256": digest.hexdigest(), "version": __version__,
             }).encode())
     return DiagramSet(deaths, maxscale, labels, prepared, inputs.fingerprint, dropped)
 

@@ -7,9 +7,9 @@ already validated (reporting the first fault in row-major order): each
 numeric float64 column is copied with one slice assignment, and each
 categorical block is filled with one scatter of its column's domain
 codes, ``values[rows, col + codes] = 1``; no token is looked up again.
-Standardization uses the population convention
-(divide by n), which makes the zero-mean/unit-variance invariant exact on
-the fit rows.
+Standardization uses the population convention (divide by n), exact on
+the fit rows; the std reuses the fit's mean in ``np.std``'s operations,
+and ``standardize`` divides its one temporary in place.
 """
 
 from __future__ import annotations
@@ -111,7 +111,9 @@ def fit_standardizer(
             raise ContractError("fit_rows must be non-empty")
         rows = matrix.values[fit_rows]
     mean = rows.mean(axis=0)
-    std = rows.std(axis=0)  # population convention, ddof=0
+    dev = rows - mean
+    dev *= dev
+    std = np.sqrt(dev.sum(axis=0) / rows.shape[0])  # population std (ddof=0), np.std's operations
     bad = np.flatnonzero(~(std > 0))
     if bad.size:
         names = [matrix.column_names[j] for j in bad]
@@ -125,8 +127,10 @@ def standardize(matrix: FeatureMatrix, params: StandardizationParams) -> Feature
         raise ContractError(
             f"params width {params.mean.shape[0]} != matrix width {matrix.m}"
         )
+    values = matrix.values - params.mean
+    values /= params.std
     return FeatureMatrix(
-        values=(matrix.values - params.mean) / params.std,
+        values=values,
         column_names=matrix.column_names,
         labels=matrix.labels,
         stage="standardized",

@@ -173,11 +173,49 @@ def test_partition_cut_below_candidate_count_matches_oracle():
     assert boundary_ties >= 1000
 
 
+def _running_sum(values):
+    return functools.reduce(operator.add, values)
+
+
+def _plant_ulp_tie(rng, dist, labels, query, candidates, k):
+    """Give ``query`` a tie at ``k`` that numpy's class sums and running sums decide differently.
+
+    Its k nearest candidates get k/2 distances of each class and every
+    other candidate lies farther. Class 1's distances are few non-dyadic
+    values whose pairwise sum (numpy's order) and running sum differ; class
+    0's are dyadic but the largest, and sum to one of those two exactly in
+    either order, so the vote goes one way under numpy's sums and the other
+    under running sums. Returns numpy's vote, or None when the draw fails.
+    """
+    half = k // 2
+    ones, zeros = (rng.permutation(candidates[labels[candidates] == c]) for c in (1, 0))
+    if min(ones.size, zeros.size) < half:
+        return None
+    one_dist = np.sort(rng.choice([0.1, 0.2, 0.3, 0.7, 1.1], size=half) * rng.uniform(0.5, 2.0))
+    pairwise, running = float(np.sum(one_dist)), _running_sum(one_dist)
+    if pairwise == running:
+        return None
+    target = max(pairwise, running)  # the smaller class-1 sum ties with class 0 in one order only
+    dyadic = np.sort(rng.integers(1, 64, size=half - 1)) / 1024
+    zero_dist = np.append(dyadic, target - dyadic.sum())
+    if not (zero_dist[-1] >= dyadic[-1] and np.sum(zero_dist) == _running_sum(zero_dist) == target):
+        return None
+    far = max(one_dist[-1], zero_dist[-1]) + rng.uniform(0.1, 1.0, size=candidates.size)
+    dist[query, candidates] = far
+    dist[query, ones[:half]], dist[query, zeros[:half]] = one_dist, zero_dist
+    dist[candidates, query] = dist[query, candidates]
+    vote = int(pairwise < target)
+    assert vote != int(running < target)  # a running sum would decide the tie the other way
+    return vote
+
+
 def test_tied_votes_at_large_k_match_oracle():
     # k up to 38 with 8 or more neighbours of each class in a tie; few
-    # non-dyadic values, so the class sums depend on their summation order
+    # non-dyadic values, so the class sums depend on their summation order.
+    # Two queries of each table get a tie planted that an ulp decides:
+    # summing a class in another order than numpy's moves its vote.
     rng = np.random.default_rng(25)
-    ties_at_16_or_more = 0
+    ties_at_16_or_more = planted = 0
     for table in range(60):
         n = int(rng.integers(45, 70))
         raw = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1], size=(n, n)) * rng.uniform(0.5, 2.0)
@@ -186,11 +224,21 @@ def test_tied_votes_at_large_k_match_oracle():
         rows = rng.permutation(n)
         queries, candidates = rows[:5], rows[5:]
         k_grid = list(range(16, 39, 2))
-        _assert_grid_matches_oracle(dist, labels, queries, candidates, k_grid, table)
+        votes = {}
+        for q in queries[:2]:
+            vote = None
+            while vote is None:
+                k = int(rng.choice(k_grid))
+                vote = _plant_ulp_tie(rng, dist, labels, q, candidates, k)
+            votes[int(q), k] = vote
+        predictions = _assert_grid_matches_oracle(dist, labels, queries, candidates, k_grid, table)
+        for (q, k), vote in votes.items():
+            assert predictions[list(queries).index(q), k_grid.index(k)] == vote, (table, q, k)
+            planted += 1
         nearest, _ = knn_grid(queries, dist, labels, k_grid, _groups(dist, candidates))
         ones = np.cumsum(labels[nearest], axis=1)[:, np.asarray(k_grid) - 1]
         ties_at_16_or_more += int((2 * ones == np.asarray(k_grid)).sum())
-    assert ties_at_16_or_more >= 50
+    assert planted == 120 and ties_at_16_or_more >= 50 + planted
 
 
 def test_tie_break_sums_each_class_as_numpy_sums_it():
@@ -227,6 +275,8 @@ def test_grid_contract_errors():
             knn_grid([0], broken, np.array([0, 1, 0]), [1], np.array([0, 1, 2]))
     with pytest.raises(ContractError, match="k=2 candidates, got 1"):  # row 0 sees row 2 only
         knn_grid([0, 1], dist, np.array([0, 1, 0]), [2], np.array([0, 0, 1]))
+    with pytest.raises(ContractError, match="group ids must be non-negative"):
+        knn_grid([0], dist, np.array([0, 1, 0]), [1], np.array([0, -1, 1]))
 
 
 @pytest.mark.parametrize("k_grid", [[], [1.5], [1, 2.0], [True], np.array([True]), [0], ["1"]])

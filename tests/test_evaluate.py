@@ -101,6 +101,13 @@ class TestKfold:
             assert (labels[fold] == 0).sum() == 6
             assert (labels[fold] == 1).sum() == 4
 
+    @pytest.mark.parametrize("mode", ["holdout", "kfold"])
+    def test_negative_label_rejected_when_stratified(self, mode):
+        labels = np.array([0, 1, -1, 0, 1, 0])
+        with pytest.raises(ContractError, match="^stratified labels must be non-negative$"):
+            split_groups(labels, SplitSpec(mode=mode, folds=2, stratified=True))
+        assert split_groups(labels, SplitSpec(mode=mode, folds=2)).shape == (6,)  # unstratified: never read
+
     def test_too_many_folds(self):
         with pytest.raises(EvaluationError, match="^cannot split 3 rows into 5 folds$"):
             split_groups(np.zeros(3, dtype=int), SplitSpec(mode="kfold", folds=5))

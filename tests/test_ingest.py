@@ -1,10 +1,12 @@
 import dataclasses
 import logging
 import re
+from itertools import compress, repeat
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from topmix.errors import ParseError, SchemaError, TopmixError
 from topmix import ingest
@@ -476,3 +478,42 @@ def test_faulty_table_logs_no_reader(tmp_path, toy_schema, caplog, delimiter):
         with pytest.raises(ParseError, match="^row 5: attribute 'x': 'abc' is not numeric$"):
             parse_dataset(path, toy_schema, delimiter=delimiter)
     assert not [message for message in caplog.messages if message.startswith("columns read")]
+
+
+def _dropped_and_kept(lines, missing, delimiter):
+    """The dropped line indices and the kept lines, as the parser found them with an iterator filter."""
+    holding = compress(range(len(lines)), map(str.__contains__, lines, repeat(missing)))
+    dropped = [i for i in holding if missing in map(str.strip, lines[i].split(delimiter))]
+    return dropped, list(map(lines.__getitem__, np.delete(np.arange(len(lines)), dropped).tolist()))
+
+
+# A line per kind: complete, complete with the missing token inside a domain token, or dropped.
+_LINE_KINDS = {
+    "complete": "{i}.5,a,{y}",
+    "token-inside": "{i}.5,b?,{y}",
+    "missing-number": "?,a,{y}",
+    "missing-category": "{i}.5, ? ,{y}",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kinds=st.lists(st.sampled_from(sorted(_LINE_KINDS)), min_size=1, max_size=25))
+@example(kinds=["complete"] * 4)  # none dropped
+@example(kinds=["missing-number", "complete", "missing-category", "missing-number", "token-inside", "missing-number"])
+def test_dropped_and_kept_lines_match_iterator_filter(kinds):
+    # first, last and adjacent dropped lines, or none; the text reader gets exactly the kept lines
+    schema = SchemaSpec(
+        attributes=(Attribute("x", "numeric"), Attribute("c", "categorical", ("a", "b?"))),
+        target="y",
+        positive_rule=PositiveRule(kind="greater-than", threshold=0.0),
+    )
+    lines = [_LINE_KINDS[kind].format(i=i, y=i % 2) for i, kind in enumerate(kinds)]
+    read, given_lines = ingest._read_text, []
+    with mock.patch.object(ingest, "_read_text", lambda kept, *a: given_lines.append(kept) or read(kept, *a)):
+        dataset, report = parse_dataset("t.csv", schema, data="\n".join(lines).encode())
+    dropped, kept = _dropped_and_kept(lines, "?", ",")
+    assert report.dropped_indices == tuple(dropped)
+    assert given_lines == [kept]
+    alone, _ = parse_dataset("kept.csv", schema, data="\n".join(kept).encode())
+    assert [c.tobytes() for c in dataset.columns] == [c.tobytes() for c in alone.columns]
+    assert dataset.labels.tobytes() == alone.labels.tobytes()

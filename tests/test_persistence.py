@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topmix.errors import ContractError
 from topmix.pipeline import save_distance_matrix
@@ -177,6 +178,27 @@ def test_sqrt_of_square_is_abs_bit_for_bit():
     assert np.array_equal(
         np.sqrt(x * x).view(np.uint64), np.abs(x).view(np.uint64)
     )
+
+
+@st.composite
+def _signed_rows(draw):
+    """1 to 20 rows of 1 to 6 coordinates (m = 1 included), with -0.0 and ties among them."""
+    n, m = draw(st.integers(1, 20)), draw(st.integers(1, 6))
+    value = st.sampled_from([0.0, -0.0, 2.5, -2.5, 7.0]) | st.floats(-1e150, 1e150)
+    return np.array(draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_signed_rows(), explicit=st.none() | st.floats(1.0, 4.0))
+def test_deaths_are_sorted_magnitudes_then_cap_bit_for_bit(rows, explicit):
+    largest = float(np.abs(rows).max())
+    maxscale = None if explicit is None else (largest or 1.0) * explicit
+    x = rows.copy()
+    deaths, cap = dim0_diagrams(x, maxscale)
+    expected = np.column_stack([np.sort(np.abs(rows), axis=1), np.full(len(rows), cap)])
+    assert deaths.tobytes() == expected.tobytes()
+    assert x.tobytes() == rows.tobytes()  # the input is not written
+    assert maxscale is None or cap == maxscale
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1084,6 +1084,28 @@ class TestCli:
             )
             assert run.returncode == 0, run.stderr
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("name", ["example.json", "example_kfold.json"])
+    def test_cold_classify_never_imports_numpy_ma(self, tmp_path, name, stratified):
+        # np.unique imports numpy.ma on its first call, 10-15 ms of a process's first classify
+        doc = json.loads((REPO_ROOT / "configs" / name).read_text(encoding="utf-8"))
+        doc["data"] = str(REPO_ROOT / "data" / "example.csv")
+        doc["schema"] = str(REPO_ROOT / "configs" / "cleveland.schema.json")
+        doc["split"]["stratified"] = stratified
+        cfg = tmp_path / name
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        program = (
+            "import sys; from topmix.cli import main; code = main(sys.argv[1:]); "
+            "sys.exit(code or ('numpy.ma' in sys.modules and 'numpy.ma was imported'))"
+        )
+        dirs = ["--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")]
+        run = subprocess.run(
+            [sys.executable, "-c", program, "classify", "--config", str(cfg), *dirs],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "out" / "report.txt").is_file()
+
     @pytest.mark.parametrize(
         "case",
         ["truncated_schema", "attributes_not_a_list", "non_numeric_threshold", "nan_threshold", "non_utf8_data"],

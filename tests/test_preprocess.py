@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topmix.errors import ContractError, FitError
 from topmix.ingest import parse_dataset
 from topmix.preprocess import (
     FeatureMatrix,
+    StandardizationParams,
     default_symmetry_vector,
     fit_standardizer,
     one_hot_encode,
@@ -127,6 +129,55 @@ class TestStandardize:
     def test_empty_fit_rows_rejected(self):
         with pytest.raises(ContractError):
             fit_standardizer(_matrix([[0.0], [2.0]]), fit_rows=np.array([], dtype=int))
+
+
+# Finite values over ~600 orders of magnitude (subnormals included), with repeats.
+_WIDE = st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 1.0, 3.0, 1e-300])
+
+
+@st.composite
+def _wide_rows(draw, max_rows=30):
+    """A float64 matrix of 1 to ``max_rows`` rows (one row included) and 1 to 5 columns."""
+    n, m = draw(st.integers(1, max_rows)), draw(st.integers(1, 5))
+    return np.array(draw(st.lists(st.lists(_WIDE, min_size=m, max_size=m), min_size=n, max_size=n)))
+
+
+class TestBitIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_wide_rows(), data=st.data())
+    def test_fit_is_numpys_mean_and_std_bit_for_bit(self, rows, data):
+        # over the whole table or over fit_rows (repeats allowed)
+        fit_rows = data.draw(st.none() | st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40))
+        fitted = rows if fit_rows is None else rows[fit_rows]
+        mean, std = fitted.mean(axis=0), np.std(fitted, axis=0)
+        matrix = _matrix(rows)
+        if not (std > 0).all():  # one row, or a column constant over the fit rows
+            names = [f"c{j}" for j in np.flatnonzero(~(std > 0))]
+            with pytest.raises(FitError) as raised:
+                fit_standardizer(matrix, fit_rows)
+            assert str(raised.value) == f"constant column(s) over fit rows: {names}"
+            return
+        params = fit_standardizer(matrix, fit_rows)
+        assert params.mean.tobytes() == mean.tobytes()
+        assert params.std.tobytes() == std.tobytes()
+        assert matrix.values.tobytes() == rows.tobytes()
+
+    def test_single_row_std_is_zero_as_numpys(self):
+        rows = np.array([[1e150, -3.0, 0.1]])
+        assert not np.std(rows, axis=0).any()
+        with pytest.raises(FitError, match=r"\['c0', 'c1', 'c2'\]"):
+            fit_standardizer(_matrix(np.vstack([rows, rows + 1])), fit_rows=[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_wide_rows(), data=st.data())
+    def test_standardize_is_subtract_then_divide_bit_for_bit(self, rows, data):
+        m = rows.shape[1]
+        mean = np.array(data.draw(st.lists(_WIDE, min_size=m, max_size=m)))
+        std = np.array(data.draw(st.lists(st.floats(1e-100, 1e100) | st.just(1.0), min_size=m, max_size=m)))
+        matrix = _matrix(rows)
+        out = standardize(matrix, StandardizationParams(mean=mean, std=std))
+        assert out.values.tobytes() == ((rows - mean) / std).tobytes()
+        assert matrix.values.tobytes() == rows.tobytes()  # the input is not written
 
 
 class TestSymmetryBreak:
