@@ -35,6 +35,9 @@ generator, and both trees read the same files:
   default and the zero symmetry vector: more rows than one block of the
   sorted certificate spans, so each block of offsets runs over two row
   runs;
+* distances on the same 1,000 kept rows at p = 2, under the default
+  symmetry vector: every pair goes through the programme calls of its
+  block of offsets;
 * diagrams at 3,000 kept rows, from the comma-delimited table and a
   tab-delimited copy (both read by numpy's text reader) and from a
   "::"-delimited copy (read by the row reader);
@@ -176,6 +179,8 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
             symmetry_vector=vector,
         )
         command(f"distances-1000-{vector}", config, f"rows1000-{vector}", "distances", "--p", "1")
+    config = inputs / "rows1000-default.json"
+    command("distances-1000-default-p2", config, "rows1000-default-p2", "distances", "--p", "2")
     config = write_config(inputs / "rows3000.json", data=str(inputs / "rows3000.csv"), schema=str(schema))
     command("diagrams-3000", config, "rows3000", "diagrams")
     for delimiter, suffix, tag in (("\t", "tsv", "tab"), ("::", "colons", "colons")):

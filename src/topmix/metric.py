@@ -67,8 +67,8 @@ death, leaves every other path's float sum at or above the diagonal's.
 ``ALGORITHM`` is therefore unchanged, and caches tagged with it stay valid.
 On the 297-row Cleveland-shaped table of the tests this settles 43,956 of
 the 43,956 pairs under the default symmetry vector and 12,725 under the
-zero vector; the programme runs, in full blocks, on the pairs left. Other
-orders p always run the programme.
+zero vector; each block of offsets runs the programme on its own pairs
+left. Other orders p always run the programme.
 
 When every row's last death is the same cap c, a_{m+1} = b_{m+1} = c,
 the certificate reads only the first m deaths of each row. The pair
@@ -96,8 +96,8 @@ in either orientation: |a_k - b_k| is exact in both, and the sum runs in
 the same order. Its computed gap can differ from the other orientation's
 in the last bits, but in exact arithmetic swapping the sides negates f
 and swaps the two extremes, so G is the same, and the margin argument
-above covers either computation. The pairs left for the programme are
-gathered with the smaller row index as a, in blocks of _BLOCK_PAIRS.
+above covers either computation. A block programmes the pairs it leaves,
+smaller row index as a, in near-equal calls of at most _BLOCK_PAIRS.
 
 Every array the certificate reads or writes is row-major, indexed
 [k, offset, row], so its last axis, the rows, is contiguous and every
@@ -117,7 +117,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -130,12 +130,12 @@ logger = logging.getLogger("topmix")
 # can differ from another algorithm's by an ulp.
 ALGORITHM = "zero-birth-dp"
 
-# Pairs per vectorised DP step: larger blocks cost memory (~3 KB per pair
-# for 26-point diagrams) without running faster. A block of the sorted
-# certificate spans at most _BLOCK_PAIRS / 2 rows (n split evenly) and as
-# many whole offsets as 2 * _BLOCK_PAIRS pairs hold, at least one. So its
-# three work arrays hold at most 6 * _BLOCK_PAIRS diagrams' worth of
-# values, and the row terms a block reads stay cache-sized at any n.
+# Pairs per vectorised DP call, at most: larger calls cost memory (~3 KB
+# per pair for 26-point diagrams) without running faster. A block of the
+# sorted certificate spans at most _BLOCK_PAIRS / 2 rows (n split evenly)
+# and as many whole offsets as 2 * _BLOCK_PAIRS pairs hold, at least one.
+# So its three work arrays hold at most 6 * _BLOCK_PAIRS diagrams' worth
+# of values, and the row terms a block reads stay cache-sized at any n.
 _BLOCK_PAIRS = 1024
 
 # Rows per step when the upper triangle is mirrored into the lower: each
@@ -220,19 +220,17 @@ def _sorted_certificate(
     return hi - lo >= margin, cost
 
 
-def _settle_by_offset(
-    deaths: np.ndarray, p: float, out: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every pair of rows once, by cyclic offset; at p = 1 the certificate's share goes into ``out``.
+def _fill_upper(deaths: np.ndarray, p: float, out: np.ndarray) -> int:
+    """Every pair of rows once, by cyclic offset, into the upper triangle of ``out``; returns the pairs programmed.
 
     Offset delta pairs row i with row (i + delta) % n. Offsets 1..n//2
     meet each unordered pair once, except delta = n/2 at even n, which
-    meets each of its pairs twice and keeps i < n/2. A settled cost goes
-    into the upper triangle of ``out``, and so does an unsettled one, for
-    the programme to overwrite. Yields, block by block, the pairs (rows,
-    cols), rows < cols, left for the programme: every pair when p != 1.
-    The scratch lives in one buffer reused by every block: fresh arrays of
-    that size cost more in page faults than in arithmetic.
+    meets each of its pairs twice and keeps i < n/2. At p = 1 the
+    certificate settles what it can of each block of offsets; the
+    programme runs on the rest of the block, at most _BLOCK_PAIRS pairs
+    per call, and on every pair when p != 1. The certificate's scratch
+    lives in one buffer reused by every block: fresh arrays of that size
+    cost more in page faults than in arithmetic.
     """
     n, width = deaths.shape
     offsets = n // 2
@@ -256,6 +254,7 @@ def _settle_by_offset(
     # in the same process ~20% slower (k-fold on 297 rows, measured).
     work = np.empty((3, width * 2 * _BLOCK_PAIRS))
     flat = out.reshape(-1)
+    programmed = 0
     for first in range(1, offsets + 1, per_block):
         stop = min(first + per_block, offsets + 1)
         settled = np.zeros((stop - first, n), dtype=bool)
@@ -272,24 +271,20 @@ def _settle_by_offset(
                 keep = n - delta  # i < keep pairs (i, i + delta); the rest wrap to (i + delta - n, i)
                 flat[delta : keep * (n + 1) : n + 1] = costs[:keep]
                 flat[keep : keep + delta * (n + 1) : n + 1] = costs[keep:]
-        if not settled.all():
-            offset, i = np.nonzero(~settled)
-            delta = offset + first
-            j = (i + delta) % n
-            kept = (2 * delta < n) | (i < j)
-            yield np.minimum(i, j)[kept], np.maximum(i, j)[kept]
-
-
-def _full_blocks(batches: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Batches of pairs (rows, cols) regrouped into blocks of _BLOCK_PAIRS, the last one shorter."""
-    rows = cols = np.zeros(0, dtype=np.intp)
-    for more_rows, more_cols in batches:
-        rows, cols = np.concatenate([rows, more_rows]), np.concatenate([cols, more_cols])
-        while rows.size >= _BLOCK_PAIRS:
-            yield rows[:_BLOCK_PAIRS], cols[:_BLOCK_PAIRS]
-            rows, cols = rows[_BLOCK_PAIRS:], cols[_BLOCK_PAIRS:]
-    if rows.size:
-        yield rows, cols
+        if settled.all():
+            continue
+        offset, i = np.nonzero(~settled)
+        delta = offset + first
+        j = (i + delta) % n
+        kept = (2 * delta < n) | (i < j)
+        pairs = np.stack([np.minimum(i, j)[kept], np.maximum(i, j)[kept]])
+        # near-equal calls, not full ones and a short tail: faster in most runs at 297 rows, zero vector
+        for r, c in np.array_split(pairs, -(-pairs.shape[1] // _BLOCK_PAIRS), axis=1):
+            a_side = np.ascontiguousarray(deaths[r].T)
+            b_rev = np.ascontiguousarray(deaths[c, ::-1].T)
+            out[r, c] = _dp_distances(a_side, b_rev, p)
+        programmed += pairs.shape[1]
+    return programmed
 
 
 def distance_matrix(deaths: np.ndarray, p: float = 1.0) -> np.ndarray:
@@ -314,13 +309,9 @@ def distance_matrix(deaths: np.ndarray, p: float = 1.0) -> np.ndarray:
         raise ContractError("diagram deaths must be finite, non-negative and ascending in each row")
     n = deaths.shape[0]
     out = np.zeros((n, n), dtype=np.float64)
-    pairs, programmed = n * (n - 1) // 2, 0
+    pairs = n * (n - 1) // 2
     with np.errstate(over="ignore"):  # an overflow is raised below, as an error
-        for i, j in _full_blocks(_settle_by_offset(deaths, p, out)):
-            a = np.ascontiguousarray(deaths[i].T)
-            b_rev = np.ascontiguousarray(deaths[j, ::-1].T)
-            out[i, j] = _dp_distances(a, b_rev, p)
-            programmed += i.size
+        programmed = _fill_upper(deaths, p, out)
     logger.info(
         "distances: %d pairs, %d settled by the sorted certificate, %d by the dynamic programme",
         pairs, pairs - programmed, programmed,

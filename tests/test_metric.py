@@ -314,6 +314,19 @@ def _bits(values):
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
 
 
+def _fill_upper_without_programme(deaths, out):
+    """``_fill_upper`` at p = 1 with a programme that returns NaN: the NaN cells are the pairs it programmed."""
+
+    def nan_programme(a, b_rev, p):
+        assert a.shape[1] <= metric._BLOCK_PAIRS  # the programme's memory bound
+        return np.full(a.shape[1], np.nan)
+
+    with mock.patch.object(metric, "_dp_distances", nan_programme):
+        programmed = metric._fill_upper(deaths, 1.0, out)
+    assert np.isnan(out).sum() == programmed
+    return programmed
+
+
 @st.composite
 def _deaths_matrices(draw, max_rows=7, max_width=6):
     """Rows of ascending deaths: continuous, on a coarse grid (ties and
@@ -357,7 +370,7 @@ class TestSortedCertificate:
         deaths = deaths[order]
         rows, cols = np.triu_indices(len(deaths), k=1)
         with mock.patch.object(metric, "_BLOCK_PAIRS", block):  # blocks of one or more offsets
-            left = sum(i.size for i, _ in metric._settle_by_offset(deaths, 1.0, np.zeros((len(deaths),) * 2)))
+            left = _fill_upper_without_programme(deaths, np.zeros((len(deaths),) * 2))
             out = distance_matrix(deaths, 1.0)
         assert len(deaths) % 2 == 0
         assert 0 < left < rows.size
@@ -382,7 +395,7 @@ class TestSortedCertificate:
         capped = np.column_stack([deaths, np.full(n, 11.0)])
         # the margin grows with the width and the largest death: hold both runs to the capped one's
         margin = 32 * (width + 1) ** 2 * float(np.spacing(11.0))
-        certificate, calls, left, outs = metric._sorted_certificate, [], [], []
+        certificate, calls, outs = metric._sorted_certificate, [], []
 
         def at_capped_margin(a, b, given_margin, scratch):
             calls[-1].append((len(a[0]), given_margin))  # death columns, margin
@@ -391,12 +404,10 @@ class TestSortedCertificate:
         with mock.patch.object(metric, "_sorted_certificate", at_capped_margin):
             for matrix in (capped, deaths):
                 calls.append([])
-                out = np.zeros((n, n))
-                left.append([(i.tolist(), j.tolist()) for i, j in metric._settle_by_offset(matrix, 1.0, out)])
-                outs.append(out)
+                outs.append(np.zeros((n, n)))
+                _fill_upper_without_programme(matrix, outs[-1])
         assert all(call == (width, margin) for call in calls[0])  # the cap never reaches the certificate
-        assert left[0] == left[1]
-        rows, cols = np.triu_indices(n, k=1)
+        rows, cols = np.triu_indices(n, k=1)  # NaN where programmed, in both runs alike
         assert np.array_equal(_bits(outs[0][rows, cols]), _bits(outs[1][rows, cols]))
 
     def test_cost_is_summed_in_path_order(self):
@@ -425,17 +436,23 @@ class TestSortedCertificate:
         deaths, _ = dim0_diagrams(broken.values, safety=1.1)
         rows, cols = np.triu_indices(len(deaths), k=1)
         out = np.zeros((len(deaths),) * 2)
-        assert not list(metric._settle_by_offset(deaths, 1.0, out))
+        assert _fill_upper_without_programme(deaths, out) == 0
         assert np.array_equal(_bits(out[rows, cols]), _bits(_programme(deaths)))
 
     @pytest.mark.parametrize(
-        "vector, p, settled",
-        [("default", 1.0, 43956), ("zero", 1.0, 12725), ("default", 2.0, 0)],
+        "vector, p, settled, table",
+        [
+            pytest.param("default", 1.0, 43956, (303, 6), id="default-1.0-43956"),
+            pytest.param("zero", 1.0, 12725, (303, 6), id="zero-1.0-12725"),
+            pytest.param("default", 2.0, 0, (303, 6), id="default-2.0-0"),
+            # 980 kept rows: each block of offsets spans two row runs, whose leftovers share its programme calls
+            pytest.param("zero", 1.0, 130709, (1000, 20), id="zero-1.0-130709-980-rows"),
+        ],
     )
-    def test_pair_counts_match_the_triangle_enumeration(self, tmp_path, caplog, vector, p, settled):
+    def test_pair_counts_match_the_triangle_enumeration(self, tmp_path, caplog, vector, p, settled, table):
         # the counts of the row-major pair order: the offset order settles the same pairs
         path = tmp_path / "synth.csv"
-        path.write_text("\n".join(synthetic_cleveland_rows()) + "\n", encoding="utf-8")
+        path.write_text("\n".join(synthetic_cleveland_rows(*table)) + "\n", encoding="utf-8")
         raw, _ = parse_dataset(path, load_schema(CLEVELAND_SCHEMA))
         encoded = one_hot_encode(raw)
         weights = default_symmetry_vector(encoded.m) if vector == "default" else np.zeros(encoded.m)
@@ -443,7 +460,7 @@ class TestSortedCertificate:
         deaths, _ = dim0_diagrams(broken.values, safety=1.1)
         with caplog.at_level(logging.INFO, logger="topmix"):
             distance_matrix(deaths, p)
-        pairs = 297 * 296 // 2
+        pairs = len(deaths) * (len(deaths) - 1) // 2
         assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("distances: ")] == [
             f"distances: {pairs} pairs, {settled} settled by the sorted certificate, "
             f"{pairs - settled} by the dynamic programme"
