@@ -21,13 +21,10 @@ run on blocks of pairs at once. A diagram with fewer points can be padded
 at the front with 0 deaths, points that cost nothing on the diagonal.
 
 The terms are those a general assignment solver sums, but the programme
-adds them one by one along its path where the solver's total is summed
-exactly (math.fsum). To first order a sum of k <= 2n positive terms is
-then off by at most (k - 1) unit roundoffs relative to W^p. On the
-297-row Cleveland-shaped table of the tests, the largest relative
-difference is ~2.2e-16 at p = 1 (94% of entries bit-equal) and ~2.7e-16
-at p = 2; the tests hold every entry within 1e-15 * max(1, W) of the
-assignment-solver oracle in ``tests/oracles.py``.
+adds them one by one along its path where the solver's total is exact
+(math.fsum): to first order a sum of k <= 2n positive terms is off by at
+most (k - 1) unit roundoffs relative to W^p. The tests hold every entry
+within 1e-15 * max(1, W) of the solver in ``tests/oracles.py``.
 
 At p = 1 most pairs are settled without the programme. The sorted full
 matching, a_k with b_k for every k, is the programme's diagonal path, and
@@ -46,13 +43,14 @@ diagonal, and its cost minus the sorted cost is
 ``_sorted_certificate`` takes the canonical f(x) = integral over [0, x]
 of sign(F_B - F_A), where F_A and F_B count the deaths <= t: between a_k
 and b_k at least k deaths of one side and fewer of the other lie below t,
-so f has slope -1 or +1 there and meets the equalities. Built from its
-increments, it needs no merge of a and b, only O(n) work per pair:
+so f has slope -1 or +1 there and meets the equalities. With
+s_k = a_k - b_k and r_k = a_{k+1} - a_k, f gains over [a_k, a_{k+1}],
+where F_A = k, P_{k+1} = clamp(s_{k+1}, 0, r_k) past b_{k+1} and
+N_k = clamp(s_k, -r_k, 0) before b_k (P_1 = (s_1)+, N_n = 0). One of P_k
+and N_k is 0, so one clamp per rank gives both, without merging a and b:
 
-    f(a_1)     = (a_1 - b_1)+
-    f(a_{k+1}) = f(a_k) + (a_{k+1} - max(a_k, b_{k+1}))+
-                        - (min(b_k, a_{k+1}) - a_k)+
-    f(b_k)     = f(a_k) - |a_k - b_k|.
+    C_k = clamp(s_k, -r_k, r_{k-1}) = P_k + N_k,   N_k = min(C_k, 0),
+    f(a_k) = C_1 + ... + C_k - N_k,   f(b_k) = f(a_k) - |s_k|.
 
 A settled pair's distance is the diagonal path summed in the programme's
 order, ((|a_1 - b_1| + |a_2 - b_2|) + ...), and it is bit-identical to
@@ -60,15 +58,21 @@ the programme's result. Rounding is monotone (x <= y implies
 fl(x + c) <= fl(y + c)), so by induction each D[i][j] is the least, over
 the paths to (i, j), of that path's terms summed in floats in path
 order. A path of at most 2n terms is summed within a relative
-gamma = 2n u (u = 2^-53) of its exact cost, the sorted cost is at most
-n * cap, and the computed gap is within (8n + 8) u * cap of G. So a
-computed gap of at least the margin 32 n^2 ulp(cap), with cap the largest
-death, leaves every other path's float sum at or above the diagonal's.
-``ALGORITHM`` is therefore unchanged, and caches tagged with it stay valid.
-On the 297-row Cleveland-shaped table of the tests this settles 43,956 of
-the 43,956 pairs under the default symmetry vector and 12,725 under the
-zero vector; each block of offsets runs the programme on its own pairs
-left. Other orders p always run the programme.
+gamma = 2n u (u = 2^-53): one that costs at least 2 gamma S / (1 - gamma)
+~ 4 n^2 u * cap more than the sorted cost S <= n * cap, cap the largest
+death, sums in floats to no less. For n < 2^20 the computed gap is within
+(4n + 13) u * cap + 2^-1074 of G. The C_k are off by (n + 2) u * cap in
+all: s_k and r_k round by u |s_k| and u r_k, a clamp moves no further
+than its arguments, and the r_k sum to at most cap. The n - 1 prefix
+sums and f(a_k), all in [-cap, cap], round by n u * cap more, in both gap
+terms; f(b_k) + b_k/2 adds 3.5 u * cap, f(a_k) - a_k/2 1.5, their
+difference 3, the u^2 terms under 1, and each half 2^-1075 if below
+2^-1021. As u * cap and 2^-1074 are at most ulp(cap), a computed gap of
+at least the margin 32 n^2 ulp(cap) leaves G >= 14 n^2 ulp(cap), and
+every other path's float sum at or above the diagonal's. So ``ALGORITHM``
+needs no tag of its own. On the tests' 297-row Cleveland-shaped table
+this settles all 43,956 pairs under the default symmetry vector and
+12,725 under the zero vector. Other orders p always run the programme.
 
 When every row's last death is the same cap c, a_{m+1} = b_{m+1} = c,
 the certificate reads only the first m deaths of each row. The pair
@@ -103,14 +107,11 @@ Every array the certificate reads or writes is row-major, indexed
 [k, offset, row], so its last axis, the rows, is contiguous and every
 operation streams through memory at unit stride. The deaths stored twice
 are therefore one C-order array of m rows by 2n columns, filled half by
-half. Concatenated from transposes, as it once was, that array was
-Fortran-ordered: every window then stepped 8 (m + 1) bytes (208 at the
-Cleveland width) from one row to the next. A block's cost is one
-reduction over its outer axis k, which numpy adds row by row, the
-programme's path order, when the block holds two or more pairs; every
-block does at _BLOCK_PAIRS = 1024 for any n up to 300,000. Over a
-contiguous k axis, or for a lone pair, numpy would add pairwise and round
-differently.
+half. A block's cost is one reduction over its outer axis k, which numpy
+adds row by row, the programme's path order, when the block holds two or
+more pairs; every block does at _BLOCK_PAIRS = 1024 for any n up to
+300,000. Over a contiguous k axis, or for a lone pair, numpy would add
+pairwise and round differently.
 """
 
 from __future__ import annotations
@@ -186,31 +187,28 @@ def _sorted_certificate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """At p = 1: which pairs the sorted full matching settles, and its cost.
 
-    ``a`` is one side as (deaths, deaths / 2, rise, -rise), with rise[k] =
-    deaths[k + 1] - deaths[k]; ``b`` is the other as (deaths, deaths / 2).
-    Each is indexed [k, ...] by death and broadcasts against the other
-    (rise one k shorter), so the row-only terms are computed once per row,
-    not once per pair. ``scratch`` is three arrays of the broadcast shape,
-    overwritten. A pair is settled when the canonical potential f proves
-    every other path of the programme at least ``margin`` dearer (see the
-    module docstring). The cost is the diagonal path of ``_dp_distances``,
-    summed in its order, which holds while k is the outer axis of a block
-    of two or more pairs (see the module docstring).
+    ``a`` is one side as (deaths, deaths / 2, rise, floor), with rise[k] =
+    deaths[k + 1] - deaths[k] and floor -rise then 0 for the last death;
+    ``b`` is the other as (deaths, deaths / 2). Each is indexed [k, ...] by
+    death and broadcasts against the other (rise one k shorter), so the
+    row-only terms are computed once per row, not once per pair.
+    ``scratch`` is three arrays of the broadcast shape, overwritten. A pair
+    is settled when the canonical potential f proves every other path of
+    the programme at least ``margin`` dearer. The cost is the diagonal path
+    of ``_dp_distances``, summed in its order, which holds while k is the
+    outer axis of a block of two or more pairs (see the module docstring).
     """
-    a, half_a, rise, fall = a
+    a, half_a, rise, floor = a
     b, half_b = b
     s, d, f = scratch
     np.subtract(a, b, out=s)
     np.abs(s, out=d)
-    np.maximum(s[:1], 0.0, out=f[:1])  # f(a_1) = (a_1 - b_1)+
-    np.minimum(s[1:], rise, out=f[1:])
-    np.maximum(f[1:], 0.0, out=f[1:])  # (a_{k+1} - max(a_k, b_{k+1}))+
-    step = s[:-1]  # a_k - b_k, no longer needed above
-    np.maximum(step, fall, out=step)
-    np.minimum(step, 0.0, out=step)  # -(min(b_k, a_{k+1}) - a_k)+
-    f[1:] += step
+    np.maximum(s, floor, out=f)
+    np.minimum(f[1:], rise, out=f[1:])  # C_k = clamp(a_k - b_k, -r_k, r_{k-1})
+    np.minimum(f, 0.0, out=s)  # min(C_k, 0): a_k - b_k is no longer needed
     for k in range(1, len(f)):
         f[k] += f[k - 1]
+    f -= s  # f(a_k) = C_1 + ... + C_k - min(C_k, 0)
     cost = np.add.reduce(d, axis=0, initial=0.0)  # row by row over k, the path order
     np.subtract(half_b, d, out=d)
     d += f  # f(b_k) + b_k/2, as f(b_k) = f(a_k) - |a_k - b_k|
@@ -244,7 +242,8 @@ def _fill_upper(deaths: np.ndarray, p: float, out: np.ndarray) -> int:
     twice[:, n:] = twice[:, :n]
     halves = twice * 0.5
     rise = np.subtract(twice[1:, :n], twice[:-1, :n])[:, None, :]
-    a = (twice[:, None, :n], halves[:, None, :n], rise, np.negative(rise))
+    floor = np.concatenate([np.negative(rise), np.zeros((min(cols, 1), 1, n))])  # -r_k, and 0 at the last rank
+    a = (twice[:, None, :n], halves[:, None, :n], rise, floor)
     # window delta, column i of twice is row (i + delta) % n: a view, no gather
     windows = [sliding_window_view(side, n, axis=1) for side in (twice, halves)]
     margin = 32 * width * width * float(np.spacing(deaths.max(initial=0.0)))

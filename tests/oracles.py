@@ -8,6 +8,9 @@ Diagram distances come from two general-diagram references in place of
 the package's DP over sorted deaths: ``wasserstein`` solves the augmented
 assignment problem of any two ``PersistenceDiagram``s with scipy, and
 ``brute_wasserstein`` enumerates every augmented bijection of small ones.
+``canonical_gap`` integrates the sorted certificate's potential exactly
+over the merged deaths of a pair, where the package clamps one rank at a
+time in floats.
 The k-NN reference classifies one query at one k with its own sort, where
 the package ranks a block of queries once for a whole grid of k, and the
 cross-validation reference ranks one fold at a time against the rows of
@@ -23,6 +26,7 @@ columns.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -158,6 +162,23 @@ def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p: float = 1.0) 
     rows, cols = linear_sum_assignment(cost)
     total = math.fsum(cost[rows, cols].tolist())
     return total ** (1.0 / p)
+
+
+def canonical_gap(a, b) -> Fraction:
+    """The gap G of the sorted certificate for two ascending death lists of one length, exactly.
+
+    f(x) is the integral over [0, x] of sign(F_B - F_A), where F_A and F_B
+    count the deaths <= t; it is integrated piece by piece between the
+    merged deaths, in ``Fraction``s. Returns
+    min_k (f(b_k) + b_k/2) - max_k (f(a_k) - a_k/2).
+    """
+    a, b = [Fraction(float(x)) for x in a], [Fraction(float(x)) for x in b]
+    points = sorted({Fraction(0), *a, *b})
+    f = {points[0]: Fraction(0)}
+    for lo, hi in zip(points, points[1:]):
+        below_a, below_b = sum(x <= lo for x in a), sum(x <= lo for x in b)
+        f[hi] = f[lo] + ((below_b > below_a) - (below_b < below_a)) * (hi - lo)
+    return min(f[x] + x / 2 for x in b) - max(f[x] - x / 2 for x in a)
 
 
 def _linf(a: np.ndarray, b: np.ndarray) -> float:

@@ -3,6 +3,8 @@ import logging
 import math
 import re
 import tracemalloc
+from fractions import Fraction
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -25,7 +27,7 @@ from topmix.preprocess import (
 from topmix.schema import load_schema
 
 from conftest import CLEVELAND_SCHEMA, synthetic_cleveland_rows
-from oracles import brute_bottleneck, brute_wasserstein, wasserstein
+from oracles import brute_bottleneck, brute_wasserstein, canonical_gap, wasserstein
 
 CAP = 10.0
 
@@ -310,6 +312,24 @@ def _programme(deaths, p=1.0):
     return metric._dp_distances(a, b_rev, p)
 
 
+def _terms(a):
+    """One side's certificate terms (deaths, deaths / 2, rise, floor), built as ``_fill_upper`` builds them."""
+    rise = a[1:] - a[:-1]
+    return a, a / 2, rise, np.concatenate([np.negative(rise), np.zeros((min(len(a), 1),) + a.shape[1:])])
+
+
+def _float_at_most(x):
+    """The largest float <= the Fraction x."""
+    near = float(x)
+    return near if near <= x else math.nextafter(near, -math.inf)
+
+
+def _float_above(x):
+    """The smallest float > the Fraction x."""
+    near = float(x)
+    return near if near > x else math.nextafter(near, math.inf)
+
+
 def _bits(values):
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
 
@@ -352,6 +372,8 @@ class TestSortedCertificate:
     @settings(max_examples=300, deadline=None)
     @given(_deaths_matrices())
     @example(np.array([[1.0, 10.0], [1.1, 30.0]]))  # a last column the rows do not share is never skipped
+    @example(np.array([[1.0], [3.0]]))  # the sorted and the diagonal path tie: G = 0
+    @example(np.array([[1.0], [np.nextafter(3.0, np.inf)]]))  # the sorted path loses by one ulp
     def test_every_entry_is_the_programmes(self, deaths):
         out = distance_matrix(deaths, 1.0)
         rows, cols = np.triu_indices(len(deaths), k=1)
@@ -377,11 +399,30 @@ class TestSortedCertificate:
         assert np.array_equal(_bits(out[rows, cols]), _bits(_programme(deaths)))
         assert np.array_equal(out, out.T)
 
+    @pytest.mark.parametrize("b", [3.0, np.nextafter(3.0, np.inf)], ids=["tie", "one-ulp-dearer"])
+    def test_near_ties_go_to_the_programme(self, b):
+        # 1 against b: the sorted path costs b - 1, both deaths to the diagonal 1/2 + b/2
+        assert _fill_upper_without_programme(np.array([[1.0], [b]]), np.zeros((2, 2))) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(_deaths_matrices())
+    @example(np.array([[1.0], [3.0]]))
+    def test_computed_gap_is_within_the_bound_of_the_exact_one(self, deaths):
+        # the module docstring bounds the computed gap's error by (4n + 13) u * cap + 2^-1074
+        width = deaths.shape[1]
+        assume(width)
+        for i, j in permutations(range(len(deaths)), 2):  # either orientation, as wrapped pairs reach it
+            a, b = deaths[i][:, None], deaths[j][:, None]
+            gap = canonical_gap(deaths[i], deaths[j])
+            bound = (4 * width + 13) * Fraction(max(a.max(), b.max())) / 2**53 + Fraction(1, 2**1074)
+            for margin, settled in ((_float_at_most(gap - bound), True), (_float_above(gap + bound), False)):
+                got, _ = metric._sorted_certificate(_terms(a), (b, b / 2), margin, np.empty((3, width, 1)))
+                assert got[0] == settled, (i, j, gap, margin)
+
     def test_non_optimal_sorted_matching_rejected(self):
         # sorted: |1 - 10| + |10 - 30| = 29; optimal: 10 with 10, 1/2 + 30/2 = 15.5
         a, b = np.array([[1.0], [10.0]]), np.array([[10.0], [30.0]])
-        rise = a[1:] - a[:-1]
-        settled, cost = metric._sorted_certificate((a, a / 2, rise, -rise), (b, b / 2), 0.0, np.empty((3, 2, 1)))
+        settled, cost = metric._sorted_certificate(_terms(a), (b, b / 2), 0.0, np.empty((3, 2, 1)))
         assert not settled[0]
         assert cost[0] == 29.0
         assert distance_matrix([[1.0, 10.0], [10.0, 30.0]], 1.0)[0, 1] == 15.5
@@ -416,8 +457,7 @@ class TestSortedCertificate:
         tiny = 2.0**-53
         a = np.repeat([[0.0], [0.0]] + [[0.75]] * 14, 2, axis=1)  # two pairs: k is a block's outer axis
         b = np.repeat([[0.75], [0.75]] + [[0.75 + tiny]] * 14, 2, axis=1)
-        rise = a[1:] - a[:-1]
-        _, cost = metric._sorted_certificate((a, a / 2, rise, -rise), (b, b / 2), 0.0, np.empty((3, 16, 2)))
+        _, cost = metric._sorted_certificate(_terms(a), (b, b / 2), 0.0, np.empty((3, 16, 2)))
         terms = np.abs(a[:, 0] - b[:, 0])
         in_order = 0.0
         for term in terms:
