@@ -7,7 +7,7 @@ Subcommands run pipeline prefixes, honoring caches:
   diagrams   compute every row's diagram deaths, exported to diagrams.npy
   distances  compute the pairwise distance matrix, cached as distances.npy
              with rows.npy, or serve it from that cache without parsing the
-             table
+             table (these two say whether the pipeline wrote the .npy file)
   inspect    print one row's point cloud (built only for this display),
              diagram, and the nearest neighbors and vote at the k that
              classify uses, among the rows of another group under the
@@ -91,45 +91,30 @@ def _cmd_classify(config) -> int:
     return 0
 
 
-def _cache_file_identity(config, name: str) -> tuple[int, int] | None:
-    """The inode and mtime of cache file ``name``; None without it or without a cache dir."""
-    if config.cache_dir is None:
-        return None
-    try:
-        stat = (config.cache_dir / name).stat()
-    except OSError:
-        return None
-    return stat.st_ino, stat.st_mtime_ns
-
-
-def _print_cache_file(config, name: str, before: tuple[int, int] | None) -> None:
-    """Say whether the command wrote cache file ``name``: a written file was renamed in, a new inode."""
+def _print_cache_file(config, name: str, written: bool) -> None:
+    """Say whether the command wrote cache file ``name``, as the pipeline decided; nothing without a cache dir."""
     if config.cache_dir is None:
         return
     path = config.cache_dir / name
-    if _cache_file_identity(config, name) != before:
-        print(f"written to {path}")
-    else:
-        print(f"{path} is up to date")
+    print(f"written to {path}" if written else f"{path} is up to date")
 
 
 def _cmd_diagrams(config) -> int:
-    before = _cache_file_identity(config, "diagrams.npy")
     diagram_set = compute_diagrams(config)
     deaths = diagram_set.deaths
     print(
         f"{deaths.shape[0]} diagrams, {deaths.size} pairs, "
         f"maxscale {diagram_set.maxscale!r}"
     )
-    _print_cache_file(config, "diagrams.npy", before)
+    _print_cache_file(config, "diagrams.npy", diagram_set.exported)
     return 0
 
 
 def _cmd_distances(config) -> int:
-    before = _cache_file_identity(config, "distances.npy")
-    matrix = compute_distances(config)[1]
+    diagram_set, matrix = compute_distances(config)
     print(f"{matrix.shape[0]}x{matrix.shape[1]} distance matrix")
-    _print_cache_file(config, "distances.npy", before)
+    # a cache miss computes the diagrams (prepared is set) and rewrites the cache; a hit writes nothing
+    _print_cache_file(config, "distances.npy", diagram_set.prepared is not None)
     return 0
 
 

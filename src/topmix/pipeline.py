@@ -11,7 +11,8 @@ fingerprinted are the bytes parsed.
 This module alone reads and writes run files. ``_replace`` alone creates
 one: through a temporary file and a rename, so a file holds its old
 content or all of the new. ``_write_artifact`` replaces a file only when
-it holds other bytes, so a warm re-run writes nothing. It writes the
+it holds other bytes, so a warm re-run writes nothing, and says whether
+it wrote (for ``diagrams.npy``, ``DiagramSet.exported``). It writes the
 report files in ``out_dir`` and, from ``compute_diagrams`` alone,
 ``diagrams.npy`` (never read back; hashed in parts) and its manifest.
 
@@ -517,20 +518,22 @@ def _replace(path: Path, *parts: bytes | memoryview) -> None:
         raise
 
 
-def _write_artifact(path: Path, *parts: bytes | memoryview) -> None:
+def _write_artifact(path: Path, *parts: bytes | memoryview) -> bool:
     """Give ``path`` the content ``parts``, joined, writing only when it holds other bytes.
 
     A file that already holds exactly that content is left alone, mtime
     included; any other content, or no file, is replaced through
-    ``_replace``. Parts are compared by ``bytes.startswith``, a memcmp.
+    ``_replace``. Returns whether it wrote. Parts are compared by
+    ``bytes.startswith``, a memcmp.
     """
     try:
         with open(path, "rb") as fh:
             if all(fh.read(len(part)).startswith(part) for part in parts) and not fh.read(1):  # not extended
-                return
+                return False
     except OSError:  # missing or unreadable: written below, or the write says why not
         pass
     _replace(path, *parts)
+    return True
 
 
 @dataclass
@@ -541,6 +544,7 @@ class DiagramSet:
     prepared: PreparedData | None  # None when served from the distance cache
     fingerprint: str  # features_fingerprint of the run's config and inputs
     rows_dropped: int  # incomplete rows the parser skipped
+    exported: bool = False  # whether compute_diagrams wrote diagrams.npy (its manifest aside)
 
     @property
     def rows_kept(self) -> int:
@@ -569,17 +573,18 @@ def compute_diagrams(config: ExperimentConfig, inputs: RunInputs | None = None) 
     with _stage("diagrams"):
         deaths, maxscale = dim0_diagrams(prepared.features.values, config.maxscale, config.maxscale_safety)
         labels, dropped = prepared.features.labels, prepared.parse_report.dropped_rows
+        exported = False
         if config.cache_dir is not None:
             export = config.cache_dir / "diagrams.npy"
             header, data = _npy_parts(deaths)  # written and hashed in turn, as save_distance_matrix does
-            _write_artifact(export, header, data)
+            exported = _write_artifact(export, header, data)
             digest = hashlib.sha256(header)
             digest.update(data)
             _write_artifact(export.with_suffix(".manifest.json"), _manifest_text({
                 "bytes": len(header) + len(data), "fingerprint": inputs.fingerprint, "maxscale": maxscale,
                 "safety": config.maxscale_safety, "sha256": digest.hexdigest(), "version": __version__,
             }).encode())
-    return DiagramSet(deaths, maxscale, labels, prepared, inputs.fingerprint, dropped)
+    return DiagramSet(deaths, maxscale, labels, prepared, inputs.fingerprint, dropped, exported)
 
 
 def compute_distances(config: ExperimentConfig, inputs: RunInputs | None = None) -> tuple[DiagramSet, np.ndarray]:

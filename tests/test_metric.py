@@ -465,6 +465,21 @@ class TestSortedCertificate:
         assert np.sum(terms) != in_order  # the two orders round differently here
         assert np.array_equal(_bits(cost), _bits([in_order, in_order]))
 
+    def test_every_certificate_call_holds_two_pairs(self):
+        # a lone pair would reduce over a contiguous k axis, pairwise, not in path order
+        certificate, pairs = metric._sorted_certificate, []
+
+        def recording(a, b, margin, scratch):
+            pairs.append(math.prod(scratch[0].shape[1:]))
+            return certificate(a, b, margin, scratch)
+
+        rng = np.random.default_rng(3)
+        with mock.patch.object(metric, "_sorted_certificate", recording):
+            for n in [*range(2, 80), 511, 512, 513, 1024, 1025]:
+                del pairs[:]
+                _fill_upper_without_programme(np.sort(rng.random((n, 3)), axis=1), np.zeros((n, n)))
+                assert pairs and min(pairs) >= 2, (n, pairs)
+
     def test_every_pair_settled_on_cleveland_shaped_table(self, tmp_path):
         path = tmp_path / "synth.csv"
         path.write_text("\n".join(synthetic_cleveland_rows()) + "\n", encoding="utf-8")

@@ -25,6 +25,7 @@ from topmix.pipeline import (
     prepare_features,
     run_pipeline,
     save_distance_matrix,
+    _write_artifact,
 )
 
 from conftest import CLEVELAND_SCHEMA, REPO_ROOT, synthetic_cleveland_rows, write_config
@@ -581,6 +582,25 @@ class TestRunPipeline:
         assert manifest.read_bytes() == first
         assert export.stat().st_mtime_ns == 0
 
+    @pytest.mark.parametrize(
+        "before", [None, b"header and DATA", b"header and data, extended"], ids=["missing", "other", "extended"]
+    )
+    def test_write_artifact_says_it_wrote(self, tmp_path, before):
+        path = tmp_path / "artifact"
+        if before is not None:
+            path.write_bytes(before)
+        assert _write_artifact(path, b"header", b" and ", b"data") is True
+        assert path.read_bytes() == b"header and data"
+
+    def test_write_artifact_leaves_identical_bytes_and_says_so(self, tmp_path):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"header and data")
+        os.utime(path, ns=(0, 0))
+        parts = [memoryview(b"header"), memoryview(b" and "), memoryview(bytearray(b"data"))]
+        assert _write_artifact(path, *parts) is False
+        assert path.stat().st_mtime_ns == 0
+        assert path.read_bytes() == b"header and data"
+
     def test_distance_cache_of_another_algorithm_is_stale(self, tmp_path, caplog):
         data, schema = _synth_files(tmp_path, n=20)
         config = load_experiment_config(_config_for(tmp_path, data, schema, k_grid=[1, 3]))
@@ -983,6 +1003,34 @@ class TestCli:
         path.write_bytes(b"damaged")
         assert cli_main([command, "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == first
+
+    def test_diagrams_under_the_default_vector_given_explicitly_is_up_to_date(self, tmp_path, capsys):
+        data, schema = _synth_files(tmp_path, n=20)
+        path = tmp_path / "cache" / "diagrams.npy"
+        assert cli_main(["diagrams", "--config", str(_config_for(tmp_path, data, schema))]) == 0
+        capsys.readouterr()
+        manifest = path.with_suffix(".manifest.json").read_bytes()
+        m = np.load(path).shape[1] - 1
+        vector = np.arange(5.0, m + 5.0).tolist()  # the default vector, named by value
+        cfg = _config_for(tmp_path, data, schema, name="explicit.json", symmetry_vector=vector)
+        assert cli_main(["diagrams", "--config", str(cfg)]) == 0
+        # the fingerprint changes, so the manifest is rewritten; the message is about diagrams.npy alone
+        assert path.with_suffix(".manifest.json").read_bytes() != manifest
+        assert capsys.readouterr().out.endswith(f"\n{path} is up to date\n")
+
+    def test_distances_after_a_deleted_manifest_reports_the_cache_file_written(self, tmp_path, capsys):
+        data, schema = _synth_files(tmp_path, n=20)
+        cfg = _config_for(tmp_path, data, schema)
+        path = tmp_path / "cache" / "distances.npy"
+        assert cli_main(["distances", "--config", str(cfg)]) == 0
+        first = capsys.readouterr().out
+        content = path.read_bytes()
+        (tmp_path / "cache" / "distances.manifest.json").unlink()
+        assert cli_main(["distances", "--config", str(cfg)]) == 0
+        # the same bytes, rewritten by the cache miss
+        assert capsys.readouterr().out == first
+        assert first.endswith(f"written to {path}\n")
+        assert path.read_bytes() == content
 
     def test_distances_deterministic_bytes(self, tmp_path, capsys):
         data, schema = _synth_files(tmp_path, n=20)
