@@ -52,27 +52,35 @@ and N_k is 0, so one clamp per rank gives both, without merging a and b:
     C_k = clamp(s_k, -r_k, r_{k-1}) = P_k + N_k,   N_k = min(C_k, 0),
     f(a_k) = C_1 + ... + C_k - N_k,   f(b_k) = f(a_k) - |s_k|.
 
-A settled pair's distance is the diagonal path summed in the programme's
-order, ((|a_1 - b_1| + |a_2 - b_2|) + ...), and it is bit-identical to
-the programme's result. Rounding is monotone (x <= y implies
-fl(x + c) <= fl(y + c)), so by induction each D[i][j] is the least, over
-the paths to (i, j), of that path's terms summed in floats in path
-order. A path of at most 2n terms is summed within a relative
-gamma = 2n u (u = 2^-53): one that costs at least 2 gamma S / (1 - gamma)
-~ 4 n^2 u * cap more than the sorted cost S <= n * cap, cap the largest
-death, sums in floats to no less. For n < 2^20 the computed gap is within
-(4n + 13) u * cap + 2^-1074 of G. The C_k are off by (n + 2) u * cap in
-all: s_k and r_k round by u |s_k| and u r_k, a clamp moves no further
-than its arguments, and the r_k sum to at most cap. The n - 1 prefix
-sums and f(a_k), all in [-cap, cap], round by n u * cap more, in both gap
-terms; f(b_k) + b_k/2 adds 3.5 u * cap, f(a_k) - a_k/2 1.5, their
-difference 3, the u^2 terms under 1, and each half 2^-1075 if below
-2^-1021. As u * cap and 2^-1074 are at most ulp(cap), a computed gap of
-at least the margin 32 n^2 ulp(cap) leaves G >= 14 n^2 ulp(cap), and
-every other path's float sum at or above the diagonal's. So ``ALGORITHM``
-needs no tag of its own. On the tests' 297-row Cleveland-shaped table
-this settles all 43,956 pairs under the default symmetry vector and
-12,725 under the zero vector. Other orders p always run the programme.
+A settled pair's distance is the diagonal path summed in float64 in the
+programme's order, ((|a_1 - b_1| + |a_2 - b_2|) + ...), and it is
+bit-identical to the programme's result. Rounding is monotone (x <= y
+implies fl(x + c) <= fl(y + c)), so by induction each D[i][j] is the
+least, over the paths to (i, j), of that path's terms summed in floats in
+path order. A path of at most 2n terms is summed within a relative
+gamma = 2n 2^-53: one that costs at least 2 gamma S / (1 - gamma)
+~ 4 n^2 2^-53 cap more than the sorted cost S <= n cap, cap the largest
+death, sums in floats to no less.
+
+The gap is computed in float32 (u = 2^-24) on the deaths scaled by 2^-e,
+2^(e-1) <= cap < 2^e. They lie in [0, 1), and after the cast to float32
+each is off its exact value by at most u. That moves s_k and r_k
+by 2u, C_k (a clamp moves no further than its arguments) by 2u, f(a_k)
+by 2nu and G by (4n + 3) u. On the rounded deaths, while (n + 2) u <= 1,
+the computed gap is within (4n + 12) u + 24 (n + 2)^2 u^2 + 2^-149 of
+their G. The C_k are off by (n + 2) u in all: s_k and r_k round by
+u |s_k| and u r_k, and the r_k sum to at most 1. The n - 1 prefix sums
+and f(a_k), all in [-1, 1], round by n u more, in both gap terms;
+f(b_k) + b_k/2 adds 3.5 u, f(a_k) - a_k/2 1.5, their difference 3, and
+each half 2^-150 if subnormal. The margin (8n + 16) u + 32 (n + 2)^2 u^2,
+rounded to float32 within 3 (n + 2)^2 u^2, thus settles a pair only if
+G >= 14 n^2 2^(e - 53): that is 14 n^2 ulp(cap) for a normal cap, and
+more than the 4 n^2 2^-53 cap / (1 - gamma) above. If (n + 2) u > 1 the
+margin exceeds 2, and no computed gap does: its k = 1 terms are at most
+1/2 + 2u and at least -1/2. So ``ALGORITHM`` needs no tag of its own. On
+the tests' 297-row Cleveland-shaped table this settles all 43,956 pairs
+under the default symmetry vector and 12,725 under the zero vector.
+Other orders p always run the programme.
 
 When every row's last death is the same cap c, a_{m+1} = b_{m+1} = c,
 the certificate reads only the first m deaths of each row. The pair
@@ -83,7 +91,8 @@ a_m <= b_m, then f(c) + c/2 = f(b_m) + c/2 >= f(b_m) + b_m/2; if
 a_m > b_m, f rises with slope +1 from b_m to a_m, so f(c) >= f(b_m) and
 the same holds. Likewise f(c) - c/2 <= f(a_m) - a_m/2. The cap's two gap
 terms are thus dominated by the m-th ones, and G is the same with or
-without them. The margin is still computed from the full width and the
+without them. (At m = 0 the gap is +inf: each cost is +0, which no path
+undercuts.) The margin is still computed from the full width and the
 largest death, so it covers the computed gap over m columns as well.
 
 Pairs are enumerated by cyclic offset, so the certificate reads views of
@@ -134,9 +143,10 @@ ALGORITHM = "zero-birth-dp"
 # Pairs per vectorised DP call, at most: larger calls cost memory (~3 KB
 # per pair for 26-point diagrams) without running faster. A block of the
 # sorted certificate spans at most _BLOCK_PAIRS / 2 rows (n split evenly)
-# and as many whole offsets as 2 * _BLOCK_PAIRS pairs hold, at least one.
-# So its three work arrays hold at most 6 * _BLOCK_PAIRS diagrams' worth
-# of values, and the row terms a block reads stay cache-sized at any n.
+# and as many whole offsets as 4 * _BLOCK_PAIRS pairs hold, at least one.
+# So its three float32 work arrays, two of which also hold its float64
+# steps, hold at most 12 * _BLOCK_PAIRS diagrams' worth of values, and the
+# row terms a block reads stay cache-sized at any n.
 _BLOCK_PAIRS = 1024
 
 # Rows per step when the upper triangle is mirrored into the lower: each
@@ -187,21 +197,28 @@ def _sorted_certificate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """At p = 1: which pairs the sorted full matching settles, and its cost.
 
-    ``a`` is one side as (deaths, deaths / 2, rise, floor), with rise[k] =
-    deaths[k + 1] - deaths[k] and floor -rise then 0 for the last death;
-    ``b`` is the other as (deaths, deaths / 2). Each is indexed [k, ...] by
-    death and broadcasts against the other (rise one k shorter), so the
-    row-only terms are computed once per row, not once per pair.
-    ``scratch`` is three arrays of the broadcast shape, overwritten. A pair
-    is settled when the canonical potential f proves every other path of
-    the programme at least ``margin`` dearer. The cost is the diagonal path
-    of ``_dp_distances``, summed in its order, which holds while k is the
-    outer axis of a block of two or more pairs (see the module docstring).
+    ``a`` is one side as (deaths, scaled, scaled / 2, rise, floor): the
+    float64 deaths, then float32 terms of the deaths scaled as in
+    ``_fill_upper``, with rise[k] = scaled[k + 1] - scaled[k] and floor
+    -rise then 0 for the last death; ``b`` is the other as (deaths, scaled,
+    scaled / 2). Each is indexed [k, ...] by death and broadcasts against
+    the other (rise one k shorter), so the row-only terms are computed once
+    per row, not once per pair. ``scratch`` is three float32 arrays and one
+    float64 of the broadcast shape, overwritten; the float64 one may share
+    the memory of the first two, as it is read before they are written. A
+    pair is settled when the canonical potential f, in float32, proves
+    every other path of the programme at least ``margin`` (scaled) dearer.
+    The cost is the diagonal path of ``_dp_distances`` in float64, summed
+    in its order, which holds while k is the outer axis of a block of two
+    or more pairs (see the module docstring).
     """
-    a, half_a, rise, floor = a
-    b, half_b = b
-    s, d, f = scratch
-    np.subtract(a, b, out=s)
+    a, a32, half_a, rise, floor = a
+    b, b32, half_b = b
+    s, d, f, steps = scratch
+    np.subtract(a, b, out=steps)
+    np.abs(steps, out=steps)
+    cost = np.add.reduce(steps, axis=0, initial=0.0)  # row by row over k, the path order
+    np.subtract(a32, b32, out=s)
     np.abs(s, out=d)
     np.maximum(s, floor, out=f)
     np.minimum(f[1:], rise, out=f[1:])  # C_k = clamp(a_k - b_k, -r_k, r_{k-1})
@@ -209,7 +226,6 @@ def _sorted_certificate(
     for k in range(1, len(f)):
         f[k] += f[k - 1]
     f -= s  # f(a_k) = C_1 + ... + C_k - min(C_k, 0)
-    cost = np.add.reduce(d, axis=0, initial=0.0)  # row by row over k, the path order
     np.subtract(half_b, d, out=d)
     d += f  # f(b_k) + b_k/2, as f(b_k) = f(a_k) - |a_k - b_k|
     hi = np.minimum.reduce(d, axis=0, initial=np.inf)
@@ -227,31 +243,35 @@ def _fill_upper(deaths: np.ndarray, p: float, out: np.ndarray) -> int:
     certificate settles what it can of each block of offsets; the
     programme runs on the rest of the block, at most _BLOCK_PAIRS pairs
     per call, and on every pair when p != 1. The certificate's scratch
-    lives in one buffer reused by every block: fresh arrays of that size
+    lives in buffers reused by every block: fresh arrays of that size
     cost more in page faults than in arithmetic.
     """
     n, width = deaths.shape
     offsets = n // 2
     runs = -(-n // max(1, _BLOCK_PAIRS // 2))
     span = -(-n // runs)  # rows per block: n split evenly into runs of at most _BLOCK_PAIRS / 2
-    per_block = max(1, min(offsets, 2 * _BLOCK_PAIRS // span))
+    per_block = max(1, min(offsets, 4 * _BLOCK_PAIRS // span))
     # a cap every row shares adds +0 to each cost and never decides a gap
     cols = width - 1 if width and (deaths[:, -1] == deaths[0, -1]).all() else width
     twice = np.empty((cols, 2 * n))  # row-major: every window steps through memory at unit stride
     twice[:, :n] = deaths[:, :cols].T
     twice[:, n:] = twice[:, :n]
-    halves = twice * 0.5
-    rise = np.subtract(twice[1:, :n], twice[:-1, :n])[:, None, :]
-    floor = np.concatenate([np.negative(rise), np.zeros((min(cols, 1), 1, n))])  # -r_k, and 0 at the last rank
-    a = (twice[:, None, :n], halves[:, None, :n], rise, floor)
+    # the gap terms are float32, on the deaths scaled by a power of two into [0, 1): none overflows
+    scaled = np.ldexp(twice, -math.frexp(deaths.max(initial=0.0))[1]).astype(np.float32)
+    halves = scaled * 0.5
+    rise = np.subtract(scaled[1:, :n], scaled[:-1, :n])[:, None, :]
+    floor = np.concatenate([np.negative(rise), np.zeros((min(cols, 1), 1, n), np.float32)])  # -r_k, 0 at the last rank
+    a = (twice[:, None, :n], scaled[:, None, :n], halves[:, None, :n], rise, floor)
     # window delta, column i of twice is row (i + delta) % n: a view, no gather
-    windows = [sliding_window_view(side, n, axis=1) for side in (twice, halves)]
-    margin = 32 * width * width * float(np.spacing(deaths.max(initial=0.0)))
+    windows = [sliding_window_view(side, n, axis=1) for side in (twice, scaled, halves)]
+    u = 2.0**-24
+    margin = (8 * width + 16 + 32 * (width + 2) ** 2 * u) * u  # on the scaled gap: see the module docstring
     # Sized to the bound and the full width, not to this n or the columns
     # read (a shared cap is skipped): glibc raises its mmap threshold to
     # the largest block freed, and a smaller buffer here left later warm runs
     # in the same process ~20% slower (k-fold on 297 rows, measured).
-    work = np.empty((3, width * 2 * _BLOCK_PAIRS))
+    work = np.empty((3, width * 4 * _BLOCK_PAIRS), np.float32)
+    buffers = [*work, work[:2].reshape(-1).view(np.float64)]  # the float64 steps reuse the first two
     flat = out.reshape(-1)
     programmed = 0
     for first in range(1, offsets + 1, per_block):
@@ -262,7 +282,7 @@ def _fill_upper(deaths: np.ndarray, p: float, out: np.ndarray) -> int:
             for i0 in range(0, n, span):
                 i1 = min(i0 + span, n)
                 shape = (cols, stop - first, i1 - i0)
-                scratch = [buffer[: math.prod(shape)].reshape(shape) for buffer in work]
+                scratch = [buffer[: math.prod(shape)].reshape(shape) for buffer in buffers]
                 run_a = [term[..., i0:i1] for term in a]
                 run_b = [w[:, first:stop, i0:i1] for w in windows]
                 settled[:, i0:i1], cost[:, i0:i1] = _sorted_certificate(run_a, run_b, margin, scratch)

@@ -4,7 +4,6 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -312,22 +311,44 @@ def _programme(deaths, p=1.0):
     return metric._dp_distances(a, b_rev, p)
 
 
-def _terms(a):
-    """One side's certificate terms (deaths, deaths / 2, rise, floor), built as ``_fill_upper`` builds them."""
-    rise = a[1:] - a[:-1]
-    return a, a / 2, rise, np.concatenate([np.negative(rise), np.zeros((min(len(a), 1),) + a.shape[1:])])
+def _sides(a, b):
+    """Both sides' certificate terms and a scratch for them, built as ``_fill_upper`` builds them:
+    (deaths, scaled, scaled / 2, rise, floor) and (deaths, scaled, scaled / 2), the float32 terms
+    on the deaths scaled by 2^-e, 2^(e-1) <= the largest death < 2^e."""
+    e = math.frexp(max(a.max(initial=0.0), b.max(initial=0.0)))[1]
+    a32, b32 = np.ldexp(a, -e).astype(np.float32), np.ldexp(b, -e).astype(np.float32)
+    rise = a32[1:] - a32[:-1]
+    floor = np.concatenate([np.negative(rise), np.zeros((min(len(a), 1),) + a.shape[1:], np.float32)])
+    scratch = [*np.empty((3,) + b.shape, np.float32), np.empty(b.shape)]
+    return (a, a32, a32 / 2, rise, floor), (b, b32, b32 / 2), scratch
 
 
-def _float_at_most(x):
-    """The largest float <= the Fraction x."""
-    near = float(x)
-    return near if near <= x else math.nextafter(near, -math.inf)
+def _gap_bound(width):
+    """The module docstring's bound on the float32 gap's error, on deaths scaled by 2^-e with
+    2^(e-1) <= the largest death < 2^e: (8n + 15) u + 24 (n + 2)^2 u^2 + 2^-149, u = 2^-24."""
+    u = Fraction(1, 2**24)
+    return (8 * width + 15) * u + 24 * (width + 2) ** 2 * u**2 + Fraction(1, 2**149)
 
 
-def _float_above(x):
-    """The smallest float > the Fraction x."""
-    near = float(x)
-    return near if near > x else math.nextafter(near, math.inf)
+def _assert_margin_leaves_the_proof_its_gap(margin, width):
+    """A computed gap at or above ``margin``, as the float32 compare rounds it, leaves G >= 14 n^2 2^-53 (scaled)."""
+    assert Fraction(float(np.float32(margin))) >= _gap_bound(width) + 14 * width**2 * Fraction(1, 2**53)
+
+
+def _float32_at_most(x):
+    """The largest float32 <= the Fraction x, as a float."""
+    near = np.float32(float(x))
+    while Fraction(float(near)) > x:
+        near = np.nextafter(near, np.float32(-np.inf))
+    return float(near)
+
+
+def _float32_above(x):
+    """The smallest float32 > the Fraction x, as a float."""
+    near = np.float32(float(x))
+    while Fraction(float(near)) <= x:
+        near = np.nextafter(near, np.float32(np.inf))
+    return float(near)
 
 
 def _bits(values):
@@ -368,16 +389,43 @@ def _deaths_matrices(draw, max_rows=7, max_width=6):
     return deaths
 
 
+@st.composite
+def _near_tie_matrices(draw, max_rows=5, max_width=6):
+    """Rows on a grid of halves, where the sorted path often ties another (G = 0), each death then
+    nudged by up to 64 float32 units of 8: gaps on either side of the certificate's margin."""
+    n, width = draw(st.integers(2, max_rows)), draw(st.integers(1, max_width))
+    grid = draw(st.lists(st.integers(0, 16), min_size=n * width, max_size=n * width))
+    nudge = draw(st.lists(st.integers(-64, 64), min_size=n * width, max_size=n * width))
+    deaths = np.array(grid) / 2 + np.array(nudge) * 2.0**-24 * 8
+    return np.sort(np.abs(deaths).reshape(n, width), axis=1)
+
+
 class TestSortedCertificate:
     @settings(max_examples=300, deadline=None)
     @given(_deaths_matrices())
     @example(np.array([[1.0, 10.0], [1.1, 30.0]]))  # a last column the rows do not share is never skipped
     @example(np.array([[1.0], [3.0]]))  # the sorted and the diagonal path tie: G = 0
     @example(np.array([[1.0], [np.nextafter(3.0, np.inf)]]))  # the sorted path loses by one ulp
+    @example(np.array([[5e-324, 5e-324], [5e-324, 1.5e-323]]))  # a subnormal largest death: 2^-e overflows
     def test_every_entry_is_the_programmes(self, deaths):
         out = distance_matrix(deaths, 1.0)
         rows, cols = np.triu_indices(len(deaths), k=1)
         assert np.array_equal(_bits(out[rows, cols]), _bits(_programme(deaths)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_near_tie_matrices())
+    def test_near_margin_pairs_settle_only_as_the_proof_allows(self, deaths):
+        # a settled pair's exact gap is at least 14 n^2 2^(e - 53), and its entry is the programme's
+        n, width = deaths.shape
+        out = np.zeros((n, n))
+        _fill_upper_without_programme(deaths, out)
+        rows, cols = np.triu_indices(n, k=1)
+        settled = ~np.isnan(out[rows, cols])
+        assert np.array_equal(_bits(out[rows, cols][settled]), _bits(_programme(deaths)[settled]))
+        if width == 1 and (deaths == deaths[0]).all():
+            return  # one shared cap, skipped: no gap term is left, and every cost is +0
+        least = 14 * width**2 * Fraction(2) ** (math.frexp(deaths.max())[1] - 53)
+        assert all(canonical_gap(deaths[i], deaths[j]) >= least for i, j in zip(rows[settled], cols[settled]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 10), st.lists(st.floats(0.0, 40.0), min_size=2, max_size=14), st.randoms())
@@ -407,22 +455,58 @@ class TestSortedCertificate:
     @settings(max_examples=300, deadline=None)
     @given(_deaths_matrices())
     @example(np.array([[1.0], [3.0]]))
+    @example(np.array([[0.0, 1e-300, 1e300], [1e-200, 2e-200, 2e300]]))
     def test_computed_gap_is_within_the_bound_of_the_exact_one(self, deaths):
-        # the module docstring bounds the computed gap's error by (4n + 13) u * cap + 2^-1074
-        width = deaths.shape[1]
+        # the float32 gap, on the deaths as _fill_upper scales them, is within _gap_bound of the exact
+        # one, and the margin above that bound settles only pairs whose float sums keep the order
+        # of their exact costs
+        n, width = deaths.shape
         assume(width)
-        for i, j in permutations(range(len(deaths)), 2):  # either orientation, as wrapped pairs reach it
-            a, b = deaths[i][:, None], deaths[j][:, None]
-            gap = canonical_gap(deaths[i], deaths[j])
-            bound = (4 * width + 13) * Fraction(max(a.max(), b.max())) / 2**53 + Fraction(1, 2**1074)
-            for margin, settled in ((_float_at_most(gap - bound), True), (_float_above(gap + bound), False)):
-                got, _ = metric._sorted_certificate(_terms(a), (b, b / 2), margin, np.empty((3, width, 1)))
-                assert got[0] == settled, (i, j, gap, margin)
+        scale, bound = Fraction(2) ** -math.frexp(deaths.max())[1], _gap_bound(width)
+        certificate, visited = metric._sorted_certificate, []
+
+        def each_pair(a, b, margin, scratch):
+            _assert_margin_leaves_the_proof_its_gap(margin, width)
+            for offset, row in np.ndindex(scratch[0].shape[1:]):
+                one_a = [term[:, :, row : row + 1] for term in a]
+                one_b = [term[:, offset : offset + 1, row : row + 1] for term in b]
+                one_scratch = [buffer[:, :1, :1] for buffer in scratch]
+                visited.append((offset, row))
+                if not len(a[0]):
+                    continue  # a shared cap alone: no gap terms
+                gap = canonical_gap(one_a[0].ravel(), one_b[0].ravel()) * scale
+                for margin, settled in ((_float32_at_most(gap - bound), True), (_float32_above(gap + bound), False)):
+                    got, _ = certificate(one_a, one_b, margin, one_scratch)
+                    assert got.ravel()[0] == settled, (offset, row, gap, margin)
+            return certificate(a, b, margin, scratch)
+
+        with mock.patch.object(metric, "_sorted_certificate", each_pair):
+            # the reversed rows meet each pair in the other orientation, as wrapped pairs reach it
+            for matrix in (deaths, deaths[::-1]):
+                _fill_upper_without_programme(matrix, np.zeros((n, n)))
+        assert len(visited) >= n * (n - 1)
+
+    @pytest.mark.parametrize("width", [1, 26, 1024])
+    def test_margin_leaves_the_proof_its_gap_at_any_width(self, width):
+        # at 1,024 deaths per row the margin's u^2 term is needed
+        certificate, margins = metric._sorted_certificate, []
+
+        def recording(a, b, margin, scratch):
+            margins.append(margin)
+            return certificate(a, b, margin, scratch)
+
+        deaths = np.sort(np.random.default_rng(0).random((2, width)), axis=1)
+        with mock.patch.object(metric, "_sorted_certificate", recording):
+            _fill_upper_without_programme(deaths, np.zeros((2, 2)))
+        assert margins
+        for margin in margins:
+            _assert_margin_leaves_the_proof_its_gap(margin, width)
 
     def test_non_optimal_sorted_matching_rejected(self):
         # sorted: |1 - 10| + |10 - 30| = 29; optimal: 10 with 10, 1/2 + 30/2 = 15.5
         a, b = np.array([[1.0], [10.0]]), np.array([[10.0], [30.0]])
-        settled, cost = metric._sorted_certificate(_terms(a), (b, b / 2), 0.0, np.empty((3, 2, 1)))
+        side_a, side_b, scratch = _sides(a, b)
+        settled, cost = metric._sorted_certificate(side_a, side_b, 0.0, scratch)
         assert not settled[0]
         assert cost[0] == 29.0
         assert distance_matrix([[1.0, 10.0], [10.0, 30.0]], 1.0)[0, 1] == 15.5
@@ -433,9 +517,12 @@ class TestSortedCertificate:
         # rows without a shared last column, then the same rows with a shared cap appended
         assume(not deaths.shape[1] or (deaths[:, -1] != deaths[0, -1]).any())
         n, width = deaths.shape
-        capped = np.column_stack([deaths, np.full(n, 11.0)])
-        # the margin grows with the width and the largest death: hold both runs to the capped one's
-        margin = 32 * (width + 1) ** 2 * float(np.spacing(11.0))
+        # a cap in the binade of the largest death: both runs scale the deaths by the same power of two
+        cap = math.ldexp(1 - 2**-53, math.frexp(deaths.max(initial=0.0))[1])
+        capped = np.column_stack([deaths, np.full(n, cap)])
+        # the margin grows with the width: hold both runs to the capped one's
+        u = 2.0**-24
+        margin = (8 * (width + 1) + 16 + 32 * (width + 3) ** 2 * u) * u
         certificate, calls, outs = metric._sorted_certificate, [], []
 
         def at_capped_margin(a, b, given_margin, scratch):
@@ -451,13 +538,34 @@ class TestSortedCertificate:
         rows, cols = np.triu_indices(n, k=1)  # NaN where programmed, in both runs alike
         assert np.array_equal(_bits(outs[0][rows, cols]), _bits(outs[1][rows, cols]))
 
+    @pytest.mark.parametrize("top", [1e-300, 1.0, 1e300, np.finfo(np.float64).max])
+    def test_extreme_deaths_are_scaled_not_overflowed(self, top):
+        # rows spanning 300 decades below top: cast unscaled, the large deaths overflow float32 and the small
+        # flush to 0; every pair whose exact gap is a thousandth of the largest death must still settle
+        rng = np.random.default_rng(5)
+        deaths = np.sort(top * np.vstack([rng.uniform(0.5, 1.0, (6, 4)), 10.0 ** rng.uniform(-300, 0, (6, 4))]), axis=1)
+        deaths = deaths[rng.permutation(len(deaths))]
+        n = len(deaths)
+        out = np.zeros((n, n))
+        with np.errstate(over="ignore"):  # as in distance_matrix: a cost may overflow to inf
+            _fill_upper_without_programme(deaths, out)
+            want = _programme(deaths)
+        rows, cols = np.triu_indices(n, k=1)
+        settled = ~np.isnan(out[rows, cols])
+        assert np.array_equal(_bits(out[rows, cols][settled]), _bits(want[settled]))
+        gaps = [canonical_gap(deaths[i], deaths[j]) for i, j in zip(rows, cols)]
+        assert all(gap > 0 for gap, done in zip(gaps, settled) if done)  # no pair settled through inf or NaN
+        wide = np.array([gap >= Fraction(deaths.max()) / 1000 for gap in gaps])
+        assert wide.sum() >= 10 and settled[wide].all()
+
     def test_cost_is_summed_in_path_order(self):
         # after 0.75 + 0.75 each 2^-53 is half an ulp and rounds away in path order, as in
         # _dp_distances; numpy's pairwise sum over a contiguous k axis would keep them
         tiny = 2.0**-53
         a = np.repeat([[0.0], [0.0]] + [[0.75]] * 14, 2, axis=1)  # two pairs: k is a block's outer axis
         b = np.repeat([[0.75], [0.75]] + [[0.75 + tiny]] * 14, 2, axis=1)
-        _, cost = metric._sorted_certificate(_terms(a), (b, b / 2), 0.0, np.empty((3, 16, 2)))
+        side_a, side_b, scratch = _sides(a, b)
+        _, cost = metric._sorted_certificate(side_a, side_b, 0.0, scratch)
         terms = np.abs(a[:, 0] - b[:, 0])
         in_order = 0.0
         for term in terms:
@@ -501,7 +609,7 @@ class TestSortedCertificate:
             pytest.param("zero", 1.0, 12725, (303, 6), id="zero-1.0-12725"),
             pytest.param("default", 2.0, 0, (303, 6), id="default-2.0-0"),
             # 980 kept rows: each block of offsets spans two row runs, whose leftovers share its programme calls
-            pytest.param("zero", 1.0, 130709, (1000, 20), id="zero-1.0-130709-980-rows"),
+            pytest.param("zero", 1.0, 130683, (1000, 20), id="zero-1.0-130683-980-rows"),
         ],
     )
     def test_pair_counts_match_the_triangle_enumeration(self, tmp_path, caplog, vector, p, settled, table):
