@@ -49,13 +49,18 @@ generator, and both trees read the same files:
   non-numeric field, a non-finite field, an out-of-domain token with a
   bad token in the next row's first column, a bad target, a row of the
   wrong width after an earlier fault, a dropped row of the wrong width,
-  and a bad token before a dropped row of the wrong width.
+  and a bad token before a dropped row of the wrong width;
+* classify on a copy of the 297-row table whose ``thal`` token "7.0" is
+  renamed to the non-ASCII "7·0" in the data and in a copy of the schema
+  (read by the row reader), and diagrams on the same copy holding one
+  out-of-domain token, exiting 1 with its first fault on stderr.
 
-Each tree runs every command in one process through ``topmix.cli.main``,
-with its log lines (which carry timings) discarded. A command's stderr
-(its ``error:`` line, or a warning) follows its stdout in the file
-compared. Absolute paths in both are replaced by ``<root>`` before the
-comparison.
+Each tree runs every command in one process through ``topmix.cli.main``.
+Its log lines carry timings and are discarded, except the distance stage's
+count of pairs settled by the sorted certificate and by the dynamic
+programme. A command's stderr (those counts, then its ``error:`` line or a
+warning) follows its stdout in the file compared. Absolute paths in both
+are replaced by ``<root>`` before the comparison.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ SHOWN = 50  # differing files named, at most
 
 # Runs the cases of a JSON file with the topmix under argv[1]; one output file per case.
 RUNNER = r"""
-import contextlib, io, json, logging, os, sys
+import contextlib, io, json, logging, os, re, sys
 from pathlib import Path
 src, cases_file, root = sys.argv[1:4]
 root = str(Path(root).resolve())  # the form the CLI prints
@@ -83,6 +88,12 @@ from topmix.cli import main
 if Path(topmix.__file__).resolve().parent != Path(src).resolve() / "topmix":
     sys.exit(f"imported topmix from {topmix.__file__}, not from {src}")
 logging.basicConfig(stream=open(os.devnull, "w"), level=logging.INFO)
+COUNTS = re.compile(r"distances: \d+ pairs, \d+ settled by the sorted certificate, \d+ by the dynamic programme")
+class PairCounts(logging.Handler):  # the one log line without a timing, onto the command's stderr
+    def emit(self, record):
+        if COUNTS.fullmatch(message := record.getMessage()):
+            print(message, file=sys.stderr)
+logging.getLogger().addHandler(PairCounts())
 for name, argv in json.loads(Path(cases_file).read_text()):
     argv = [a.replace("<root>", root) for a in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -216,6 +227,21 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
             name = f"fault-{fault}-{suffix}"
             config = write_config(inputs / f"{name}.json", data=str(data), schema=str(schema), delimiter=delimiter)
             command(name, config, name, "diagrams")
+
+    rename = {"7.0": "7·0"}.get  # thal's token "7.0", in a copy of the schema and of the 297-row table
+    renamed = json.loads(schema.read_text(encoding="utf-8"))
+    thal = next(a for a in renamed["attributes"] if a["name"] == "thal")
+    thal["domain"] = [rename(token, token) for token in thal["domain"]]
+    renamed_schema = inputs / "cleveland-non-ascii.schema.json"
+    renamed_schema.write_text(json.dumps(renamed, ensure_ascii=False), encoding="utf-8")
+    table = [[rename(t, t) if field == 12 else t for field, t in enumerate(row)] for row in rows]
+    for tag, argv, edits in (("valid", ["classify", "--p", "1"], []), ("outside-domain", ["diagrams"], [(50, 12, "7.0")])):
+        for i, field, token in edits:
+            table[clean[i]][field] = token
+        data = inputs / f"non-ascii-{tag}.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in table), encoding="utf-8")
+        config = write_config(inputs / f"non-ascii-{tag}.json", data=str(data), schema=str(renamed_schema))
+        command(f"non-ascii-{tag}", config, f"non-ascii-{tag}", *argv)
     return cases
 
 

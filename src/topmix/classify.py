@@ -50,10 +50,10 @@ BLOCK_ENTRIES = 1 << 17
 
 
 def check_k_grid(k_grid: Sequence[int]) -> np.ndarray:
-    """``k_grid`` as an int64 array, in order; ContractError unless it is non-empty ints >= 1 (no bool)."""
-    bad = [k for k in k_grid if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1]
+    """``k_grid`` as an int64 array, in order; ContractError unless it is non-empty int64s >= 1 (no bool)."""
+    bad = [k for k in k_grid if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k < 2**63]
     if bad or not len(k_grid):
-        raise ContractError(f"k grid must be non-empty positive integers, got {repr(bad[0]) if bad else 'none'}")
+        raise ContractError(f"k grid must be non-empty positive int64s, got {repr(bad[0]) if bad else 'none'}")
     return np.asarray(k_grid, dtype=np.int64)
 
 

@@ -9,15 +9,16 @@ One pass finds the lines holding the missing token; only those are split
 to decide whether to drop them, and the kept lines are sliced out between
 them. Two readers follow. The numpy text reader (``np.loadtxt``, in C)
 reads them or declines: numbers and a greater-than target as float64, a
-categorical field or a one-of target as a string one character longer
-than its longest domain or positive token. Each value it returns is the
-row reader's: both strip the same whitespace (``Py_UNICODE_ISSPACE``)
-around a number and then call ``PyOS_string_to_double`` (``float`` also
-takes underscores and non-ASCII digits, which numpy rejects); numpy keeps
-the whitespace around a string, and a truncated string equals no token,
-so neither matches; and numpy's strings drop trailing NULs ("a\\x00"
-would read as "a"), so a NUL in the text or in a token makes it decline
-(see ``_read_text``).
+categorical field or a one-of target as bytes longer than its longest
+domain or positive token, keyed by integers (see ``_read_text``). Each
+value it returns is the row reader's: both strip the same whitespace
+(``Py_UNICODE_ISSPACE``) around a number and then call
+``PyOS_string_to_double`` (``float`` also takes underscores and non-ASCII
+digits, which numpy rejects); numpy keeps the whitespace around bytes,
+and truncated bytes equal no token, so neither matches; numpy's bytes
+drop trailing NULs ("a\\x00" would read as "a") and spell only ASCII as
+the text does, so a NUL or a non-ASCII character in the text or in a
+token makes it decline.
 
 The row reader reads what the text reader declines, and any table with a
 dropped line of the wrong width, or raises the first fault: row by row,
@@ -76,19 +77,27 @@ class RawDataset:
 
 def _read_text(lines: list[str], schema: SchemaSpec, delimiter: str) -> Columns | None:
     """The kept lines read by numpy's text reader, or None where it declines: on a delimiter
-    that is neither one non-whitespace character nor a tab, no line, a line ``np.loadtxt``
-    rejects, a non-finite number or greater-than target, a categorical field that is not a
-    NUL-free domain token that ``strip`` leaves unchanged, a one-of target that ``strip``
-    changes, or a positive token holding a NUL. No line may hold a NUL.
+    that is neither one non-whitespace character nor a tab, no line, a domain or positive token
+    that is not ASCII, a line ``np.loadtxt`` rejects, a non-finite number or greater-than target,
+    a categorical field that is not a NUL-free domain token that ``strip`` leaves unchanged, a
+    one-of target that ``strip`` changes, or a positive token holding a NUL. No line may hold a
+    NUL or a non-ASCII character. A categorical field or a one-of target is read as NUL-padded
+    bytes one byte longer than its longest token, rounded up to 1, 2, 4 or 8 bytes, and its codes
+    are looked up on those bytes viewed as one unsigned integer per row (wider bytes as bytes).
     """
     rule = schema.positive_rule
     whitespace = delimiter.isspace() and delimiter != "\t"
-    if len(delimiter) != 1 or whitespace or not lines or "\x00" in "".join(rule.tokens):
+    tokens = "".join(chain(rule.tokens, *(a.domain for a in schema.attributes)))
+    if len(delimiter) != 1 or whitespace or not lines or "\x00" in "".join(rule.tokens) or not tokens.isascii():
         return None
-    # fields f0, f1, ...: float64, or a string one character longer than the longest domain or positive token
+
+    def key(strings: np.ndarray) -> np.ndarray:  # equal exactly where the NUL-padded bytes are
+        return strings.view(f"u{strings.itemsize}") if strings.itemsize <= 8 else strings
+
+    # fields f0, f1, ...: float64, or bytes longer than the longest domain or positive token
     widths = [max(map(len, a.domain)) + 1 if a.kind == "categorical" else 0 for a in schema.attributes]
     widths.append(max(map(len, rule.tokens)) + 1 if rule.kind == "one-of" else 0)
-    dtype = ",".join(f"U{width}" if width else "f8" for width in widths)
+    dtype = ",".join(f"S{1 << (w - 1).bit_length() if w <= 8 else w}" if w else "f8" for w in widths)
     try:
         table = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
     except ValueError:
@@ -100,7 +109,7 @@ def _read_text(lines: list[str], schema: SchemaSpec, delimiter: str) -> Columns 
             column = field.copy()
             valid = np.isfinite(column)
         else:
-            domain = np.array(attr.domain)
+            domain, field = key(np.array(attr.domain, dtype=field.dtype)), key(field)
             order = np.argsort(domain)
             column = order[np.searchsorted(domain, field, sorter=order).clip(max=domain.size - 1)]
             readable = np.array([t == t.strip() and "\x00" not in t for t in attr.domain])
@@ -109,9 +118,9 @@ def _read_text(lines: list[str], schema: SchemaSpec, delimiter: str) -> Columns 
             return None
         columns.append(column)
     if rule.kind == "one-of":
-        if any(token != token.strip() for token in set(target.tolist())):
+        if any(token != token.strip() for token in map(bytes.decode, set(target.tolist()))):
             return None
-        return columns, np.isin(target, rule.tokens).astype(np.int64)
+        return columns, np.isin(key(target), key(np.array(rule.tokens, dtype=target.dtype))).astype(np.int64)
     if not np.isfinite(target).all():
         return None
     return columns, (target > rule.threshold).astype(np.int64)
@@ -209,7 +218,8 @@ def parse_dataset(
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"data file {source} is not UTF-8 text: {exc}") from None
-    nul_free = "\x00" not in text  # numpy's fixed-width strings would drop trailing NULs
+    # numpy's bytes fields spell only ASCII as the text does, and drop trailing NULs
+    readable = text.isascii() and "\x00" not in text
     # Universal newlines leave only "\n"; str.splitlines would also split at \v, \f, ...
     lines = list(filter(str.strip, text.split("\n")))
     del text, data
@@ -223,7 +233,7 @@ def parse_dataset(
     # A dropped line of the wrong width is a fault, which only the row reader names.
     widths = all(lines[i].count(delimiter) == schema.n_fields - 1 for i in dropped)
     kept = list(chain.from_iterable(lines[a + 1 : b] for a, b in zip([-1, *dropped], [*dropped, total])))
-    read = _read_text(kept, schema, delimiter) if nul_free and widths else None
+    read = _read_text(kept, schema, delimiter) if readable and widths else None
     reader = "numpy text reader"
     if read is None:
         read, reader = _read_rows(lines, dropped, schema, delimiter), "row reader"

@@ -158,11 +158,13 @@ def _flag(value: Any) -> bool:
 
 
 def _integer(value: Any) -> int:
-    """A JSON integer; a float only when it has no fractional part."""
+    """A JSON integer that numpy can hold as an int64; a float only when it has no fractional part."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
+    if not -(2**63) <= value < 2**63:
+        raise OverflowError("outside the int64 range")
     return value
 
 

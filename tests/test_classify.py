@@ -279,7 +279,9 @@ def test_grid_contract_errors():
         knn_grid([0], dist, np.array([0, 1, 0]), [1], np.array([0, -1, 1]))
 
 
-@pytest.mark.parametrize("k_grid", [[], [1.5], [1, 2.0], [True], np.array([True]), [0], ["1"]])
+@pytest.mark.parametrize(
+    "k_grid", [[], [1.5], [1, 2.0], [True], np.array([True]), [0], ["1"], [2**63], [1, 10**30], [np.uint64(2**63)]]
+)
 def test_grid_of_no_positive_integer_k_rejected(k_grid):
     dist = _matrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
     with pytest.raises(ContractError, match="k grid"):

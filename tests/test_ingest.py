@@ -453,6 +453,20 @@ def test_text_reader_serves_cleveland_shaped_table(tmp_path, monkeypatch, caplog
         ),
         # the text reader reads the kept lines only
         pytest.param("1.0,a,0\n?,b\n", ",", ("a", "b"), None, id="dropped_row_of_wrong_width"),
+        # its bytes fields hold ASCII only: non-ASCII text or tokens go to the row reader
+        pytest.param("1.0,é,0\n2.5,b,1\n", ",", ("é", "b"), None, id="non_ascii_field"),
+        pytest.param("1.0\ta\t0\n٣.5\tb\t1\n", "\t", ("a", "b"), None, id="non_ascii_digit"),
+        pytest.param("1.0,a,0\n2.5,b,1\n", ",", ("a", "b", "β"), None, id="non_ascii_domain_token"),
+        pytest.param(
+            "1.0,a,1\n2.5,b,0\n", ",", ("a", "b"), PositiveRule(kind="one-of", tokens=("1", "ü")),
+            id="non_ascii_positive_token",
+        ),
+        pytest.param("1.0,é,0\n2.5,a,1\n", ",", ("a", "b"), None, id="non_ascii_token_outside_domain"),
+        pytest.param(
+            "1.0,a,1\n2.5,b,é\n", ",", ("a", "b"), PositiveRule(kind="one-of", tokens=("1",)),
+            id="non_ascii_one_of_target",
+        ),
+        pytest.param("1.0,a,0\n2.5,b,1\n3.5,a,0\n", ",", ("a", "é"), None, id="ascii_token_outside_non_ascii_domain"),
     ],
 )
 def test_row_reader_reads_what_text_reader_declines(tmp_path, caplog, text, delimiter, domain, rule):
@@ -467,6 +481,57 @@ def test_row_reader_reads_what_text_reader_declines(tmp_path, caplog, text, deli
         outcome = _assert_matches_oracle(path, schema, delimiter=delimiter)
     # a table with a fault (a field outside the domain, a dropped row of the wrong width) is read by no reader
     assert caplog.messages == (["columns read by the row reader"] if outcome == "parsed" else [])
+
+
+@pytest.mark.parametrize(
+    "domain,tokens",
+    [
+        pytest.param(("a", "b"), ("1",), id="ascii"),
+        pytest.param(("a", "é"), ("1",), id="non_ascii_domain_token"),
+        pytest.param(("a", "b"), ("1", "☃"), id="non_ascii_positive_token"),
+    ],
+)
+def test_text_reader_declines_non_ascii_schema_tokens(domain, tokens):
+    schema = SchemaSpec(
+        attributes=(Attribute("x", "numeric"), Attribute("c", "categorical", domain)),
+        target="y",
+        positive_rule=PositiveRule(kind="one-of", tokens=tokens),
+    )
+    read = ingest._read_text(["1.0,a,1", "2.5,a,0"], schema, ",")
+    if "".join(domain + tokens).isascii():
+        assert [column.tolist() for column in read[0]] == [[1.0, 2.5], [0, 0]] and read[1].tolist() == [1, 0]
+    else:
+        assert read is None
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [("",), ("a", ""), ("abc", "ab"), ("abcdefg", "b"), ("abcdefgh", "b"), ("b" * 15, "b" * 14)],
+    ids=["uint8", "uint16", "uint32", "uint64", "9_bytes", "16_bytes"],
+)
+def test_text_reader_keys_every_field_width(tmp_path, caplog, domain):
+    schema = SchemaSpec(
+        attributes=(Attribute("x", "numeric"), Attribute("c", "categorical", domain)),
+        target="y",
+        positive_rule=PositiveRule(kind="one-of", tokens=domain[-1:]),
+    )
+    text = "".join(f"{i}.5,{token},{token}\n" for i, token in enumerate(domain * 3))
+    with caplog.at_level(logging.INFO, logger="topmix"):
+        assert _assert_matches_oracle(_write(tmp_path, text), schema) == "parsed"
+    assert caplog.messages == ["columns read by the numpy text reader"]
+    # a longer field is cut to more characters than any token has, so it matches none
+    for suffix in ("x", "xyz" * 6):
+        too_long = f"{text}9.5,{max(domain, key=len)}{suffix},{domain[0]}\n"
+        assert _assert_matches_oracle(_write(tmp_path, too_long), schema) == "raised"
+
+
+def test_non_ascii_text_never_reaches_the_text_reader(tmp_path, toy_schema, monkeypatch):
+    # "é" is one latin-1 byte, which numpy's bytes fields would take
+    path = _write(tmp_path, "1.0,a,0\n2.5,b,1\n3.5,é,0\n")
+    monkeypatch.setattr(ingest, "_read_text", lambda *args: pytest.fail("the text reader ran"))
+    with pytest.raises(SchemaError, match=re.escape("row 2: attribute 'c': token 'é' outside declared domain")):
+        parse_dataset(path, toy_schema)
+    _assert_matches_oracle(path, toy_schema)
 
 
 @pytest.mark.parametrize("delimiter", ["\t", "::"])

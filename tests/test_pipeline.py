@@ -258,6 +258,24 @@ class TestConfig:
         assert cli_main(["classify", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields, argv, key",
+        [
+            ({"k": 2**63}, [], "k"),
+            ({"k_grid": [1, 2**63]}, [], "k_grid"),
+            ({}, ["--k", "1000000000000000000000000000000"], "k"),
+        ],
+        ids=["k", "k_grid", "--k"],
+    )
+    def test_k_beyond_int64_exits_1_before_any_stage(self, tmp_path, capsys, fields, argv, key):
+        data, schema = _synth_files(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, **fields)
+        assert cli_main(["classify", "--config", str(cfg), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config value for {key!r}: ")
+        assert err.count("\n") == 1 and "outside the int64 range" in err
+        assert not (tmp_path / "cache").exists() and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["maxscale", "maxscale_safety", "wasserstein_p"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, small_mixed_file, small_mixed_schema_file, key, value):
@@ -292,6 +310,46 @@ class TestConfig:
         config = load_experiment_config(cfg)
         with pytest.raises(ContractError, match="length"):
             prepare_features(config)
+
+
+# Odd JSON values for every config and split key, and odd values of the numeric CLI overrides.
+_ODD_VALUES = [None, True, False, 0, -1, -(2**70), 2**63 - 1, 2**63, 10**30, 0.5, -2.5, 1e308, "", "x", [], [2], {}, {"k": 1}]
+_ODD_OVERRIDES = [
+    *(f"--k={v}" for v in ("0", "-1", "3", "9223372036854775807", "9223372036854775808", "1" + "0" * 30)),
+    *(f"--seed={v}" for v in ("-1", "9223372036854775808", "1" + "0" * 30)),
+    *(f"{flag}={v}" for flag in ("--p", "--maxscale-safety") for v in ("nan", "inf", "-inf", "-1", "0.5", "1.5", "1e308")),
+]
+
+
+def _exits_cleanly(argv, capsys) -> None:
+    """The command exits 0, or exits 1 with one ``error:`` line; an uncaught exception fails the test."""
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1) and "Traceback" not in err
+    assert code == 0 or [line.startswith("error: ") for line in err.splitlines()] == [True], err
+
+
+@pytest.fixture(scope="module")
+def fuzz_table(tmp_path_factory):
+    return _synth_files(tmp_path_factory.mktemp("fuzz"), n=40)
+
+
+@pytest.mark.parametrize("value", _ODD_VALUES, ids=repr)
+@pytest.mark.parametrize("key", [*CONFIG_KEYS, *(f"split.{key}" for key in SPLIT_KEYS)])
+def test_odd_config_value_exits_cleanly(tmp_path, capsys, fuzz_table, key, value):
+    data, schema = fuzz_table
+    fields = {"data": str(data), "schema": str(schema), "k_grid": [1, 3], "out_dir": str(tmp_path / "out")}
+    if key.startswith("split."):
+        fields["split"] = {"mode": "holdout", "seed": 0, key[len("split."):]: value}
+    else:
+        fields[key] = value
+    _exits_cleanly(["classify", "--config", str(write_config(tmp_path / "cfg.json", **fields))], capsys)
+
+
+@pytest.mark.parametrize("override", _ODD_OVERRIDES)
+def test_odd_cli_override_exits_cleanly(tmp_path, capsys, fuzz_table, override):
+    cfg = _config_for(tmp_path, *fuzz_table, k_grid=[1, 3], cache_dir=None)
+    _exits_cleanly(["classify", "--config", str(cfg), override], capsys)
 
 
 class TestSymmetryVectorModes:
