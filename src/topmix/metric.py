@@ -62,25 +62,27 @@ gamma = 2n 2^-53: one that costs at least 2 gamma S / (1 - gamma)
 ~ 4 n^2 2^-53 cap more than the sorted cost S <= n cap, cap the largest
 death, sums in floats to no less.
 
-The gap is computed in float32 (u = 2^-24) on the deaths scaled by 2^-e,
-2^(e-1) <= cap < 2^e. They lie in [0, 1), and after the cast to float32
-each is off its exact value by at most u. That moves s_k and r_k
-by 2u, C_k (a clamp moves no further than its arguments) by 2u, f(a_k)
-by 2nu and G by (4n + 3) u. On the rounded deaths, while (n + 2) u <= 1,
-the computed gap is within (4n + 12) u + 24 (n + 2)^2 u^2 + 2^-149 of
-their G. The C_k are off by (n + 2) u in all: s_k and r_k round by
-u |s_k| and u r_k, and the r_k sum to at most 1. The n - 1 prefix sums
-and f(a_k), all in [-1, 1], round by n u more, in both gap terms;
-f(b_k) + b_k/2 adds 3.5 u, f(a_k) - a_k/2 1.5, their difference 3, and
-each half 2^-150 if subnormal. The margin (8n + 16) u + 32 (n + 2)^2 u^2,
-rounded to float32 within 3 (n + 2)^2 u^2, thus settles a pair only if
-G >= 14 n^2 2^(e - 53): that is 14 n^2 ulp(cap) for a normal cap, and
-more than the 4 n^2 2^-53 cap / (1 - gamma) above. If (n + 2) u > 1 the
-margin exceeds 2, and no computed gap does: its k = 1 terms are at most
-1/2 + 2u and at least -1/2. So ``ALGORITHM`` needs no tag of its own. On
-the tests' 297-row Cleveland-shaped table this settles all 43,956 pairs
-under the default symmetry vector and 12,725 under the zero vector.
-Other orders p always run the programme.
+The gap is computed exactly in integers. With 2^(e-1) <= cap < 2^e and
+Q = 14 for int16 or 30 for int32, each death is scaled by 2^(Q - e) and
+truncated to an integer in [0, 2^Q), less than one unit (LSB) off and
+still ascending in its row. That moves s_k, r_k and C_k (a clamp moves
+no further than its arguments) by less than 2, f(a_k), k such terms, by
+less than 2n, and G by less than 4n + 3. The halves are x >> 1, which
+lowers the gap by at most 1; every other step is exact. So the margin
+M = 4n + 4 + ceil(14 n^2 2^(Q - 53)) settles a pair only if
+G > 14 n^2 2^(e - 53): 14 n^2 ulp(cap) for a normal cap, more than the
+4 n^2 2^-53 cap / (1 - gamma) above. Nothing wraps: as |f(x)| <= x,
+f(a_k) lies in [-2^Q, 2^Q], each prefix sum f(a_k) + min(C_k, 0) above
+-2^(Q+1), and each hi term f(b_k) + b_k/2 and lo term f(a_k) - a_k/2
+within +-1.5 2^Q; hi - lo is taken in int64. A run int16 leaves
+unsettled is decided again at int32, where runs start once int16 has
+left more than it settled. Up to width 8,177 (8n + 7 + ceil(14 n^2
+2^-23) <= 2^16) a pair int16 settles has G > 1 int16 LSB = 2^16 int32
+LSBs, beyond int32's error and margin, so the counts are int32's
+whichever type ran, and ``ALGORITHM`` needs no tag. This settles all
+43,956 pairs of the tests' 297-row Cleveland-shaped table under the
+default symmetry vector and 12,725 under the zero vector. Other orders p
+always run the programme.
 
 When every row's last death is the same cap c, a_{m+1} = b_{m+1} = c,
 the certificate reads only the first m deaths of each row. The pair
@@ -91,9 +93,9 @@ a_m <= b_m, then f(c) + c/2 = f(b_m) + c/2 >= f(b_m) + b_m/2; if
 a_m > b_m, f rises with slope +1 from b_m to a_m, so f(c) >= f(b_m) and
 the same holds. Likewise f(c) - c/2 <= f(a_m) - a_m/2. The cap's two gap
 terms are thus dominated by the m-th ones, and G is the same with or
-without them. (At m = 0 the gap is +inf: each cost is +0, which no path
-undercuts.) The margin is still computed from the full width and the
-largest death, so it covers the computed gap over m columns as well.
+without them. (At m = 0 the gap is the type's range: each cost is +0,
+which no path undercuts.) The margin is still computed from the full
+width and the largest death, so it covers the gap over m columns too.
 
 Pairs are enumerated by cyclic offset, so the certificate reads views of
 the deaths, not gathered copies. Offset delta pairs row i with row
@@ -106,11 +108,10 @@ are computed once per row. A settled cost goes straight into the upper
 triangle, which is then mirrored. A wrapped pair (i + delta >= n) reaches
 the certificate with a = the larger row index. Its cost has the same bits
 in either orientation: |a_k - b_k| is exact in both, and the sum runs in
-the same order. Its computed gap can differ from the other orientation's
-in the last bits, but in exact arithmetic swapping the sides negates f
-and swaps the two extremes, so G is the same, and the margin argument
-above covers either computation. A block programmes the pairs it leaves,
-smaller row index as a, in near-equal calls of at most _BLOCK_PAIRS.
+the same order. So has its computed gap: the integers are exact, and
+swapping the sides negates f and swaps the two extremes. A block
+programmes the pairs it leaves, smaller row index as a, in near-equal
+calls of at most _BLOCK_PAIRS.
 
 Every array the certificate reads or writes is row-major, indexed
 [k, offset, row], so its last axis, the rows, is contiguous and every
@@ -125,6 +126,7 @@ pairwise and round differently.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from typing import Sequence
@@ -144,9 +146,9 @@ ALGORITHM = "zero-birth-dp"
 # per pair for 26-point diagrams) without running faster. A block of the
 # sorted certificate spans at most _BLOCK_PAIRS / 2 rows (n split evenly)
 # and as many whole offsets as 4 * _BLOCK_PAIRS pairs hold, at least one.
-# So its three float32 work arrays, two of which also hold its float64
-# steps, hold at most 12 * _BLOCK_PAIRS diagrams' worth of values, and the
-# row terms a block reads stay cache-sized at any n.
+# So its float64 steps, then its three int16 and three int32 work arrays,
+# take turns in one buffer of 12 bytes per death of 4 * _BLOCK_PAIRS
+# diagrams, and the row terms a block reads stay cache-sized at any n.
 _BLOCK_PAIRS = 1024
 
 # Rows per step when the upper triangle is mirrored into the lower: each
@@ -193,45 +195,40 @@ def _dp_distances(a: np.ndarray, b_rev: np.ndarray, p: float) -> np.ndarray:
 
 
 def _sorted_certificate(
-    a: Sequence[np.ndarray], b: Sequence[np.ndarray], margin: float, scratch: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """At p = 1: which pairs the sorted full matching settles, and its cost.
+    a: Sequence[np.ndarray], b: Sequence[np.ndarray], margin: int, scratch: Sequence[np.ndarray]
+) -> np.ndarray:
+    """At p = 1: which pairs the sorted full matching settles, decided exactly on integer deaths.
 
-    ``a`` is one side as (deaths, scaled, scaled / 2, rise, floor): the
-    float64 deaths, then float32 terms of the deaths scaled as in
-    ``_fill_upper``, with rise[k] = scaled[k + 1] - scaled[k] and floor
-    -rise then 0 for the last death; ``b`` is the other as (deaths, scaled,
-    scaled / 2). Each is indexed [k, ...] by death and broadcasts against
-    the other (rise one k shorter), so the row-only terms are computed once
-    per row, not once per pair. ``scratch`` is three float32 arrays and one
-    float64 of the broadcast shape, overwritten; the float64 one may share
-    the memory of the first two, as it is read before they are written. A
-    pair is settled when the canonical potential f, in float32, proves
-    every other path of the programme at least ``margin`` (scaled) dearer.
-    The cost is the diagonal path of ``_dp_distances`` in float64, summed
-    in its order, which holds while k is the outer axis of a block of two
-    or more pairs (see the module docstring).
+    ``a`` is one side as (deaths, deaths >> 1, rise[k] = deaths[k + 1] -
+    deaths[k], floor -r_k or 0 at the last rank), ``b`` the other as (deaths,
+    deaths >> 1), quantized as in ``_fill_upper``, indexed [k, ...] by death
+    and broadcasting against each other; ``scratch`` is three arrays of their
+    type and shape, overwritten. Settled: f proves ``margin`` LSBs or more.
     """
-    a, a32, half_a, rise, floor = a
-    b, b32, half_b = b
-    s, d, f, steps = scratch
-    np.subtract(a, b, out=steps)
-    np.abs(steps, out=steps)
-    cost = np.add.reduce(steps, axis=0, initial=0.0)  # row by row over k, the path order
-    np.subtract(a32, b32, out=s)
+    a, half_a, rise, floor = a
+    b, half_b = b
+    s, d, f = scratch
+    np.subtract(a, b, out=s)
     np.abs(s, out=d)
     np.maximum(s, floor, out=f)
     np.minimum(f[1:], rise, out=f[1:])  # C_k = clamp(a_k - b_k, -r_k, r_{k-1})
-    np.minimum(f, 0.0, out=s)  # min(C_k, 0): a_k - b_k is no longer needed
+    np.minimum(f, np.zeros(f.shape[-1], f.dtype), out=s)  # min(C_k, 0): the scalar 0 ran ~6x slower
     for k in range(1, len(f)):
         f[k] += f[k - 1]
     f -= s  # f(a_k) = C_1 + ... + C_k - min(C_k, 0)
     np.subtract(half_b, d, out=d)
     d += f  # f(b_k) + b_k/2, as f(b_k) = f(a_k) - |a_k - b_k|
-    hi = np.minimum.reduce(d, axis=0, initial=np.inf)
+    hi = np.minimum.reduce(d, axis=0, initial=np.iinfo(d.dtype).max)
     f -= half_a  # f(a_k) - a_k/2
-    lo = np.maximum.reduce(f, axis=0, initial=-np.inf)
-    return hi - lo >= margin, cost
+    lo = np.maximum.reduce(f, axis=0, initial=np.iinfo(f.dtype).min)
+    return np.subtract(hi, lo, dtype=np.int64) >= margin
+
+
+@functools.cache
+def _path_order() -> bool:
+    """Whether np.add.reduce sums an outer axis row by row, as costs need (run lazily: a first reduce adds RSS)."""
+    # 2^53 then fifteen 1.0s: in path order each 1.0 rounds away, a pairwise sum keeps some
+    return bool(np.add.reduce(np.vstack([[2.0**53] * 2, np.ones((15, 2))]), axis=0).max() == 2.0**53)
 
 
 def _fill_upper(deaths: np.ndarray, p: float, out: np.ndarray) -> int:
@@ -246,6 +243,8 @@ def _fill_upper(deaths: np.ndarray, p: float, out: np.ndarray) -> int:
     lives in buffers reused by every block: fresh arrays of that size
     cost more in page faults than in arithmetic.
     """
+    if p == 1.0 and not _path_order():
+        raise ContractError(f"numpy {np.__version__} does not add a block's outer axis row by row, in path order")
     n, width = deaths.shape
     offsets = n // 2
     runs = -(-n // max(1, _BLOCK_PAIRS // 2))
@@ -256,22 +255,16 @@ def _fill_upper(deaths: np.ndarray, p: float, out: np.ndarray) -> int:
     twice = np.empty((cols, 2 * n))  # row-major: every window steps through memory at unit stride
     twice[:, :n] = deaths[:, :cols].T
     twice[:, n:] = twice[:, :n]
-    # the gap terms are float32, on the deaths scaled by a power of two into [0, 1): none overflows
-    scaled = np.ldexp(twice, -math.frexp(deaths.max(initial=0.0))[1]).astype(np.float32)
-    halves = scaled * 0.5
-    rise = np.subtract(scaled[1:, :n], scaled[:-1, :n])[:, None, :]
-    floor = np.concatenate([np.negative(rise), np.zeros((min(cols, 1), 1, n), np.float32)])  # -r_k, 0 at the last rank
-    a = (twice[:, None, :n], scaled[:, None, :n], halves[:, None, :n], rise, floor)
-    # window delta, column i of twice is row (i + delta) % n: a view, no gather
-    windows = [sliding_window_view(side, n, axis=1) for side in (twice, scaled, halves)]
-    u = 2.0**-24
-    margin = (8 * width + 16 + 32 * (width + 2) ** 2 * u) * u  # on the scaled gap: see the module docstring
     # Sized to the bound and the full width, not to this n or the columns
     # read (a shared cap is skipped): glibc raises its mmap threshold to
     # the largest block freed, and a smaller buffer here left later warm runs
     # in the same process ~20% slower (k-fold on 297 rows, measured).
-    work = np.empty((3, width * 4 * _BLOCK_PAIRS), np.float32)
-    buffers = [*work, work[:2].reshape(-1).view(np.float64)]  # the float64 steps reuse the first two
+    work = np.empty((3, width * 4 * _BLOCK_PAIRS), np.int32)
+    steps = work[:2].reshape(-1).view(np.float64)  # read before any integer work array is written
+    windows = sliding_window_view(twice, n, axis=1)  # window delta, column i is row (i + delta) % n: a view, no gather
+    e = math.frexp(deaths.max(initial=0.0))[1]
+    gaps = {}  # each integer type's terms, margin and scratch, by q, built when first tried
+    misses = 0  # runs int16 left unsettled, less those it settled: above 0, int32 decides first
     flat = out.reshape(-1)
     programmed = 0
     for first in range(1, offsets + 1, per_block):
@@ -282,10 +275,25 @@ def _fill_upper(deaths: np.ndarray, p: float, out: np.ndarray) -> int:
             for i0 in range(0, n, span):
                 i1 = min(i0 + span, n)
                 shape = (cols, stop - first, i1 - i0)
-                scratch = [buffer[: math.prod(shape)].reshape(shape) for buffer in buffers]
-                run_a = [term[..., i0:i1] for term in a]
-                run_b = [w[:, first:stop, i0:i1] for w in windows]
-                settled[:, i0:i1], cost[:, i0:i1] = _sorted_certificate(run_a, run_b, margin, scratch)
+                run = steps[: math.prod(shape)].reshape(shape)
+                np.subtract(twice[:, None, i0:i1], windows[:, first:stop, i0:i1], out=run)
+                np.abs(run, out=run)
+                cost[:, i0:i1] = np.add.reduce(run, axis=0, initial=0.0)  # row by row over k, the path order
+                for dtype, q in ((np.int16, 14), (np.int32, 30))[misses > 0 :]:  # q: 2 bits below the type's
+                    if q not in gaps:
+                        ints = np.ldexp(twice, q - e).astype(dtype)  # truncated into [0, 2^q): see the module docstring
+                        halves = ints >> 1
+                        rise = np.diff(ints[:, :n], axis=0, append=ints[-1:, :n])[:, None, :]  # r_k, 0 at the last rank
+                        a = (ints[:, None, :n], halves[:, None, :n], rise[:-1], np.negative(rise))
+                        b = [sliding_window_view(side, n, axis=1) for side in (ints, halves)]
+                        gaps[q] = (a, b, 4 * width + 4 - (-14 * width**2 // 2 ** (53 - q)), [*work.view(dtype)])
+                    a, b, margin, buffers = gaps[q]
+                    run_a, run_b = [term[..., i0:i1] for term in a], [w[:, first:stop, i0:i1] for w in b]
+                    scratch = [buffer[: run.size].reshape(shape) for buffer in buffers]
+                    settled[:, i0:i1] = _sorted_certificate(run_a, run_b, margin, scratch)
+                    if settled[:, i0:i1].all():
+                        break
+                misses += 1 if q == 30 else -1
             for delta, costs in zip(range(first, stop), cost):
                 keep = n - delta  # i < keep pairs (i, i + delta); the rest wrap to (i + delta - n, i)
                 flat[delta : keep * (n + 1) : n + 1] = costs[:keep]

@@ -122,6 +122,8 @@ class ExperimentConfig:
                 )
         else:
             self.symmetry_vector = tuple(float(v) for v in self.symmetry_vector)
+            if not self.symmetry_vector:
+                raise ContractError("symmetry_vector must hold one value per encoded column, got []")
             if not all(map(math.isfinite, self.symmetry_vector)):
                 raise ContractError(f"symmetry_vector must be finite, got {list(self.symmetry_vector)!r}")
         for key in ("maxscale", "maxscale_safety", "wasserstein_p"):

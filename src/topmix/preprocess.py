@@ -158,7 +158,7 @@ def symmetry_break(matrix: FeatureMatrix, vector: np.ndarray) -> FeatureMatrix:
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != (matrix.m,):
         raise ContractError(
-            f"symmetry vector length {vector.shape} != matrix width {matrix.m}"
+            f"symmetry vector length {vector.size if vector.ndim == 1 else vector.shape} != matrix width {matrix.m}"
         )
     if matrix.stage != "standardized":
         raise ContractError(

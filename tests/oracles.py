@@ -26,6 +26,7 @@ columns.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -172,11 +173,11 @@ def canonical_gap(a, b) -> Fraction:
     merged deaths, in ``Fraction``s. Returns
     min_k (f(b_k) + b_k/2) - max_k (f(a_k) - a_k/2).
     """
-    a, b = [Fraction(float(x)) for x in a], [Fraction(float(x)) for x in b]
+    a, b = sorted(Fraction(float(x)) for x in a), sorted(Fraction(float(x)) for x in b)
     points = sorted({Fraction(0), *a, *b})
     f = {points[0]: Fraction(0)}
     for lo, hi in zip(points, points[1:]):
-        below_a, below_b = sum(x <= lo for x in a), sum(x <= lo for x in b)
+        below_a, below_b = bisect_right(a, lo), bisect_right(b, lo)
         f[hi] = f[lo] + ((below_b > below_a) - (below_b < below_a)) * (hi - lo)
     return min(f[x] + x / 2 for x in b) - max(f[x] - x / 2 for x in a)
 

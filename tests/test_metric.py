@@ -1,9 +1,11 @@
+import functools
 import io
 import logging
 import math
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -311,44 +313,62 @@ def _programme(deaths, p=1.0):
     return metric._dp_distances(a, b_rev, p)
 
 
-def _sides(a, b):
-    """Both sides' certificate terms and a scratch for them, built as ``_fill_upper`` builds them:
-    (deaths, scaled, scaled / 2, rise, floor) and (deaths, scaled, scaled / 2), the float32 terms
-    on the deaths scaled by 2^-e, 2^(e-1) <= the largest death < 2^e."""
+# Q, two bits below the width of the integer type the certificate decides in, and that type.
+_TYPES = {14: np.int16, 30: np.int32}
+
+
+def _quantized(deaths, q, e):
+    """Deaths scaled by 2^(q - e) and truncated to integers, exactly, as the module docstring quantizes them."""
+    return [math.floor(Fraction(float(x)) * Fraction(2) ** (q - e)) for x in deaths]
+
+
+def _sides(a, b, q):
+    """Both sides' certificate terms at Q = q and a scratch for them, built as ``_fill_upper`` builds them:
+    (deaths, deaths >> 1, rise, floor) and (deaths, deaths >> 1), on the deaths scaled by 2^(q - e),
+    2^(e-1) <= the largest death < 2^e, and truncated to integers."""
     e = math.frexp(max(a.max(initial=0.0), b.max(initial=0.0)))[1]
-    a32, b32 = np.ldexp(a, -e).astype(np.float32), np.ldexp(b, -e).astype(np.float32)
-    rise = a32[1:] - a32[:-1]
-    floor = np.concatenate([np.negative(rise), np.zeros((min(len(a), 1),) + a.shape[1:], np.float32)])
-    scratch = [*np.empty((3,) + b.shape, np.float32), np.empty(b.shape)]
-    return (a, a32, a32 / 2, rise, floor), (b, b32, b32 / 2), scratch
+    ints_a, ints_b = (np.ldexp(x, q - e).astype(_TYPES[q]) for x in (a, b))
+    rise = np.diff(ints_a, axis=0, append=ints_a[-1:])
+    scratch = [*np.empty((3,) + b.shape, _TYPES[q])]
+    return (ints_a, ints_a >> 1, rise[:-1], np.negative(rise)), (ints_b, ints_b >> 1), scratch
 
 
-def _gap_bound(width):
-    """The module docstring's bound on the float32 gap's error, on deaths scaled by 2^-e with
-    2^(e-1) <= the largest death < 2^e: (8n + 15) u + 24 (n + 2)^2 u^2 + 2^-149, u = 2^-24."""
-    u = Fraction(1, 2**24)
-    return (8 * width + 15) * u + 24 * (width + 2) ** 2 * u**2 + Fraction(1, 2**149)
+def _margin(width, q):
+    """The margin the module docstring gives the certificate at Q = q: 4n + 4 + ceil(14 n^2 2^(q - 53)) LSBs."""
+    return 4 * width + 4 + math.ceil(14 * width**2 * Fraction(2) ** (q - 53))
 
 
-def _assert_margin_leaves_the_proof_its_gap(margin, width):
-    """A computed gap at or above ``margin``, as the float32 compare rounds it, leaves G >= 14 n^2 2^-53 (scaled)."""
-    assert Fraction(float(np.float32(margin))) >= _gap_bound(width) + 14 * width**2 * Fraction(1, 2**53)
+def _assert_margin_leaves_the_proof_its_gap(margin, width, q):
+    """A computed gap at or above ``margin``, less than 4n + 4 LSBs from G, leaves G > 14 n^2 2^(q - 53) LSBs."""
+    assert margin - (4 * width + 4) >= 14 * width**2 * Fraction(2) ** (q - 53)
 
 
-def _float32_at_most(x):
-    """The largest float32 <= the Fraction x, as a float."""
-    near = np.float32(float(x))
-    while Fraction(float(near)) > x:
-        near = np.nextafter(near, np.float32(-np.inf))
-    return float(near)
+def _assert_gap_is_exact_or_one_below(side_a, side_b, scratch, exact, certificate=metric._sorted_certificate):
+    """The certificate's gap for one pair is an integer in [exact - 1, exact]: it settles the pair at the
+    margin ceil(exact - 1) and not at floor(exact) + 1. (The default is the certificate itself, even where
+    a test has patched it.)"""
+    assert certificate(side_a, side_b, math.ceil(exact - 1), scratch).all()
+    assert not certificate(side_a, side_b, math.floor(exact) + 1, scratch).any()
 
 
-def _float32_above(x):
-    """The smallest float32 > the Fraction x, as a float."""
-    near = np.float32(float(x))
-    while Fraction(float(near)) <= x:
-        near = np.nextafter(near, np.float32(np.inf))
-    return float(near)
+def _q(dtype):
+    return np.iinfo(dtype).bits - 2
+
+
+def _deciding_at(q):
+    """A certificate on which only the type of Q = q settles pairs: the other type's runs are left unsettled."""
+    certificate = metric._sorted_certificate
+
+    def deciding(a, b, margin, scratch):
+        settled = certificate(a, b, margin, scratch)
+        return settled if _q(a[0].dtype) == q else np.zeros_like(settled)
+
+    return deciding
+
+
+def _settle_all(a, b, margin, scratch):
+    """A certificate that settles every pair: each entry is then the sorted path's cost."""
+    return np.ones(scratch[0].shape[1:], dtype=bool)
 
 
 def _bits(values):
@@ -366,6 +386,17 @@ def _fill_upper_without_programme(deaths, out):
         programmed = metric._fill_upper(deaths, 1.0, out)
     assert np.isnan(out).sum() == programmed
     return programmed
+
+
+def _cleveland_shaped_deaths(tmp_path, vector):
+    """The deaths of the tests' 297-row Cleveland-shaped table under the default or the zero symmetry vector."""
+    path = tmp_path / "synth.csv"
+    path.write_text("\n".join(synthetic_cleveland_rows()) + "\n", encoding="utf-8")
+    raw, _ = parse_dataset(path, load_schema(CLEVELAND_SCHEMA))
+    encoded = one_hot_encode(raw)
+    weights = default_symmetry_vector(encoded.m) if vector == "default" else np.zeros(encoded.m)
+    broken = symmetry_break(standardize(encoded, fit_standardizer(encoded)), weights)
+    return dim0_diagrams(broken.values, safety=1.1)[0]
 
 
 @st.composite
@@ -392,11 +423,12 @@ def _deaths_matrices(draw, max_rows=7, max_width=6):
 @st.composite
 def _near_tie_matrices(draw, max_rows=5, max_width=6):
     """Rows on a grid of halves, where the sorted path often ties another (G = 0), each death then
-    nudged by up to 64 float32 units of 8: gaps on either side of the certificate's margin."""
+    nudged by up to 64 units of 2^-21 or of 2^-27 (about an int32 LSB of the largest death): gaps on
+    either side of the certificate's margins."""
     n, width = draw(st.integers(2, max_rows)), draw(st.integers(1, max_width))
     grid = draw(st.lists(st.integers(0, 16), min_size=n * width, max_size=n * width))
     nudge = draw(st.lists(st.integers(-64, 64), min_size=n * width, max_size=n * width))
-    deaths = np.array(grid) / 2 + np.array(nudge) * 2.0**-24 * 8
+    deaths = np.array(grid) / 2 + np.array(nudge) * draw(st.sampled_from([2.0**-21, 2.0**-27]))
     return np.sort(np.abs(deaths).reshape(n, width), axis=1)
 
 
@@ -415,7 +447,7 @@ class TestSortedCertificate:
     @settings(max_examples=300, deadline=None)
     @given(_near_tie_matrices())
     def test_near_margin_pairs_settle_only_as_the_proof_allows(self, deaths):
-        # a settled pair's exact gap is at least 14 n^2 2^(e - 53), and its entry is the programme's
+        # a settled pair's exact gap is above 14 n^2 2^(e - 53), and its entry is the programme's
         n, width = deaths.shape
         out = np.zeros((n, n))
         _fill_upper_without_programme(deaths, out)
@@ -425,7 +457,7 @@ class TestSortedCertificate:
         if width == 1 and (deaths == deaths[0]).all():
             return  # one shared cap, skipped: no gap term is left, and every cost is +0
         least = 14 * width**2 * Fraction(2) ** (math.frexp(deaths.max())[1] - 53)
-        assert all(canonical_gap(deaths[i], deaths[j]) >= least for i, j in zip(rows[settled], cols[settled]))
+        assert all(canonical_gap(deaths[i], deaths[j]) > least for i, j in zip(rows[settled], cols[settled]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 10), st.lists(st.floats(0.0, 40.0), min_size=2, max_size=14), st.randoms())
@@ -457,58 +489,158 @@ class TestSortedCertificate:
     @example(np.array([[1.0], [3.0]]))
     @example(np.array([[0.0, 1e-300, 1e300], [1e-200, 2e-200, 2e300]]))
     def test_computed_gap_is_within_the_bound_of_the_exact_one(self, deaths):
-        # the float32 gap, on the deaths as _fill_upper scales them, is within _gap_bound of the exact
-        # one, and the margin above that bound settles only pairs whose float sums keep the order
-        # of their exact costs
+        # each pair _fill_upper meets is decided on its deaths truncated at the scale 2^(q - e); their exact gap
+        # G_q is within 4n + 3 LSBs of the exact G of any deaths that truncate to them, the computed gap is G_q
+        # or up to 1 below it, and the margin above that leaves the proof its gap
         n, width = deaths.shape
         assume(width)
-        scale, bound = Fraction(2) ** -math.frexp(deaths.max())[1], _gap_bound(width)
-        certificate, visited = metric._sorted_certificate, []
+        e = math.frexp(deaths.max())[1]
+        certificate, visited, truncating = metric._sorted_certificate, [], {}
+        gap_of = functools.cache(lambda a, b: canonical_gap(a, b))  # pairs recur across types and runs
 
         def each_pair(a, b, margin, scratch):
-            _assert_margin_leaves_the_proof_its_gap(margin, width)
+            q, cols = _q(a[0].dtype), len(a[0])
+            _assert_margin_leaves_the_proof_its_gap(margin, width, q)
+            if q not in truncating:  # each row's quantized deaths -> the rows that truncate to them
+                truncating[q] = {}
+                for row in deaths[:, :cols].tolist():
+                    truncating[q].setdefault(tuple(_quantized(row, q, e)), []).append(tuple(row))
             for offset, row in np.ndindex(scratch[0].shape[1:]):
                 one_a = [term[:, :, row : row + 1] for term in a]
                 one_b = [term[:, offset : offset + 1, row : row + 1] for term in b]
                 one_scratch = [buffer[:, :1, :1] for buffer in scratch]
                 visited.append((offset, row))
-                if not len(a[0]):
+                if not cols:
                     continue  # a shared cap alone: no gap terms
-                gap = canonical_gap(one_a[0].ravel(), one_b[0].ravel()) * scale
-                for margin, settled in ((_float32_at_most(gap - bound), True), (_float32_above(gap + bound), False)):
-                    got, _ = certificate(one_a, one_b, margin, one_scratch)
-                    assert got.ravel()[0] == settled, (offset, row, gap, margin)
-            return certificate(a, b, margin, scratch)
+                ints_a, ints_b = tuple(one_a[0].ravel().tolist()), tuple(one_b[0].ravel().tolist())
+                exact = gap_of(ints_a, ints_b)
+                _assert_gap_is_exact_or_one_below(one_a, one_b, one_scratch, exact)
+                for float_a in truncating[q][ints_a]:
+                    for float_b in truncating[q][ints_b]:
+                        assert abs(exact - gap_of(float_a, float_b) * Fraction(2) ** (q - e)) < 4 * cols + 3
+            settled = certificate(a, b, margin, scratch)
+            return settled & (q != 14 or not int16_declines)
 
         with mock.patch.object(metric, "_sorted_certificate", each_pair):
-            # the reversed rows meet each pair in the other orientation, as wrapped pairs reach it
-            for matrix in (deaths, deaths[::-1]):
-                _fill_upper_without_programme(matrix, np.zeros((n, n)))
-        assert len(visited) >= n * (n - 1)
+            # the reversed rows meet each pair in the other orientation, as wrapped pairs reach it; with int16
+            # declining every pair, int32 decides them all
+            for int16_declines in (False, True):
+                for matrix in (deaths, deaths[::-1]):
+                    _fill_upper_without_programme(matrix, np.zeros((n, n)))
+        assert len(visited) >= 3 * n * (n - 1)  # where int16 declines, int32 meets every pair too
+
+    @settings(max_examples=200, deadline=None)
+    @given(_deaths_matrices(), st.sampled_from(sorted(_TYPES)))
+    @example(np.array([[1.0], [3.0]]), 14)
+    def test_computed_gap_is_the_exact_gap_of_the_quantized_deaths_or_one_below(self, deaths, q):
+        # subtract, abs, clamp, prefix sum, min and max are exact in integers; each floored half lowers
+        # its gap term by at most half an LSB
+        n, width = deaths.shape
+        assume(width)
+        for i, j in permutations(range(n), 2):
+            side_a, side_b, scratch = _sides(deaths[i][:, None], deaths[j][:, None], q)
+            exact = canonical_gap(side_a[0].ravel().tolist(), side_b[0].ravel().tolist())
+            _assert_gap_is_exact_or_one_below(side_a, side_b, scratch, exact)
+
+    @pytest.mark.parametrize("q", sorted(_TYPES))
+    def test_no_value_wraps_at_the_extremes(self, q):
+        # 1,024 deaths of 0 and of just under 2^e drive f, the prefix sums and the gap terms to the ends
+        # of the ranges the module docstring states; subnormal deaths, all-zero rows, widths 0 and 1
+        top = math.ldexp(1 - 2.0**-53, 3)
+        rng = np.random.default_rng(11)
+        wide = [
+            np.zeros(1024),
+            np.full(1024, top),
+            np.r_[np.zeros(1023), top],
+            np.r_[0.0, np.full(1023, top)],
+            *np.sort(rng.choice([0.0, top], (3, 1024)), axis=1),
+            np.sort(rng.uniform(0.0, top, 1024)),
+        ]
+        subnormal = [*np.sort(rng.integers(0, 2**20, (3, 40)) * 5e-324, axis=1)]
+        narrow = [[np.zeros(0)] * 2, [np.array([0.0]), np.array([top])], [np.zeros(5)] * 2]
+        for group in (wide, subnormal, *narrow):
+            for a, b in permutations(group, 2):
+                side_a, side_b, scratch = _sides(a[:, None], b[:, None], q)
+                if not len(a):  # no gap terms: the extremes keep their initial values, the ends of the type
+                    span = np.iinfo(_TYPES[q]).max - np.iinfo(_TYPES[q]).min
+                    _assert_gap_is_exact_or_one_below(side_a, side_b, scratch, span)
+                    assert metric._sorted_certificate(side_a, side_b, span, scratch).all()
+                    continue
+                exact = canonical_gap(side_a[0].ravel().tolist(), side_b[0].ravel().tolist())
+                _assert_gap_is_exact_or_one_below(side_a, side_b, scratch, exact)
+        for group in (wide, subnormal, *narrow):
+            deaths = np.array(group)
+            with mock.patch.object(metric, "_sorted_certificate", _deciding_at(q)):
+                out = distance_matrix(deaths, 1.0)
+            rows, cols = np.triu_indices(len(deaths), k=1)
+            assert np.array_equal(_bits(out[rows, cols]), _bits(_programme(deaths)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_deaths_matrices(), _near_tie_matrices()))
+    def test_int32_alone_settles_the_pairs_both_types_settle(self, deaths):
+        # a pair that int16 settles, int32 settles too: the counts are int32's whichever type decided
+        n = len(deaths)
+        programmed = []
+        for certificate in (metric._sorted_certificate, _deciding_at(30)):
+            out = np.zeros((n, n))
+            with mock.patch.object(metric, "_sorted_certificate", certificate):
+                _fill_upper_without_programme(deaths, out)
+            programmed.append(np.isnan(out))
+        assert np.array_equal(*programmed)
+
+    @pytest.mark.parametrize("vector", ["default", "zero"])
+    def test_int32_alone_settles_the_same_pairs_on_cleveland_shaped_table(self, tmp_path, vector):
+        deaths = _cleveland_shaped_deaths(tmp_path, vector)
+        n = len(deaths)
+        programmed = []
+        for certificate in (metric._sorted_certificate, _deciding_at(30)):
+            out = np.zeros((n, n))
+            with mock.patch.object(metric, "_sorted_certificate", certificate):
+                _fill_upper_without_programme(deaths, out)
+            programmed.append(np.isnan(out))
+        assert np.array_equal(*programmed)
+        assert programmed[0].sum() == (0 if vector == "default" else n * (n - 1) // 2 - 12725)
+
+    @pytest.mark.parametrize("q", sorted(_TYPES))
+    @pytest.mark.parametrize(
+        "b", [3.0, np.nextafter(3.0, np.inf), np.nextafter(3.0, -np.inf)], ids=["tie", "one-ulp-dearer", "one-ulp-cheaper"]
+    )
+    def test_near_ties_go_to_the_programme_at_either_type(self, b, q):
+        # 1 against b: the sorted path costs b - 1, both deaths to the diagonal 1/2 + b/2; a gap of half
+        # an ulp either way is far inside the margin of either type
+        for a_side, b_side in (([[1.0]], [[b]]), ([[b]], [[1.0]])):
+            side_a, side_b, scratch = _sides(np.array(a_side), np.array(b_side), q)
+            assert not metric._sorted_certificate(side_a, side_b, _margin(1, q), scratch).any()
+        with mock.patch.object(metric, "_sorted_certificate", _deciding_at(q)):
+            assert _fill_upper_without_programme(np.array([[1.0], [b]]), np.zeros((2, 2))) == 1
 
     @pytest.mark.parametrize("width", [1, 26, 1024])
     def test_margin_leaves_the_proof_its_gap_at_any_width(self, width):
-        # at 1,024 deaths per row the margin's u^2 term is needed
+        # at 1,024 deaths per row int32's margin needs its n^2 term at 2
         certificate, margins = metric._sorted_certificate, []
 
         def recording(a, b, margin, scratch):
-            margins.append(margin)
-            return certificate(a, b, margin, scratch)
+            margins.append((margin, _q(a[0].dtype)))
+            return np.zeros_like(certificate(a, b, margin, scratch))  # every run goes on to int32
 
         deaths = np.sort(np.random.default_rng(0).random((2, width)), axis=1)
         with mock.patch.object(metric, "_sorted_certificate", recording):
             _fill_upper_without_programme(deaths, np.zeros((2, 2)))
-        assert margins
-        for margin in margins:
-            _assert_margin_leaves_the_proof_its_gap(margin, width)
+        assert {q for _, q in margins} == set(_TYPES)
+        for margin, q in margins:
+            assert margin == _margin(width, q)
+            _assert_margin_leaves_the_proof_its_gap(margin, width, q)
 
     def test_non_optimal_sorted_matching_rejected(self):
         # sorted: |1 - 10| + |10 - 30| = 29; optimal: 10 with 10, 1/2 + 30/2 = 15.5
         a, b = np.array([[1.0], [10.0]]), np.array([[10.0], [30.0]])
-        side_a, side_b, scratch = _sides(a, b)
-        settled, cost = metric._sorted_certificate(side_a, side_b, 0.0, scratch)
-        assert not settled[0]
-        assert cost[0] == 29.0
+        for q in _TYPES:
+            side_a, side_b, scratch = _sides(a, b, q)
+            assert not metric._sorted_certificate(side_a, side_b, 0, scratch)[0]
+        out = np.zeros((2, 2))
+        with mock.patch.object(metric, "_sorted_certificate", _settle_all):
+            metric._fill_upper(np.array([[1.0, 10.0], [10.0, 30.0]]), 1.0, out)
+        assert out[0, 1] == 29.0
         assert distance_matrix([[1.0, 10.0], [10.0, 30.0]], 1.0)[0, 1] == 15.5
 
     @settings(max_examples=200, deadline=None)
@@ -521,12 +653,11 @@ class TestSortedCertificate:
         cap = math.ldexp(1 - 2**-53, math.frexp(deaths.max(initial=0.0))[1])
         capped = np.column_stack([deaths, np.full(n, cap)])
         # the margin grows with the width: hold both runs to the capped one's
-        u = 2.0**-24
-        margin = (8 * (width + 1) + 16 + 32 * (width + 3) ** 2 * u) * u
         certificate, calls, outs = metric._sorted_certificate, [], []
 
         def at_capped_margin(a, b, given_margin, scratch):
-            calls[-1].append((len(a[0]), given_margin))  # death columns, margin
+            margin = _margin(width + 1, _q(a[0].dtype))
+            calls[-1].append((len(a[0]), given_margin == margin))  # death columns, the capped margin
             return certificate(a, b, margin, scratch)
 
         with mock.patch.object(metric, "_sorted_certificate", at_capped_margin):
@@ -534,14 +665,14 @@ class TestSortedCertificate:
                 calls.append([])
                 outs.append(np.zeros((n, n)))
                 _fill_upper_without_programme(matrix, outs[-1])
-        assert all(call == (width, margin) for call in calls[0])  # the cap never reaches the certificate
+        assert all(call == (width, True) for call in calls[0])  # the cap never reaches the certificate
         rows, cols = np.triu_indices(n, k=1)  # NaN where programmed, in both runs alike
         assert np.array_equal(_bits(outs[0][rows, cols]), _bits(outs[1][rows, cols]))
 
     @pytest.mark.parametrize("top", [1e-300, 1.0, 1e300, np.finfo(np.float64).max])
     def test_extreme_deaths_are_scaled_not_overflowed(self, top):
-        # rows spanning 300 decades below top: cast unscaled, the large deaths overflow float32 and the small
-        # flush to 0; every pair whose exact gap is a thousandth of the largest death must still settle
+        # rows spanning 300 decades below top: cast unscaled, the large deaths wrap and the small truncate
+        # to 0; every pair whose exact gap is a thousandth of the largest death must still settle
         rng = np.random.default_rng(5)
         deaths = np.sort(top * np.vstack([rng.uniform(0.5, 1.0, (6, 4)), 10.0 ** rng.uniform(-300, 0, (6, 4))]), axis=1)
         deaths = deaths[rng.permutation(len(deaths))]
@@ -562,19 +693,41 @@ class TestSortedCertificate:
         # after 0.75 + 0.75 each 2^-53 is half an ulp and rounds away in path order, as in
         # _dp_distances; numpy's pairwise sum over a contiguous k axis would keep them
         tiny = 2.0**-53
-        a = np.repeat([[0.0], [0.0]] + [[0.75]] * 14, 2, axis=1)  # two pairs: k is a block's outer axis
-        b = np.repeat([[0.75], [0.75]] + [[0.75 + tiny]] * 14, 2, axis=1)
-        side_a, side_b, scratch = _sides(a, b)
-        _, cost = metric._sorted_certificate(side_a, side_b, 0.0, scratch)
-        terms = np.abs(a[:, 0] - b[:, 0])
+        deaths = np.array([[0.0, 0.0] + [0.75] * 14, [0.75, 0.75] + [0.75 + tiny] * 14])
+        out = np.zeros((2, 2))
+        with mock.patch.object(metric, "_sorted_certificate", _settle_all):
+            # offset 1 of two rows meets the pair in both orientations: two pairs, k is the block's outer axis
+            assert metric._fill_upper(deaths, 1.0, out) == 0
+        terms = np.abs(deaths[0] - deaths[1])
         in_order = 0.0
         for term in terms:
             in_order += term
         assert np.sum(terms) != in_order  # the two orders round differently here
-        assert np.array_equal(_bits(cost), _bits([in_order, in_order]))
+        assert _bits(out[0, 1]) == _bits(in_order)
+
+    def test_a_numpy_that_sums_out_of_path_order_is_refused(self):
+        # the probe's planted column, 2^53 then fifteen 1.0s, sums to 2^53 in path order and to more pairwise
+        planted = np.vstack([[2.0**53] * 2, np.ones((15, 2))])
+        assert metric._path_order() and (np.add.reduce(planted, axis=0) == 2.0**53).all()
+        assert (np.add.reduce(np.asfortranarray(planted), axis=0) > 2.0**53).all()  # contiguous k: pairwise
+        with mock.patch.object(metric, "_path_order", lambda: False):
+            with pytest.raises(ContractError, match="path order"):
+                distance_matrix([[1.0], [2.0]], 1.0)
+            assert distance_matrix([[1.0], [2.0]], 2.0)[0, 1] == 1.0  # the programme sums its own costs
+
+    def test_the_path_order_probe_runs_once_and_not_at_import(self):
+        # a first reduction adds RSS, so a process that never fills at p = 1 never runs the probe
+        probe = metric._path_order
+        probe.cache_clear()
+        distance_matrix([[1.0], [2.0]], 2.0)
+        assert probe.cache_info().misses == 0
+        distance_matrix([[1.0], [2.0]], 1.0)
+        distance_matrix([[1.0], [3.0]], 1.0)
+        assert probe.cache_info().misses == 1 and probe.cache_info().hits == 1
 
     def test_every_certificate_call_holds_two_pairs(self):
-        # a lone pair would reduce over a contiguous k axis, pairwise, not in path order
+        # a block's cost has the shape of its certificate calls: a lone pair would reduce over a contiguous
+        # k axis, pairwise, not in path order
         certificate, pairs = metric._sorted_certificate, []
 
         def recording(a, b, margin, scratch):
@@ -589,14 +742,7 @@ class TestSortedCertificate:
                 assert pairs and min(pairs) >= 2, (n, pairs)
 
     def test_every_pair_settled_on_cleveland_shaped_table(self, tmp_path):
-        path = tmp_path / "synth.csv"
-        path.write_text("\n".join(synthetic_cleveland_rows()) + "\n", encoding="utf-8")
-        raw, _ = parse_dataset(path, load_schema(CLEVELAND_SCHEMA))
-        encoded = one_hot_encode(raw)
-        broken = symmetry_break(
-            standardize(encoded, fit_standardizer(encoded)), default_symmetry_vector(encoded.m)
-        )
-        deaths, _ = dim0_diagrams(broken.values, safety=1.1)
+        deaths = _cleveland_shaped_deaths(tmp_path, "default")
         rows, cols = np.triu_indices(len(deaths), k=1)
         out = np.zeros((len(deaths),) * 2)
         assert _fill_upper_without_programme(deaths, out) == 0
@@ -609,7 +755,7 @@ class TestSortedCertificate:
             pytest.param("zero", 1.0, 12725, (303, 6), id="zero-1.0-12725"),
             pytest.param("default", 2.0, 0, (303, 6), id="default-2.0-0"),
             # 980 kept rows: each block of offsets spans two row runs, whose leftovers share its programme calls
-            pytest.param("zero", 1.0, 130683, (1000, 20), id="zero-1.0-130683-980-rows"),
+            pytest.param("zero", 1.0, 130709, (1000, 20), id="zero-1.0-130709-980-rows"),
         ],
     )
     def test_pair_counts_match_the_triangle_enumeration(self, tmp_path, caplog, vector, p, settled, table):

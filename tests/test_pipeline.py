@@ -177,6 +177,7 @@ class TestConfig:
             ("vector_bool", "invalid config value for 'symmetry_vector': [1.0, False]"),
             ("vector_nan", "symmetry_vector must be finite, got [1.0, nan]"),
             ("vector_inf", "symmetry_vector must be finite, got [-inf, 1.0]"),
+            ("vector_empty", "symmetry_vector must hold one value per encoded column, got []"),
         ],
     )
     def test_malformed_config_exits_1(
@@ -209,6 +210,7 @@ class TestConfig:
                 "vector_bool": ("symmetry_vector", [1.0, False]),
                 "vector_nan": ("symmetry_vector", [1.0, float("nan")]),
                 "vector_inf": ("symmetry_vector", [float("-inf"), 1.0]),
+                "vector_empty": ("symmetry_vector", []),
             }[damage]
             cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, **{key: value})
         with pytest.raises(ContractError, match=re.escape(message)):
@@ -308,8 +310,17 @@ class TestConfig:
     def test_explicit_vector_wrong_length(self, tmp_path, small_mixed_file, small_mixed_schema_file):
         cfg = _config_for(tmp_path, small_mixed_file, small_mixed_schema_file, symmetry_vector=[1.0, 2.0])
         config = load_experiment_config(cfg)
-        with pytest.raises(ContractError, match="length"):
+        with pytest.raises(ContractError, match=r"^\[stage symmetry-break\] symmetry vector length 2 != matrix width 4$"):
             prepare_features(config)
+
+    def test_empty_vector_exits_1_before_any_stage(self, tmp_path, capsys):
+        # the encoded width is unknown until the table is read, but no width is 0
+        data, schema = _synth_files(tmp_path)
+        cfg = _config_for(tmp_path, data, schema, symmetry_vector=[])
+        assert cli_main(["classify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: symmetry_vector must hold one value per encoded column, got []\n"
+        assert not (tmp_path / "cache").exists() and not (tmp_path / "out").exists()
 
 
 # Odd JSON values for every config and split key, and odd values of the numeric CLI overrides.

@@ -194,8 +194,10 @@ class TestSymmetryBreak:
 
     def test_length_mismatch(self):
         matrix = _matrix([[1.0, 2.0]], stage="standardized")
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"^symmetry vector length 3 != matrix width 2$"):
             symmetry_break(matrix, np.zeros(3))
+        with pytest.raises(ContractError, match=r"^symmetry vector length 0 != matrix width 2$"):
+            symmetry_break(matrix, np.zeros(0))
 
     def test_stage_guard_rejects_other_stages(self):
         for stage in ("encoded", "symmetry-broken"):
