@@ -31,6 +31,10 @@ generator, and both trees read the same files:
   distances, in numpy's order, not a running sum's;
 * classify on 297 kept rows, hold-out, p = 1, under a copy of the schema
   whose target rule is one-of "1", "2", "3", "4";
+* classify on 297 kept rows, hold-out, p = 1: under ``standardize_scope:
+  "train"``, stratified and not; under an explicit symmetry vector of the
+  encoded width, 25; and under an explicit ``maxscale`` of 100, above the
+  largest |x_i|;
 * distances on 1,000 kept rows (1,010 generated), p = 1, under the
   default and the zero symmetry vector: more rows than one block of the
   sorted certificate spans, so each block of offsets runs over two row
@@ -184,6 +188,15 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str]]]:
         command(f"{mode}-grid20-p1", config, "default-p1", "classify", "--p", "1")
     config = write_config(inputs / "one-of.json", data=str(inputs / "rows297.csv"), schema=str(one_of_schema))
     command("one-of-holdout-p1", config, "one-of-p1", "classify", "--p", "1")
+    explicit = {
+        "train-scope-plain": {"standardize_scope": "train"},
+        "train-scope-strat": {"standardize_scope": "train", "split": {"mode": "holdout", "seed": 0, "stratified": True}},
+        "explicit-vector": {"symmetry_vector": [1.0 + 0.5 * j for j in range(25)]},
+        "explicit-maxscale": {"maxscale": 100.0},
+    }
+    for tag, fields in explicit.items():
+        config = write_config(inputs / f"{tag}.json", data=str(inputs / "rows297.csv"), schema=str(schema), **fields)
+        command(f"{tag}-holdout-p1", config, tag, "classify", "--p", "1")
     for vector in ("default", "zero"):
         config = write_config(
             inputs / f"rows1000-{vector}.json", data=str(inputs / "rows1000.csv"), schema=str(schema),

@@ -24,7 +24,6 @@ from .errors import (
 from .evaluate import (
     ConfusionCounts,
     EvaluationReport,
-    SplitResult,
     SplitSpec,
     compute_metrics,
     evaluate_split,
@@ -33,7 +32,7 @@ from .evaluate import (
 )
 from .ingest import ParseReport, RawDataset, parse_dataset
 from .metric import distance_matrix
-from .persistence import PersistenceDiagram, dim0_diagrams
+from .persistence import dim0_diagrams
 from .pipeline import (
     ExperimentConfig,
     load_experiment_config,

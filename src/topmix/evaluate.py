@@ -20,6 +20,8 @@ argmax of the hits per column, so ties go to the smaller k, and only the
 chosen k gets a report: one bincount over the fold ids gives its
 per-fold hits. Confusion counts of a whole grid are one bincount over
 2 * true + predicted + 4 * column.
+A protocol returns reports, not row sets (``split_groups`` gives those),
+and the k it chose is its report's ``k``.
 Predictions travel as an int64 (rows, 3) array of [row, true, predicted].
 Both protocols sweep the distinct ks of a grid in ascending order, so a
 repeated k is evaluated and reported once.
@@ -215,16 +217,6 @@ def _require_both_classes(labels: np.ndarray, where: str) -> None:
         raise EvaluationError(f"degenerate split: {where} lacks class(es) {missing}")
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    chosen_k: int
-    validation: tuple[EvaluationReport, ...]  # one per distinct k, ascending
-    test_report: EvaluationReport
-    train_rows: np.ndarray = field(compare=False)
-    val_rows: np.ndarray = field(compare=False)
-    test_rows: np.ndarray = field(compare=False)
-
-
 def _with_rows(rows: np.ndarray, labels: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """The int64 (rows, 3) predictions array: row index, true label, predicted label."""
     return np.column_stack([rows, labels[rows], predicted]).astype(np.int64, copy=False)
@@ -235,11 +227,12 @@ def evaluate_split(
     labels: np.ndarray,
     split: SplitSpec,
     k_grid: Sequence[int],
-) -> SplitResult:
+) -> tuple[tuple[EvaluationReport, ...], EvaluationReport]:
     """Hold-out protocol: sweep k on validation, report the winner on test.
 
     ``distances`` is the n x n matrix over all rows. k is chosen to
-    maximize validation accuracy, ties going to the smaller k.
+    maximize validation accuracy, ties going to the smaller k. Returns the
+    validation reports, one per distinct k ascending, and the test report.
     """
     labels = np.asarray(labels)
     _check_distances(distances, labels)
@@ -258,7 +251,7 @@ def evaluate_split(
 
     _, grid_preds = knn_grid(np.concatenate([val, test]), distances, labels, k_grid, groups == 0)
     val_counts = _confusion(labels[val], grid_preds[: val.size])
-    table = tuple(compute_metrics(counts, k=k) for counts, k in zip(val_counts, k_grid))
+    validation = tuple(compute_metrics(counts, k=k) for counts, k in zip(val_counts, k_grid))
     j = int(np.argmax([counts.tp + counts.tn for counts in val_counts]))  # the first: ties to the smaller k
 
     test_preds = grid_preds[val.size :, j]
@@ -268,7 +261,7 @@ def evaluate_split(
         seed=split.seed,
         predictions=_with_rows(test, labels, test_preds),
     )
-    return SplitResult(k_grid[j], table, report, train, val, test)
+    return validation, report
 
 
 def select_k_kfold(
@@ -276,13 +269,13 @@ def select_k_kfold(
     labels: np.ndarray,
     split: SplitSpec,
     k_grid: Sequence[int],
-) -> tuple[int, EvaluationReport]:
+) -> EvaluationReport:
     """k-fold cross-validation; k chosen by pooled accuracy, ties to the smaller k.
 
     ``split`` must be a k-fold spec. Every row is classified exactly once
     per k, against all rows outside its fold; the folds are drawn once for
-    the grid. Returns the chosen k and its report: pooled confusion
-    counts, the per-fold accuracies and every row's prediction.
+    the grid. Returns the chosen k's report: pooled confusion counts, the
+    per-fold accuracies and every row's prediction.
     """
     k_grid = _sorted_grid(k_grid)
     labels = np.asarray(labels)
@@ -301,7 +294,7 @@ def select_k_kfold(
     hits = preds == labels[:, None]
     j = int(np.argmax(hits.sum(axis=0)))  # the first: ties to the smaller k
     fold_hits = np.bincount(fold_of, weights=hits[:, j], minlength=fold_sizes.size)
-    return k_grid[j], compute_metrics(
+    return compute_metrics(
         _confusion(labels, preds[:, j : j + 1])[0],
         k=k_grid[j],
         seed=split.seed,
@@ -363,10 +356,10 @@ def _fmt_raw(value: float | None) -> str:
     return "n/a" if value is None else repr(float(value))
 
 
-def format_validation_table(result: SplitResult) -> str:
-    """Per-k validation metrics table for the hold-out protocol."""
+def format_validation_table(validation: Sequence[EvaluationReport]) -> str:
+    """Per-k validation metrics table for the hold-out protocol, one line per report."""
     lines = ["k,accuracy,sensitivity,specificity"]
-    for row in result.validation:
+    for row in validation:
         lines.append(
             f"{row.k},{_fmt_raw(row.accuracy)},{_fmt_raw(row.sensitivity)},{_fmt_raw(row.specificity)}"
         )

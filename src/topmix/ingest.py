@@ -49,12 +49,11 @@ Columns = tuple[list[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class ParseReport:
-    """Row accounting for one parse: kept + dropped == total data rows."""
+    """Row accounting for one parse, all a run keeps of it: kept + dropped == total data rows."""
 
     total_rows: int
     kept_rows: int
     dropped_rows: int
-    dropped_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -241,10 +240,4 @@ def parse_dataset(
     columns, labels = read
 
     dataset = RawDataset(schema=schema, columns=tuple(columns), labels=labels)
-    report = ParseReport(
-        total_rows=total,
-        kept_rows=dataset.n,
-        dropped_rows=len(dropped),
-        dropped_indices=tuple(dropped),
-    )
-    return dataset, report
+    return dataset, ParseReport(total_rows=total, kept_rows=dataset.n, dropped_rows=len(dropped))

@@ -293,6 +293,8 @@ def _fill_upper(deaths: np.ndarray, p: float, out: np.ndarray) -> int:
                     settled[:, i0:i1] = _sorted_certificate(run_a, run_b, margin, scratch)
                     if settled[:, i0:i1].all():
                         break
+                    if misses == 0 and q == 14:  # int16 never runs again: free its terms before int32's are built
+                        del gaps[q], a, b, run_a, run_b, ints, halves, rise
                 misses += 1 if q == 30 else -1
             for delta, costs in zip(range(first, stop), cost):
                 keep = n - delta  # i < keep pairs (i, i + delta); the rest wrap to (i + delta - n, i)

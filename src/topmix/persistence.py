@@ -13,48 +13,14 @@ mutually comparable.
 
 A family of diagrams is therefore one (n, m+1) matrix of ascending
 deaths, allocated once (|x| sorted in place, the cap in the last column);
-every birth is 0. ``PersistenceDiagram`` is the general (birth, death)
-form, built only as a view of one such row and as the oracles' input.
+every birth is 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError
-
-
-@dataclass(frozen=True)
-class PersistenceDiagram:
-    """Multiset of (birth, death) pairs at one homology dimension, with a cap.
-
-    Pairs are kept sorted by (death, birth) so equal diagrams are
-    representation-identical.
-    """
-
-    pairs: np.ndarray
-    maxscale: float
-    dimension: int = 0
-
-    def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.float64).reshape(-1, 2)
-        order = np.lexsort((pairs[:, 0], pairs[:, 1]))
-        object.__setattr__(self, "pairs", pairs[order])
-        if self.maxscale <= 0:
-            raise ContractError("maxscale must be positive")
-        if pairs.size:
-            births, deaths = pairs[:, 0], pairs[:, 1]
-            if (births < 0).any() or (births > deaths).any() or (deaths > self.maxscale).any():
-                raise ContractError("diagram pairs must satisfy 0 <= birth <= death <= maxscale")
-
-    def __len__(self) -> int:
-        return self.pairs.shape[0]
-
-    @property
-    def deaths(self) -> np.ndarray:
-        return self.pairs[:, 1]
 
 
 def dim0_diagrams(

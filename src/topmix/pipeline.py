@@ -52,6 +52,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable
 
 import numpy as np
@@ -60,7 +61,6 @@ from . import __version__
 from .errors import ContractError, ParseError, TopmixError
 from .evaluate import (
     EvaluationReport,
-    SplitResult,
     SplitSpec,
     evaluate_split,
     format_report_kv,
@@ -71,7 +71,7 @@ from .evaluate import (
 )
 from .ingest import ParseReport, parse_dataset
 from .metric import ALGORITHM, distance_matrix
-from .persistence import PersistenceDiagram, dim0_diagrams
+from .persistence import dim0_diagrams
 from .preprocess import (
     FeatureMatrix,
     default_symmetry_vector,
@@ -555,10 +555,13 @@ class DiagramSet:
         return self.labels.size
 
     @property
-    def diagrams(self) -> list[PersistenceDiagram]:
-        """Each row as a general diagram, built on every read; no stage reads it."""
+    def diagrams(self) -> list[SimpleNamespace]:
+        """Each row as an object whose ``pairs`` is the (m+1, 2) float64 array [0, death], built on every read.
+
+        No stage reads it: only ``perfbench/checks.py`` and ``perfbench/test_perfbench.py``, until they read ``deaths``.
+        """
         births = np.zeros(self.deaths.shape[1])
-        return [PersistenceDiagram(np.column_stack([births, row]), self.maxscale) for row in self.deaths]
+        return [SimpleNamespace(pairs=np.column_stack([births, row])) for row in self.deaths]
 
 
 def compute_diagrams(config: ExperimentConfig, inputs: RunInputs | None = None) -> DiagramSet:
@@ -639,25 +642,25 @@ def compute_distances(config: ExperimentConfig, inputs: RunInputs | None = None)
 class RunResult:
     diagram_set: DiagramSet
     distances: np.ndarray
-    split_result: SplitResult | None
+    validation: tuple[EvaluationReport, ...]  # classify_stage's: () under k-fold
     report: EvaluationReport
     artifacts: dict[str, Path]
 
 
 def classify_stage(
     config: ExperimentConfig, distances: np.ndarray, labels: np.ndarray
-) -> tuple[SplitResult | None, EvaluationReport]:
+) -> tuple[tuple[EvaluationReport, ...], EvaluationReport]:
     """The configured protocol: k from ``config.k`` or chosen over the grid.
 
-    Both protocols take ``config.split`` whole. Returns the hold-out result
-    (None under k-fold) and the report of the k that was used.
+    Both protocols take ``config.split`` whole. Returns the validation
+    report of each k, ascending (hold-out; ``()`` under k-fold), and the
+    report of the k that was used, which is its ``k``.
     """
     with _stage("classify"):
         k_grid = [config.k] if config.k is not None else list(config.k_grid)
         if config.split.mode == "holdout":
-            split_result = evaluate_split(distances, labels, config.split, k_grid)
-            return split_result, split_result.test_report
-        return None, select_k_kfold(distances, labels, config.split, k_grid)[1]
+            return evaluate_split(distances, labels, config.split, k_grid)
+        return (), select_k_kfold(distances, labels, config.split, k_grid)
 
 
 def run_pipeline(config: ExperimentConfig) -> RunResult:
@@ -667,22 +670,24 @@ def run_pipeline(config: ExperimentConfig) -> RunResult:
     from the distance cache whenever it holds this run's fingerprint.
     """
     diagram_set, distances = compute_distances(config)
-    split_result, report = classify_stage(config, distances, diagram_set.labels)
+    validation, report = classify_stage(config, distances, diagram_set.labels)
     with _stage("report"):
-        artifacts = write_artifacts(config, diagram_set, split_result, report)
-    return RunResult(diagram_set, distances, split_result, report, artifacts)
+        artifacts = write_artifacts(config, diagram_set, validation, report)
+    return RunResult(diagram_set, distances, validation, report, artifacts)
 
 
 def write_artifacts(
     config: ExperimentConfig,
     diagram_set: DiagramSet,
-    split_result: SplitResult | None,
+    validation: tuple[EvaluationReport, ...],
     report: EvaluationReport,
 ) -> dict[str, Path]:
     """Write the run's report files to ``config.out_dir`` with ``_write_artifact``.
 
-    Returns the files by role. A k-fold run removes the ``validation.csv``
-    of an earlier hold-out run.
+    ``validation`` and ``report`` are ``classify_stage``'s. Returns the files
+    by role. A hold-out run writes its validation table, under the k chosen
+    (``report.k``), to ``report.txt`` and ``validation.csv``; a k-fold run
+    removes the ``validation.csv`` of an earlier hold-out run.
     """
     out = config.out_dir
     manifest = {
@@ -698,11 +703,12 @@ def write_artifacts(
         "rows_kept": diagram_set.rows_kept,
         "rows_dropped": diagram_set.rows_dropped,
     }
-    title = "test set" if config.split.mode == "holdout" else f"{config.split.folds}-fold cross-validation"
+    holdout = config.split.mode == "holdout"
+    title = "test set" if holdout else f"{config.split.folds}-fold cross-validation"
     text = format_report_text(report, title=title)
-    if split_result is not None:
-        text += "\nvalidation sweep (k chosen = %d):\n" % split_result.chosen_k
-        text += format_validation_table(split_result)
+    if holdout:
+        text += "\nvalidation sweep (k chosen = %d):\n" % report.k
+        text += format_validation_table(validation)
     rows = report.predictions
     predictions = "row,true,predicted\n" + "%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
     files = {
@@ -711,8 +717,8 @@ def write_artifacts(
         "report_kv": ("report.kv", format_report_kv(report)),
         "predictions": ("predictions.csv", predictions),
     }
-    if split_result is not None:
-        files["validation"] = ("validation.csv", format_validation_table(split_result))
+    if holdout:
+        files["validation"] = ("validation.csv", format_validation_table(validation))
     else:  # a hold-out run's table would not describe this run
         (out / "validation.csv").unlink(missing_ok=True)
     artifacts: dict[str, Path] = {}

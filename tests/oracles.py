@@ -1,5 +1,10 @@
 """Independent reference implementations used only to check the library.
 
+``PersistenceDiagram`` is the general form of a diagram, a multiset of
+(birth, death) pairs under a cap, which the package never builds: it
+carries each dimension-0 diagram as one row of ascending deaths, every
+birth 0. Here it is the input of the diagram-distance references.
+
 These deliberately avoid the algorithms used by the package: dimension-0
 pairs come from recounting components by graph traversal at every
 threshold of a generic distance matrix of the explicit point cloud
@@ -29,6 +34,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +44,39 @@ from topmix.classify import knn_grid
 from topmix.errors import ContractError, EvaluationError, ParseError, SchemaError
 from topmix.evaluate import SplitSpec
 from topmix.ingest import ParseReport, RawDataset
-from topmix.persistence import PersistenceDiagram
 from topmix.preprocess import FeatureMatrix
 from topmix.schema import PositiveRule, SchemaSpec
+
+
+@dataclass(frozen=True)
+class PersistenceDiagram:
+    """Multiset of (birth, death) pairs at one homology dimension, with a cap.
+
+    Pairs are kept sorted by (death, birth) so equal diagrams are
+    representation-identical.
+    """
+
+    pairs: np.ndarray
+    maxscale: float
+    dimension: int = 0
+
+    def __post_init__(self):
+        pairs = np.asarray(self.pairs, dtype=np.float64).reshape(-1, 2)
+        order = np.lexsort((pairs[:, 0], pairs[:, 1]))
+        object.__setattr__(self, "pairs", pairs[order])
+        if self.maxscale <= 0:
+            raise ContractError("maxscale must be positive")
+        if pairs.size:
+            births, deaths = pairs[:, 0], pairs[:, 1]
+            if (births < 0).any() or (births > deaths).any() or (deaths > self.maxscale).any():
+                raise ContractError("diagram pairs must satisfy 0 <= birth <= death <= maxscale")
+
+    def __len__(self) -> int:
+        return self.pairs.shape[0]
+
+    @property
+    def deaths(self) -> np.ndarray:
+        return self.pairs[:, 1]
 
 
 def build_point_cloud(x) -> np.ndarray:
@@ -420,12 +456,7 @@ def parse_dataset_rowwise(
         for c, attr in enumerate(schema.attributes)
     )
     dataset = RawDataset(schema=schema, columns=columns, labels=np.asarray(labels, dtype=np.int64))
-    report = ParseReport(
-        total_rows=len(data_lines),
-        kept_rows=len(rows),
-        dropped_rows=len(dropped),
-        dropped_indices=tuple(dropped),
-    )
+    report = ParseReport(total_rows=len(data_lines), kept_rows=len(rows), dropped_rows=len(dropped))
     return dataset, report
 
 

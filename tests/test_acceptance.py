@@ -23,7 +23,7 @@ from topmix.errors import FitError
 from topmix.evaluate import SplitSpec, evaluate_split, select_k_kfold, split_groups
 from topmix.ingest import RawDataset, parse_dataset
 from topmix.metric import distance_matrix
-from topmix.persistence import PersistenceDiagram, dim0_diagrams
+from topmix.persistence import dim0_diagrams
 from topmix.pipeline import load_experiment_config, run_pipeline
 from topmix.preprocess import (
     FeatureMatrix,
@@ -42,7 +42,14 @@ from conftest import (
     synthetic_cleveland_rows,
     write_config,
 )
-from oracles import brute_wasserstein, build_point_cloud, euclidean_distances, sweep_dim0_pairs, wasserstein
+from oracles import (
+    PersistenceDiagram,
+    brute_wasserstein,
+    build_point_cloud,
+    euclidean_distances,
+    sweep_dim0_pairs,
+    wasserstein,
+)
 
 
 def _ok(criterion: str, detail: str) -> None:
@@ -359,7 +366,7 @@ def test_c4a_kfold_accuracy_window(cleveland_distances):
     in_window = 0
     accuracies = []
     for seed in range(10):
-        report = select_k_kfold(distances, labels, SplitSpec(mode="kfold", folds=10, seed=seed), [16])[1]
+        report = select_k_kfold(distances, labels, SplitSpec(mode="kfold", folds=10, seed=seed), [16])
         accuracies.append(report.accuracy)
         if 77.0 <= report.accuracy <= 88.0:
             in_window += 1
@@ -379,7 +386,7 @@ def cleveland_holdout_sweep(cleveland_distances):
 
 @requires_cleveland
 def test_c4b_holdout_accuracy_window(cleveland_holdout_sweep):
-    accuracies = [r.test_report.accuracy for r in cleveland_holdout_sweep]
+    accuracies = [report.accuracy for _, report in cleveland_holdout_sweep]
     mean = float(np.mean(accuracies))
     best = max(accuracies)
     assert 76.0 <= mean <= 90.0, f"mean test accuracy {mean:.2f} outside [76, 90]"
@@ -389,7 +396,7 @@ def test_c4b_holdout_accuracy_window(cleveland_holdout_sweep):
 
 @requires_cleveland
 def test_c4c_selected_k_exceeds_1(cleveland_holdout_sweep):
-    ks = [r.chosen_k for r in cleveland_holdout_sweep]
+    ks = [report.k for _, report in cleveland_holdout_sweep]
     at_least_2 = sum(1 for k in ks if k >= 2)
     assert at_least_2 >= 15, f"chosen k >= 2 for only {at_least_2}/20 seeds: {ks}"
     _ok("4c", f"validation-selected k >= 2 for {at_least_2}/20 seeds (k values {ks})")

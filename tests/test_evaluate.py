@@ -16,10 +16,9 @@ from topmix.evaluate import (
 )
 from topmix.classify import knn_grid
 from topmix.metric import distance_matrix
-from topmix.persistence import PersistenceDiagram
 
 import oracles
-from oracles import wasserstein
+from oracles import PersistenceDiagram, wasserstein
 
 
 def _folds(folds, seed=0, stratified=False):
@@ -35,7 +34,7 @@ def _sets(labels, spec):
 
 def _kfold(distances, labels, folds, k, seed=0):
     """The pooled k-fold report at one k."""
-    return select_k_kfold(distances, labels, _folds(folds, seed), [k])[1]
+    return select_k_kfold(distances, labels, _folds(folds, seed), [k])
 
 
 class TestHoldout:
@@ -213,27 +212,26 @@ class TestEvaluateSplit:
     def test_duplicates_classify_perfectly_with_k1(self):
         distances, labels = _duplicated_distance_set()
         for seed in range(5):
-            result = evaluate_split(distances, labels, SplitSpec(seed=seed), k_grid=[1])
-            assert result.chosen_k == 1
-            assert result.test_report.accuracy == 100.0
+            _, report = evaluate_split(distances, labels, SplitSpec(seed=seed), k_grid=[1])
+            assert report.k == 1
+            assert report.accuracy == 100.0
 
     def test_chooses_k_with_best_validation_accuracy(self):
         distances, labels = _duplicated_distance_set()
-        result = evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[1, 3, 5])
-        accs = {row.k: row.accuracy for row in result.validation}
+        validation, report = evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[1, 3, 5])
+        accs = {row.k: row.accuracy for row in validation}
         best = max(accs.values())
-        assert accs[result.chosen_k] == best
-        assert result.chosen_k == min(k for k, acc in accs.items() if acc == best)
+        assert accs[report.k] == best
+        assert report.k == min(k for k, acc in accs.items() if acc == best)
 
     def test_partition_recorded(self):
         distances, labels = _duplicated_distance_set()
-        result = evaluate_split(distances, labels, SplitSpec(seed=1), k_grid=[1])
-        rows = np.sort(np.concatenate([result.train_rows, result.val_rows, result.test_rows]))
-        assert rows.tolist() == list(range(10))
-        predictions = result.test_report.predictions
-        assert predictions.dtype == np.int64 and predictions.shape == (result.test_rows.size, 3)
-        assert np.array_equal(predictions[:, 0], result.test_rows)
-        assert np.array_equal(predictions[:, 1], labels[result.test_rows])
+        _, report = evaluate_split(distances, labels, SplitSpec(seed=1), k_grid=[1])
+        test = _sets(labels, SplitSpec(seed=1))[2]
+        predictions = report.predictions
+        assert predictions.dtype == np.int64 and predictions.shape == (test.size, 3)
+        assert np.array_equal(predictions[:, 0], test)
+        assert np.array_equal(predictions[:, 1], labels[test])
 
     def test_single_class_train_is_degenerate(self):
         deaths = np.arange(1.0, 11.0)[:, None]
@@ -268,7 +266,7 @@ class TestEvaluateSplit:
         a = evaluate_split(pairwise, labels, SplitSpec(seed=2), k_grid=[1, 3])
         b = evaluate_split(distance_matrix(deaths, 1.0), labels, SplitSpec(seed=2), k_grid=[1, 3])
         assert a == b  # the predictions arrays are not part of ==
-        assert np.array_equal(a.test_report.predictions, b.test_report.predictions)
+        assert np.array_equal(a[1].predictions, b[1].predictions)
 
     def test_one_ranking_matches_per_query_oracle_on_validation_and_test(self):
         # validation and test rows are ranked in one call; the test rows are
@@ -279,25 +277,25 @@ class TestEvaluateSplit:
             raw = rng.integers(0, 6, size=(60, 60)).astype(np.float64)
             distances = np.triu(raw, 1) + np.triu(raw, 1).T
             labels = rng.permutation(np.resize([0, 1], 60))
-            result = evaluate_split(distances, labels, SplitSpec(seed=seed), k_grid=range(1, 12))
-            train = np.asarray(result.train_rows)
-            for row in result.validation:
-                pairs = [(labels[r], oracles.knn_predict(r, train, distances, labels, row.k)) for r in result.val_rows]
+            validation, report = evaluate_split(distances, labels, SplitSpec(seed=seed), k_grid=range(1, 12))
+            train, val, _ = _sets(labels, SplitSpec(seed=seed))
+            for row in validation:
+                pairs = [(labels[r], oracles.knn_predict(r, train, distances, labels, row.k)) for r in val]
                 counts = ConfusionCounts(pairs.count((1, 1)), pairs.count((0, 0)), pairs.count((0, 1)), pairs.count((1, 0)))
                 assert row.counts == counts, (seed, row.k)
                 assert row.accuracy == 100.0 * (counts.tp + counts.tn) / len(pairs), (seed, row.k)
-            for r, _, predicted in result.test_report.predictions:
-                assert predicted == oracles.knn_predict(r, train, distances, labels, result.chosen_k), (seed, r)
-            chosen.add(result.chosen_k)
+            for r, _, predicted in report.predictions:
+                assert predicted == oracles.knn_predict(r, train, distances, labels, report.k), (seed, r)
+            chosen.add(report.k)
         assert len(chosen) >= 4
 
     def test_repeated_k_swept_once(self):
         distances, labels = _duplicated_distance_set()
         result = evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[3, 1, 3])
-        assert [row.k for row in result.validation] == [1, 3]
+        assert [row.k for row in result[0]] == [1, 3]
         again = evaluate_split(distances, labels, SplitSpec(seed=0), k_grid=[1, 3])
         assert result == again
-        assert np.array_equal(result.test_report.predictions, again.test_report.predictions)
+        assert np.array_equal(result[1].predictions, again[1].predictions)
 
 
 class TestEvaluateKfold:
@@ -342,11 +340,11 @@ class TestEvaluateKfold:
 class TestSelectKKfold:
     def test_returns_best_pooled_accuracy(self):
         distances, labels = _duplicated_distance_set()
-        chosen, report = select_k_kfold(distances, labels, _folds(5), [1, 3, 5])
+        report = select_k_kfold(distances, labels, _folds(5), [1, 3, 5])
         accs = {k: _kfold(distances, labels, 5, k).accuracy for k in (1, 3, 5)}
         best = max(accs.values())
-        assert report.k == chosen and report.accuracy == accs[chosen] == best
-        assert chosen == min(k for k, a in accs.items() if a == best)
+        assert report.accuracy == accs[report.k] == best
+        assert report.k == min(k for k, a in accs.items() if a == best)
 
     def test_chosen_report_equals_the_run_at_its_k(self):
         rng = np.random.default_rng(31)
@@ -358,12 +356,12 @@ class TestSelectKKfold:
             rng.shuffle(labels)
             folds, seed, stratified = int(rng.integers(2, 11)), case, case % 3 == 0
             split = _folds(folds, seed, stratified)
-            chosen, report = select_k_kfold(distances, labels, split, [7, 1, 4, 2, 4])
-            at_k = {k: select_k_kfold(distances, labels, split, [k])[1] for k in (1, 2, 4, 7)}
+            report = select_k_kfold(distances, labels, split, [7, 1, 4, 2, 4])
+            at_k = {k: select_k_kfold(distances, labels, split, [k]) for k in (1, 2, 4, 7)}
             best = max(r.accuracy for r in at_k.values())
-            assert chosen == min(k for k, r in at_k.items() if r.accuracy == best)
-            assert report == at_k[chosen]
-            assert np.array_equal(report.predictions, at_k[chosen].predictions)
+            assert report.k == min(k for k, r in at_k.items() if r.accuracy == best)
+            assert report == at_k[report.k]
+            assert np.array_equal(report.predictions, at_k[report.k].predictions)
 
     def test_one_pass_matches_per_fold_oracle_2000_tables(self):
         # integer-valued distances: ties at the rank boundary, in votes and in sums;
@@ -397,8 +395,8 @@ class TestSelectKKfold:
             # the chosen k and its report, from the oracle's predictions
             hits = [int((preds[:, j] == labels).sum()) for j in range(len(k_grid))]
             j = max(range(len(k_grid)), key=lambda j: (hits[j], -k_grid[j]))
-            chosen, report = select_k_kfold(distances, labels, split, k_grid)
-            assert chosen == report.k == k_grid[j], table
+            report = select_k_kfold(distances, labels, split, k_grid)
+            assert report.k == k_grid[j], table
             assert report.predictions.tolist() == [[r, labels[r], preds[r, j]] for r in range(n)], table
             truth, predicted = labels.tolist(), preds[:, j].tolist()
             pairs = list(zip(truth, predicted))
@@ -440,5 +438,5 @@ def test_monotone_distance_invariance_end_to_end():
     for seed in range(3):
         base = evaluate_split(distances, labels, SplitSpec(seed=seed), k_grid=[1, 3, 5])
         same = evaluate_split(warped, labels, SplitSpec(seed=seed), k_grid=[1, 3, 5])
-        assert base.chosen_k == same.chosen_k
-        assert np.array_equal(base.test_report.predictions, same.test_report.predictions)
+        assert base[1].k == same[1].k
+        assert np.array_equal(base[1].predictions, same[1].predictions)

@@ -50,7 +50,6 @@ def test_drops_rows_with_missing_token(tmp_path, toy_schema):
     assert report.total_rows == 3
     assert report.kept_rows == 2
     assert report.dropped_rows == 1
-    assert report.dropped_indices == (1,)
     assert report.kept_rows + report.dropped_rows == report.total_rows
     assert _columns(dataset) == [[1.0, 3.0], ["a", "b"]]
     assert dataset.labels.tolist() == [0, 1]
@@ -341,7 +340,7 @@ def test_missing_token_variants(tmp_path, toy_schema):
     # " ? " is the missing token once stripped; "?x" is not, and fails as a number.
     path = _write(tmp_path, "1.0, ? ,0\n2.0,a,1\n")
     dataset, report = parse_dataset(path, toy_schema)
-    assert report.dropped_indices == (0,) and _columns(dataset) == [[2.0], ["a"]]
+    assert report.dropped_rows == 1 and _columns(dataset) == [[2.0], ["a"]]
     path = _write(tmp_path, "?x,a,0\n")
     with pytest.raises(ParseError, match=r"row 0: attribute 'x': '\?x' is not numeric"):
         parse_dataset(path, toy_schema)
@@ -577,7 +576,7 @@ def test_dropped_and_kept_lines_match_iterator_filter(kinds):
     with mock.patch.object(ingest, "_read_text", lambda kept, *a: given_lines.append(kept) or read(kept, *a)):
         dataset, report = parse_dataset("t.csv", schema, data="\n".join(lines).encode())
     dropped, kept = _dropped_and_kept(lines, "?", ",")
-    assert report.dropped_indices == tuple(dropped)
+    assert report.dropped_rows == len(dropped)
     assert given_lines == [kept]
     alone, _ = parse_dataset("kept.csv", schema, data="\n".join(kept).encode())
     assert [c.tobytes() for c in dataset.columns] == [c.tobytes() for c in alone.columns]

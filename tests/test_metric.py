@@ -17,7 +17,7 @@ from topmix.errors import ContractError
 from topmix.ingest import parse_dataset
 from topmix.metric import distance_matrix
 from topmix.pipeline import load_distance_matrix, save_distance_matrix
-from topmix.persistence import PersistenceDiagram, dim0_diagrams
+from topmix.persistence import dim0_diagrams
 from topmix.preprocess import (
     default_symmetry_vector,
     fit_standardizer,
@@ -28,7 +28,7 @@ from topmix.preprocess import (
 from topmix.schema import load_schema
 
 from conftest import CLEVELAND_SCHEMA, synthetic_cleveland_rows
-from oracles import brute_bottleneck, brute_wasserstein, canonical_gap, wasserstein
+from oracles import PersistenceDiagram, brute_bottleneck, brute_wasserstein, canonical_gap, wasserstein
 
 CAP = 10.0
 
@@ -600,6 +600,31 @@ class TestSortedCertificate:
             programmed.append(np.isnan(out))
         assert np.array_equal(*programmed)
         assert programmed[0].sum() == (0 if vector == "default" else n * (n - 1) // 2 - 12725)
+
+    def test_int16_terms_freed_before_int32_builds_its_own(self, tmp_path):
+        # under the zero vector int16 leaves the first run unsettled, so int32 decides every later run;
+        # building int32's terms alone takes their bytes, so a smaller rise of the traced peak from
+        # int16's first call to int32's means int16's terms were freed first
+        deaths = _cleveland_shaped_deaths(tmp_path, "zero")
+        n = len(deaths)
+        certificate, first_call = metric._sorted_certificate, {}
+
+        def recording(a, b, margin, scratch):
+            q = _q(a[0].dtype)
+            if q not in first_call:  # the traced memory and peak, and the bytes of the type's terms
+                first_call[q] = (*tracemalloc.get_traced_memory(), sum(term.base.nbytes for term in a))
+                tracemalloc.reset_peak()
+            return certificate(a, b, margin, scratch)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(metric, "_sorted_certificate", recording):
+                _fill_upper_without_programme(deaths, np.zeros((n, n)))
+        finally:
+            tracemalloc.stop()
+        (traced, _, int16_terms), (_, peak, int32_terms) = first_call[14], first_call[30]
+        assert int32_terms == 2 * int16_terms
+        assert peak - traced < int32_terms - int16_terms // 2
 
     @pytest.mark.parametrize("q", sorted(_TYPES))
     @pytest.mark.parametrize(

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from topmix.errors import ContractError
 from topmix.pipeline import save_distance_matrix
-from topmix.persistence import PersistenceDiagram, dim0_diagrams
+from topmix.persistence import dim0_diagrams
 
-from oracles import build_point_cloud, euclidean_distances, sweep_dim0_pairs
+from oracles import PersistenceDiagram, build_point_cloud, euclidean_distances, sweep_dim0_pairs
 
 
 def _pairs(deaths):

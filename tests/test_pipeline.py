@@ -29,7 +29,7 @@ from topmix.pipeline import (
 )
 
 from conftest import CLEVELAND_SCHEMA, REPO_ROOT, synthetic_cleveland_rows, write_config
-from oracles import build_point_cloud, holdout_indices
+from oracles import PersistenceDiagram, build_point_cloud, holdout_indices
 
 
 @pytest.fixture
@@ -422,7 +422,9 @@ class TestRunPipeline:
         out = tmp_path / "out"
         for name in ("run_manifest.json", "report.txt", "report.kv", "predictions.csv", "validation.csv"):
             assert (out / name).exists(), name
-        assert result.report.k == result.split_result.chosen_k
+        assert [row.k for row in result.validation] == [1, 3, 5]
+        assert result.report.k == max(result.validation, key=lambda row: row.accuracy).k  # the first best
+        assert f"validation sweep (k chosen = {result.report.k}):" in (out / "report.txt").read_text()
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["rows_kept"] == 60
         assert manifest["maxscale"] == result.diagram_set.maxscale
@@ -434,7 +436,7 @@ class TestRunPipeline:
             split={"mode": "kfold", "folds": 5, "seed": 1}, k=3,
         )
         result = run_pipeline(load_experiment_config(cfg))
-        assert result.split_result is None
+        assert result.validation == ()
         assert len(result.report.fold_accuracies) == 5
         assert result.report.counts.total == 60
 
@@ -820,17 +822,17 @@ class TestRunPipeline:
         ]
 
     def test_run_builds_no_diagram_objects(self, tmp_path, monkeypatch, capsys):
-        from topmix.persistence import PersistenceDiagram
+        from topmix.pipeline import DiagramSet
 
         def refuse(self):
-            raise AssertionError("a PersistenceDiagram was built")
+            raise AssertionError("DiagramSet.diagrams was read")
 
         data, schema = _synth_files(tmp_path, n=30)
         cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
-        monkeypatch.setattr(PersistenceDiagram, "__post_init__", refuse)
+        monkeypatch.setattr(DiagramSet, "diagrams", property(refuse))
         for command in ("classify", "diagrams", "distances", "inspect"):
             assert cli_main([command, "--config", str(cfg)] + ["--row", "0"] * (command == "inspect")) == 0
-        with pytest.raises(AssertionError, match="PersistenceDiagram"):
+        with pytest.raises(AssertionError, match="DiagramSet.diagrams"):
             compute_diagrams(load_experiment_config(cfg)).diagrams
 
 
@@ -861,9 +863,25 @@ class TestServedRun:
         assert warm.distances.tobytes() == cold.distances.tobytes()
         assert warm.report == cold.report
         assert np.array_equal(warm.report.predictions, cold.report.predictions)
-        assert warm.split_result == cold.split_result
+        assert warm.validation == cold.validation
         assert _tree(tmp_path / "warm") == _tree(tmp_path / "out")
         assert _tree(tmp_path / "cache") == cache
+
+    def test_diagram_view_is_the_oracle_diagram_when_computed_and_when_served(self, tmp_path):
+        # the benchmark's output checks read DiagramSet.diagrams on cold runs and on served ones
+        data, schema = _table_with_dropped_rows(tmp_path)
+        config = load_experiment_config(_config_for(tmp_path, data, schema, k_grid=[1, 3]))
+        exported = compute_diagrams(config)
+        computed, _ = compute_distances(config)
+        served, _ = compute_distances(config)
+        assert computed.prepared is not None and served.prepared is None
+        for diagram_set in (exported, computed, served):
+            views = diagram_set.diagrams
+            assert len(views) == diagram_set.rows_kept == 60
+            for view, row in zip(views, diagram_set.deaths):
+                want = PersistenceDiagram(np.column_stack([np.zeros(row.size), row]), diagram_set.maxscale).pairs
+                assert view.pairs.dtype == want.dtype and view.pairs.shape == want.shape
+                assert view.pairs.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("command", ["classify", "distances", "inspect"])
     def test_warm_run_parses_nothing_and_computes_no_diagram(self, tmp_path, monkeypatch, caplog, capsys, command):
