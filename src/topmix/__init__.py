@@ -25,7 +25,6 @@ from .evaluate import (
     ConfusionCounts,
     EvaluationReport,
     SplitSpec,
-    compute_metrics,
     evaluate_split,
     select_k_kfold,
     split_groups,

@@ -23,6 +23,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +41,9 @@ from .pipeline import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, run: Callable[..., int]) -> None:
+    """The options every command takes; ``run`` is the command, which ``main`` calls."""
+    parser.set_defaults(run=run)
     parser.add_argument("--config", required=True, help="experiment config JSON")
     parser.add_argument("--k", type=int, help="override neighbor count")
     parser.add_argument("--seed", type=int, help="override split seed")
@@ -74,17 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("classify", help="run the full experiment"))
-    _add_common(sub.add_parser("diagrams", help="compute per-row diagram deaths"))
-    _add_common(sub.add_parser("distances", help="compute the distance matrix"))
+    _add_common(sub.add_parser("classify", help="run the full experiment"), _cmd_classify)
+    _add_common(sub.add_parser("diagrams", help="compute per-row diagram deaths"), _cmd_diagrams)
+    _add_common(sub.add_parser("distances", help="compute the distance matrix"), _cmd_distances)
 
     inspect = sub.add_parser("inspect", help="examine one row")
-    _add_common(inspect)
+    _add_common(inspect, _cmd_inspect)
     inspect.add_argument("--row", type=int, required=True, help="row index")
     return parser
 
 
-def _cmd_classify(config) -> int:
+def _cmd_classify(config, args: argparse.Namespace) -> int:
     result = run_pipeline(config)
     sys.stdout.write((result.artifacts["report"]).read_text(encoding="utf-8"))
     print(f"artifacts written to {config.out_dir}")
@@ -99,7 +102,7 @@ def _print_cache_file(config, name: str, written: bool) -> None:
     print(f"written to {path}" if written else f"{path} is up to date")
 
 
-def _cmd_diagrams(config) -> int:
+def _cmd_diagrams(config, args: argparse.Namespace) -> int:
     diagram_set = compute_diagrams(config)
     deaths = diagram_set.deaths
     print(
@@ -110,7 +113,7 @@ def _cmd_diagrams(config) -> int:
     return 0
 
 
-def _cmd_distances(config) -> int:
+def _cmd_distances(config, args: argparse.Namespace) -> int:
     diagram_set, matrix = compute_distances(config)
     print(f"{matrix.shape[0]}x{matrix.shape[1]} distance matrix")
     # a cache miss computes the diagrams (prepared is set) and rewrites the cache; a hit writes nothing
@@ -118,7 +121,8 @@ def _cmd_distances(config) -> int:
     return 0
 
 
-def _cmd_inspect(config, row: int) -> int:
+def _cmd_inspect(config, args: argparse.Namespace) -> int:
+    row = args.row
     inputs = read_inputs(config)
     diagram_set, matrix = compute_distances(config, inputs)
     labels = diagram_set.labels
@@ -160,23 +164,12 @@ def _cmd_inspect(config, row: int) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_experiment_config(args.config, _overrides(args))
-        if args.command == "classify":
-            return _cmd_classify(config)
-        if args.command == "diagrams":
-            return _cmd_diagrams(config)
-        if args.command == "distances":
-            return _cmd_distances(config)
-        if args.command == "inspect":
-            return _cmd_inspect(config, args.row)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(load_experiment_config(args.config, _overrides(args)), args)
     except TopmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -136,25 +136,6 @@ def _confusion(truth: np.ndarray, grid: np.ndarray) -> list[ConfusionCounts]:
     return [ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn) for tn, fp, fn, tp in cells.reshape(ks, 4).tolist()]
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Confusion counts plus derived percentages (full precision, None = n/a)."""
-
-    counts: ConfusionCounts
-    accuracy: float
-    sensitivity: float | None
-    specificity: float | None
-    precision_class0: float | None
-    precision_class1: float | None
-    f1_class0: float | None
-    f1_class1: float | None
-    k: int
-    seed: int | None = None
-    fold_accuracies: tuple[float, ...] = ()
-    # int64 (rows, 3) of [row, true, predicted]; None in a validation report
-    predictions: np.ndarray | None = field(default=None, compare=False)
-
-
 def _pct(numerator: float, denominator: float) -> float | None:
     if denominator == 0:
         return None
@@ -167,34 +148,48 @@ def _f1(precision: float | None, recall: float | None) -> float | None:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def compute_metrics(
-    counts: ConfusionCounts,
-    k: int,
-    seed: int | None = None,
-    fold_accuracies: Sequence[float] = (),
-    predictions: np.ndarray | None = None,
-) -> EvaluationReport:
-    """Standard binary-classification metrics from confusion counts."""
-    if counts.total <= 0:
-        raise ContractError("metrics need at least one prediction")
-    sens = _pct(counts.tp, counts.tp + counts.fn)
-    spec = _pct(counts.tn, counts.tn + counts.fp)
-    prec1 = _pct(counts.tp, counts.tp + counts.fp)
-    prec0 = _pct(counts.tn, counts.tn + counts.fn)
-    return EvaluationReport(
-        counts=counts,
-        accuracy=100.0 * (counts.tp + counts.tn) / counts.total,
-        sensitivity=sens,
-        specificity=spec,
-        precision_class0=prec0,
-        precision_class1=prec1,
-        f1_class0=_f1(prec0, spec),
-        f1_class1=_f1(prec1, sens),
-        k=k,
-        seed=seed,
-        fold_accuracies=tuple(fold_accuracies),
-        predictions=predictions,
-    )
+@dataclass(frozen=True)
+class EvaluationReport:
+    """Confusion counts and the percentages derived from them (full precision, None = n/a)."""
+
+    counts: ConfusionCounts
+    k: int
+    seed: int | None = None
+    fold_accuracies: tuple[float, ...] = ()
+    # int64 (rows, 3) of [row, true, predicted]; None in a validation report
+    predictions: np.ndarray | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.counts.total <= 0:
+            raise ContractError("metrics need at least one prediction")
+
+    @property
+    def accuracy(self) -> float:
+        return 100.0 * (self.counts.tp + self.counts.tn) / self.counts.total
+
+    @property
+    def sensitivity(self) -> float | None:
+        return _pct(self.counts.tp, self.counts.tp + self.counts.fn)
+
+    @property
+    def specificity(self) -> float | None:
+        return _pct(self.counts.tn, self.counts.tn + self.counts.fp)
+
+    @property
+    def precision_class0(self) -> float | None:
+        return _pct(self.counts.tn, self.counts.tn + self.counts.fn)
+
+    @property
+    def precision_class1(self) -> float | None:
+        return _pct(self.counts.tp, self.counts.tp + self.counts.fp)
+
+    @property
+    def f1_class0(self) -> float | None:
+        return _f1(self.precision_class0, self.specificity)
+
+    @property
+    def f1_class1(self) -> float | None:
+        return _f1(self.precision_class1, self.sensitivity)
 
 
 def _check_distances(distances: np.ndarray, labels: np.ndarray) -> None:
@@ -251,11 +246,11 @@ def evaluate_split(
 
     _, grid_preds = knn_grid(np.concatenate([val, test]), distances, labels, k_grid, groups == 0)
     val_counts = _confusion(labels[val], grid_preds[: val.size])
-    validation = tuple(compute_metrics(counts, k=k) for counts, k in zip(val_counts, k_grid))
+    validation = tuple(EvaluationReport(counts, k) for counts, k in zip(val_counts, k_grid))
     j = int(np.argmax([counts.tp + counts.tn for counts in val_counts]))  # the first: ties to the smaller k
 
     test_preds = grid_preds[val.size :, j]
-    report = compute_metrics(
+    report = EvaluationReport(
         _confusion(labels[test], test_preds[:, None])[0],
         k=k_grid[j],
         seed=split.seed,
@@ -294,11 +289,11 @@ def select_k_kfold(
     hits = preds == labels[:, None]
     j = int(np.argmax(hits.sum(axis=0)))  # the first: ties to the smaller k
     fold_hits = np.bincount(fold_of, weights=hits[:, j], minlength=fold_sizes.size)
-    return compute_metrics(
+    return EvaluationReport(
         _confusion(labels, preds[:, j : j + 1])[0],
         k=k_grid[j],
         seed=split.seed,
-        fold_accuracies=(100.0 * fold_hits / fold_sizes).tolist(),
+        fold_accuracies=tuple((100.0 * fold_hits / fold_sizes).tolist()),
         predictions=_with_rows(every_row, labels, preds[:, j]),
     )
 

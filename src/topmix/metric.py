@@ -152,7 +152,12 @@ ALGORITHM = "zero-birth-dp"
 _BLOCK_PAIRS = 1024
 
 # Rows per step when the upper triangle is mirrored into the lower: each
-# step copies between small blocks, never a full-size temporary.
+# step copies between small blocks, never a full-size temporary. The fill
+# does not write the lower triangle itself: storing each entry twice there,
+# beside every certificate diagonal and programme block, gives the same
+# bits but took 1.04-1.19x the time at 297, 980 and 2,940 rows (default
+# vector, 2-CPU VM, alternating calls), a second scattered store per entry
+# where the mirror copies cache-sized blocks.
 _MIRROR_ROWS = 64
 
 

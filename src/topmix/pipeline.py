@@ -21,10 +21,11 @@ The files read back are the distance cache, ``CACHE_FILES``:
 with its label as one more column. One manifest records a fingerprint of
 everything they depend on, each file's size and sha256, and the kept and
 dropped row counts. ``compute_distances`` alone reads and fills them, and
-every command but ``diagrams`` goes through it. Its one call to
-``_cache_hit`` decides whether they can be used, reading each once and
-comparing its header with the one written for the recorded shape. A hit
-serves the run whole: the inputs are read and fingerprinted but not
+every command but ``diagrams`` goes through it. ``save_distance_matrix``
+alone writes a cache file and returns its manifest entry;
+``load_distance_matrix`` alone reads one, once, and serves it only when
+that entry and the header written for the recorded shape match the bytes
+read. A hit serves the run whole: the inputs are read and fingerprinted but not
 parsed, no diagram is computed and only ``out_dir`` is written
 (``inspect`` then parses the same bytes for the one feature row it
 prints). A missing, stale or damaged cache is logged with that reason and
@@ -414,33 +415,42 @@ def _npy_parts(array: np.ndarray) -> tuple[bytes, memoryview]:
     return header, memoryview(array.reshape(-1, order="A")).cast("B")
 
 
-def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> tuple[int, str]:
-    """Write ``matrix`` to ``path`` in ``.npy`` format through ``_replace``.
+def save_distance_matrix(matrix: np.ndarray, path: str | Path) -> dict[str, int | str]:
+    """Write ``matrix`` to ``path`` in ``.npy`` format through ``_replace``; the one writer of a cache file.
 
     Writes either file of ``CACHE_FILES``: the distance matrix or the rows
     with their labels. The header and a view of the matrix's data are
     written and hashed in turn, so no copy of the file is held in memory.
-    Returns the byte size and sha256 hex digest of what was written.
+    Returns the file's manifest entry, the ``bytes`` and ``sha256`` hex
+    digest of what was written, which ``load_distance_matrix`` checks.
     """
     header, data = _npy_parts(matrix)
     _replace(Path(path), header, data)
     digest = hashlib.sha256(header)
     digest.update(data)
-    return len(header) + len(data), digest.hexdigest()
+    return {"bytes": len(header) + len(data), "sha256": digest.hexdigest()}
 
 
-def load_distance_matrix(path: str | Path, data: bytearray, rows: int) -> np.ndarray | None:
-    """The array of ``rows`` rows that ``save_distance_matrix`` wrote to ``path``, from its bytes ``data``.
+def load_distance_matrix(path: str | Path, entry: Any, rows: int) -> np.ndarray | None:
+    """The array of ``rows`` rows that ``save_distance_matrix`` wrote to ``path``, if ``entry`` vouches for it.
 
-    Reads either file of ``CACHE_FILES``, a float64 matrix, or returns None
-    unless ``data`` holds the header written for the shape its size implies,
-    compared byte for byte, not parsed. The caller has read the file once
-    already (the cache hashes it), so the array is a writable view of
-    ``data``, not a second copy.
+    The one reader of either file of ``CACHE_FILES``, a float64 matrix.
+    ``entry`` is the file's manifest entry as the writer returned it. The
+    file's size must be its ``bytes``; the file is then read once, and the
+    bytes read must hash to its ``sha256`` and begin with the header written
+    for the shape the size implies, compared byte for byte, not parsed.
+    Returns a writable view of the bytes read, or None on any mismatch.
     """
-    columns = (len(data) - 128) // 8 // rows  # np.save pads every 2-D header to 128 bytes
+    if not isinstance(entry, dict) or (size := os.stat(path).st_size) != entry.get("bytes"):
+        return None
+    columns = (size - 128) // 8 // rows  # np.save pads every 2-D header to 128 bytes
     header = _npy_header((rows, columns))
-    if len(data) != len(header) + 8 * rows * columns or not data.startswith(header):
+    data = bytearray(size)
+    with open(path, "rb") as fh:
+        fh.readinto(data)
+    if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
+        return None
+    if size != len(header) + 8 * rows * columns or not data.startswith(header):
         return None
     return np.frombuffer(data, offset=len(header)).reshape(rows, columns)
 
@@ -457,31 +467,14 @@ def _cache_fingerprint(config: ExperimentConfig, features: str) -> str:
     return f"{features}:p={config.wasserstein_p!r}:{ALGORITHM}:{'+'.join(CACHE_FILES)}"
 
 
-def _vouched_array(path: Path, manifest: dict, rows: int) -> np.ndarray | None:
-    """Cache file ``path`` as an array of ``rows`` rows, if it is the file ``manifest`` vouches for.
-
-    Its size and sha256 must be those ``manifest`` records, and its header
-    the one ``load_distance_matrix`` expects for ``rows`` rows.
-    """
-    entry = manifest.get("files")
-    entry = entry.get(path.name) if isinstance(entry, dict) else None
-    if not isinstance(entry, dict) or (size := path.stat().st_size) != entry.get("bytes"):
-        return None
-    data = bytearray(size)
-    with open(path, "rb") as fh:
-        fh.readinto(data)
-    if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
-        return None
-    return load_distance_matrix(path, data, rows)
-
-
 def _cache_hit(cache_dir: Path, fingerprint: str) -> tuple[np.ndarray, np.ndarray, int] | None:
     """The distance matrix, the rows with their labels and the dropped-row count, or None after logging why.
 
     The manifest must carry ``fingerprint``, the kept and dropped row
-    counts, and each file's exact size and sha256 (``_vouched_array``); the
-    matrix must be square. The reasons are "missing" (no readable manifest
-    or a file absent), "stale" (the fingerprint differs) and "damaged"
+    counts, and under ``files`` each file's entry, which
+    ``load_distance_matrix`` checks as it reads the file; the matrix must
+    be square. The reasons are "missing" (no readable manifest or a file
+    absent), "stale" (the fingerprint differs) and "damaged"
     (anything else wrong). The bytes hashed are the bytes served, so a hit
     reads each file once.
     """
@@ -492,9 +485,9 @@ def _cache_hit(cache_dir: Path, fingerprint: str) -> tuple[np.ndarray, np.ndarra
     elif manifest.get("fingerprint") != fingerprint:
         reason = "stale"
     else:
-        kept, dropped = manifest.get("rows_kept"), manifest.get("rows_dropped")
-        if type(kept) is int and kept > 0 and type(dropped) is int and dropped >= 0:
-            matrix, rows = (_vouched_array(path, manifest, kept) for path in paths)
+        kept, dropped, files = (manifest.get(key) for key in ("rows_kept", "rows_dropped", "files"))
+        if type(kept) is int and kept > 0 and type(dropped) is int and dropped >= 0 and isinstance(files, dict):
+            matrix, rows = (load_distance_matrix(path, files.get(path.name), kept) for path in paths)
             if matrix is not None and rows is not None and matrix.shape == (kept, kept):
                 logger.info("distance cache hit: %s", paths[0])
                 return matrix, rows, dropped
@@ -625,10 +618,8 @@ def compute_distances(config: ExperimentConfig, inputs: RunInputs | None = None)
         if config.cache_dir is None:
             return diagram_set, matrix
         rows = np.column_stack([diagram_set.deaths, diagram_set.labels])
-        files = {
-            name: dict(zip(("bytes", "sha256"), save_distance_matrix(array, config.cache_dir / name)))
-            for name, array in zip(CACHE_FILES, (matrix, rows))
-        }
+        arrays = zip(CACHE_FILES, (matrix, rows))
+        files = {name: save_distance_matrix(array, config.cache_dir / name) for name, array in arrays}
         _replace(config.cache_dir / "distances.manifest.json", _manifest_text({
             "algorithm": ALGORITHM, "files": files, "fingerprint": fingerprint,
             "maxscale": diagram_set.maxscale, "p": config.wasserstein_p,

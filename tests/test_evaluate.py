@@ -6,8 +6,8 @@ import pytest
 from topmix.errors import ContractError, EvaluationError
 from topmix.evaluate import (
     ConfusionCounts,
+    EvaluationReport,
     SplitSpec,
-    compute_metrics,
     evaluate_split,
     format_report_kv,
     format_report_text,
@@ -146,7 +146,7 @@ class TestKfold:
 class TestComputeMetrics:
     def test_integer_counts_consistent_with_reported_table(self):
         # 59 test rows: TP=24 FN=3 TN=29 FP=3 reproduces all seven headline figures
-        report = compute_metrics(ConfusionCounts(tp=24, tn=29, fp=3, fn=3), k=5)
+        report = EvaluationReport(ConfusionCounts(tp=24, tn=29, fp=3, fn=3), k=5)
         assert f"{report.accuracy:.2f}" == "89.83"
         assert f"{report.sensitivity:.2f}" == "88.89"
         assert f"{report.specificity:.2f}" == "90.62"
@@ -156,7 +156,7 @@ class TestComputeMetrics:
         assert f"{report.f1_class1:.2f}" == "88.89"
 
     def test_perfect_predictor(self):
-        report = compute_metrics(ConfusionCounts(tp=1, tn=1, fp=0, fn=0), k=1)
+        report = EvaluationReport(ConfusionCounts(tp=1, tn=1, fp=0, fn=0), k=1)
         for value in (
             report.accuracy,
             report.sensitivity,
@@ -170,7 +170,7 @@ class TestComputeMetrics:
 
     def test_degenerate_predictor_reports_not_applicable(self):
         # everything predicted negative while positives exist
-        report = compute_metrics(ConfusionCounts(tp=0, tn=5, fp=0, fn=5), k=1)
+        report = EvaluationReport(ConfusionCounts(tp=0, tn=5, fp=0, fn=5), k=1)
         assert report.sensitivity == 0.0
         assert report.precision_class1 is None
         assert report.f1_class1 is None
@@ -178,22 +178,42 @@ class TestComputeMetrics:
         assert "precision_class1=n/a" in format_report_kv(report)
 
     def test_empty_counts_rejected(self):
-        with pytest.raises(ContractError):
-            compute_metrics(ConfusionCounts(0, 0, 0, 0), k=1)
+        with pytest.raises(ContractError, match="metrics need at least one prediction"):
+            EvaluationReport(ConfusionCounts(0, 0, 0, 0), k=1)
 
     def test_metrics_recomputable_from_counts(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            tp, tn, fp, fn = (int(v) for v in rng.integers(0, 30, size=4))
+        # the rates as a stored-field report computed them, written out here:
+        # every derived rate must equal them bit for bit, None included
+        def pct(num, den):
+            return None if den == 0 else 100.0 * num / den
+
+        def f1(precision, recall):
+            if precision is None or recall is None or precision + recall == 0:
+                return None
+            return 2.0 * precision * recall / (precision + recall)
+
+        cases = 0
+        for tp, tn, fp, fn in product(range(7), repeat=4):
             if tp + tn + fp + fn == 0:
                 continue
-            counts = ConfusionCounts(tp, tn, fp, fn)
-            report = compute_metrics(counts, k=1)
-            assert report.accuracy == pytest.approx(100 * (tp + tn) / counts.total)
-            if tp + fn:
-                assert report.sensitivity == pytest.approx(100 * tp / (tp + fn))
-            if tn + fp:
-                assert report.specificity == pytest.approx(100 * tn / (tn + fp))
+            report = EvaluationReport(ConfusionCounts(tp, tn, fp, fn), k=1)
+            sens, spec = pct(tp, tp + fn), pct(tn, tn + fp)
+            prec0, prec1 = pct(tn, tn + fn), pct(tp, tp + fp)
+            expected = {
+                "accuracy": 100.0 * (tp + tn) / (tp + tn + fp + fn),
+                "sensitivity": sens,
+                "specificity": spec,
+                "precision_class0": prec0,
+                "precision_class1": prec1,
+                "f1_class0": f1(prec0, spec),
+                "f1_class1": f1(prec1, sens),
+            }
+            for name, value in expected.items():
+                got = getattr(report, name)
+                assert (got is None) == (value is None), (tp, tn, fp, fn, name)
+                assert got is None or (type(got) is float and got == value), (tp, tn, fp, fn, name)
+            cases += 1
+        assert cases == 7**4 - 1
 
 
 def _duplicated_diagram_set():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import logging
 import math
@@ -224,13 +225,42 @@ class TestDistanceMatrix:
         diagrams = [_zero_birth_diagram(rng) for _ in range(5)]
         out = distance_matrix(_deaths(diagrams), 1.0)
         path = tmp_path / "distances.npy"
-        save_distance_matrix(out, path)
-        assert np.array_equal(load_distance_matrix(path, bytearray(path.read_bytes()), len(out)), out)
-        for rows in (1, len(out) - 1, len(out) + 1):  # the header names another shape
-            assert load_distance_matrix(path, bytearray(path.read_bytes()), rows) is None
+        entry = save_distance_matrix(out, path)
         first = path.read_bytes()
-        save_distance_matrix(out, path)
+        assert entry == {"bytes": len(first), "sha256": hashlib.sha256(first).hexdigest()}
+        assert np.array_equal(load_distance_matrix(path, entry, len(out)), out)
+        for rows in (1, len(out) - 1, len(out) + 1):  # the header names another shape
+            assert load_distance_matrix(path, entry, rows) is None
+        assert save_distance_matrix(out, path) == entry
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["none", "list", "no-bytes", "no-sha256", "bytes-plus-one", "bytes-minus-one", "other-sha256", "other-rows"],
+    )
+    def test_load_refuses_a_file_its_entry_does_not_vouch_for(self, tmp_path, fault):
+        matrix = np.arange(12.0).reshape(3, 4)
+        path = tmp_path / "distances.npy"
+        entry = save_distance_matrix(matrix, path)
+        bad, rows = {
+            "none": (None, 3),
+            "list": ([entry["bytes"], entry["sha256"]], 3),
+            "no-bytes": ({"sha256": entry["sha256"]}, 3),
+            "no-sha256": ({"bytes": entry["bytes"]}, 3),
+            "bytes-plus-one": ({**entry, "bytes": entry["bytes"] + 1}, 3),
+            "bytes-minus-one": ({**entry, "bytes": entry["bytes"] - 1}, 3),
+            "other-sha256": ({**entry, "sha256": hashlib.sha256(b"other bytes").hexdigest()}, 3),
+            "other-rows": (entry, 4),  # vouched for, but its header names 3 rows
+        }[fault]
+        # the size is compared before the file is opened; past it, the file is read once
+        reads = 1 if fault in ("no-sha256", "other-sha256", "other-rows") else 0
+        with mock.patch("builtins.open", wraps=open) as opened:
+            assert load_distance_matrix(path, bad, rows) is None
+        assert opened.call_args_list == [mock.call(path, "rb")] * reads
+        with mock.patch("builtins.open", wraps=open) as opened:
+            loaded = load_distance_matrix(path, entry, 3)
+        assert opened.call_args_list == [mock.call(path, "rb")]
+        assert loaded.flags.writeable and loaded.tobytes() == matrix.tobytes()
 
     def test_save_holds_no_copy_of_the_matrix(self, tmp_path):
         matrix = np.random.default_rng(3).random((2000, 2000))  # 32 MB
@@ -251,8 +281,7 @@ class TestDistanceMatrix:
     def test_load_from_bytes_already_read(self, tmp_path, order, dtype):
         matrix = np.asarray(np.arange(12).reshape(3, 4), dtype=dtype, order=order)
         path = tmp_path / "distances.npy"
-        save_distance_matrix(matrix, path)
-        loaded = load_distance_matrix(path, bytearray(path.read_bytes()), 3)
+        loaded = load_distance_matrix(path, save_distance_matrix(matrix, path), 3)
         if dtype is np.float64 and order == "C":  # the one layout the cache writes
             assert loaded.dtype == matrix.dtype and np.array_equal(loaded, matrix)
             assert loaded.flags.writeable

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from topmix import cli
 from topmix.cli import main as cli_main
 from topmix.errors import ContractError, TopmixError
 from topmix.evaluate import SplitSpec
@@ -680,9 +681,9 @@ class TestRunPipeline:
         manifest = json.loads(manifest_file.read_text())
         # the tag-free fingerprint that assignment-solver caches were written with
         manifest["fingerprint"] = f"{first.diagram_set.fingerprint}:p={config.wasserstein_p!r}"
-        # a well-formed matrix, vouched for by size and sha256, that must not be served
-        size, sha256 = save_distance_matrix(2 * first.distances, tmp_path / "cache" / "distances.npy")
-        manifest.update(bytes=size, sha256=sha256)
+        # a well-formed matrix, vouched for by its writer's entry, that must not be served
+        matrix_file = tmp_path / "cache" / "distances.npy"
+        manifest["files"]["distances.npy"] = save_distance_matrix(2 * first.distances, matrix_file)
         manifest_file.write_text(json.dumps(manifest))
         with caplog.at_level(logging.INFO, logger="topmix"):
             second = run_pipeline(config)
@@ -992,9 +993,10 @@ class TestServedRun:
         cache, out = _tree(cache_dir), _tree(tmp_path / "out")
         manifest_file = cache_dir / "distances.manifest.json"
         manifest = json.loads(manifest_file.read_text())
-        size, sha256 = save_distance_matrix(reshape(np.load(cache_dir / name)), cache_dir / name)
-        assert size == manifest["files"][name]["bytes"] and sha256 != manifest["files"][name]["sha256"]
-        manifest["files"][name]["sha256"] = sha256
+        entry = save_distance_matrix(reshape(np.load(cache_dir / name)), cache_dir / name)
+        written = manifest["files"][name]
+        assert entry["bytes"] == written["bytes"] and entry["sha256"] != written["sha256"]
+        manifest["files"][name] = entry
         manifest_file.write_text(json.dumps(manifest))
         with caplog.at_level(logging.INFO, logger="topmix"):
             run_pipeline(load_experiment_config(cfg))
@@ -1050,6 +1052,24 @@ class TestServedRun:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus"], ["inspect", "--config", "c.json"]],
+        ids=["no-command", "unknown-command", "inspect-without-row"],
+    )
+    def test_incomplete_command_line_exits_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: topmix") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["classify", "diagrams", "distances", "inspect"])
+    def test_parser_names_the_command_to_run(self, command):
+        argv = [command, "--config", "c.json"] + ["--row", "0"] * (command == "inspect")
+        assert cli.build_parser().parse_args(argv).run is getattr(cli, f"_cmd_{command}")
+
     def test_classify_writes_report(self, tmp_path, capsys):
         data, schema = _synth_files(tmp_path)
         cfg = _config_for(tmp_path, data, schema, k_grid=[1, 3])
